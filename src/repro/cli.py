@@ -610,7 +610,8 @@ def _cmd_conformance_run_faulty(args: argparse.Namespace) -> int:
             # A one-run sweep JSON, so --report behaves identically
             # whether the run happens to be a single pair or a sweep.
             sweep = FaultSweepReport(
-                geometry=(caps.n_words, caps.width, caps.ports)
+                geometry=(caps.n_words, caps.width, caps.ports),
+                mode=args.mode,
             )
             sweep.add(result)
             sweep.wall_time_s = time.perf_counter() - started

@@ -31,6 +31,7 @@ and ``diverged`` with the offending layer named.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -90,6 +91,11 @@ LAYERS: Tuple[str, ...] = ("events", "faillog", "diagnosis")
 #:   :mod:`repro.conformance.infield`, with the given algorithm's
 #:   transparent variant as the test slot; compared replay-style too.
 MODES: Tuple[str, ...] = ("sequential", "concurrent", "infield")
+
+
+def _regime_tag(mode: str) -> str:
+    """Report-header tag naming a non-default stimulus regime."""
+    return {"sequential": ""}.get(mode, f" [{mode} mode]")
 
 
 @dataclass(frozen=True)
@@ -253,7 +259,7 @@ class FaultResponseResult:
         return "; ".join(parts)
 
     def format(self) -> str:
-        regime = "" if self.mode == "sequential" else f" [{self.mode} mode]"
+        regime = _regime_tag(self.mode)
         lines = [
             f"fault-response conformance {self.geometry}{regime}: "
             f"{self.notation}",
@@ -326,195 +332,167 @@ def _diagnose(
     ]
 
 
-def _check_replay_conformance(
+class NotRealisable(Exception):
+    """A stimulus (or one partner's realisation of it) does not exist
+    here — progfsm outside SM0–SM7, no transparent variant.  The
+    differential loop reports it as ``skipped``, never as a failure."""
+
+
+@dataclass(frozen=True)
+class Partner:
+    """One differential partner: how it builds its stream, how it captures.
+
+    ``build`` takes no arguments and returns the partner's attributed
+    stream (raising :class:`NotRealisable` to skip); ``capture`` has
+    :func:`capture_response`'s signature.
+    """
+
+    name: str
+    build: Callable[[], Sequence[Any]]
+    capture: Callable[..., ResponseCapture]
+
+
+@dataclass(frozen=True)
+class Stimulus:
+    """Everything the differential loop needs to know about one stimulus.
+
+    Attributes:
+        name: fail-log name (the algorithm or session name).
+        notation: stable string identity, as reports print it.
+        mode: the stimulus regime reported in results (see :data:`MODES`).
+        golden: zero-argument builder of the golden reference stream.
+        partners: the differential partners, in report order.
+        cycle: golden stream is a same-cycle multi-port cycle stream
+            (captured with :func:`capture_cycle_response`).
+        diagnose: whether the diagnosis layer applies (the classifier's
+            op-index model is the sequential march golden stream).
+    """
+
+    name: str
+    notation: str
+    mode: str
+    golden: Callable[[], Sequence[Any]]
+    partners: Tuple[Partner, ...]
+    cycle: bool = False
+    diagnose: bool = False
+
+
+def resolve_stimulus(
     test: MarchTest,
-    caps: ControllerCapabilities,
-    fault: CellFault,
-    compress: bool,
-    max_ops: Optional[int],
-    mode: str,
-    infield_seed: int,
-) -> FaultResponseResult:
-    """Replay-style conformance for the non-sequential regimes.
+    capabilities: ControllerCapabilities,
+    mode: str = "sequential",
+    infield_seed: int = 0,
+    architectures: Sequence[str] = ARCHITECTURES,
+    compress: bool = True,
+) -> Stimulus:
+    """Describe ``test`` under ``mode`` as a :class:`Stimulus`.
 
-    The concurrent and in-field stimuli have no controller realisation
-    to compare against (the paper's architectures are sequential by
-    construction), so the differential partner is a second independent
-    capture on a freshly injected memory: any dynamic fault state or
-    cell contents leaking across the injector boundary — or any
-    non-determinism in the stimulus itself — surfaces as a replay
-    divergence on the events or fail-log layer.  The diagnosis layer is
-    not compared: the classifier's op-index model is the sequential
-    golden stream.
+    The only place that knows the stimulus families apart:
+
+    * a march test in ``sequential`` mode is checked against the
+      controller ``architectures``, each capturing through its
+      :data:`RESPONSE_CAPTURES` entry, with the diagnosis layer;
+    * a :class:`~repro.prt.session.PrtSession` (sequential only) is
+      checked against its cycle-stepped FSM (``prt-controller``) and an
+      independent rebuild of the session stream (``replay``);
+    * the ``concurrent`` and ``infield`` regimes have no controller
+      realisation (the paper's architectures are sequential by
+      construction), so the partner is a ``replay`` of the golden
+      stream on a freshly injected memory: leaking fault state or a
+      non-deterministic stimulus surfaces as a replay divergence.
+
+    Raises:
+        ValueError: unknown mode or architecture, or a PRT session in a
+            non-sequential mode.
     """
-    from repro.conformance.infield import cached_infield_plan
+    from repro.prt.session import PrtSession
 
-    result = FaultResponseResult(
-        notation=format_test(test),
-        geometry=(caps.n_words, caps.width, caps.ports),
-        fault=fault.describe(),
-        fault_spec=format_fault(fault),
-        compress=compress,
-        mode=mode,
-    )
-    response = ArchitectureResponse(architecture="replay")
-    result.responses.append(response)
+    caps = capabilities
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; known: {list(MODES)}")
+    unknown = set(architectures) - set(ARCHITECTURES)
+    if unknown:
+        raise ValueError(
+            f"unknown architecture(s) {sorted(unknown)}; "
+            f"known: {list(ARCHITECTURES)}"
+        )
+    if isinstance(test, PrtSession):
+        from repro.prt.controller import PrtController
+
+        if mode != "sequential":
+            raise ValueError(
+                f"PRT sessions are sequential stimuli; mode {mode!r} is "
+                "not realisable"
+            )
+
+        def session_stream():
+            return test.attributed_stream(caps)
+
+        def controller_stream():
+            return PrtController(test.config, caps).attributed_stream()
+
+        return Stimulus(
+            test.name, test.notation, mode, session_stream,
+            (Partner("prt-controller", controller_stream, capture_response),
+             Partner("replay", session_stream, capture_response)),
+        )
+    notation = format_test(test)
+    if mode == "sequential":
+        from repro.core.progfsm.compiler import CompileError
+
+        def architecture_stream(architecture: str):
+            try:
+                return STREAM_BUILDERS[architecture](test, caps, compress)
+            except CompileError as error:
+                raise NotRealisable(
+                    f"outside the SM0-SM7 boundary: {error}"
+                ) from error
+
+        partners = tuple(
+            Partner(
+                architecture,
+                functools.partial(architecture_stream, architecture),
+                RESPONSE_CAPTURES[architecture],
+            )
+            for architecture in ARCHITECTURES
+            if architecture in architectures
+        )
+        return Stimulus(
+            test.name, notation, mode,
+            lambda: GOLDEN_CACHE.get(test, caps), partners, diagnose=True,
+        )
     if mode == "concurrent":
-        stream = CONCURRENT_CACHE.get(test, caps)
-        capture_fn = capture_cycle_response
-    else:
+        def cycle_stream():
+            return CONCURRENT_CACHE.get(test, caps)
+
+        return Stimulus(
+            test.name, notation, mode, cycle_stream,
+            (Partner("replay", cycle_stream, capture_cycle_response),),
+            cycle=True,
+        )
+
+    def infield_stream():
+        from repro.conformance.infield import cached_infield_plan
+
         try:
-            plan = cached_infield_plan(
-                caps, seed=infield_seed, tests=(test,)
-            )
+            plan = cached_infield_plan(caps, seed=infield_seed, tests=(test,))
         except ValueError as error:
-            response.status = "skipped"
-            response.detail = f"no transparent variant: {error}"
-            return result
-        stream = plan.stream
-        capture_fn = capture_response
-    budget = (
-        max_ops
-        if max_ops is not None
-        else DEFAULT_BUDGET_FACTOR * max(len(stream), 1)
-    )
-    injector = FaultInjector(
-        Sram(caps.n_words, width=caps.width, ports=caps.ports)
-    )
-    with injector.injected(fault) as memory:
-        golden = capture_fn(stream, memory, max_ops=budget)
-    result.golden_events = len(golden.events)
-    golden_cells = golden.log(test.name).failing_cells()
+            raise NotRealisable(
+                f"no transparent variant: {error}"
+            ) from error
+        return plan.stream
 
-    try:
-        with injector.injected(fault) as memory:
-            capture = capture_fn(stream, memory, max_ops=budget)
-    except ResponseBudgetExceeded as error:
-        response.status = "error"
-        response.detail = f"wedged replay session: {error}"
-        return result
-    except Exception as error:
-        response.status = "error"
-        response.detail = (
-            f"replay session crashed: {type(error).__name__}: {error}"
-        )
-        return result
-    response.ops_applied = capture.ops_applied
-    response.event_count = len(capture.events)
-    response.failing_cells = capture.log(test.name).failing_cells()
-
-    divergence = first_fail_divergence(
-        golden.events, capture.events, "replay"
-    )
-    if divergence is not None:
-        response.status = "diverged"
-        response.layer = "events"
-        response.divergence = divergence
-    elif response.failing_cells != golden_cells:
-        response.status = "diverged"
-        response.layer = "faillog"
-        response.mismatch = (
-            f"failing cells {response.failing_cells} != golden "
-            f"{golden_cells}"
-        )
-    return result
-
-
-def _check_prt_conformance(
-    session,
-    caps: ControllerCapabilities,
-    fault: CellFault,
-    compress: bool,
-    max_ops: Optional[int],
-) -> FaultResponseResult:
-    """Differential fault-response conformance of a PRT session.
-
-    The golden reference is the session's nested-loop shadow expansion
-    (:meth:`repro.prt.session.PrtSession.attributed_stream`); the
-    differential partners are the cycle-stepped FSM realisation of
-    :class:`repro.prt.controller.PrtController` (``prt-controller``)
-    and an independent replay of the golden stream on a freshly
-    injected memory (``replay``).  Events and fail-log layers are
-    compared; the diagnosis layer is march-specific (the classifier's
-    op-index model is the march golden stream) and is skipped, exactly
-    as in the concurrent/in-field replay regimes.
-    """
-    from repro.prt.controller import PrtController
-
-    golden_stream = session.attributed_stream(caps)
-    budget = (
-        max_ops
-        if max_ops is not None
-        else DEFAULT_BUDGET_FACTOR * max(len(golden_stream), 1)
-    )
-    injector = FaultInjector(
-        Sram(caps.n_words, width=caps.width, ports=caps.ports)
-    )
-    with injector.injected(fault) as memory:
-        golden = capture_response(golden_stream, memory, max_ops=budget)
-    golden_cells = golden.log(session.name).failing_cells()
-
-    result = FaultResponseResult(
-        notation=session.notation,
-        geometry=(caps.n_words, caps.width, caps.ports),
-        fault=fault.describe(),
-        fault_spec=format_fault(fault),
-        compress=compress,
-        golden_events=len(golden.events),
+    return Stimulus(
+        test.name, notation, mode, infield_stream,
+        (Partner("replay", infield_stream, capture_response),),
     )
 
-    def build_controller_stream():
-        return PrtController(session.config, caps).attributed_stream()
 
-    def build_replay_stream():
-        return session.attributed_stream(caps)
-
-    for name, build in (
-        ("prt-controller", build_controller_stream),
-        ("replay", build_replay_stream),
-    ):
-        response = ArchitectureResponse(architecture=name)
-        result.responses.append(response)
-        try:
-            stream = build()
-        except Exception as error:
-            response.status = "error"
-            response.detail = (
-                f"controller crashed: {type(error).__name__}: {error}"
-            )
-            continue
-        try:
-            with injector.injected(fault) as memory:
-                capture = capture_response(stream, memory, max_ops=budget)
-        except ResponseBudgetExceeded as error:
-            response.status = "error"
-            response.detail = f"wedged BIST session: {error}"
-            continue
-        except Exception as error:
-            response.status = "error"
-            response.detail = (
-                f"BIST session crashed: {type(error).__name__}: {error}"
-            )
-            continue
-        response.ops_applied = capture.ops_applied
-        response.event_count = len(capture.events)
-        response.failing_cells = capture.log(session.name).failing_cells()
-
-        divergence = first_fail_divergence(
-            golden.events, capture.events, name
-        )
-        if divergence is not None:
-            response.status = "diverged"
-            response.layer = "events"
-            response.divergence = divergence
-        elif response.failing_cells != golden_cells:
-            response.status = "diverged"
-            response.layer = "faillog"
-            response.mismatch = (
-                f"failing cells {response.failing_cells} != golden "
-                f"{golden_cells}"
-            )
-    return result
+def _op_budget(stream: Sequence[Any], max_ops: Optional[int]) -> int:
+    """The per-run op budget: ``max_ops``, or the default multiple."""
+    if max_ops is not None:
+        return max_ops
+    return DEFAULT_BUDGET_FACTOR * max(len(stream), 1)
 
 
 def check_fault_conformance(
@@ -527,19 +505,24 @@ def check_fault_conformance(
     mode: str = "sequential",
     infield_seed: int = 0,
 ) -> FaultResponseResult:
-    """Differentially test the architectures' responses to ``fault``.
+    """Differentially test the partners' responses to ``fault``.
+
+    The stimulus is resolved once (:func:`resolve_stimulus`); then one
+    loop builds each partner's stream, captures it under a freshly
+    injected ``fault`` and compares it with the golden capture layer by
+    layer — events, fail log and (where it applies) diagnosis.  Typed
+    outcomes: a partner that is not realisable is ``skipped``; one that
+    fails to build, trips the op budget or crashes is an ``error``.
 
     Args:
         test: the march algorithm, or a
-            :class:`repro.prt.session.PrtSession` — pseudo-ring
-            sessions dispatch to their own differential path
-            (golden expansion vs FSM controller vs replay; sequential
-            mode only).
+            :class:`repro.prt.session.PrtSession` (sequential mode
+            only; compared against its FSM controller and a replay).
         capabilities: memory geometry all controllers target.
         fault: the single fault injected for every run (state is reset
             between runs by the injector).
         architectures: subset of :data:`ARCHITECTURES` to compare
-            (sequential mode only).
+            (sequential march tests only).
         compress: microcode REPEAT compression.
         max_ops: per-run op budget; defaults to
             :data:`DEFAULT_BUDGET_FACTOR` × the golden stream length.
@@ -550,64 +533,52 @@ def check_fault_conformance(
 
     Returns:
         A :class:`FaultResponseResult`; ``.ok`` means every compared
-        architecture produced the golden fail events, fail-log
-        aggregations and diagnosis.
+        partner produced the golden fail events, fail-log aggregations
+        and diagnosis.
     """
-    from repro.core.progfsm.compiler import CompileError
-    from repro.prt.session import PrtSession
-
     caps = capabilities
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; known: {list(MODES)}")
-    if isinstance(test, PrtSession):
-        if mode != "sequential":
-            raise ValueError(
-                f"PRT sessions are sequential stimuli; mode {mode!r} is "
-                "not realisable"
-            )
-        return _check_prt_conformance(test, caps, fault, compress, max_ops)
-    if mode != "sequential":
-        return _check_replay_conformance(
-            test, caps, fault, compress, max_ops, mode, infield_seed
-        )
-    unknown = set(architectures) - set(ARCHITECTURES)
-    if unknown:
-        raise ValueError(
-            f"unknown architecture(s) {sorted(unknown)}; "
-            f"known: {list(ARCHITECTURES)}"
-        )
-    golden_stream = GOLDEN_CACHE.get(test, caps)
-    budget = (
-        max_ops
-        if max_ops is not None
-        else DEFAULT_BUDGET_FACTOR * max(len(golden_stream), 1)
+    stimulus = resolve_stimulus(
+        test, caps, mode, infield_seed, architectures, compress
+    )
+    result = FaultResponseResult(
+        notation=stimulus.notation,
+        geometry=(caps.n_words, caps.width, caps.ports),
+        fault=fault.describe(),
+        fault_spec=format_fault(fault),
+        compress=compress,
+        mode=stimulus.mode,
+    )
+    try:
+        golden_stream = stimulus.golden()
+    except NotRealisable as error:
+        result.responses = [
+            ArchitectureResponse(partner.name, "skipped", detail=str(error))
+            for partner in stimulus.partners
+        ]
+        return result
+    budget = _op_budget(golden_stream, max_ops)
+    capture_golden = (
+        capture_cycle_response if stimulus.cycle else capture_response
     )
     injector = FaultInjector(
         Sram(caps.n_words, width=caps.width, ports=caps.ports)
     )
     with injector.injected(fault) as memory:
-        golden = capture_response(golden_stream, memory, max_ops=budget)
-    golden_cells = golden.log(test.name).failing_cells()
-    golden_diagnosis = _diagnose(golden, test, caps)
-
-    result = FaultResponseResult(
-        notation=format_test(test),
-        geometry=(caps.n_words, caps.width, caps.ports),
-        fault=fault.describe(),
-        fault_spec=format_fault(fault),
-        compress=compress,
-        golden_events=len(golden.events),
+        golden = capture_golden(golden_stream, memory, max_ops=budget)
+    result.golden_events = len(golden.events)
+    golden_cells = golden.log(stimulus.name).failing_cells()
+    golden_diagnosis = (
+        _diagnose(golden, test, caps) if stimulus.diagnose else []
     )
-    for architecture in ARCHITECTURES:
-        if architecture not in architectures:
-            continue
-        response = ArchitectureResponse(architecture=architecture)
+
+    for partner in stimulus.partners:
+        response = ArchitectureResponse(architecture=partner.name)
         result.responses.append(response)
         try:
-            stream = STREAM_BUILDERS[architecture](test, caps, compress)
-        except CompileError as error:
+            stream = partner.build()
+        except NotRealisable as error:
             response.status = "skipped"
-            response.detail = f"outside the SM0-SM7 boundary: {error}"
+            response.detail = str(error)
             continue
         except RuntimeError as error:
             response.status = "error"
@@ -621,9 +592,7 @@ def check_fault_conformance(
             continue
         try:
             with injector.injected(fault) as memory:
-                capture = RESPONSE_CAPTURES[architecture](
-                    stream, memory, max_ops=budget
-                )
+                capture = partner.capture(stream, memory, max_ops=budget)
         except ResponseBudgetExceeded as error:
             response.status = "error"
             response.detail = f"wedged BIST session: {error}"
@@ -636,11 +605,12 @@ def check_fault_conformance(
             continue
         response.ops_applied = capture.ops_applied
         response.event_count = len(capture.events)
-        response.failing_cells = capture.log(test.name).failing_cells()
-        response.diagnosis = _diagnose(capture, test, caps)
+        response.failing_cells = capture.log(stimulus.name).failing_cells()
+        if stimulus.diagnose:
+            response.diagnosis = _diagnose(capture, test, caps)
 
         divergence = first_fail_divergence(
-            golden.events, capture.events, architecture
+            golden.events, capture.events, partner.name
         )
         if divergence is not None:
             response.status = "diverged"
@@ -782,7 +752,7 @@ class FaultSweepReport:
                 f"  [{self.engine} engine, "
                 f"{self.fallback_runs} scalar fallback(s)]"
             )
-        regime = "" if self.mode == "sequential" else f" [{self.mode} mode]"
+        regime = _regime_tag(self.mode)
         lines = [
             f"fault-response sweep {self.geometry}{regime}: {self.checked} "
             f"(algorithm, fault) runs, {self.detected} detected the "
@@ -1149,6 +1119,107 @@ def _run_sharded(
     return merged
 
 
+def _shard_key_fields(
+    axis: str,
+    engine: str,
+    mode: str,
+    tests: Sequence[MarchTest],
+    caps: ControllerCapabilities,
+    faults: Sequence[CellFault],
+    compress: bool,
+    max_ops: Optional[int],
+) -> Dict[str, Any]:
+    """The store-key fields of one sweep's shards (minus the range).
+
+    ``axis`` (what a shard slices) and ``engine`` keep the scalar
+    engine's product shards and the vector engine's test shards from
+    ever sharing — or poisoning — each other's cache entries.
+    """
+    from repro.service.store import payload_digest
+
+    return {
+        "kind": "fault-sweep-shard",
+        "axis": axis,
+        "tests": payload_digest([stimulus_notation(t) for t in tests]),
+        "geometry": [caps.n_words, caps.width, caps.ports],
+        "faults": payload_digest([_fault_cache_key(f) for f in faults]),
+        "compress": compress,
+        "max_ops": max_ops,
+        "mode": mode,
+        "engine": engine,
+    }
+
+
+def _sharded_sweep(
+    shard_fn: Callable[[Any], FaultSweepReport],
+    engine: str,
+    axis: str,
+    units: int,
+    shards_per_worker: int,
+    tests: Sequence[MarchTest],
+    caps: ControllerCapabilities,
+    faults: Sequence[CellFault],
+    compress: bool,
+    max_ops: Optional[int],
+    jobs: int,
+    mode: str,
+    service: Optional[Any],
+    store: Optional[Any],
+    resume: bool,
+    shard_timeout: Optional[float],
+    chaos: Optional[Any],
+) -> FaultSweepReport:
+    """The body both sweep engines share: shard, run, merge, time.
+
+    ``units`` is the length of the sharded ``axis`` (``product`` pairs
+    for the scalar engine, ``tests`` for the vector engine); shard work
+    items are ``shard_fn`` argument tuples ``(shard, tests, caps,
+    faults, start, count, compress, max_ops, mode)``.  Shards are finer
+    than the worker count (``shards_per_worker`` each): stimuli differ
+    widely in stream length, so equal ``jobs``-sized chunks leave
+    workers idle behind the chunk that drew the longest ones.  Merging
+    by shard index keeps the report order (and bytes) independent of
+    the shard count.
+    """
+    geometry = (caps.n_words, caps.width, caps.ports)
+    started = time.perf_counter()
+    serviced = (
+        service is not None or store is not None or chaos is not None
+    )
+    if units == 0 or not faults:
+        report = FaultSweepReport(geometry=geometry, engine=engine, mode=mode)
+    elif min(jobs, units) == 1 and not serviced:
+        report = shard_fn(
+            (0, tests, caps, faults, 0, units, compress, max_ops, mode)
+        )
+    else:
+        workers = min(jobs, units)
+        shards = min(units, max(workers, 2) * shards_per_worker)
+        chunk = (units + shards - 1) // shards
+        work = [
+            (shard, tests, caps, faults, start,
+             min(chunk, units - start), compress, max_ops, mode)
+            for shard, start in enumerate(range(0, units, chunk))
+        ]
+        key_fields = None
+        if store is not None:
+            key_fields = _shard_key_fields(
+                axis, engine, mode, tests, caps, faults, compress, max_ops
+            )
+        try:
+            report = _run_sharded(
+                work, shard_fn, geometry, workers, mode, engine,
+                key_fields=key_fields, service=service, store=store,
+                resume=resume, shard_timeout=shard_timeout, chaos=chaos,
+            )
+        except SweepInterrupted as interrupt:
+            interrupt.report.wall_time_s = time.perf_counter() - started
+            raise
+    report.jobs = jobs
+    report.wall_time_s = time.perf_counter() - started
+    return report
+
+
 def run_fault_sweep(
     tests: Sequence[MarchTest],
     capabilities: ControllerCapabilities,
@@ -1167,27 +1238,28 @@ def run_fault_sweep(
     """Check every (algorithm, fault) pair; used by CI and the CLI.
 
     Args:
-        tests: the march algorithms to sweep.
+        tests: the stimuli to sweep — march algorithms and
+            :class:`~repro.prt.session.PrtSession` objects, mixed.
         capabilities: memory geometry all controllers target.
         faults: the fault population (every fault runs against every
             algorithm).
         compress: microcode REPEAT compression.
         max_ops: per-run op budget override.
         jobs: worker-process count; 1 runs inline (no pool).  The
-            (algorithm, fault) product is sharded into ``jobs``
-            contiguous chunks and the shard reports merged, so the
-            report — timing aside — is independent of ``jobs``.
+            (algorithm, fault) product is sharded into contiguous
+            chunks and the shard reports merged, so the report — timing
+            aside — is independent of ``jobs``.
         engine: ``scalar`` (per-run :class:`~repro.memory.sram.Sram`
             simulation, the oracle) or ``vector`` (the numpy batch
             kernel of :mod:`repro.vector`; needs numpy, falls back to
             the scalar path per fault/test where lane semantics do not
             apply, and reports the fallback count).  The report payload
             (timing aside) is identical for both.
-        mode: stimulus regime (see :data:`MODES`).  The vector kernel
-            has no same-cycle lane semantics yet, so non-sequential
-            modes under ``engine="vector"`` take the counted scalar
-            fallback: the whole sweep runs on the scalar oracle and
-            every run is accounted in ``fallback_runs``.
+        mode: stimulus regime (see :data:`MODES`).  Sequential march,
+            PRT and in-field sweeps run on the vector kernel; the
+            kernel has no same-cycle lane semantics, so every
+            ``concurrent`` test takes the counted per-test scalar
+            fallback (``fallback_runs == checked``).
         service: a shared :class:`~repro.service.engine.JobEngine` to
             run shards on (the multi-geometry sweep passes one pool for
             all geometries); ``None`` spins a private engine when the
@@ -1212,7 +1284,7 @@ def run_fault_sweep(
         raise ValueError(f"unknown engine {engine!r}; known: {list(ENGINES)}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {list(MODES)}")
-    if engine == "vector" and mode == "sequential":
+    if engine == "vector":
         from repro.vector import require_numpy
 
         require_numpy()
@@ -1220,80 +1292,17 @@ def run_fault_sweep(
 
         return run_vector_fault_sweep(
             tests, capabilities, faults, compress=compress,
-            max_ops=max_ops, jobs=jobs, service=service, store=store,
-            resume=resume, shard_timeout=shard_timeout, chaos=chaos,
+            max_ops=max_ops, jobs=jobs, mode=mode, service=service,
+            store=store, resume=resume, shard_timeout=shard_timeout,
+            chaos=chaos,
         )
-    caps = capabilities
     tests = list(tests)
     faults = list(faults)
-    total = len(tests) * len(faults)
-    started = time.perf_counter()
-    serviced = (
-        service is not None or store is not None or chaos is not None
+    return _sharded_sweep(
+        _sweep_shard, "scalar", "product", len(tests) * len(faults), 4,
+        tests, capabilities, faults, compress, max_ops, jobs, mode,
+        service, store, resume, shard_timeout, chaos,
     )
-    if total == 0:
-        report = FaultSweepReport(
-            geometry=(caps.n_words, caps.width, caps.ports), mode=mode
-        )
-    elif min(jobs, total) == 1 and not serviced:
-        report = _sweep_shard(
-            (0, tests, caps, faults, 0, total, compress, max_ops, mode)
-        )
-    else:
-        jobs = min(jobs, total)
-        # Shard finer than the worker count: algorithms differ widely in
-        # stream length and the product is algorithm-major, so equal
-        # ``jobs``-sized chunks leave workers idle behind the chunk that
-        # drew the longest algorithms.  Merging by shard index keeps the
-        # report order (and bytes) independent of the shard count.
-        shards = min(total, max(jobs, 2) * 4)
-        chunk = (total + shards - 1) // shards
-        work = [
-            (shard, tests, caps, faults, start,
-             min(chunk, total - start), compress, max_ops, mode)
-            for shard, start in enumerate(range(0, total, chunk))
-        ]
-        key_fields = None
-        if store is not None:
-            from repro.service.store import payload_digest
-
-            key_fields = {
-                "kind": "fault-sweep-shard",
-                "axis": "product",
-                "tests": payload_digest(
-                    [stimulus_notation(t) for t in tests]
-                ),
-                "geometry": [caps.n_words, caps.width, caps.ports],
-                "faults": payload_digest(
-                    [_fault_cache_key(f) for f in faults]
-                ),
-                "compress": compress,
-                "max_ops": max_ops,
-                "mode": mode,
-                "engine": engine,
-            }
-        try:
-            report = _run_sharded(
-                work, _sweep_shard,
-                (caps.n_words, caps.width, caps.ports), jobs, mode,
-                "scalar", key_fields=key_fields, service=service,
-                store=store, resume=resume, shard_timeout=shard_timeout,
-                chaos=chaos,
-            )
-        except SweepInterrupted as interrupt:
-            if engine == "vector":
-                interrupt.report.engine = "vector"
-                interrupt.report.fallback_runs = interrupt.report.checked
-            interrupt.report.wall_time_s = time.perf_counter() - started
-            raise
-    if engine == "vector":
-        # Counted whole-sweep fallback: the caller asked for the vector
-        # engine but the regime has no lane semantics — never silently.
-        report.engine = "vector"
-        report.fallback_runs = report.checked
-    report.jobs = jobs
-    report.wall_time_s = time.perf_counter() - started
-    return report
 
 
 @dataclass
@@ -1363,9 +1372,11 @@ def check_cross_engine(
 ) -> CrossEngineResult:
     """Run one sweep through both engines and compare the payloads.
 
-    For non-sequential modes the vector sweep is the counted scalar
-    fallback, so the comparison degenerates to a replay determinism
-    check — still a meaningful payload-equality assertion.  The service
+    Sequential march, PRT and in-field sweeps compare the lane kernel
+    against the scalar oracle.  A ``concurrent`` vector sweep is the
+    counted per-test scalar fallback, so there the comparison
+    degenerates to a replay determinism check — still a meaningful
+    payload-equality assertion.  The service
     knobs pass straight through to both sweeps (the store keys the two
     engines separately, so they never share — or poison — each other's
     cache entries).

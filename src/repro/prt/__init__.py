@@ -3,9 +3,9 @@
 The memory under test is configured as a linear-feedback shift ring and
 circulated; see :mod:`repro.prt.session` for the scheme and
 :mod:`repro.prt.controller` for the engine realisation.  The family
-plugs into the shared machinery: fault sweeps
-(:func:`repro.conformance.faulty.check.check_fault_conformance`
-dispatches on :class:`PrtSession`), the stream corpus, coverage
+plugs into the shared machinery: fault sweeps on both engines
+(:func:`repro.conformance.faulty.check.resolve_stimulus` describes a
+:class:`PrtSession` and its partners), the stream corpus, coverage
 evaluation vs the march library (:mod:`repro.eval.prt_study`), the area
 model and fuzz identity (j).
 """

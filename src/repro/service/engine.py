@@ -536,7 +536,11 @@ class JobEngine:
             if worker.deadline is not None:
                 timeout = min(timeout, worker.deadline - now)
         for state in pending:
-            timeout = min(timeout, state.ready_at - now)
+            # A job that is ready now waits for a busy worker to report
+            # back (which wakes the wait); only a future retry backoff
+            # is a reason to wake early.
+            if state.ready_at > now:
+                timeout = min(timeout, state.ready_at - now)
         return max(timeout, 0.0)
 
     def _finish(

@@ -1,16 +1,18 @@
 """Batch-kernel execution of fault-response conformance sweeps.
 
 The scalar sweep (:func:`repro.conformance.faulty.check.run_fault_sweep`)
-runs four full BIST sessions per (algorithm, fault) pair — golden plus
-one per architecture.  This module reaches the same report with two
-structural savings:
+captures the golden stream plus one stream per differential partner for
+every (stimulus, fault) pair.  This module reaches the same report with
+two structural savings:
 
-* **per test**: each architecture's attributed stream is built once and
-  verified op-for-op equal to the golden expansion (the stimulus
-  conformance property).  Response capture is a deterministic function
-  of the normalised ops alone, so identical streams give identical
-  captures for *every* fault — the three per-architecture sessions per
-  fault disappear entirely;
+* **per stimulus**: the test is resolved to its
+  :class:`~repro.conformance.faulty.check.Stimulus` and every partner's
+  stream (the three architectures of a march test, the FSM controller
+  and replay of a PRT session, the replay of an in-field session) is
+  built once and verified op-for-op equal to the golden stream.
+  Response capture is a deterministic function of the normalised ops
+  alone, so identical streams give identical captures for *every*
+  fault — the per-partner sessions per fault disappear entirely;
 * **per fault**: the remaining golden capture is evaluated by the lane
   kernel, hundreds of faults per replay of the stream.
 
@@ -19,14 +21,15 @@ is counted in the report's ``fallback_runs``:
 
 * per fault — no validated lane semantics
   (:func:`~repro.vector.semantics.lane_spec` returned ``None``);
-* per test — an architecture's stream failed to build with a
-  non-skip error, diverged from the golden expansion, the golden
-  stream overran the op budget, or the kernel's fault-free reference
-  lane tripped (:class:`~repro.vector.errors.VectorEngineError`);
-* per sweep — a patched response-capture path (the seeded-defect
-  harness replaces :data:`RESPONSE_CAPTURES` entries; capture identity
-  is the precondition the per-test saving rests on) or a word width
-  beyond the kernel's element size.
+* per test — a cycle-capture stimulus (``concurrent`` mode: the kernel
+  has no same-cycle lane semantics), a replaced partner capture path
+  (the seeded-defect harness swaps :data:`RESPONSE_CAPTURES` entries;
+  capture identity is the precondition the per-test saving rests on), a
+  word width beyond the kernel's element size, a golden stream that is
+  not realisable or overruns the op budget, a partner stream that
+  failed to build with a non-skip error or diverged from the golden
+  stream, or a tripped fault-free reference lane
+  (:class:`~repro.vector.errors.VectorEngineError`).
 
 The fallback re-runs :func:`check_fault_conformance` itself, so its
 results — including failure records and raised errors — are the scalar
@@ -38,14 +41,15 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.conformance.check import ARCHITECTURES, GOLDEN_CACHE, STREAM_BUILDERS
 from repro.conformance.faulty import events as faulty_events
 from repro.conformance.faulty.check import (
-    DEFAULT_BUDGET_FACTOR,
     FaultSweepReport,
-    _fault_cache_key,
-    _run_sharded,
+    NotRealisable,
+    Stimulus,
+    _op_budget,
+    _sharded_sweep,
     check_fault_conformance,
+    resolve_stimulus,
 )
 from repro.conformance.faulty.events import (
     FailEvent,
@@ -65,52 +69,39 @@ from repro.vector.semantics import lane_spec
 LANE_BUDGET_BYTES = 32 << 20
 
 
-def _captures_patched() -> bool:
-    """Whether any architecture's response-capture path was replaced.
-
-    The seeded-defect tests plant architecture-local capture defects by
-    swapping :data:`RESPONSE_CAPTURES` entries; the vector fast path
-    assumes all captures are the shared :func:`capture_response`, so a
-    patched table disables it for the whole sweep.
-    """
-    from repro.conformance.faulty import check as faulty_check
-
-    return any(
-        faulty_check.RESPONSE_CAPTURES.get(architecture)
-        is not faulty_events.capture_response
-        for architecture in ARCHITECTURES
-    )
-
-
 def _plan_test(
-    test: MarchTest,
+    stimulus: Stimulus,
     caps: ControllerCapabilities,
-    compress: bool,
     max_ops: Optional[int],
 ) -> Optional[Tuple[CompiledStream, int]]:
-    """Compile the golden stream and verify the architectures against it.
+    """Compile the golden stream and verify every partner against it.
 
-    Returns ``(compiled_golden, skipped_architectures)`` when every
-    architecture either skips (``CompileError``) or emits a stream
-    op-for-op equal to the golden expansion within the op budget;
-    ``None`` sends the whole test to the scalar engine.
+    Returns ``(compiled_golden, skipped_partners)`` when every partner
+    either is not realisable (a skip) or emits a stream op-for-op equal
+    to the golden stream within the op budget, through the shared
+    capture path; ``None`` sends the whole test to the scalar engine.
     """
-    from repro.core.progfsm.compiler import CompileError
-
-    golden_stream = GOLDEN_CACHE.get(test, caps)
-    budget = (
-        max_ops
-        if max_ops is not None
-        else DEFAULT_BUDGET_FACTOR * max(len(golden_stream), 1)
-    )
-    if len(golden_stream) > budget:
+    if (
+        stimulus.cycle
+        or caps.width > MAX_WIDTH
+        or any(
+            partner.capture is not faulty_events.capture_response
+            for partner in stimulus.partners
+        )
+    ):
+        return None
+    try:
+        golden_stream = stimulus.golden()
+    except NotRealisable:
+        return None
+    if len(golden_stream) > _op_budget(golden_stream, max_ops):
         return None  # scalar reproduces the budget trip exactly
     compiled = compile_stream(golden_stream, (1 << caps.width) - 1)
     skipped = 0
-    for architecture in ARCHITECTURES:
+    for partner in stimulus.partners:
         try:
-            stream = STREAM_BUILDERS[architecture](test, caps, compress)
-        except CompileError:
+            stream = partner.build()
+        except NotRealisable:
             skipped += 1
             continue
         except Exception:
@@ -128,44 +119,16 @@ def _lane_chunk(caps: ControllerCapabilities) -> int:
     return max(16, LANE_BUDGET_BYTES // max(row_bytes, 1))
 
 
-def _scalar_runs(
-    report: FaultSweepReport,
-    test: MarchTest,
+def _detections(
+    compiled: CompiledStream,
     caps: ControllerCapabilities,
     faults: Sequence[CellFault],
-    compress: bool,
-    max_ops: Optional[int],
-) -> None:
-    for fault in faults:
-        report.add(
-            check_fault_conformance(
-                test, caps, fault, compress=compress, max_ops=max_ops
-            )
-        )
-        report.fallback_runs += 1
+) -> Optional[Dict[int, bool]]:
+    """Detection verdict per fault index, for faults with lane semantics.
 
-
-def _sweep_test_into(
-    report: FaultSweepReport,
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    faults: Sequence[CellFault],
-    compress: bool,
-    max_ops: Optional[int],
-    force_scalar: bool,
-) -> None:
-    """Sweep one test over the fault population, fault order preserved."""
-    # Non-march stimuli (PRT sessions) have no compiled lane plan; they
-    # take the counted scalar fallback like any other out-of-model run.
-    plan = (
-        None
-        if force_scalar or not isinstance(test, MarchTest)
-        else _plan_test(test, caps, compress, max_ops)
-    )
-    if plan is None:
-        _scalar_runs(report, test, caps, faults, compress, max_ops)
-        return
-    compiled, skipped_architectures = plan
+    ``None`` when the kernel's self-check tripped: nothing from the
+    batch is safe.
+    """
     specs = []
     spec_fault_indices = []
     for index, fault in enumerate(faults):
@@ -173,7 +136,7 @@ def _sweep_test_into(
         if spec is not None:
             specs.append(spec)
             spec_fault_indices.append(index)
-    detected: Optional[Dict[int, bool]] = {}
+    detected: Dict[int, bool] = {}
     chunk = _lane_chunk(caps)
     try:
         for start in range(0, len(specs), chunk):
@@ -184,20 +147,33 @@ def _sweep_test_into(
             for offset, events in enumerate(lane_events):
                 detected[spec_fault_indices[start + offset]] = bool(events)
     except VectorEngineError:
-        detected = None  # self-check tripped: nothing from this batch is safe
-    if detected is None:
-        _scalar_runs(report, test, caps, faults, compress, max_ops)
-        return
+        return None
+    return detected
+
+
+def _sweep_test_into(
+    report: FaultSweepReport,
+    test: MarchTest,
+    caps: ControllerCapabilities,
+    faults: Sequence[CellFault],
+    compress: bool,
+    max_ops: Optional[int],
+    mode: str,
+) -> None:
+    """Sweep one test over the fault population, fault order preserved."""
+    stimulus = resolve_stimulus(test, caps, mode, compress=compress)
+    plan = _plan_test(stimulus, caps, max_ops)
+    detected = None if plan is None else _detections(plan[0], caps, faults)
     for index, fault in enumerate(faults):
-        if index in detected:
+        if detected is not None and index in detected:
             report.checked += 1
-            if detected[index]:
-                report.detected += 1
-            report.skipped_runs += skipped_architectures
+            report.detected += detected[index]
+            report.skipped_runs += plan[1]
         else:
             report.add(
                 check_fault_conformance(
-                    test, caps, fault, compress=compress, max_ops=max_ops
+                    test, caps, fault, compress=compress, max_ops=max_ops,
+                    mode=mode,
                 )
             )
             report.fallback_runs += 1
@@ -205,7 +181,7 @@ def _sweep_test_into(
 
 def _vector_shard(
     args: Tuple[int, Sequence[MarchTest], ControllerCapabilities,
-                Sequence[CellFault], int, int, bool, Optional[int]]
+                Sequence[CellFault], int, int, bool, Optional[int], str]
 ) -> FaultSweepReport:
     """Worker entry point: sweep tests ``start..start+count-1``.
 
@@ -215,16 +191,14 @@ def _vector_shard(
     the serial sweep byte for byte.
     """
     (shard_index, tests, caps, faults, start, count, compress,
-     max_ops) = args
+     max_ops, mode) = args
     started = time.perf_counter()
     report = FaultSweepReport(
-        geometry=(caps.n_words, caps.width, caps.ports), engine="vector"
+        geometry=(caps.n_words, caps.width, caps.ports), engine="vector",
+        mode=mode,
     )
-    force_scalar = _captures_patched() or caps.width > MAX_WIDTH
     for test in tests[start:start + count]:
-        _sweep_test_into(
-            report, test, caps, faults, compress, max_ops, force_scalar
-        )
+        _sweep_test_into(report, test, caps, faults, compress, max_ops, mode)
     report.shards = [{
         "shard": shard_index,
         "runs": count * len(faults),
@@ -240,6 +214,7 @@ def run_vector_fault_sweep(
     compress: bool = True,
     max_ops: Optional[int] = None,
     jobs: int = 1,
+    mode: str = "sequential",
     service: Optional[Any] = None,
     store: Optional[Any] = None,
     resume: bool = False,
@@ -261,66 +236,13 @@ def run_vector_fault_sweep(
         SweepInterrupted: SIGINT during a sharded run; carries the
             partial report.
     """
-    from repro.conformance.faulty.check import SweepInterrupted
-
-    caps = capabilities
     tests = list(tests)
     faults = list(faults)
-    started = time.perf_counter()
-    serviced = (
-        service is not None or store is not None or chaos is not None
+    return _sharded_sweep(
+        _vector_shard, "vector", "tests", len(tests), 2,
+        tests, capabilities, faults, compress, max_ops, jobs, mode,
+        service, store, resume, shard_timeout, chaos,
     )
-    if not tests or not faults:
-        report = FaultSweepReport(
-            geometry=(caps.n_words, caps.width, caps.ports), engine="vector"
-        )
-    elif min(jobs, len(tests)) == 1 and not serviced:
-        report = _vector_shard(
-            (0, tests, caps, faults, 0, len(tests), compress, max_ops)
-        )
-    else:
-        workers = max(1, min(jobs, len(tests)))
-        shards = min(len(tests), max(workers, 2) * 2)
-        chunk = (len(tests) + shards - 1) // shards
-        work = [
-            (shard, tests, caps, faults, start,
-             min(chunk, len(tests) - start), compress, max_ops)
-            for shard, start in enumerate(range(0, len(tests), chunk))
-        ]
-        key_fields = None
-        if store is not None:
-            from repro.conformance.trace import stimulus_notation
-            from repro.service.store import payload_digest
-
-            key_fields = {
-                "kind": "fault-sweep-shard",
-                "axis": "tests",
-                "tests": payload_digest(
-                    [stimulus_notation(t) for t in tests]
-                ),
-                "geometry": [caps.n_words, caps.width, caps.ports],
-                "faults": payload_digest(
-                    [_fault_cache_key(f) for f in faults]
-                ),
-                "compress": compress,
-                "max_ops": max_ops,
-                "mode": "sequential",
-                "engine": "vector",
-            }
-        try:
-            report = _run_sharded(
-                work, _vector_shard,
-                (caps.n_words, caps.width, caps.ports), workers,
-                "sequential", "vector", key_fields=key_fields,
-                service=service, store=store, resume=resume,
-                shard_timeout=shard_timeout, chaos=chaos,
-            )
-        except SweepInterrupted as interrupt:
-            interrupt.report.wall_time_s = time.perf_counter() - started
-            raise
-    report.jobs = jobs
-    report.wall_time_s = time.perf_counter() - started
-    return report
 
 
 def vector_capture(

@@ -381,6 +381,24 @@ class TestConformanceRunFaultyCommand:
         assert payload["geometry"] == [4, 2, 1]
         assert payload["detected"] == 1
 
+    @pytest.mark.parametrize("mode", ["infield", "concurrent"])
+    def test_single_run_report_carries_the_mode(
+        self, capsys, tmp_path, mode
+    ):
+        """Regression: the single-pair --report was always written as a
+        sequential sweep, whatever --mode the run used."""
+        import json as json_module
+
+        report_file = tmp_path / "single.json"
+        assert main(["conformance", "run-faulty", "--algorithm", "MATS+",
+                     "--words", "3", "--width", "2", "--ports", "2",
+                     "--fault", "saf:1:0:1", "--mode", mode,
+                     "--report", str(report_file)]) == 0
+        assert f"[{mode} mode]" in capsys.readouterr().out
+        payload = json_module.loads(report_file.read_text())
+        assert payload["mode"] == mode
+        assert payload["ok"] and payload["checked"] == 1
+
     def test_jobs_flag_keeps_the_report_identical(self, capsys, tmp_path):
         import json as json_module
 

@@ -38,6 +38,7 @@ from repro.core.controller import ControllerCapabilities
 from repro.faults.spec import format_fault, parse_fault
 from repro.faults.universe import standard_universe
 from repro.march import library
+from repro.prt import PRT_RING_UP
 from repro.memory.sram import Sram
 
 CAPS = ControllerCapabilities(n_words=4, width=2, ports=1)
@@ -47,6 +48,32 @@ def _faulty_memory(spec, caps=CAPS):
     memory = Sram(caps.n_words, width=caps.width, ports=caps.ports)
     memory.attach(parse_fault(spec))
     return memory
+
+
+#: (stimulus, mode, partner) for every non-architecture partner: the
+#: differential loop's error arms must hold for all stimulus families.
+PARTNER_CAPS = ControllerCapabilities(n_words=4, width=1, ports=2)
+NON_MARCH_PARTNERS = [
+    (PRT_RING_UP, "sequential", "prt-controller"),
+    (PRT_RING_UP, "sequential", "replay"),
+    (library.get("MATS+"), "infield", "replay"),
+    (library.get("MATS+"), "concurrent", "replay"),
+]
+
+
+def _patch_partner_capture(monkeypatch, partner, capture):
+    """Swap one resolved partner's capture path (golden stays intact)."""
+    resolve = faulty_check.resolve_stimulus
+
+    def patched(*args, **kwargs):
+        stimulus = resolve(*args, **kwargs)
+        return dataclasses.replace(stimulus, partners=tuple(
+            dataclasses.replace(p, capture=capture) if p.name == partner
+            else p
+            for p in stimulus.partners
+        ))
+
+    monkeypatch.setattr(faulty_check, "resolve_stimulus", patched)
 
 
 class TestFailEvents:
@@ -171,6 +198,40 @@ class TestCheckFaultConformance:
         assert microcode.status == "error"
         assert "crashed" in microcode.detail
         assert "IndexError" in microcode.detail
+
+    @pytest.mark.parametrize("stimulus, mode, partner", NON_MARCH_PARTNERS)
+    def test_wedged_partner_is_error_for_every_stimulus(
+        self, monkeypatch, stimulus, mode, partner
+    ):
+        def wedged(stream, memory, max_ops=None):
+            raise ResponseBudgetExceeded("op budget of 1 exceeded")
+
+        _patch_partner_capture(monkeypatch, partner, wedged)
+        result = check_fault_conformance(
+            stimulus, PARTNER_CAPS, parse_fault("saf:0:0:1"), mode=mode
+        )
+        [failure] = result.failures
+        assert failure.architecture == partner
+        assert failure.status == "error"
+        assert "wedged" in failure.detail
+        assert failure.divergence is None
+
+    @pytest.mark.parametrize("stimulus, mode, partner", NON_MARCH_PARTNERS)
+    def test_crashed_partner_is_error_for_every_stimulus(
+        self, monkeypatch, stimulus, mode, partner
+    ):
+        def crashed(stream, memory, max_ops=None):
+            raise IndexError("comparator bank out of range")
+
+        _patch_partner_capture(monkeypatch, partner, crashed)
+        result = check_fault_conformance(
+            stimulus, PARTNER_CAPS, parse_fault("saf:0:0:1"), mode=mode
+        )
+        [failure] = result.failures
+        assert failure.architecture == partner
+        assert failure.status == "error"
+        assert "crashed" in failure.detail
+        assert "IndexError" in failure.detail
 
     def test_nonterminating_controller_is_error(self, monkeypatch):
         def hangs(test, caps, compress):

@@ -149,8 +149,11 @@ class TestCrashes:
             assert report.outcome(f"ok{i}").value == i * 2
 
     def test_pool_rebuild_counted(self):
+        # The other jobs take long enough that work is still outstanding
+        # when the crash is reaped, so the pool must be rebuilt; instant
+        # jobs could all finish on the surviving worker first.
         jobs = [Job(key="killer", fn=_kill_self, payload=None)] + [
-            Job(key=f"ok{i}", fn=_double, payload=i) for i in range(3)
+            Job(key=f"ok{i}", fn=_sleep, payload=0.2) for i in range(3)
         ]
         with JobEngine(
             workers=2, policy=_quick_policy(max_crashes=0)
@@ -260,3 +263,39 @@ class TestOutcomeContracts:
     def test_jobs_interrupted_carries_outcomes(self):
         exc = JobsInterrupted([JobOutcome(key="a", status=OK)])
         assert len(exc.outcomes) == 1
+
+
+class TestOrchestratorWaits:
+    """A queued job behind busy workers must not spin the orchestrator."""
+
+    def test_ready_job_behind_busy_workers_waits(self):
+        from collections import deque
+        from types import SimpleNamespace
+
+        from repro.service import engine as engine_mod
+
+        engine = JobEngine(workers=1)
+        engine._pool = [SimpleNamespace(state=object(), deadline=None)]
+        now = time.monotonic()
+        queued = engine_mod._JobState(0, Job("q", _double, 1), 1)
+        queued.ready_at = 0.0  # never retried: ready since submission
+        assert engine._wait_timeout(deque([queued]), now) > 0
+        backing_off = engine_mod._JobState(1, Job("b", _double, 1), 2)
+        backing_off.ready_at = now + 0.01
+        timeout = engine._wait_timeout(deque([queued, backing_off]), now)
+        assert timeout == pytest.approx(0.01)
+        engine._pool = []
+
+    def test_orchestrator_cpu_is_a_small_share_of_the_wall(self):
+        # Busy-polling burned 45-65% of the wall in this scenario; waiting
+        # properly costs about 1%.  A quarter is a loose, load-tolerant
+        # bound.
+        jobs = [Job(key=f"s{i}", fn=_sleep, payload=0.5) for i in range(4)]
+        with JobEngine(workers=1, policy=_quick_policy()) as engine:
+            wall_started = time.perf_counter()
+            cpu_started = time.process_time()
+            report = engine.run(jobs)
+            cpu = time.process_time() - cpu_started
+            wall = time.perf_counter() - wall_started
+        assert report.ok
+        assert cpu < 0.25 * wall, (cpu, wall)

@@ -39,6 +39,7 @@ from repro.faults.spec import parse_fault
 from repro.faults.stuck_at import StuckAtFault
 from repro.march import library
 from repro.memory.sram import Sram
+from repro.prt import PRT_RING_DOWN, PRT_RING_UP
 from repro.vector.errors import UnsupportedFault
 from repro.vector.sweep import vector_capture
 
@@ -249,6 +250,83 @@ class TestFallbacks:
         scalar = run_fault_sweep([library.get("MATS")], caps, faults,
                                  engine="scalar")
         assert vector.fallback_runs == 1
+        assert vector.to_json(include_timing=False) == scalar.to_json(
+            include_timing=False
+        )
+
+
+class TestStimulusFamiliesOnTheKernel:
+    """PRT and in-field stimuli run on the lane kernel, not the fallback."""
+
+    @staticmethod
+    def _assert_vectorised(scalar, vector):
+        assert vector.fallback_runs == 0
+        assert vector.checked == scalar.checked
+        assert vector.to_json(include_timing=False) == scalar.to_json(
+            include_timing=False
+        )
+
+    @pytest.mark.parametrize("geometry", [(4, 1, 1), (3, 2, 2)])
+    def test_prt_sessions_full_universe(self, geometry):
+        caps = _caps(*geometry)
+        faults = sweep_faults(caps, full=True)
+        tests = [PRT_RING_UP, PRT_RING_DOWN]
+        self._assert_vectorised(
+            run_fault_sweep(tests, caps, faults),
+            run_fault_sweep(tests, caps, faults, engine="vector"),
+        )
+
+    @pytest.mark.parametrize("geometry", [(4, 1, 1), (3, 2, 2)])
+    def test_infield_sessions_full_universe(self, geometry):
+        caps = _caps(*geometry)
+        faults = sweep_faults(caps, full=True, mode="infield")
+        tests = [library.get(name) for name in library.ALGORITHMS]
+        self._assert_vectorised(
+            run_fault_sweep(tests, caps, faults, mode="infield"),
+            run_fault_sweep(
+                tests, caps, faults, engine="vector", mode="infield"
+            ),
+        )
+
+    def test_diverging_prt_controller_takes_the_counted_fallback(
+        self, monkeypatch
+    ):
+        """The partner check is not vacuous: a controller stream that
+        lost one op sends the session to the scalar oracle, which names
+        the controller's event divergence."""
+        from repro.prt.controller import PrtController
+
+        build = PrtController.attributed_stream
+        monkeypatch.setattr(
+            PrtController, "attributed_stream", lambda self: build(self)[1:]
+        )
+        caps = _caps(4)
+        faults = [StuckAtFault(2, 0, 1), StuckAtFault(1, 0, 0)]
+        scalar = run_fault_sweep([PRT_RING_UP], caps, faults)
+        vector = run_fault_sweep(
+            [PRT_RING_UP], caps, faults, engine="vector"
+        )
+        assert vector.fallback_runs == vector.checked == len(faults)
+        assert vector.to_json(include_timing=False) == scalar.to_json(
+            include_timing=False
+        )
+        assert len(scalar.failures) == len(faults)
+        for failure in scalar.failures:
+            controller, replay = failure["architectures"]
+            assert controller["architecture"] == "prt-controller"
+            assert controller["status"] == "diverged"
+            assert controller["layer"] == "events"
+            assert replay["status"] == "ok"
+
+    def test_concurrent_sweep_falls_back_per_test(self):
+        caps = _caps(3, 1, 2)
+        faults = sweep_faults(caps, per_kind=1, mode="concurrent")
+        tests = [library.MATS_PLUS, MARCH_C]
+        scalar = run_fault_sweep(tests, caps, faults, mode="concurrent")
+        vector = run_fault_sweep(
+            tests, caps, faults, engine="vector", mode="concurrent"
+        )
+        assert vector.fallback_runs == vector.checked == scalar.checked
         assert vector.to_json(include_timing=False) == scalar.to_json(
             include_timing=False
         )
