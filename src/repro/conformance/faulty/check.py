@@ -339,16 +339,71 @@ class NotRealisable(Exception):
 
 
 @dataclass(frozen=True)
+class BuildOutcome:
+    """The typed outcome of one stream build.
+
+    ``stream`` is the built stream; when it is ``None`` the build ended
+    as ``status`` — ``skipped`` (not realisable) or ``error`` (the
+    builder hung or crashed) — for the reason in ``detail``.  A
+    :class:`Stimulus` records the outcome rather than the exception:
+    re-raising one exception object for every fault would grow its
+    traceback on each pair.
+    """
+
+    stream: Optional[Sequence[Any]] = None
+    status: str = "ok"
+    detail: Optional[str] = None
+
+
+def _build_outcome(
+    build: Callable[[], Sequence[Any]], partner: bool
+) -> BuildOutcome:
+    """Run ``build`` and classify how it ended.
+
+    Not realisable is ``skipped`` for every builder.  A partner that
+    hangs (``RuntimeError``) or crashes is an ``error`` outcome; a
+    golden builder's crash propagates — there is nothing to compare.
+    """
+    try:
+        return BuildOutcome(build())
+    except NotRealisable as error:
+        return BuildOutcome(status="skipped", detail=str(error))
+    except Exception as error:
+        if not partner:
+            raise
+        if isinstance(error, RuntimeError):
+            detail = f"simulation did not terminate: {error}"
+        else:
+            detail = f"controller crashed: {type(error).__name__}: {error}"
+        return BuildOutcome(status="error", detail=detail)
+
+
+def _once(
+    build: Callable[[], Sequence[Any]], partner: bool = True
+) -> Callable[[], BuildOutcome]:
+    """``build`` run on the first call only; later calls replay its
+    recorded :class:`BuildOutcome`."""
+    memo: List[BuildOutcome] = []
+
+    def built() -> BuildOutcome:
+        if not memo:
+            memo.append(_build_outcome(build, partner))
+        return memo[0]
+
+    return built
+
+
+@dataclass(frozen=True)
 class Partner:
     """One differential partner: how it builds its stream, how it captures.
 
-    ``build`` takes no arguments and returns the partner's attributed
-    stream (raising :class:`NotRealisable` to skip); ``capture`` has
-    :func:`capture_response`'s signature.
+    ``build`` takes no arguments and returns the partner's
+    :class:`BuildOutcome`, building the stream on the first call only;
+    ``capture`` has :func:`capture_response`'s signature.
     """
 
     name: str
-    build: Callable[[], Sequence[Any]]
+    build: Callable[[], BuildOutcome]
     capture: Callable[..., ResponseCapture]
 
 
@@ -356,12 +411,20 @@ class Partner:
 class Stimulus:
     """Everything the differential loop needs to know about one stimulus.
 
+    A controller's stream is a function of (stimulus, geometry,
+    compression), never of the fault, so the golden and partner
+    builders run at most once per :class:`Stimulus` and every fault
+    checked against it reuses their outcomes.
+
     Attributes:
         name: fail-log name (the algorithm or session name).
         notation: stable string identity, as reports print it.
         mode: the stimulus regime reported in results (see :data:`MODES`).
-        golden: zero-argument builder of the golden reference stream.
+        golden: zero-argument, memoised builder of the golden reference
+            stream's :class:`BuildOutcome` (``stream`` or ``skipped``).
         partners: the differential partners, in report order.
+        compress: microcode REPEAT compression the streams were built
+            with (reported in results).
         cycle: golden stream is a same-cycle multi-port cycle stream
             (captured with :func:`capture_cycle_response`).
         diagnose: whether the diagnosis layer applies (the classifier's
@@ -371,8 +434,9 @@ class Stimulus:
     name: str
     notation: str
     mode: str
-    golden: Callable[[], Sequence[Any]]
+    golden: Callable[[], BuildOutcome]
     partners: Tuple[Partner, ...]
+    compress: bool = True
     cycle: bool = False
     diagnose: bool = False
 
@@ -400,6 +464,11 @@ def resolve_stimulus(
       construction), so the partner is a ``replay`` of the golden
       stream on a freshly injected memory: leaking fault state or a
       non-deterministic stimulus surfaces as a replay divergence.
+
+    Nothing is built here.  Each builder runs on its first call and
+    records its :class:`BuildOutcome`; the architecture builders are
+    looked up in :data:`~repro.conformance.check.STREAM_BUILDERS` at
+    that moment, not at resolve time.
 
     Raises:
         ValueError: unknown mode or architecture, or a PRT session in a
@@ -432,9 +501,12 @@ def resolve_stimulus(
             return PrtController(test.config, caps).attributed_stream()
 
         return Stimulus(
-            test.name, test.notation, mode, session_stream,
-            (Partner("prt-controller", controller_stream, capture_response),
-             Partner("replay", session_stream, capture_response)),
+            test.name, test.notation, mode,
+            _once(session_stream, partner=False),
+            (Partner("prt-controller", _once(controller_stream),
+                     capture_response),
+             Partner("replay", _once(session_stream), capture_response)),
+            compress,
         )
     notation = format_test(test)
     if mode == "sequential":
@@ -451,7 +523,7 @@ def resolve_stimulus(
         partners = tuple(
             Partner(
                 architecture,
-                functools.partial(architecture_stream, architecture),
+                _once(functools.partial(architecture_stream, architecture)),
                 RESPONSE_CAPTURES[architecture],
             )
             for architecture in ARCHITECTURES
@@ -459,16 +531,17 @@ def resolve_stimulus(
         )
         return Stimulus(
             test.name, notation, mode,
-            lambda: GOLDEN_CACHE.get(test, caps), partners, diagnose=True,
+            _once(lambda: GOLDEN_CACHE.get(test, caps), partner=False),
+            partners, compress, diagnose=True,
         )
     if mode == "concurrent":
         def cycle_stream():
             return CONCURRENT_CACHE.get(test, caps)
 
         return Stimulus(
-            test.name, notation, mode, cycle_stream,
-            (Partner("replay", cycle_stream, capture_cycle_response),),
-            cycle=True,
+            test.name, notation, mode, _once(cycle_stream, partner=False),
+            (Partner("replay", _once(cycle_stream), capture_cycle_response),),
+            compress, cycle=True,
         )
 
     def infield_stream():
@@ -483,8 +556,9 @@ def resolve_stimulus(
         return plan.stream
 
     return Stimulus(
-        test.name, notation, mode, infield_stream,
-        (Partner("replay", infield_stream, capture_response),),
+        test.name, notation, mode, _once(infield_stream, partner=False),
+        (Partner("replay", _once(infield_stream), capture_response),),
+        compress,
     )
 
 
@@ -507,12 +581,13 @@ def check_fault_conformance(
 ) -> FaultResponseResult:
     """Differentially test the partners' responses to ``fault``.
 
-    The stimulus is resolved once (:func:`resolve_stimulus`); then one
-    loop builds each partner's stream, captures it under a freshly
-    injected ``fault`` and compares it with the golden capture layer by
-    layer — events, fail log and (where it applies) diagnosis.  Typed
-    outcomes: a partner that is not realisable is ``skipped``; one that
-    fails to build, trips the op budget or crashes is an ``error``.
+    The stimulus is resolved (:func:`resolve_stimulus`), then checked
+    against ``fault`` by :func:`_check_pair`: each partner's stream is
+    captured under a freshly injected ``fault`` and compared with the
+    golden capture layer by layer — events, fail log and (where it
+    applies) diagnosis.  Typed outcomes: a partner that is not
+    realisable is ``skipped``; one that fails to build, trips the op
+    budget or crashes is an ``error``.
 
     Args:
         test: the march algorithm, or a
@@ -536,26 +611,45 @@ def check_fault_conformance(
         partner produced the golden fail events, fail-log aggregations
         and diagnosis.
     """
-    caps = capabilities
     stimulus = resolve_stimulus(
-        test, caps, mode, infield_seed, architectures, compress
+        test, capabilities, mode, infield_seed, architectures, compress
     )
+    return _check_pair(stimulus, test, capabilities, fault, max_ops)
+
+
+def _check_pair(
+    stimulus: Stimulus,
+    test: MarchTest,
+    caps: ControllerCapabilities,
+    fault: CellFault,
+    max_ops: Optional[int],
+) -> FaultResponseResult:
+    """Check one resolved stimulus against one fault.
+
+    The streams come from the stimulus's memoised builders (built on
+    the first fault, replayed for the rest); everything fault-dependent
+    happens here, per pair: a fresh :class:`FaultInjector` memory for
+    the golden capture and for each partner's own capture path, the op
+    budget, and the three-layer compare.
+    """
     result = FaultResponseResult(
         notation=stimulus.notation,
         geometry=(caps.n_words, caps.width, caps.ports),
         fault=fault.describe(),
         fault_spec=format_fault(fault),
-        compress=compress,
+        compress=stimulus.compress,
         mode=stimulus.mode,
     )
-    try:
-        golden_stream = stimulus.golden()
-    except NotRealisable as error:
+    golden_built = stimulus.golden()
+    if golden_built.stream is None:
         result.responses = [
-            ArchitectureResponse(partner.name, "skipped", detail=str(error))
+            ArchitectureResponse(
+                partner.name, "skipped", detail=golden_built.detail
+            )
             for partner in stimulus.partners
         ]
         return result
+    golden_stream = golden_built.stream
     budget = _op_budget(golden_stream, max_ops)
     capture_golden = (
         capture_cycle_response if stimulus.cycle else capture_response
@@ -574,25 +668,16 @@ def check_fault_conformance(
     for partner in stimulus.partners:
         response = ArchitectureResponse(architecture=partner.name)
         result.responses.append(response)
-        try:
-            stream = partner.build()
-        except NotRealisable as error:
-            response.status = "skipped"
-            response.detail = str(error)
-            continue
-        except RuntimeError as error:
-            response.status = "error"
-            response.detail = f"simulation did not terminate: {error}"
-            continue
-        except Exception as error:
-            response.status = "error"
-            response.detail = (
-                f"controller crashed: {type(error).__name__}: {error}"
-            )
+        built = partner.build()
+        if built.stream is None:
+            response.status = built.status
+            response.detail = built.detail
             continue
         try:
             with injector.injected(fault) as memory:
-                capture = partner.capture(stream, memory, max_ops=budget)
+                capture = partner.capture(
+                    built.stream, memory, max_ops=budget
+                )
         except ResponseBudgetExceeded as error:
             response.status = "error"
             response.detail = f"wedged BIST session: {error}"
@@ -848,9 +933,12 @@ def _sweep_shard(
     """Worker entry point: check product pairs ``start..start+count-1``.
 
     The (algorithm, fault) product is flattened algorithm-major, the
-    same order the serial loop visits, so contiguous shards keep the
-    per-algorithm golden expansions hot in each worker's cache and the
-    merged failure list matches the serial one.
+    same order the serial loop visits, so the merged failure list
+    matches the serial one — and a shard's pairs come in runs of one
+    test.  Each test is resolved once per shard: its controller streams
+    are built on its first pair and reused for the rest, while capture
+    and compare stay per pair (:func:`_check_pair`).  Only the current
+    test's :class:`Stimulus` is held.
     """
     (shard_index, tests, caps, faults, start, count, compress,
      max_ops, mode) = args
@@ -858,15 +946,13 @@ def _sweep_shard(
     report = FaultSweepReport(
         geometry=(caps.n_words, caps.width, caps.ports), mode=mode
     )
-    for index in range(start, start + count):
-        test = tests[index // len(faults)]
-        fault = faults[index % len(faults)]
-        report.add(
-            check_fault_conformance(
-                test, caps, fault, compress=compress, max_ops=max_ops,
-                mode=mode,
-            )
-        )
+    end, per_test = start + count, len(faults)
+    for test_index in range(start // per_test, (end - 1) // per_test + 1):
+        test = tests[test_index]
+        stimulus = resolve_stimulus(test, caps, mode, compress=compress)
+        first = test_index * per_test
+        for fault in faults[max(start - first, 0):end - first]:
+            report.add(_check_pair(stimulus, test, caps, fault, max_ops))
     report.shards = [{
         "shard": shard_index,
         "runs": count,

@@ -31,9 +31,10 @@ is counted in the report's ``fallback_runs``:
   stream, or a tripped fault-free reference lane
   (:class:`~repro.vector.errors.VectorEngineError`).
 
-The fallback re-runs :func:`check_fault_conformance` itself, so its
-results — including failure records and raised errors — are the scalar
-engine's own, byte for byte.
+The fallback runs the scalar engine's own per-pair check on the test's
+already-resolved stimulus (whose streams were built once, during
+planning), so its results — including failure records and raised
+errors — are the scalar engine's own, byte for byte.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.conformance.faulty import events as faulty_events
 from repro.conformance.faulty.check import (
     FaultSweepReport,
-    NotRealisable,
     Stimulus,
+    _check_pair,
     _op_budget,
     _sharded_sweep,
-    check_fault_conformance,
+    check_fault_conformance,  # noqa: F401  (perfbench/layers.py patches it)
     resolve_stimulus,
 )
 from repro.conformance.faulty.events import (
@@ -90,25 +91,23 @@ def _plan_test(
         )
     ):
         return None
-    try:
-        golden_stream = stimulus.golden()
-    except NotRealisable:
+    golden_stream = stimulus.golden().stream
+    if golden_stream is None:
         return None
     if len(golden_stream) > _op_budget(golden_stream, max_ops):
         return None  # scalar reproduces the budget trip exactly
     compiled = compile_stream(golden_stream, (1 << caps.width) - 1)
     skipped = 0
     for partner in stimulus.partners:
-        try:
-            stream = partner.build()
-        except NotRealisable:
+        built = partner.build()
+        if built.status == "skipped":
             skipped += 1
             continue
-        except Exception:
+        if built.stream is None:
             return None  # error statuses produce per-fault failure records
-        if len(stream) != compiled.length:
+        if len(built.stream) != compiled.length:
             return None
-        if [entry.key for entry in stream] != compiled.keys:
+        if [entry.key for entry in built.stream] != compiled.keys:
             return None
     return compiled, skipped
 
@@ -170,12 +169,7 @@ def _sweep_test_into(
             report.detected += detected[index]
             report.skipped_runs += plan[1]
         else:
-            report.add(
-                check_fault_conformance(
-                    test, caps, fault, compress=compress, max_ops=max_ops,
-                    mode=mode,
-                )
-            )
+            report.add(_check_pair(stimulus, test, caps, fault, max_ops))
             report.fallback_runs += 1
 
 

@@ -719,3 +719,171 @@ class TestGoldenTraceMemoisation:
             library.get("MATS"), CAPS, parse_fault("saf:0:0:0")
         )
         assert GOLDEN_CACHE.hits >= 1
+
+
+#: Two march tests (March B is outside progfsm's SM0–SM7 boundary;
+#: March C+ pauses, so retention faults fire) and a pseudo-ring session.
+BUILD_ONCE_TESTS = [library.get("March B"), library.get("March C+"),
+                    PRT_RING_UP]
+#: Stateful faults among them: retention (DRF), stuck-open (SOF) and
+#: read-destructive (RDF/DRDF) state is what the injector must reset
+#: between runs, so streams reused across faults must not carry it.
+STATEFUL_FAULTS = ["saf:2:1:1", "tf:1:0:up", "drf:1:0:1", "drf:2:1:0",
+                   "sof:3:0:1", "rdf:0:1:1", "drdf:2:0:0",
+                   "cfin:1:0:2:0:up", "af2:0:2"]
+
+
+@pytest.fixture()
+def build_counts(monkeypatch):
+    """Count every controller stream build.
+
+    March builds are keyed ``(test name, architecture)``; pseudo-ring
+    builds ``(session config, "session" | "prt-controller")``.
+    """
+    from collections import Counter
+
+    from repro.prt.controller import PrtController
+    from repro.prt.session import PrtSession
+
+    counts = Counter()
+    for architecture, builder in list(faulty_check.STREAM_BUILDERS.items()):
+        def counted(test, caps, compress, _arch=architecture, _build=builder):
+            counts[test.name, _arch] += 1
+            return _build(test, caps, compress)
+
+        monkeypatch.setitem(
+            faulty_check.STREAM_BUILDERS, architecture, counted
+        )
+    session_stream = PrtSession.attributed_stream
+    controller_stream = PrtController.attributed_stream
+
+    def counted_session(self, caps):
+        counts[self.config, "session"] += 1
+        return session_stream(self, caps)
+
+    def counted_controller(self):
+        counts[self.config, "prt-controller"] += 1
+        return controller_stream(self)
+
+    monkeypatch.setattr(PrtSession, "attributed_stream", counted_session)
+    monkeypatch.setattr(
+        PrtController, "attributed_stream", counted_controller
+    )
+    return counts
+
+
+def _expected_builds(tests, per_test):
+    """Build counts when test ``i`` is resolved ``per_test[i]`` times.
+
+    A pseudo-ring session builds its stream twice per resolve: once as
+    the golden reference and once as the independent ``replay``.
+    """
+    expected = {}
+    for test, resolves in zip(tests, per_test):
+        if test is PRT_RING_UP:
+            expected[test.config, "session"] = 2 * resolves
+            expected[test.config, "prt-controller"] = resolves
+        else:
+            for architecture in faulty_check.ARCHITECTURES:
+                expected[test.name, architecture] = resolves
+    return expected
+
+
+class TestStreamsBuiltOncePerShard:
+    """A controller's stream depends on (test, geometry, compression),
+    never on the fault: a sweep builds it once per (shard, test) and
+    only captures and compares per pair."""
+
+    FAULTS = [parse_fault(spec) for spec in STATEFUL_FAULTS[:6]]
+
+    def test_serial_sweep_builds_each_stream_once(self, build_counts):
+        report = run_fault_sweep(BUILD_ONCE_TESTS, CAPS, self.FAULTS)
+        assert report.ok
+        assert report.checked == len(BUILD_ONCE_TESTS) * len(self.FAULTS)
+        assert dict(build_counts) == _expected_builds(
+            BUILD_ONCE_TESTS, [1] * len(BUILD_ONCE_TESTS)
+        )
+
+    def test_sharded_sweep_builds_once_per_shard_and_test(
+        self, build_counts, tmp_path
+    ):
+        from repro.service.store import ResultStore
+
+        report = run_fault_sweep(
+            BUILD_ONCE_TESTS, CAPS, self.FAULTS,
+            store=ResultStore(tmp_path / "store"),
+        )
+        assert report.ok
+        assert len(report.shards) > len(BUILD_ONCE_TESTS)
+        # Shards are contiguous product chunks, merged in shard order.
+        per_test = [0] * len(BUILD_ONCE_TESTS)
+        start = 0
+        for shard in report.shards:
+            end = start + shard["runs"]
+            first, last = start, end - 1
+            for test_index in range(
+                first // len(self.FAULTS), last // len(self.FAULTS) + 1
+            ):
+                per_test[test_index] += 1
+            start = end
+        assert max(per_test) > 1  # some test really spans two shards
+        assert dict(build_counts) == _expected_builds(
+            BUILD_ONCE_TESTS, per_test
+        )
+
+    @pytest.mark.parametrize("raised, detail", [
+        (RuntimeError("cycle bound 100000 exceeded"),
+         "simulation did not terminate: cycle bound 100000 exceeded"),
+        (ValueError("bad opcode"), "controller crashed: ValueError"),
+    ])
+    def test_failed_build_is_recorded_once_and_replayed(
+        self, monkeypatch, raised, detail
+    ):
+        calls = []
+
+        def broken(test, caps, compress):
+            calls.append(test.name)
+            raise raised
+
+        monkeypatch.setitem(faulty_check.STREAM_BUILDERS, "hardwired", broken)
+        report = run_fault_sweep([library.get("MATS")], CAPS, self.FAULTS)
+        assert calls == ["MATS"]
+        assert len(report.failures) == len(self.FAULTS)
+        for failure in report.failures:
+            microcode, progfsm, hardwired = failure["architectures"]
+            assert microcode["status"] == progfsm["status"] == "ok"
+            assert hardwired["status"] == "error"
+            assert hardwired["detail"].startswith(detail)
+
+    def test_skip_is_replayed_to_every_pair(self, build_counts):
+        report = run_fault_sweep(
+            [library.get("March B")], CAPS, self.FAULTS
+        )
+        assert report.ok
+        assert report.skipped_runs == len(self.FAULTS)
+        assert build_counts["March B", "progfsm"] == 1
+
+    @pytest.mark.parametrize("defect", [False, True])
+    def test_reused_streams_carry_no_fault_state(self, monkeypatch, defect):
+        """The sweep (streams reused across faults) equals per-pair
+        checks (everything rebuilt) run over the population in reverse
+        order.  The planted fail-log defect turns every detected pair
+        into a failure record, so whole responses are compared."""
+        if defect:
+            monkeypatch.setitem(
+                faulty_check.RESPONSE_CAPTURES, "hardwired",
+                _ShiftedIndexCapture(),
+            )
+        faults = [parse_fault(spec) for spec in STATEFUL_FAULTS]
+        report = run_fault_sweep(BUILD_ONCE_TESTS, CAPS, faults)
+        expected = FaultSweepReport(geometry=report.geometry)
+        for test in BUILD_ONCE_TESTS:
+            results = {
+                index: check_fault_conformance(test, CAPS, faults[index])
+                for index in reversed(range(len(faults)))
+            }
+            for index in range(len(faults)):
+                expected.add(results[index])
+        assert report.detected > 0
+        assert bool(report.failures) == defect
+        assert _payload(report) == _payload(expected)

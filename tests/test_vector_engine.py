@@ -331,6 +331,39 @@ class TestStimulusFamiliesOnTheKernel:
             include_timing=False
         )
 
+    def test_per_test_fallback_reuses_the_planned_streams(
+        self, monkeypatch
+    ):
+        """A partner stream that diverges from golden sends the whole
+        test to the scalar check; that check runs on the stimulus the
+        planner already resolved, so no stream is rebuilt per fault."""
+        calls = []
+        builders = dict(faulty_check.STREAM_BUILDERS)
+
+        def counted(architecture):
+            def build(test, caps, compress):
+                calls.append(architecture)
+                stream = builders[architecture](test, caps, compress)
+                return stream[1:] if architecture == "hardwired" else stream
+
+            return build
+
+        for architecture in builders:
+            monkeypatch.setitem(
+                faulty_check.STREAM_BUILDERS, architecture,
+                counted(architecture),
+            )
+        caps = _caps(4)
+        faults = [StuckAtFault(word, 0, 1) for word in range(4)]
+        vector = run_fault_sweep([MARCH_C], caps, faults, engine="vector")
+        assert vector.fallback_runs == vector.checked == len(faults)
+        assert sorted(calls) == sorted(builders)
+        scalar = run_fault_sweep([MARCH_C], caps, faults)
+        assert vector.to_json(include_timing=False) == scalar.to_json(
+            include_timing=False
+        )
+        assert len(scalar.failures) == len(faults)
+
 
 class TestSramBitImage:
     def test_bit_image_matches_snapshot(self):
