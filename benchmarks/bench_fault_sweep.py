@@ -1,4 +1,4 @@
-"""Fault-sweep throughput: scalar oracle vs numpy batch kernel.
+"""Fault-sweep throughput: scalar oracle vs the projected engine.
 
 Measures ``run_fault_sweep`` on one workload with both engines (and,
 in full mode, with a worker pool), asserts every report is identical
@@ -10,8 +10,8 @@ Two profiles:
 * **quick** (default) — the per-PR ``bench-gate`` workload: the short
   half of the algorithm library against a stratified fault sample on a
   64-word memory, scalar ``jobs=1`` vs vector ``jobs=1``.  Small
-  enough to run on every pull request, big enough that the vector
-  kernel's >=10x advantage is measurable above timer noise.
+  enough to run on every pull request, big enough that the projected
+  engine's >=10x advantage is measurable above timer noise.
 * **full** (``--profile full``) — the nightly workload: the whole
   library against the full spec-expressible universe, all four
   (engine, jobs) combinations.
@@ -43,9 +43,9 @@ from repro.march import library
 #: while still spanning both address orders and read/write mixes.
 SHORT_ALGORITHMS = ("MATS", "MATS+", "MATS++", "March X", "March Y")
 
-#: The quick-profile geometry: >=64 words, where the batch kernel's
-#: advantage is architectural rather than incidental (ISSUE acceptance
-#: floor: >=10x on >=64-word geometries).
+#: The quick-profile geometry: >=64 words, where the projected engine's
+#: advantage is architectural rather than incidental (acceptance floor:
+#: >=10x on >=64-word geometries).
 QUICK_GEOMETRY = (64, 1, 1)
 
 

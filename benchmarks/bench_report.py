@@ -1,10 +1,11 @@
 """Consolidated nightly benchmark report.
 
-Gathers the three JSON records the nightly job produces —
-``BENCH_fault_sweep.json``, ``BENCH_coverage_static.json`` and
-``BENCH_vector_kernel.json`` — into one ``BENCH_report.json`` and
-prints a summary table, so the uploaded ``bench-report`` artifact is a
-single self-describing bundle instead of three loose files.
+Gathers the JSON records the nightly job produces —
+``BENCH_fault_sweep.json``, ``BENCH_coverage_static.json``,
+``BENCH_service.json`` and ``BENCH_prt.json`` — into one
+``BENCH_report.json`` and prints a summary table, so the uploaded
+``bench-report`` artifact is a single self-describing bundle instead of
+loose files.
 
 Records are optional: a missing file is reported as absent rather than
 failing the job (the coverage record, e.g., only exists after the
@@ -28,7 +29,6 @@ from _harness import load_record, write_record
 RECORDS = (
     ("BENCH_fault_sweep.json", "fault_sweep"),
     ("BENCH_coverage_static.json", "coverage_static"),
-    ("BENCH_vector_kernel.json", "vector_kernel"),
     ("BENCH_service.json", "service"),
     ("BENCH_prt.json", "prt"),
 )
@@ -89,14 +89,6 @@ def _summarise(benchmark: str, record: dict) -> list:
                 f"{coverage['prt_overall_percent']}% vs "
                 f"{coverage['baseline']} "
                 f"{coverage['march_overall_percent']}%"
-            )
-        return lines
-    if benchmark == "vector_kernel":
-        lines = [f"lane kernel ({record['algorithm']} golden stream):"]
-        for m in record.get("measurements", []):
-            lines.append(
-                f"    {tuple(m['geometry'])}: {m['lane_ops_per_s']} "
-                f"lane-ops/s over {m['lanes']} lanes"
             )
         return lines
     return [f"{benchmark}: (no summariser)"]

@@ -7,7 +7,10 @@ Public surface:
   failing-read witnesses.
 - :class:`CoverageCertificate` / :class:`FaultVerdict` — the certificate
   datatypes, with ``covered`` / ``not-covered`` / ``unknown`` verdicts.
-- :func:`support_of` — per-fault address support and stratum signature.
+- :func:`support_of` — per-fault address support and stratum signature
+  (defined in :mod:`repro.faults.support`; the sparse
+  :class:`ShadowMemory` the projections run on lives in
+  :mod:`repro.memory.shadow`).
 """
 
 from repro.analysis.coverage.certificate import (
@@ -19,8 +22,8 @@ from repro.analysis.coverage.certificate import (
     FaultVerdict,
 )
 from repro.analysis.coverage.prover import certify
-from repro.analysis.coverage.shadow import ShadowMemory
-from repro.analysis.coverage.support import FaultSupport, support_of
+from repro.faults.support import FaultSupport, support_of
+from repro.memory.shadow import ShadowMemory
 
 __all__ = [
     "COVERED",

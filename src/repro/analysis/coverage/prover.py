@@ -4,14 +4,14 @@
 detects each fault of a universe — without ever simulating the full
 ``N``-word memory.  The proof strategy is *projected symbolic execution*:
 
-1.  :func:`repro.analysis.coverage.support.support_of` bounds the set of
+1.  :func:`repro.faults.support.support_of` bounds the set of
     logical addresses a fault can influence (its support).  Every fault
     hook filters on its own word(s), decoder rewrites are confined to
     the fault's own addresses, and idle time only advances at explicit
     pauses — so the faulty run restricted to the support is *bit-exact*
     regardless of memory size.
 2.  The projected run executes the real fault object against a sparse
-    :class:`~repro.analysis.coverage.shadow.ShadowMemory`, visiting only
+    :class:`~repro.memory.shadow.ShadowMemory`, visiting only
     support addresses in each element's traversal order.  A failing read
     there is a failing read of the full run; no failing read there (for
     a fault-free-consistent test) proves the full run passes.
@@ -43,14 +43,14 @@ from repro.analysis.coverage.certificate import (
     CoverageCertificate,
     FaultVerdict,
 )
-from repro.analysis.coverage.shadow import ShadowMemory
-from repro.analysis.coverage.support import support_of
 from repro.faults.base import CellFault
 from repro.faults.spec import format_fault
+from repro.faults.support import support_of
 from repro.faults.universe import FaultUniverse, standard_universe
 from repro.march.backgrounds import apply_polarity, data_backgrounds
 from repro.march.element import AddressOrder, MarchElement, Pause
 from repro.march.test import MarchTest
+from repro.memory.shadow import ShadowMemory
 
 #: Symbolic failure location inside one projected run:
 #: (port, background index, item index, support slot, op index).
@@ -216,8 +216,7 @@ def certify(
         if support is None:
             verdict, witness, label = UNKNOWN, None, "?"
         else:
-            visited = tuple(a for a in support.addresses if 0 <= a < n_words)
-            covers_all = set(visited) == all_addresses
+            visited, covers_all, key = support.project(n_words)
             label = support.label
             if inconsistent and not covers_all:
                 # Some address is untouched by the fault; it behaves
@@ -230,13 +229,6 @@ def certify(
                     port, bg_idx, item_idx, untouched, op_idx
                 )
             else:
-                # In-range membership is part of the key: a stratum-mate
-                # whose support is partly out of range sweeps fewer
-                # cells and is not isomorphic.
-                in_range = tuple(
-                    0 <= a < n_words for a in support.addresses
-                )
-                key = (support.signature, covers_all, in_range)
                 if key not in cache:
                     try:
                         failure = projection.run(fault, visited)

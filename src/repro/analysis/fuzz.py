@@ -40,12 +40,14 @@ geometries and, for every sample, checks these identities:
     :func:`repro.conformance.faulty.coverage.
     coverage_disagreement_predicate`.
 (g) sweep-engine equivalence: the identity-(e) sample is re-swept by
-    the numpy batch kernel (:func:`repro.conformance.faulty.
-    run_fault_sweep` with ``engine="vector"``) and the resulting
-    one-run report must agree payload-for-payload — timing aside —
-    with a scalar report built from the identity-(e) response, the
-    cross-engine contract of :class:`repro.conformance.faulty.
-    CrossEngineResult`.  Skipped silently when numpy is unavailable.
+    the projected engine (:func:`repro.conformance.faulty.
+    run_fault_sweep` with ``engine="vector"``: partners verified
+    against golden, then a support-projected replay of the golden
+    stream against the fault) and the resulting one-run report must
+    agree payload-for-payload — timing aside — with a scalar report
+    built from the identity-(e) response, the cross-engine contract of
+    :class:`repro.conformance.faulty.CrossEngineResult`.  Runs on every
+    sample that runs (e).
 (h) in-field session identity: a deterministic in-field conformance
     session (:func:`repro.conformance.build_infield_plan` on the
     sample's geometry, seeded from the sample) run on a fault-free
@@ -195,8 +197,8 @@ class SampleResult:
         fault_detected: whether the golden response saw the fault.
         shrunk_faulty: minimal (march, geometry, fault) reproducer of a
             response divergence, or None when identity (e) held.
-        vector_checked: whether identity (g) ran (requires numpy and
-            ``vector_conformance=True``).
+        vector_checked: whether identity (g) ran (requires
+            ``fault_conformance`` and ``vector_conformance``).
         coverage_pairs: certificate-vs-sweep fault pairs cross-checked
             for identity (f) (0 when (f) was off).
         shrunk_coverage: minimal (march, geometry, fault) reproducer of
@@ -462,11 +464,11 @@ def _check_fault_identity(
     march items, operations, the fault and the geometry; the minimal
     triple rides in the report.
 
-    When numpy is available (and ``vector`` is on), the scalar response
-    doubles as the oracle for identity (g): it is wrapped into a
-    one-run :class:`~repro.conformance.faulty.FaultSweepReport` and the
-    vector engine must reproduce that report payload — timing aside —
-    from scratch.  No extra scalar run is spent; the (e) result is
+    When ``vector`` is on, the scalar response doubles as the oracle
+    for identity (g): it is wrapped into a one-run
+    :class:`~repro.conformance.faulty.FaultSweepReport` and the vector
+    engine must reproduce that report payload — timing aside — from
+    scratch.  No extra scalar run is spent; the (e) result is
     reused.
     """
     from repro.conformance import (
@@ -506,7 +508,7 @@ def _check_vector_identity(
     compress: bool,
     response,
 ) -> None:
-    """Identity (g): the batch kernel reproduces the scalar sweep report.
+    """Identity (g): the projected engine reproduces the scalar report.
 
     The scalar side costs nothing — identity (e)'s response is folded
     into a one-run sweep report — so each fuzz sample buys a free
@@ -517,10 +519,6 @@ def _check_vector_identity(
     is already a minimal-enough reproducer (one algorithm, one fault),
     so no shrink pass is run.
     """
-    from repro.vector import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        return
     from repro.conformance.faulty import (
         CrossEngineResult,
         FaultSweepReport,
@@ -963,7 +961,7 @@ def run_fuzz(
             vs simulated-sweep agreement (on by default).
         vector_conformance: check identity (g), scalar-vs-vector sweep
             report equality on identity (e)'s sample (on by default;
-            no-op without numpy or with ``fault_conformance=False``).
+            no-op with ``fault_conformance=False``).
         infield_conformance: check identity (h), the fault-free and
             mid-stream-injection in-field session pair (on by default).
         service_conformance: check identity (i), the interrupted-then-

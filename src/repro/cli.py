@@ -43,7 +43,7 @@ Commands:
     behavioural equivalence of all three architectures against the
     golden march expansion (``--no-conformance`` to skip) and response
     equivalence on a randomly faulted memory (``--no-faults`` to skip),
-    cross-checked against the numpy batch sweep engine (``--no-vector``
+    cross-checked against the projected sweep engine (``--no-vector``
     to skip), plus an in-field transparent-session identity
     (``--no-infield`` to skip).
     Exits 1 on any mismatch, so CI can gate on it; ``--report FILE``
@@ -1137,8 +1137,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--no-vector", action="store_true",
         help="skip identity (g), scalar-vs-vector sweep-engine report "
-        "equality on the identity-(e) sample (auto-skipped without "
-        "numpy)",
+        "equality on the identity-(e) sample",
     )
     fuzz.add_argument(
         "--no-infield", action="store_true",
@@ -1454,10 +1453,11 @@ def build_parser() -> argparse.ArgumentParser:
     conf_faulty.add_argument(
         "--engine", choices=("scalar", "vector"), default="scalar",
         help="sweep engine: 'scalar' simulates every run on the Sram "
-        "model (the oracle); 'vector' evaluates fault batches with the "
-        "numpy lane kernel (10-100x faster, identical report payload; "
-        "faults without lane semantics fall back to scalar and are "
-        "counted in timing.fallback_runs)",
+        "model (the oracle); 'vector' verifies each stimulus's streams "
+        "once, then decides each fault by a replay of only the ops on "
+        "its support cells (identical report payload; faults or tests "
+        "outside the projection fall back to scalar and are counted in "
+        "timing.fallback_runs)",
     )
     conf_faulty.add_argument(
         "--cross-engine", action="store_true",

@@ -961,7 +961,9 @@ def _sweep_shard(
     return report
 
 
-#: Sweep engines: the scalar oracle and the numpy batch kernel.
+#: Sweep engines: the scalar oracle and the projected engine of
+#: :mod:`repro.vector` (support-projected replays of the verified
+#: golden stream).
 ENGINES: Tuple[str, ...] = ("scalar", "vector")
 
 
@@ -1336,14 +1338,16 @@ def run_fault_sweep(
             chunks and the shard reports merged, so the report — timing
             aside — is independent of ``jobs``.
         engine: ``scalar`` (per-run :class:`~repro.memory.sram.Sram`
-            simulation, the oracle) or ``vector`` (the numpy batch
-            kernel of :mod:`repro.vector`; needs numpy, falls back to
-            the scalar path per fault/test where lane semantics do not
-            apply, and reports the fallback count).  The report payload
-            (timing aside) is identical for both.
+            simulation, the oracle) or ``vector`` (the projected engine
+            of :mod:`repro.vector`: partners verified against the
+            golden stream once per test, then one support-projected
+            replay per fault or stratum; falls back to the scalar path
+            per fault/test where a projection does not apply, and
+            reports the fallback count).  The report payload (timing
+            aside) is identical for both.
         mode: stimulus regime (see :data:`MODES`).  Sequential march,
-            PRT and in-field sweeps run on the vector kernel; the
-            kernel has no same-cycle lane semantics, so every
+            PRT and in-field sweeps are projected; a same-cycle group
+            is not a sequence of single-port accesses, so every
             ``concurrent`` test takes the counted per-test scalar
             fallback (``fallback_runs == checked``).
         service: a shared :class:`~repro.service.engine.JobEngine` to
@@ -1371,9 +1375,6 @@ def run_fault_sweep(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {list(MODES)}")
     if engine == "vector":
-        from repro.vector import require_numpy
-
-        require_numpy()
         from repro.vector.sweep import run_vector_fault_sweep
 
         return run_vector_fault_sweep(
@@ -1458,7 +1459,7 @@ def check_cross_engine(
 ) -> CrossEngineResult:
     """Run one sweep through both engines and compare the payloads.
 
-    Sequential march, PRT and in-field sweeps compare the lane kernel
+    Sequential march, PRT and in-field sweeps compare the projection
     against the scalar oracle.  A ``concurrent`` vector sweep is the
     counted per-test scalar fallback, so there the comparison
     degenerates to a replay determinism check — still a meaningful

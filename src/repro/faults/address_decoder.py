@@ -26,11 +26,6 @@ class AddressMapsNowhere(CellFault):
     def __init__(self, address: int) -> None:
         self.address = address
 
-    def vector_lane(self):
-        if type(self) is not AddressMapsNowhere:
-            return None
-        return ("decoder", self.address, ())
-
     def install(self, memory) -> None:
         memory.decoder.remap(self.address, ())
 
@@ -53,11 +48,6 @@ class AddressMapsToWrongCell(CellFault):
         self.address = address
         self.wrong_word = wrong_word
 
-    def vector_lane(self):
-        if type(self) is not AddressMapsToWrongCell:
-            return None
-        return ("decoder", self.address, (self.wrong_word,))
-
     def install(self, memory) -> None:
         memory.decoder.remap(self.address, (self.wrong_word,))
 
@@ -79,11 +69,6 @@ class TwoAddressesOneCell(CellFault):
             raise ValueError("AF3 needs two distinct addresses")
         self.address = address
         self.other_address = other_address
-
-    def vector_lane(self):
-        if type(self) is not TwoAddressesOneCell:
-            return None
-        return ("decoder", self.other_address, (self.address,))
 
     def install(self, memory) -> None:
         memory.decoder.remap(self.other_address, (self.address,))
@@ -111,11 +96,6 @@ class AddressMapsToMultiple(CellFault):
             raise ValueError("AF4 needs a distinct extra cell")
         self.address = address
         self.extra_word = extra_word
-
-    def vector_lane(self):
-        if type(self) is not AddressMapsToMultiple:
-            return None
-        return ("decoder", self.address, (self.address, self.extra_word))
 
     def install(self, memory) -> None:
         memory.decoder.remap(self.address, (self.address, self.extra_word))

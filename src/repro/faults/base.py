@@ -48,25 +48,6 @@ class CellFault(abc.ABC):
     #: reports and the diagnostics classifier.
     kind: str = "?"
 
-    def vector_lane(self):
-        """Parameters of this fault's vectorised lane semantics.
-
-        The batch fault-sweep kernel (:mod:`repro.vector`) evaluates one
-        golden expansion against many faults at once, one *lane* per
-        fault.  A fault that can be expressed as pure lane arithmetic
-        returns a ``(stratum, *params)`` tuple here (plain data, no
-        numpy — the kernel owns the array code); returning ``None``
-        means "no vector semantics" and the kernel falls back to the
-        scalar :class:`~repro.memory.sram.Sram` path for this fault,
-        reporting the fallback so coverage is never silently lost.
-
-        Implementations must guard against subclassing (``type(self) is
-        not ThisClass: return None``): a subclass may override hook
-        behaviour the lane model knows nothing about, and the only safe
-        default for unknown behaviour is the scalar oracle.
-        """
-        return None
-
     def install(self, memory) -> None:
         """One-time installation side effects (decoder rewrites etc.)."""
 

@@ -57,15 +57,6 @@ class InversionCouplingFault(_TransitionTriggered):
 
     kind = "CFin"
 
-    def vector_lane(self):
-        if type(self) is not InversionCouplingFault:
-            return None
-        return (
-            "coupling_inversion",
-            self.aggressor_word, self.aggressor_bit,
-            self.victim_word, self.victim_bit, self.rising,
-        )
-
     def on_any_write(self, memory, port: int, word: int, old: int, new: int) -> None:
         if self._triggered(word, old, new):
             current = bit_of(memory.peek(self.victim_word), self.victim_bit)
@@ -96,16 +87,6 @@ class IdempotentCouplingFault(_TransitionTriggered):
         if forced_value not in (0, 1):
             raise ValueError(f"forced value must be 0 or 1, got {forced_value!r}")
         self.forced_value = forced_value
-
-    def vector_lane(self):
-        if type(self) is not IdempotentCouplingFault:
-            return None
-        return (
-            "coupling_idempotent",
-            self.aggressor_word, self.aggressor_bit,
-            self.victim_word, self.victim_bit,
-            self.rising, self.forced_value,
-        )
 
     def on_any_write(self, memory, port: int, word: int, old: int, new: int) -> None:
         if self._triggered(word, old, new):
@@ -148,16 +129,6 @@ class StateCouplingFault(CellFault):
         self.victim_bit = victim_bit
         self.aggressor_state = aggressor_state
         self.forced_value = forced_value
-
-    def vector_lane(self):
-        if type(self) is not StateCouplingFault:
-            return None
-        return (
-            "coupling_state",
-            self.aggressor_word, self.aggressor_bit,
-            self.victim_word, self.victim_bit,
-            self.aggressor_state, self.forced_value,
-        )
 
     def on_read(self, memory, port: int, word: int, value: int) -> int:
         if word != self.victim_word:

@@ -103,13 +103,6 @@ class PortStuckOpenAccess(CellFault):
         self.bit = bit
         self.open_value = open_value
 
-    def vector_lane(self):
-        if type(self) is not PortStuckOpenAccess:
-            return None
-        return (
-            "port_open", self.port, self.word, self.bit, self.open_value,
-        )
-
     def install(self, memory) -> None:
         if self.port >= memory.ports:
             raise ValueError(

@@ -43,11 +43,6 @@ class IncorrectReadFault(_ReadSensitised):
 
     kind = "IRF"
 
-    def vector_lane(self):
-        if type(self) is not IncorrectReadFault:
-            return None
-        return ("read_incorrect", self.word, self.bit, self.state)
-
     def on_read(self, memory, port: int, word: int, value: int) -> int:
         if self._fires(word, value):
             return with_bit(value, self.bit, self.state ^ 1)
@@ -65,11 +60,6 @@ class ReadDestructiveFault(_ReadSensitised):
     flipped value."""
 
     kind = "RDF"
-
-    def vector_lane(self):
-        if type(self) is not ReadDestructiveFault:
-            return None
-        return ("read_destructive", self.word, self.bit, self.state)
 
     def on_read(self, memory, port: int, word: int, value: int) -> int:
         if self._fires(word, value):
@@ -89,11 +79,6 @@ class DeceptiveReadDestructiveFault(_ReadSensitised):
     correct old value — only a follow-up read sees the damage."""
 
     kind = "DRDF"
-
-    def vector_lane(self):
-        if type(self) is not DeceptiveReadDestructiveFault:
-            return None
-        return ("read_deceptive", self.word, self.bit, self.state)
 
     def on_read(self, memory, port: int, word: int, value: int) -> int:
         if self._fires(word, value):

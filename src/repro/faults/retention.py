@@ -47,14 +47,6 @@ class DataRetentionFault(CellFault):
         self.decay_time = decay_time
         self._idle = 0
 
-    def vector_lane(self):
-        if type(self) is not DataRetentionFault:
-            return None
-        return (
-            "retention",
-            self.word, self.bit, self.from_value, self.decay_time,
-        )
-
     def reset(self) -> None:
         self._idle = 0
 

@@ -29,11 +29,6 @@ class StuckAtFault(CellFault):
         self.bit = bit
         self.value = value
 
-    def vector_lane(self):
-        if type(self) is not StuckAtFault:
-            return None
-        return ("stuck_at", self.word, self.bit, self.value)
-
     def install(self, memory) -> None:
         # The defect holds the node at the stuck level from power-on.
         memory.force_bit(self.word, self.bit, self.value)

@@ -50,14 +50,6 @@ class StuckOpenFault(CellFault):
         self.disturb_threshold = disturb_threshold
         self._disturbs = 0
 
-    def vector_lane(self):
-        if type(self) is not StuckOpenFault:
-            return None
-        return (
-            "stuck_open",
-            self.word, self.bit, self.weak_value, self.disturb_threshold,
-        )
-
     def reset(self) -> None:
         self._disturbs = 0
 

@@ -30,11 +30,6 @@ class TransitionFault(CellFault):
         self.bit = bit
         self.rising = bool(rising)
 
-    def vector_lane(self):
-        if type(self) is not TransitionFault:
-            return None
-        return ("transition", self.word, self.bit, self.rising)
-
     def on_write(self, memory, port: int, word: int, old: int, new: int) -> int:
         if word != self.word:
             return new

@@ -8,11 +8,15 @@ memory-under-test model:
   time base.
 * :class:`~repro.memory.decoder.AddressDecoder` — logical-to-physical
   address mapping, mutable by address-decoder faults.
+* :class:`~repro.memory.shadow.ShadowMemory` — a sparse, hook-faithful
+  stand-in for :class:`Sram` that the support-projected runs of the
+  coverage prover and the projected sweep engine use.
 * :mod:`~repro.memory.retention` — the decay time base used by
   data-retention faults.
 """
 
 from repro.memory.sram import Sram
 from repro.memory.decoder import AddressDecoder
+from repro.memory.shadow import ShadowMemory
 
-__all__ = ["AddressDecoder", "Sram"]
+__all__ = ["AddressDecoder", "ShadowMemory", "Sram"]

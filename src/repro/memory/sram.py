@@ -294,9 +294,8 @@ class Sram:
     def bit_image(self) -> Tuple[Tuple[int, ...], ...]:
         """Cell contents as a ``words × width`` bit matrix (LSB first).
 
-        The per-bit view the batch kernel's state array is compared
-        against in the engine-equivalence tests; it also makes word
-        diffs in failure output readable for multi-bit geometries.
+        The per-bit view makes word diffs readable for multi-bit
+        geometries.
         """
         return tuple(
             tuple((word >> bit) & 1 for bit in range(self.width))

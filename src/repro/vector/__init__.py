@@ -1,53 +1,19 @@
-"""Vectorised batch fault-sweep engine.
+"""The projected fault-sweep engine (``engine="vector"``).
 
-Evaluates one (algorithm, geometry) golden expansion against a *batch*
-of faults at once: memory state is a numpy array with one lane per
-fault (lane 0 is the fault-free reference), the golden attributed
-stream is compiled once into flat op arrays, and fault semantics are
-applied as per-lane fixups around bulk column operations.  Faults
-without a vector semantic fall back, per lane, to the scalar
-:class:`~repro.memory.sram.Sram` path — and the sweep report counts
-those fallbacks, so coverage is never silently lost.
+Evaluates one stimulus against a whole fault population by *support
+projection*: once the differential partners are proved to emit the
+golden stream op for op, each fault's detected / not-detected verdict
+is a replay of only the golden ops on the fault's support addresses
+(plus every pause) against the real fault object on a sparse
+:class:`~repro.memory.shadow.ShadowMemory`.  Sequential march stimuli
+additionally share one replay per behavioural stratum.  Anything
+outside those preconditions falls back, per fault or per test, to the
+scalar :class:`~repro.memory.sram.Sram` path — and the sweep report
+counts those fallbacks, so coverage is never silently lost.
 
 The scalar engine stays the differential oracle: the cross-engine
 conformance identity asserts both engines produce byte-identical sweep
-reports (timing aside).  See ``docs/TESTING.md``.
-
-numpy is optional at the package level: :data:`HAVE_NUMPY` gates the
-engine and :func:`require_numpy` raises a clear
-:class:`~repro.vector.errors.EngineUnavailable` when the batch kernel
-is requested without it.
+reports (timing aside).  See ``docs/TESTING.md``.  The engine is pure
+Python; the ``vector`` name is kept because it is part of every
+stored report's engine stamp.
 """
-
-from __future__ import annotations
-
-from repro.vector.errors import (
-    EngineUnavailable,
-    UnsupportedFault,
-    VectorEngineError,
-)
-
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-
-def require_numpy() -> None:
-    """Raise :class:`EngineUnavailable` unless numpy is importable."""
-    if not HAVE_NUMPY:
-        raise EngineUnavailable(
-            "the vector fault-sweep engine needs numpy; "
-            "use engine='scalar' on installs without it"
-        )
-
-
-__all__ = [
-    "EngineUnavailable",
-    "UnsupportedFault",
-    "VectorEngineError",
-    "HAVE_NUMPY",
-    "require_numpy",
-]

@@ -1,4 +1,4 @@
-"""Batch-kernel execution of fault-response conformance sweeps.
+"""Projected execution of fault-response conformance sweeps.
 
 The scalar sweep (:func:`repro.conformance.faulty.check.run_fault_sweep`)
 captures the golden stream plus one stream per differential partner for
@@ -12,24 +12,41 @@ two structural savings:
   built once and verified op-for-op equal to the golden stream.
   Response capture is a deterministic function of the normalised ops
   alone, so identical streams give identical captures for *every*
-  fault — the per-partner sessions per fault disappear entirely;
-* **per fault**: the remaining golden capture is evaluated by the lane
-  kernel, hundreds of faults per replay of the stream.
+  fault — the per-partner sessions per fault disappear entirely, and
+  the pair's payload needs only one detected / not-detected verdict;
+* **per fault**: the verdict is a *support projection* of the golden
+  capture.  The golden stream is indexed once by address, pauses kept
+  apart; a fault's replay is only the ops on its support addresses
+  (:func:`~repro.faults.support.support_of`) plus every pause, in
+  stream order, against the real fault object on a sparse
+  :class:`~repro.memory.shadow.ShadowMemory`, reads compared with
+  ``op.expected`` exactly as
+  :func:`~repro.conformance.faulty.events.capture_response` does.
+  Every other address behaves fault-free, and the fault-free capture of
+  the golden stream is checked clean once per test, so the replay
+  decides the full capture's verdict.  For a sequential march stimulus
+  (golden stream = :func:`~repro.march.simulator.expand`) faults of one
+  stratum (:meth:`~repro.faults.support.FaultSupport.project`, the key
+  the coverage prover uses) see isomorphic replays and share one; PRT
+  and in-field streams do not visit addresses in rank order, so they
+  are replayed fault by fault.
 
 Anything outside those preconditions falls back to the scalar path and
 is counted in the report's ``fallback_runs``:
 
-* per fault — no validated lane semantics
-  (:func:`~repro.vector.semantics.lane_spec` returned ``None``);
-* per test — a cycle-capture stimulus (``concurrent`` mode: the kernel
-  has no same-cycle lane semantics), a replaced partner capture path
-  (the seeded-defect harness swaps :data:`RESPONSE_CAPTURES` entries;
-  capture identity is the precondition the per-test saving rests on), a
-  word width beyond the kernel's element size, a golden stream that is
+* per fault — no support (``support_of`` returned ``None``: a type
+  outside the support registry, subclasses included), a support that
+  reaches outside the memory, or a projected run that raised;
+* per test — a cycle-capture stimulus (``concurrent`` mode: a
+  same-cycle group is not a sequence of single-port accesses), a
+  replaced partner capture path (the seeded-defect harness swaps
+  :data:`RESPONSE_CAPTURES` entries; capture identity is the
+  precondition the per-test saving rests on), a golden stream that is
   not realisable or overruns the op budget, a partner stream that
   failed to build with a non-skip error or diverged from the golden
-  stream, or a tripped fault-free reference lane
-  (:class:`~repro.vector.errors.VectorEngineError`).
+  stream, or a golden stream whose fault-free capture on a plain
+  :class:`~repro.memory.sram.Sram` raised (a port or address out of
+  range) or recorded a fail event.
 
 The fallback runs the scalar engine's own per-pair check on the test's
 already-resolved stimulus (whose streams were built once, during
@@ -40,6 +57,8 @@ errors — are the scalar engine's own, byte for byte.
 from __future__ import annotations
 
 import time
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.conformance.faulty import events as faulty_events
@@ -52,43 +71,38 @@ from repro.conformance.faulty.check import (
     check_fault_conformance,  # noqa: F401  (perfbench/layers.py patches it)
     resolve_stimulus,
 )
-from repro.conformance.faulty.events import (
-    FailEvent,
-    ResponseBudgetExceeded,
-    ResponseCapture,
-)
+from repro.conformance.trace import AttributedOp
 from repro.core.controller import ControllerCapabilities
 from repro.faults.base import CellFault
+from repro.faults.support import support_of
+from repro.march.simulator import MemoryOperation
 from repro.march.test import MarchTest
-from repro.vector.errors import UnsupportedFault, VectorEngineError
-from repro.vector.kernel import MAX_WIDTH, evaluate_lanes, state_dtype
-from repro.vector.ops import CompiledStream, compile_stream
-from repro.vector.semantics import lane_spec
+from repro.memory.shadow import ShadowMemory
+from repro.memory.sram import Sram
 
-#: Per-batch state budget; lane counts are chunked so the state array
-#: stays cache-friendly even for full universes on large geometries.
-LANE_BUDGET_BYTES = 32 << 20
+# Inert: perfbench/layers.py patches these kernel names until it reads spans.
+lane_spec = compile_stream = evaluate_lanes = None
+
+#: A fault's projection: (in-range support addresses, stratum key).
+Projection = Tuple[Tuple[int, ...], Tuple]
 
 
 def _plan_test(
     stimulus: Stimulus,
     caps: ControllerCapabilities,
     max_ops: Optional[int],
-) -> Optional[Tuple[CompiledStream, int]]:
-    """Compile the golden stream and verify every partner against it.
+) -> Optional[Tuple[Sequence[AttributedOp], int]]:
+    """Verify every partner against the golden stream, and golden itself.
 
-    Returns ``(compiled_golden, skipped_partners)`` when every partner
+    Returns ``(golden_stream, skipped_partners)`` when every partner
     either is not realisable (a skip) or emits a stream op-for-op equal
     to the golden stream within the op budget, through the shared
-    capture path; ``None`` sends the whole test to the scalar engine.
+    capture path, and the golden stream's fault-free capture is clean;
+    ``None`` sends the whole test to the scalar engine.
     """
-    if (
-        stimulus.cycle
-        or caps.width > MAX_WIDTH
-        or any(
-            partner.capture is not faulty_events.capture_response
-            for partner in stimulus.partners
-        )
+    if stimulus.cycle or any(
+        partner.capture is not faulty_events.capture_response
+        for partner in stimulus.partners
     ):
         return None
     golden_stream = stimulus.golden().stream
@@ -96,7 +110,7 @@ def _plan_test(
         return None
     if len(golden_stream) > _op_budget(golden_stream, max_ops):
         return None  # scalar reproduces the budget trip exactly
-    compiled = compile_stream(golden_stream, (1 << caps.width) - 1)
+    keys = [entry.key for entry in golden_stream]
     skipped = 0
     for partner in stimulus.partners:
         built = partner.build()
@@ -105,49 +119,114 @@ def _plan_test(
             continue
         if built.stream is None:
             return None  # error statuses produce per-fault failure records
-        if len(built.stream) != compiled.length:
+        if [entry.key for entry in built.stream] != keys:
             return None
-        if [entry.key for entry in built.stream] != compiled.keys:
-            return None
-    return compiled, skipped
+    try:
+        memory = Sram(caps.n_words, width=caps.width, ports=caps.ports)
+        free = faulty_events.capture_response(golden_stream, memory)
+    except Exception:
+        return None  # scalar reproduces the error
+    if free.events:
+        return None
+    return golden_stream, skipped
 
 
-def _lane_chunk(caps: ControllerCapabilities) -> int:
-    """Lanes per kernel batch within :data:`LANE_BUDGET_BYTES`."""
-    row_bytes = caps.n_words * state_dtype(caps.width)().itemsize
-    return max(16, LANE_BUDGET_BYTES // max(row_bytes, 1))
+class _GoldenIndex:
+    """A verified golden stream, indexed for support-projected replays."""
+
+    def __init__(
+        self, stream: Sequence[AttributedOp], caps: ControllerCapabilities
+    ) -> None:
+        self.caps = caps
+        self.by_address: Dict[int, List[Tuple[int, MemoryOperation]]] = {}
+        self.delays: List[Tuple[int, MemoryOperation]] = []
+        for index, entry in enumerate(stream):
+            op = entry.op
+            if op.is_delay:
+                self.delays.append((index, op))
+            else:
+                self.by_address.setdefault(op.address, []).append((index, op))
+
+    def detects(self, fault: CellFault, addresses: Sequence[int]) -> bool:
+        """Whether ``fault`` makes a golden read of ``addresses`` mismatch.
+
+        Replays the ops on ``addresses`` plus every pause, in stream
+        order, against ``fault`` on a :class:`ShadowMemory`.  The fault's
+        dynamic state is reset around the run, as in the coverage
+        prover's projection, so shared universe instances stay reusable.
+        """
+        runs = [self.by_address.get(address, ()) for address in addresses]
+        runs.append(self.delays)
+        ops = sorted(chain.from_iterable(runs), key=itemgetter(0))
+        caps = self.caps
+        shadow = ShadowMemory(caps.n_words, width=caps.width, ports=caps.ports)
+        fault.reset()
+        shadow.attach(fault)
+        try:
+            for _, op in ops:
+                if op.is_delay:
+                    shadow.elapse(op.delay)
+                elif op.is_write:
+                    shadow.write(op.port, op.address, op.value)
+                elif shadow.read(op.port, op.address) != op.expected:
+                    return True
+        finally:
+            shadow.detach_all()
+            fault.reset()
+        return False
 
 
-def _detections(
-    compiled: CompiledStream,
+def _projection(fault: CellFault, n_words: int) -> Optional[Projection]:
+    """``fault``'s projection, or ``None`` for the per-fault fallback."""
+    support = support_of(fault)
+    if support is None:
+        return None
+    visited, _, key = support.project(n_words)
+    if len(visited) != len(support.addresses):
+        return None  # the full memory decides what an outside cell does
+    return visited, key
+
+
+def _verdicts(
+    stimulus: Stimulus,
+    test: MarchTest,
     caps: ControllerCapabilities,
     faults: Sequence[CellFault],
-) -> Optional[Dict[int, bool]]:
-    """Detection verdict per fault index, for faults with lane semantics.
+    projections: Sequence[Optional[Projection]],
+    max_ops: Optional[int],
+    mode: str,
+) -> Tuple[List[Optional[bool]], int]:
+    """Projected detection verdict per fault, and the skipped partners.
 
-    ``None`` when the kernel's self-check tripped: nothing from the
-    batch is safe.
+    A ``None`` verdict sends that fault to the scalar fallback; every
+    verdict is ``None`` when the test fails its plan.
     """
-    specs = []
-    spec_fault_indices = []
-    for index, fault in enumerate(faults):
-        spec = lane_spec(fault, caps.n_words, caps.width, caps.ports)
-        if spec is not None:
-            specs.append(spec)
-            spec_fault_indices.append(index)
-    detected: Dict[int, bool] = {}
-    chunk = _lane_chunk(caps)
-    try:
-        for start in range(0, len(specs), chunk):
-            lane_events, _ = evaluate_lanes(
-                compiled, caps.n_words, caps.width,
-                specs[start:start + chunk],
-            )
-            for offset, events in enumerate(lane_events):
-                detected[spec_fault_indices[start + offset]] = bool(events)
-    except VectorEngineError:
-        return None
-    return detected
+    plan = _plan_test(stimulus, caps, max_ops)
+    if plan is None:
+        return [None] * len(faults), 0
+    golden = _GoldenIndex(plan[0], caps)
+    # One replay per stratum is sound only where the golden stream is
+    # expand(test): every element visits the support in rank order.
+    strata: Optional[Dict[Tuple, bool]] = (
+        {} if isinstance(test, MarchTest) and mode == "sequential" else None
+    )
+    verdicts: List[Optional[bool]] = []
+    for fault, projection in zip(faults, projections):
+        detected = None
+        if projection is not None:
+            addresses, key = projection
+            if strata is not None and key in strata:
+                detected = strata[key]
+            else:
+                try:
+                    detected = golden.detects(fault, addresses)
+                except Exception:
+                    pass  # the scalar check reproduces the error
+                else:
+                    if strata is not None:
+                        strata[key] = detected
+        verdicts.append(detected)
+    return verdicts, plan[1]
 
 
 def _sweep_test_into(
@@ -155,22 +234,24 @@ def _sweep_test_into(
     test: MarchTest,
     caps: ControllerCapabilities,
     faults: Sequence[CellFault],
+    projections: Sequence[Optional[Projection]],
     compress: bool,
     max_ops: Optional[int],
     mode: str,
 ) -> None:
     """Sweep one test over the fault population, fault order preserved."""
     stimulus = resolve_stimulus(test, caps, mode, compress=compress)
-    plan = _plan_test(stimulus, caps, max_ops)
-    detected = None if plan is None else _detections(plan[0], caps, faults)
-    for index, fault in enumerate(faults):
-        if detected is not None and index in detected:
-            report.checked += 1
-            report.detected += detected[index]
-            report.skipped_runs += plan[1]
-        else:
+    verdicts, skipped = _verdicts(
+        stimulus, test, caps, faults, projections, max_ops, mode
+    )
+    for fault, detected in zip(faults, verdicts):
+        if detected is None:
             report.add(_check_pair(stimulus, test, caps, fault, max_ops))
             report.fallback_runs += 1
+        else:
+            report.checked += 1
+            report.detected += detected
+            report.skipped_runs += skipped
 
 
 def _vector_shard(
@@ -179,10 +260,11 @@ def _vector_shard(
 ) -> FaultSweepReport:
     """Worker entry point: sweep tests ``start..start+count-1``.
 
-    Vector batches are per-test, so shards are contiguous *test* chunks
+    Planning is per test, so shards are contiguous *test* chunks
     (unlike the scalar engine's product chunks); the product order
     inside each shard is still algorithm-major, so merged reports match
-    the serial sweep byte for byte.
+    the serial sweep byte for byte.  Each fault's support is extracted
+    once per shard and reused for every test in it.
     """
     (shard_index, tests, caps, faults, start, count, compress,
      max_ops, mode) = args
@@ -191,8 +273,11 @@ def _vector_shard(
         geometry=(caps.n_words, caps.width, caps.ports), engine="vector",
         mode=mode,
     )
+    projections = [_projection(fault, caps.n_words) for fault in faults]
     for test in tests[start:start + count]:
-        _sweep_test_into(report, test, caps, faults, compress, max_ops, mode)
+        _sweep_test_into(
+            report, test, caps, faults, projections, compress, max_ops, mode
+        )
     report.shards = [{
         "shard": shard_index,
         "runs": count * len(faults),
@@ -217,10 +302,10 @@ def run_vector_fault_sweep(
 ) -> FaultSweepReport:
     """Vector-engine counterpart of ``run_fault_sweep`` (same report).
 
-    Sharding is by contiguous test chunks — each test is one batch
-    evaluation, so splitting inside a test would only re-replay the
-    stream.  Reports merge in shard order; the payload (timing aside)
-    is independent of ``jobs`` and equal to the scalar engine's.  The
+    Sharding is by contiguous test chunks — each test is planned once
+    per shard, so splitting inside a test would only re-plan it.
+    Reports merge in shard order; the payload (timing aside) is
+    independent of ``jobs`` and equal to the scalar engine's.  The
     service knobs (shared engine, result store, resume, per-shard
     timeout, chaos plan) have ``run_fault_sweep``'s semantics; store
     keys carry ``axis="tests"`` and ``engine="vector"``, so vector
@@ -237,51 +322,3 @@ def run_vector_fault_sweep(
         tests, capabilities, faults, compress, max_ops, jobs, mode,
         service, store, resume, shard_timeout, chaos,
     )
-
-
-def vector_capture(
-    stream,
-    capabilities: ControllerCapabilities,
-    fault: CellFault,
-    max_ops: Optional[int] = None,
-) -> ResponseCapture:
-    """One fault's response capture via the lane kernel.
-
-    The vector twin of
-    :func:`~repro.conformance.faulty.events.capture_response` for a
-    single fault — used by the differential tests and the fuzz
-    cross-engine identity to compare captures event-for-event.
-
-    Raises:
-        UnsupportedFault: the fault has no validated lane semantics.
-        ResponseBudgetExceeded: the stream overruns ``max_ops`` (same
-            classification as the scalar capture).
-    """
-    caps = capabilities
-    spec = lane_spec(fault, caps.n_words, caps.width, caps.ports)
-    if spec is None:
-        raise UnsupportedFault(
-            f"no vector lane semantics for: {fault.describe()}"
-        )
-    if max_ops is not None and len(stream) > max_ops:
-        raise ResponseBudgetExceeded(
-            f"op budget of {max_ops} exceeded after "
-            f"{max_ops} operation(s)"
-        )
-    compiled = compile_stream(stream, (1 << caps.width) - 1)
-    lane_events, _ = evaluate_lanes(
-        compiled, caps.n_words, caps.width, [spec]
-    )
-    events: List[FailEvent] = []
-    for op_index, observed in lane_events[0]:
-        events.append(
-            FailEvent(
-                op_index=op_index,
-                port=int(compiled.ports[op_index]),
-                address=int(compiled.addresses[op_index]),
-                expected=int(compiled.data[op_index]),
-                observed=observed,
-                owner=compiled.owners[op_index],
-            )
-        )
-    return ResponseCapture(ops_applied=compiled.length, events=events)

@@ -24,6 +24,7 @@ from repro.conformance import (
 from repro.core.controller import ControllerCapabilities
 from repro.faults.base import CellFault
 from repro.faults.conditions import condition_for, condition_table
+from repro.faults.coupling import InversionCouplingFault
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import parse_fault
 from repro.faults.universe import standard_universe
@@ -163,6 +164,19 @@ class TestSoundness:
         certificate = certify(library.get("MATS"), 4, faults=[fault])
         assert certificate.verdicts[0].verdict == UNKNOWN
         assert certificate.unknown_rate == 1.0
+
+    def test_partly_out_of_range_support_is_its_own_stratum(self):
+        # Both couplings relativise to (aggressor w0, victim w1); the
+        # second one's victim lies outside the memory, so its projection
+        # never reads the victim and must not inherit the first verdict.
+        inside = InversionCouplingFault(0, 0, 1, 0, True)
+        outside = InversionCouplingFault(3, 0, 5, 0, True)
+        assert support_of(inside).signature == support_of(outside).signature
+        certificate = certify(
+            library.get("March C"), 4, faults=[inside, outside]
+        )
+        verdicts = [v.verdict for v in certificate.verdicts]
+        assert verdicts == [COVERED, NOT_COVERED]
 
     def test_inconsistent_test_flagged_and_still_agrees(self):
         # ⇕(r1) expects 1 from a power-on-zero array: the fault-free run

@@ -451,11 +451,10 @@ class TestModeThreading:
         assert report.to_json()["mode"] == "concurrent"
 
     def test_vector_engine_counts_whole_sweep_fallback(self):
-        # The numpy lane kernel models sequential single-port streams
-        # only; a concurrent-mode sweep through engine="vector" must
-        # run scalar and COUNT the fallback rather than silently
-        # pretending the kernel ran.
-        pytest.importorskip("numpy")
+        # The projection replays sequential single-port streams only;
+        # a concurrent-mode sweep through engine="vector" must run
+        # scalar and COUNT the fallback rather than silently pretending
+        # the projection ran.
         caps = _caps((2, 2, 2))
         faults = sweep_faults(caps, per_kind=1, seed=3, mode="concurrent")
         scalar = run_fault_sweep(
@@ -473,7 +472,6 @@ class TestModeThreading:
         )
 
     def test_cross_engine_agrees_in_concurrent_mode(self):
-        pytest.importorskip("numpy")
         caps = _caps((2, 2, 2))
         faults = sweep_faults(caps, per_kind=1, seed=1, mode="concurrent")
         result = check_cross_engine(

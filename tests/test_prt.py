@@ -270,10 +270,6 @@ class TestPrtConformance:
         assert report.checked == 3 * len(faults)
 
     def test_vector_engine_falls_back_and_agrees(self):
-        from repro.vector import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            pytest.skip("numpy unavailable")
         from repro.conformance import run_fault_sweep
 
         caps = _caps(4)
@@ -285,6 +281,7 @@ class TestPrtConformance:
         assert scalar.to_json(include_timing=False) == vector.to_json(
             include_timing=False
         )
+        assert vector.fallback_runs == 0
 
 
 class TestPrtStudy:

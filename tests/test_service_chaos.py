@@ -294,7 +294,6 @@ class TestFuzzServiceIdentity:
 
 class TestVectorEngineService:
     def test_vector_sweep_store_roundtrip(self, tmp_path):
-        pytest.importorskip("numpy")
         from repro.vector.sweep import run_vector_fault_sweep
 
         store = ResultStore(tmp_path / "store")
@@ -311,7 +310,6 @@ class TestVectorEngineService:
         assert rerun.service_stats["store"]["hits"] >= 1
 
     def test_vector_kill_once_identical(self, tmp_path):
-        pytest.importorskip("numpy")
         from repro.vector.sweep import run_vector_fault_sweep
 
         serial = run_vector_fault_sweep(TESTS, CAPS, FAULTS)

@@ -1,27 +1,33 @@
-"""The numpy batch sweep engine against the scalar oracle.
+"""The projected sweep engine against the scalar oracle.
 
 Three layers of evidence that ``engine="vector"`` is a pure
 performance change:
 
-* **event level** — :func:`repro.vector.sweep.vector_capture` must
-  reproduce :func:`capture_response`'s fail events field-for-field for
-  every spec-expressible fault kind, on geometries from the degenerate
-  (1,1,1) up to multi-bit multi-port;
+* **verdict level** — the support-projected replay of the verified
+  golden stream must give :func:`capture_response`'s detected /
+  not-detected verdict on an injected :class:`Sram` for every
+  spec-expressible fault, for the library, the PRT sessions and
+  in-field mode, on geometries from the degenerate (1,1,1) up to
+  multi-bit multi-port;
 * **report level** — ``run_fault_sweep`` payloads (timing aside) must
   be identical across engines and across ``jobs``;
-* **fallback level** — everything without lane semantics (subclassed
-  faults, restricted-port faults, patched capture tables, >64-bit
-  words) must take the scalar path, be *counted*, and still match the
-  scalar report byte for byte.
+* **fallback level** — everything outside the projection (subclassed
+  faults, supports reaching outside the memory, patched capture
+  tables, fault-free streams that already fail) must take the scalar
+  path, be *counted*, and still match the scalar report byte for byte.
 """
+
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
+import repro
 from repro.conformance import (
     GOLDEN_CACHE,
-    check_fault_conformance,
     run_fault_sweep,
     sweep_faults,
 )
@@ -30,21 +36,34 @@ from repro.conformance.faulty.check import (
     CrossEngineResult,
     FaultSweepReport,
     check_cross_engine,
+    resolve_stimulus,
 )
-from repro.conformance.faulty.events import capture_response
-from repro.conformance.trace import golden_trace
+from repro.conformance.faulty.events import (
+    ResponseBudgetExceeded,
+    capture_response,
+)
 from repro.core.controller import ControllerCapabilities
+from repro.faults.coupling import InversionCouplingFault
+from repro.faults.injector import FaultInjector
+from repro.faults.linked import CompositeFault, linked_cfid_universe
 from repro.faults.port import PortRestrictedFault, PortStuckOpenAccess
-from repro.faults.spec import parse_fault
 from repro.faults.stuck_at import StuckAtFault
+from repro.faults.universe import npsf_universe
 from repro.march import library
+from repro.march.notation import parse_test
 from repro.memory.sram import Sram
 from repro.prt import PRT_RING_DOWN, PRT_RING_UP
-from repro.vector.errors import UnsupportedFault
-from repro.vector.sweep import vector_capture
+from repro.vector.sweep import _projection, _verdicts
 
 MARCH_C = library.get("March C")
-MARCH_CPP = library.get("March C++")
+LIBRARY = [library.get(name) for name in library.ALGORITHMS]
+
+#: Stimulus families of the verdict-level check: (tests, mode).
+FAMILIES = {
+    "library": (LIBRARY, "sequential"),
+    "prt": ([PRT_RING_UP, PRT_RING_DOWN], "sequential"),
+    "infield": (LIBRARY, "infield"),
+}
 
 
 def _caps(words, width=1, ports=1):
@@ -58,68 +77,78 @@ def _scalar_capture(stream, caps, fault):
     return capture_response(stream, memory)
 
 
-def _events(capture):
-    return [event.to_dict() for event in capture.events]
+def _payloads_equal(a, b):
+    return a.to_json(include_timing=False) == b.to_json(include_timing=False)
 
 
-class TestEventLevelEquivalence:
+class TestVerdictLevelEquivalence:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize(
         "geometry", [(1, 1, 1), (4, 2, 1), (8, 1, 1), (4, 2, 2)]
     )
-    def test_full_universe_captures_match(self, geometry):
-        """Every spec-expressible fault kind, event-for-event.
+    def test_full_universe_verdicts_match(self, geometry, family):
+        """Every spec-expressible fault, verdict for verdict.
 
         ``sweep_faults(full=True)`` enumerates every stratum the
-        engine claims lane semantics for (including the PAF stratum on
-        the multi-port geometry and nothing but SAF/TF/retention on
-        the degenerate single-cell one), so agreement here covers each
-        lane-entry class in ``repro.vector.semantics``.
+        universe generator knows (including the PAF stratum on the
+        multi-port geometry and nothing but SAF/TF/retention on the
+        degenerate single-cell one); each must be projected — no
+        fallback — and agree with a full scalar capture of the golden
+        stream.  March stimuli share one replay per stratum, so this
+        also checks the stratum key.
         """
         caps = _caps(*geometry)
-        stream = golden_trace(MARCH_CPP, caps)
-        for fault in sweep_faults(caps, full=True):
-            try:
-                vector = vector_capture(stream, caps, fault)
-            except UnsupportedFault:
-                continue
-            scalar = _scalar_capture(stream, caps, fault)
-            assert vector.ops_applied == scalar.ops_applied
-            assert _events(vector) == _events(scalar), fault.describe()
+        tests, mode = FAMILIES[family]
+        faults = sweep_faults(caps, full=True, mode=mode)
+        projections = [_projection(fault, caps.n_words) for fault in faults]
+        assert None not in projections
+        injector = FaultInjector(
+            Sram(caps.n_words, width=caps.width, ports=caps.ports)
+        )
+        for test in tests:
+            stimulus = resolve_stimulus(test, caps, mode)
+            verdicts, _ = _verdicts(
+                stimulus, test, caps, faults, projections, None, mode
+            )
+            golden = stimulus.golden().stream
+            for fault, verdict in zip(faults, verdicts):
+                with injector.injected(fault) as memory:
+                    expected = capture_response(golden, memory).detected
+                assert verdict is expected, (test.name, fault.describe())
 
+
+class TestSweepLevelCases:
     def test_multiport_paf_detected_only_via_faulty_port(self):
         caps = _caps(4, 2, 2)
-        stream = golden_trace(MARCH_C, caps)
         fault = PortStuckOpenAccess(port=1, word=2, bit=1)
-        vector = vector_capture(stream, caps, fault)
-        scalar = _scalar_capture(stream, caps, fault)
-        assert _events(vector) == _events(scalar)
-        assert vector.detected
-        assert {event.port for event in vector.events} == {1}
+        vector = run_fault_sweep([MARCH_C], caps, [fault], engine="vector")
+        scalar = run_fault_sweep([MARCH_C], caps, [fault])
+        assert vector.fallback_runs == 0
+        assert vector.detected == 1
+        assert _payloads_equal(vector, scalar)
+        capture = _scalar_capture(
+            GOLDEN_CACHE.get(MARCH_C, caps), caps, fault
+        )
+        assert {event.port for event in capture.events} == {1}
 
     def test_budget_trip_matches_scalar_classification(self):
+        """A golden stream over the op budget is a per-test fallback, so
+        the sweep trips exactly as the scalar one does."""
         caps = _caps(4, 2, 1)
-        stream = golden_trace(MARCH_C, caps)
-        fault = StuckAtFault(0, 0, 1)
-        from repro.conformance.faulty.events import ResponseBudgetExceeded
-
+        faults = [StuckAtFault(0, 0, 1)]
         with pytest.raises(ResponseBudgetExceeded) as vector_error:
-            vector_capture(stream, caps, fault, max_ops=3)
+            run_fault_sweep(
+                [MARCH_C], caps, faults, max_ops=3, engine="vector"
+            )
         with pytest.raises(ResponseBudgetExceeded) as scalar_error:
-            _scalar_capture_budget(stream, caps, fault, max_ops=3)
+            run_fault_sweep([MARCH_C], caps, faults, max_ops=3)
         assert str(vector_error.value) == str(scalar_error.value)
-
-
-def _scalar_capture_budget(stream, caps, fault, max_ops):
-    memory = Sram(caps.n_words, width=caps.width, ports=caps.ports)
-    memory.attach(fault)
-    fault.reset()
-    return capture_response(stream, memory, max_ops=max_ops)
 
 
 class _SubclassedStuckAt(StuckAtFault):
     """Same behaviour, unknown type: must take the scalar fallback
-    (the ``type(self) is not StuckAtFault`` guard in ``vector_lane``
-    protects against subclasses that override hooks)."""
+    (``support_of`` dispatches on the exact type, so a subclass that
+    overrides hooks never gets a support it might not respect)."""
 
 
 class _RemoveRaisesStuckAt(StuckAtFault):
@@ -129,11 +158,6 @@ class _RemoveRaisesStuckAt(StuckAtFault):
 
 class TestReportLevelEquivalence:
     TESTS = [library.get(name) for name in ("MATS", "March C", "March Y")]
-
-    def _payloads_equal(self, a, b):
-        return a.to_json(include_timing=False) == b.to_json(
-            include_timing=False
-        )
 
     def test_cross_engine_identity_stratified(self):
         caps = _caps(4, 2, 1)
@@ -161,7 +185,7 @@ class TestReportLevelEquivalence:
         sharded = run_fault_sweep(
             self.TESTS, caps, faults, engine="vector", jobs=3
         )
-        assert self._payloads_equal(serial, sharded)
+        assert _payloads_equal(serial, sharded)
         assert sharded.jobs == 3
 
     def test_unknown_engine_rejected(self):
@@ -197,7 +221,8 @@ class TestFallbacks:
         )
 
     def test_fallback_only_batch_counts_every_run(self):
-        """PortRestrictedFault has no lane semantics at all."""
+        """PortRestrictedFault has a support (its inner fault's), so it
+        is projected; the fallback count reads zero."""
         caps = _caps(4, 1, 2)
         faults = [
             PortRestrictedFault(port=1, fault=StuckAtFault(0, 0, 1)),
@@ -205,11 +230,64 @@ class TestFallbacks:
         ]
         vector = run_fault_sweep([MARCH_C], caps, faults, engine="vector")
         scalar = run_fault_sweep([MARCH_C], caps, faults, engine="scalar")
-        assert vector.fallback_runs == vector.checked == len(faults)
+        assert vector.fallback_runs == 0
+        assert vector.checked == len(faults)
         assert vector.to_json(include_timing=False) == scalar.to_json(
             include_timing=False
         )
-        assert "2 scalar fallback(s)" in vector.format()
+        assert "0 scalar fallback(s)" in vector.format()
+
+    def test_npsf_and_linked_faults_are_projected(self):
+        """NPSF and linked (composite) faults have supports too."""
+        caps = _caps(8, 1, 1)
+        faults = npsf_universe(8, 1)[:12] + linked_cfid_universe(8)[:6]
+        tests = [MARCH_C, library.get("March B")]
+        vector = run_fault_sweep(tests, caps, faults, engine="vector")
+        scalar = run_fault_sweep(tests, caps, faults)
+        assert vector.fallback_runs == 0
+        assert 0 < vector.detected < vector.checked
+        assert _payloads_equal(vector, scalar)
+
+    def test_support_outside_the_memory_falls_back(self):
+        """A support the memory does not have is the full memory's to
+        judge: both engines raise the same error for it."""
+        caps = _caps(4, 1, 1)
+        faults = [StuckAtFault(1, 0, 1), InversionCouplingFault(0, 0, 9, 0, True)]
+        assert _projection(faults[1], caps.n_words) is None
+        with pytest.raises(IndexError) as scalar_error:
+            run_fault_sweep([MARCH_C], caps, faults)
+        with pytest.raises(IndexError) as vector_error:
+            run_fault_sweep([MARCH_C], caps, faults, engine="vector")
+        assert str(vector_error.value) == str(scalar_error.value)
+
+    def test_bit_beyond_the_word_width_matches_scalar(self):
+        """Sram.force_bit does not mask, so a forced bit beyond the word
+        width can still trigger a coupling; the shadow must agree."""
+        caps = _caps(4, 1, 1)
+        fault = CompositeFault([
+            StuckAtFault(1, 3, 1),
+            InversionCouplingFault(1, 3, 0, 0, False),
+        ])
+        tests = [library.get("MATS")]
+        vector = run_fault_sweep(tests, caps, [fault], engine="vector")
+        scalar = run_fault_sweep(tests, caps, [fault])
+        assert vector.fallback_runs == 0
+        assert vector.detected == scalar.detected == 1
+        assert _payloads_equal(vector, scalar)
+
+    def test_failing_fault_free_stream_falls_back_per_test(self):
+        """A stimulus whose fault-free capture already fails reads can
+        not be decided on the support alone: the whole test falls back."""
+        caps = _caps(4, 1, 1)
+        broken = parse_test("^(w0); ^(r1)", name="reads-the-wrong-value")
+        faults = [StuckAtFault(2, 0, 0), StuckAtFault(3, 0, 1)]
+        vector = run_fault_sweep(
+            [broken, MARCH_C], caps, faults, engine="vector"
+        )
+        scalar = run_fault_sweep([broken, MARCH_C], caps, faults)
+        assert vector.fallback_runs == len(faults)
+        assert vector.detected == scalar.detected == 2 + 2
+        assert _payloads_equal(vector, scalar)
 
     def test_remove_raising_mid_batch_propagates_like_scalar(self):
         """A fallback fault whose ``remove()`` raises surfaces the same
@@ -242,21 +320,22 @@ class TestFallbacks:
         assert calls  # the patched capture actually ran
 
     def test_wide_word_geometry_falls_back(self):
-        """Word widths beyond the kernel's 64-bit lanes go scalar."""
+        """Words of any width are projected (no element-size limit)."""
         caps = _caps(2, 128, 1)
         faults = [StuckAtFault(0, 100, 1)]
         vector = run_fault_sweep([library.get("MATS")], caps, faults,
                                  engine="vector")
         scalar = run_fault_sweep([library.get("MATS")], caps, faults,
                                  engine="scalar")
-        assert vector.fallback_runs == 1
+        assert vector.fallback_runs == 0
+        assert vector.detected == 1
         assert vector.to_json(include_timing=False) == scalar.to_json(
             include_timing=False
         )
 
 
 class TestStimulusFamiliesOnTheKernel:
-    """PRT and in-field stimuli run on the lane kernel, not the fallback."""
+    """PRT and in-field stimuli are projected, not sent to the fallback."""
 
     @staticmethod
     def _assert_vectorised(scalar, vector):
@@ -393,3 +472,53 @@ class TestFuzzVectorIdentity:
                               coverage_conformance=False,
                               vector_conformance=False)
         assert not result.vector_checked
+
+
+class TestNumpyFree:
+    """The engine is pure Python: numpy is neither needed nor imported."""
+
+    @staticmethod
+    def _run(script):
+        """Run ``script`` in a fresh interpreter on this checkout's
+        ``repro``; returns its standard output."""
+        source_root = str(pathlib.Path(repro.__file__).parents[1])
+        path = os.pathsep.join(
+            filter(None, [source_root, os.environ.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        ).stdout
+
+    def test_vector_sweep_without_numpy(self):
+        out = self._run("""
+            import sys
+            sys.modules["numpy"] = None  # any numpy import now fails
+            from repro.conformance import run_fault_sweep, sweep_faults
+            from repro.core.controller import ControllerCapabilities
+            from repro.march import library
+
+            caps = ControllerCapabilities(n_words=4, width=2, ports=1)
+            tests = [library.get(name) for name in library.ALGORITHMS]
+            faults = sweep_faults(caps, per_kind=1, seed=0)
+            vector = run_fault_sweep(tests, caps, faults, engine="vector")
+            scalar = run_fault_sweep(tests, caps, faults)
+            assert vector.fallback_runs == 0, vector.fallback_runs
+            assert vector.to_json(include_timing=False) == scalar.to_json(
+                include_timing=False
+            )
+            print("ok", vector.checked)
+        """)
+        assert out.startswith("ok ")
+
+    def test_import_pulls_in_neither_numpy_nor_the_analysis_package(self):
+        out = self._run("""
+            import sys
+            import repro.vector.sweep
+            print(sorted(
+                name for name in sys.modules
+                if name == "numpy" or name.startswith("repro.analysis")
+            ))
+        """)
+        assert out.strip() == "[]"
