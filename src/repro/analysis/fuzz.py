@@ -16,7 +16,11 @@ geometries and, for every sample, checks these identities:
 (d) behavioural equivalence: every architecture that can realise the
     sample (microcode with and without REPEAT compression, progfsm
     inside the SM0–SM7 boundary, hardwired) emits the golden operation
-    stream op-for-op (:func:`repro.conformance.check_conformance`).
+    stream op-for-op (:func:`repro.conformance.check_conformance`), and
+    its program's op summary (:mod:`repro.core.walk`, what the vector
+    sweep trusts instead of simulating) agrees: "equal to golden"
+    exactly when the simulated stream is, never UNKNOWN
+    (:func:`repro.conformance.check.proved_conformant`).
     Failing samples are delta-debugged to a minimal reproducer
     (:func:`repro.conformance.shrink_sample`) that is embedded in the
     report, so a nightly failure is reproducible — and promotable into
@@ -420,7 +424,8 @@ def _check_conformance_identity(
     caps: ControllerCapabilities,
     compress: bool,
 ) -> None:
-    """Identity (d): all realising architectures emit the golden stream.
+    """Identity (d): all realising architectures emit the golden stream,
+    and each one's op-summary verdict agrees with its simulation.
 
     On divergence the sample is delta-debugged immediately (in the
     worker, where the failing input is already in hand) and the minimal
@@ -431,8 +436,24 @@ def _check_conformance_identity(
         conformance_predicate,
         shrink_sample,
     )
+    from repro.conformance.check import proved_conformant
 
     conf = check_conformance(test, caps, compress=compress)
+    for arch in conf.results:
+        if arch.skipped is not None:
+            continue
+        proved = proved_conformant(arch.architecture, test, caps, compress)
+        if proved is None:
+            result.mismatches.append(
+                f"{arch.architecture} op summary UNKNOWN on an "
+                "assembler-produced program"
+            )
+        elif proved != arch.ok:
+            result.mismatches.append(
+                f"{arch.architecture} op summary says "
+                f"{'equal' if proved else 'different'}, simulation says "
+                f"{'equal' if arch.ok else 'different'}"
+            )
     if conf.ok:
         return
     result.mismatches.append(

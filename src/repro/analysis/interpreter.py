@@ -32,43 +32,20 @@ the assembler emits) are reported as UNKNOWN rather than guessed at.
 The collapse is exact because the simulator's trace semantics make each
 sweep cost precisely ``span × N``: the walker already counted the body
 rows once (the first address iteration), so the ``LOOP`` step adds
-``span × (N-1) + 1``.
+``span × (N-1) + 1``.  The walk lives in
+:func:`repro.core.walk.walk_microcode`, which also reads the program's
+op summary off the same steps; this module reports its termination half.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Set, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode.assembler import MicrocodeProgram
 from repro.core.microcode.instruction import MicroInstruction
-from repro.core.microcode.isa import ConditionOp
-from repro.march.backgrounds import background_count
-
-#: Abstract-step safety valve (the state space bounds the walk anyway;
-#: this guards against pathological Z² blowups on huge programs).
-MAX_STEPS = 200_000
-
-
-class Verdict(enum.Enum):
-    """Outcome of the abstract interpretation."""
-
-    TERMINATES = "terminates"   # halts; ``cycles`` is exact
-    DIVERGES = "diverges"       # provably never halts
-    UNKNOWN = "unknown"         # control flow outside the analyzable shape
-
-
-@dataclass(frozen=True)
-class AbstractState:
-    """Collapsed controller state between abstract steps."""
-
-    ic: int
-    branch: int
-    repeat: bool
-    background: int
-    port: int
+from repro.core.walk import MAX_STEPS, Verdict, walk_microcode  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -97,6 +74,14 @@ class Interpretation:
             return False
         return None
 
+    @classmethod
+    def of(cls, walk) -> "Interpretation":
+        """The termination half of a :class:`~repro.core.walk.Walk`."""
+        return cls(
+            walk.verdict, cycles=walk.cycles, reason=walk.reason,
+            location=walk.location, states_visited=walk.states_visited,
+        )
+
 
 def interpret(
     program: Union[MicrocodeProgram, Sequence[MicroInstruction]],
@@ -104,6 +89,9 @@ def interpret(
     storage_rows: Optional[int] = None,
 ) -> Interpretation:
     """Abstractly execute ``program`` against a memory geometry.
+
+    The walk itself is :func:`repro.core.walk.walk_microcode`, which
+    also yields the program's op summary for the vector sweep.
 
     Args:
         program: the microcode program (or raw instruction list).
@@ -126,148 +114,7 @@ def interpret(
     limit = len(instructions)
     if storage_rows is not None:
         limit = min(limit, storage_rows)
-    n_words = capabilities.n_words
-    n_backgrounds = background_count(capabilities.width)
-    n_ports = capabilities.ports
-
-    def fetch(ic: int) -> MicroInstruction:
-        return instructions[ic]
-
-    ic = 0
-    branch = 0
-    repeat = False
-    bg = 0
-    port = 0
-    cycles = 0
-    visited: Set[AbstractState] = set()
-
-    for _ in range(MAX_STEPS):
-        if ic >= limit:
-            return Interpretation(
-                Verdict.TERMINATES, cycles=cycles,
-                reason="instruction addresses exhausted",
-                states_visited=len(visited),
-            )
-        state = AbstractState(ic, branch, repeat, bg, port)
-        if state in visited:
-            return Interpretation(
-                Verdict.DIVERGES,
-                reason=(f"controller state (ic={ic}, branch={branch}, "
-                        f"repeat={int(repeat)}, background={bg}, "
-                        f"port={port}) recurs — the program loops forever"),
-                location=ic,
-                states_visited=len(visited),
-            )
-        visited.add(state)
-        instr = fetch(ic)
-        cond = instr.cond
-
-        if cond is ConditionOp.NOP:
-            cycles += 1
-            ic += 1
-        elif cond is ConditionOp.LOOP:
-            if branch > ic:
-                return Interpretation(
-                    Verdict.UNKNOWN,
-                    reason=(f"LOOP at {ic} reached with branch register "
-                            f"{branch} ahead of it"),
-                    location=ic, states_visited=len(visited),
-                )
-            span = ic - branch + 1
-            body = [fetch(row) for row in range(branch, ic)]
-            if any(row.cond is not ConditionOp.NOP for row in body):
-                return Interpretation(
-                    Verdict.UNKNOWN,
-                    reason=(f"LOOP at {ic} sweeps rows {branch}..{ic - 1} "
-                            "that are not a straight NOP run"),
-                    location=ic, states_visited=len(visited),
-                )
-            if any(row.addr_inc for row in body):
-                return Interpretation(
-                    Verdict.UNKNOWN,
-                    reason=(f"element body before LOOP at {ic} steps the "
-                            "address mid-sweep (ADDR_INC on a non-final "
-                            "row)"),
-                    location=ic, states_visited=len(visited),
-                )
-            advances = instr.is_memory_op and instr.addr_inc
-            if not instr.is_memory_op:
-                return Interpretation(
-                    Verdict.UNKNOWN,
-                    reason=(f"LOOP at {ic} is not a memory operation; the "
-                            "sweep never restarts the address generator"),
-                    location=ic, states_visited=len(visited),
-                )
-            if not advances and n_words > 1:
-                return Interpretation(
-                    Verdict.DIVERGES,
-                    reason=(f"LOOP at {ic} never increments the address "
-                            f"generator, so Last Address never asserts on "
-                            f"a {n_words}-word memory"),
-                    location=ic, states_visited=len(visited),
-                )
-            # Body rows were already counted once (first address); the
-            # remaining (N-1) iterations plus the LOOP row's N executions
-            # add span*(N-1) + 1.
-            cycles += span * (n_words - 1) + 1
-            branch = ic + 1
-            ic += 1
-        elif cond is ConditionOp.SAVE:
-            cycles += 1
-            branch = ic + 1
-            ic += 1
-        elif cond is ConditionOp.HOLD:
-            cycles += 1
-            branch = ic + 1
-            ic += 1
-        elif cond is ConditionOp.REPEAT:
-            cycles += 1
-            if repeat:
-                repeat = False
-                branch = ic + 1
-                ic += 1
-            else:
-                repeat = True
-                ic = 1
-                branch = 1
-        elif cond is ConditionOp.NEXT_BG:
-            cycles += 1
-            if bg >= n_backgrounds - 1:
-                bg = 0          # Last Data: reset and fall through
-                branch = ic + 1
-                ic += 1
-            else:
-                bg += 1
-                ic = 0
-                branch = 0
-        elif cond is ConditionOp.INC_PORT:
-            cycles += 1
-            if port >= n_ports - 1:
-                return Interpretation(
-                    Verdict.TERMINATES, cycles=cycles,
-                    reason="Last Port terminate",
-                    states_visited=len(visited),
-                )
-            port += 1
-            bg = 0
-            ic = 0
-            branch = 0
-        elif cond is ConditionOp.TERMINATE:
-            cycles += 1
-            return Interpretation(
-                Verdict.TERMINATES, cycles=cycles, reason="Terminate",
-                states_visited=len(visited),
-            )
-        else:  # pragma: no cover — the ISA is closed
-            return Interpretation(
-                Verdict.UNKNOWN, reason=f"unhandled condition {cond!r}",
-                location=ic, states_visited=len(visited),
-            )
-    return Interpretation(
-        Verdict.UNKNOWN,
-        reason=f"no verdict within {MAX_STEPS} abstract steps",
-        states_visited=len(visited),
-    )
+    return Interpretation.of(walk_microcode(instructions, capabilities, limit))
 
 
 def cycle_bound(

@@ -43,12 +43,11 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.interpreter import Interpretation, MAX_STEPS, Verdict
+from repro.analysis.interpreter import Interpretation, MAX_STEPS
 from repro.core.controller import ControllerCapabilities
 from repro.core.progfsm.compiler import FsmProgram
 from repro.core.progfsm.instruction import DataControl, FsmInstruction
-from repro.core.progfsm.march_elements import SM_PATTERNS
-from repro.march.backgrounds import background_count
+from repro.core.walk import fsm_element_cycles, walk_fsm
 
 #: The virtual exit node (shared convention with the microcode CFG).
 EXIT = None
@@ -161,10 +160,10 @@ def element_cycles(instr: FsmInstruction, n_words: int) -> int:
 
     One optional hold (pause) cycle, one IDLE step, one RESET step, the
     SM pattern's L operations on each of the N addresses, and one DONE
-    step: ``hold + 3 + N x L``.
+    step: ``hold + 3 + N x L`` — read off the lower FSM's collapsed walk
+    (:func:`repro.core.walk.fsm_element_cycles`).
     """
-    pattern_length = len(SM_PATTERNS[instr.mode])
-    return int(instr.hold) + 3 + n_words * pattern_length
+    return fsm_element_cycles(instr, n_words)
 
 
 def interpret_fsm(
@@ -173,6 +172,9 @@ def interpret_fsm(
     max_steps: int = MAX_STEPS,
 ) -> Interpretation:
     """Abstractly execute an upper-buffer program against a geometry.
+
+    The walk itself is :func:`repro.core.walk.walk_fsm`, which also
+    yields the program's op summary for the vector sweep.
 
     Args:
         program: compiled :class:`FsmProgram` or raw instruction rows.
@@ -187,78 +189,8 @@ def interpret_fsm(
         controller's trace length exactly (the test suite checks this
         identity, and ``repro fuzz`` re-checks it at corpus scale).
     """
-    instructions = _instructions(program)
-    rows = len(instructions)
-    if rows == 0:
-        return Interpretation(
-            Verdict.TERMINATES, cycles=0, reason="empty program"
-        )
-    n_words = capabilities.n_words
-    n_backgrounds = background_count(capabilities.width)
-    n_ports = capabilities.ports
-
-    pointer = 0
-    background = 0
-    port = 0
-    cycles = 0
-    visited: Set[Tuple[int, int, int]] = set()
-
-    for _ in range(max_steps):
-        state = (pointer, background, port)
-        if state in visited:
-            return Interpretation(
-                Verdict.DIVERGES,
-                reason=(f"upper-controller state (row={pointer}, "
-                        f"background={background}, port={port}) recurs — "
-                        "the program loops forever"),
-                location=pointer,
-                states_visited=len(visited),
-            )
-        visited.add(state)
-        instr = instructions[pointer]
-
-        if instr.is_element:
-            cycles += element_cycles(instr, n_words)
-            pointer += 1
-            if pointer >= rows:
-                return Interpretation(
-                    Verdict.TERMINATES, cycles=cycles,
-                    reason="buffer rows exhausted",
-                    states_visited=len(visited),
-                )
-        elif instr.data_ctrl is DataControl.LOOP_BG:
-            if background >= n_backgrounds - 1:
-                # Last Data: reset the generator and advance.  Wrapping
-                # past the program end returns before the trace entry is
-                # emitted, so that final execution costs zero cycles.
-                background = 0
-                pointer += 1
-                if pointer >= rows:
-                    return Interpretation(
-                        Verdict.TERMINATES, cycles=cycles,
-                        reason="Last Data wrap past the program end",
-                        states_visited=len(visited),
-                    )
-                cycles += 1
-            else:
-                background += 1
-                cycles += 1
-                pointer = 0
-        else:  # LOOP_PORT
-            cycles += 1
-            if port >= n_ports - 1:
-                return Interpretation(
-                    Verdict.TERMINATES, cycles=cycles,
-                    reason="Last Port test end",
-                    states_visited=len(visited),
-                )
-            port += 1
-            background = 0
-            pointer = 0
-    return Interpretation(
-        Verdict.UNKNOWN,
-        reason=f"no verdict within {max_steps} abstract steps",
-        states_visited=len(visited),
+    return Interpretation.of(
+        walk_fsm(_instructions(program), capabilities, max_steps=max_steps)
     )
 
 

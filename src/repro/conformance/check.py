@@ -266,6 +266,96 @@ STREAM_BUILDERS = {
 }
 
 
+def _microcode_walk(
+    test: MarchTest, caps: ControllerCapabilities, compress: bool
+):
+    from repro.core.microcode.assembler import assemble
+    from repro.core.microcode.controller import runtime_cycle_bound
+    from repro.core.microcode.instruction import MicroInstruction
+    from repro.core.walk import walk_microcode
+
+    program = assemble(test, caps, compress=compress, verify=False)
+    fetched = [  # the rows the storage unit hands the controller
+        MicroInstruction.decode(row.encode()) for row in program.instructions
+    ]
+    return (
+        walk_microcode(fetched, caps),
+        runtime_cycle_bound(len(program), caps),
+    )
+
+
+def _fsm_walk(test: MarchTest, caps: ControllerCapabilities, compress: bool):
+    from repro.core.progfsm.compiler import compile_to_sm
+    from repro.core.progfsm.controller import runtime_cycle_bound
+    from repro.core.progfsm.instruction import FsmInstruction
+    from repro.core.walk import walk_fsm
+
+    program = compile_to_sm(test, caps, verify=False)
+    fetched = [  # the rows the circular buffer hands the controller
+        FsmInstruction.decode(row.encode()) for row in program.instructions
+    ]
+    return (
+        walk_fsm(fetched, caps, program.pause_duration),
+        runtime_cycle_bound(len(program), caps),
+    )
+
+
+def _hardwired_walk(
+    test: MarchTest, caps: ControllerCapabilities, compress: bool
+):
+    from repro.core.hardwired.controller import runtime_cycle_bound
+    from repro.core.hardwired.synthesis import synthesize
+    from repro.core.walk import walk_hardwired
+
+    graph = synthesize(test, caps)
+    return (
+        walk_hardwired(graph, caps),
+        runtime_cycle_bound(graph.state_count, caps),
+    )
+
+
+#: Per architecture: the stock :data:`STREAM_BUILDERS` entry and the
+#: collapsed walk (:mod:`repro.core.walk`) of the program it would
+#: simulate, ``(test, caps, compress) -> (walk, default cycle bound)``.
+PROGRAM_WALKS = {
+    "microcode": (_microcode_stream, _microcode_walk),
+    "progfsm": (_fsm_stream, _fsm_walk),
+    "hardwired": (_hardwired_stream, _hardwired_walk),
+}
+
+
+def proved_conformant(
+    architecture: str,
+    test: MarchTest,
+    capabilities: ControllerCapabilities,
+    compress: bool = True,
+) -> Optional[bool]:
+    """Whether ``architecture`` emits the golden stream, without running it.
+
+    ``True`` when the architecture's :data:`STREAM_BUILDERS` entry is
+    the stock builder, the collapsed walk of its program terminates
+    within the controller's default cycle bound, the walk's op summary
+    equals :func:`~repro.core.walk.march_summary`, and the datapath
+    enumerates what ``expand`` uses on this geometry
+    (:func:`~repro.core.walk.datapath_enumerates_expand`): the built
+    stream would then equal the golden stream op for op.  ``False``
+    when the summaries differ, ``None`` (UNKNOWN) otherwise; either
+    way only building the stream decides.
+
+    Raises:
+        CompileError: progfsm outside SM0–SM7, as the builder raises.
+    """
+    from repro.core.walk import datapath_enumerates_expand, march_summary
+
+    stock, walk = PROGRAM_WALKS[architecture]
+    if STREAM_BUILDERS[architecture] is not stock:
+        return None
+    walked, bound = walk(test, capabilities, compress)
+    if not datapath_enumerates_expand(capabilities):
+        return None
+    return walked.matches(march_summary(test, capabilities), bound)
+
+
 def check_conformance(
     test: MarchTest,
     capabilities: ControllerCapabilities,

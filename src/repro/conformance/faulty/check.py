@@ -757,7 +757,11 @@ class FaultSweepReport:
     ``resume=True`` completes the missing shards and yields the full
     report.  ``service_stats`` (retries, crashes, quarantines, store
     hit rates) lives under ``timing`` — execution metadata, not
-    verdict.
+    verdict.  So do the vector engine's ``fallback_runs`` and its
+    partner accounting: ``partners_proved`` differential partners were
+    verified from their program's op summary
+    (:mod:`repro.core.walk`), ``partners_simulated`` by building their
+    stream and comparing it with golden.
     """
 
     geometry: Tuple[int, int, int]
@@ -770,6 +774,8 @@ class FaultSweepReport:
     shards: List[Dict[str, Any]] = field(default_factory=list)
     engine: str = "scalar"
     fallback_runs: int = 0
+    partners_proved: int = 0
+    partners_simulated: int = 0
     mode: str = "sequential"
     interrupted: bool = False
     service_stats: Optional[Dict[str, Any]] = None
@@ -828,6 +834,8 @@ class FaultSweepReport:
             merged.failures.extend(report.failures)
             merged.shards.extend(report.shards)
             merged.fallback_runs += report.fallback_runs
+            merged.partners_proved += report.partners_proved
+            merged.partners_simulated += report.partners_simulated
         return merged
 
     def format(self) -> str:
@@ -835,7 +843,9 @@ class FaultSweepReport:
         if self.engine != "scalar":
             engine = (
                 f"  [{self.engine} engine, "
-                f"{self.fallback_runs} scalar fallback(s)]"
+                f"{self.fallback_runs} scalar fallback(s), "
+                f"{self.partners_proved} partner(s) proved, "
+                f"{self.partners_simulated} simulated]"
             )
         regime = _regime_tag(self.mode)
         lines = [
@@ -881,6 +891,8 @@ class FaultSweepReport:
                 "shards": self.shards,
                 "engine": self.engine,
                 "fallback_runs": self.fallback_runs,
+                "partners_proved": self.partners_proved,
+                "partners_simulated": self.partners_simulated,
             }
             if self.service_stats is not None:
                 payload["timing"]["service"] = self.service_stats
@@ -906,6 +918,8 @@ class FaultSweepReport:
             shards=list(timing.get("shards", [])),
             engine=timing.get("engine", "scalar"),
             fallback_runs=timing.get("fallback_runs", 0),
+            partners_proved=timing.get("partners_proved", 0),
+            partners_simulated=timing.get("partners_simulated", 0),
             mode=payload.get("mode", "sequential"),
             interrupted=bool(payload.get("interrupted", False)),
         )

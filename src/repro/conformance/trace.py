@@ -130,6 +130,26 @@ class AttributedCycle:
         return normalize_cycle(self.cycle)
 
 
+def _pass_owners(test: MarchTest, n_words: int, prefix: str = "") -> List[str]:
+    """Owners of one (port, background) pass, in ``expand`` order.
+
+    Each item's owner strings are formatted once and repeated per
+    address: ``item I <item>`` for a pause, ``item I <item> op K`` for
+    an element's K-th operation.
+    """
+    owners: List[str] = []
+    for item_index, item in enumerate(test.items):
+        head = f"{prefix}item {item_index} {item}"
+        if isinstance(item, Pause):
+            owners.append(head)
+        else:
+            owners.extend(
+                [f"{head} op {op_index}" for op_index in range(item.op_count)]
+                * n_words
+            )
+    return owners
+
+
 def concurrent_trace(
     test: MarchTest, capabilities: ControllerCapabilities
 ) -> List[AttributedCycle]:
@@ -150,17 +170,8 @@ def concurrent_trace(
     owners: List[str] = []
     backgrounds = len(data_backgrounds(caps.width))
     for rotation in range(caps.ports):
-        for _background in range(backgrounds):
-            for item_index, item in enumerate(test.items):
-                if isinstance(item, Pause):
-                    owners.append(f"rotation {rotation} item {item_index} {item}")
-                    continue
-                for _address in range(caps.n_words):
-                    for op_index in range(item.op_count):
-                        owners.append(
-                            f"rotation {rotation} item {item_index} {item} "
-                            f"op {op_index}"
-                        )
+        rotation_pass = _pass_owners(test, caps.n_words, f"rotation {rotation} ")
+        owners.extend(rotation_pass * backgrounds)
     if len(owners) != len(cycles):  # pragma: no cover - structural invariant
         raise AssertionError(
             f"concurrent attribution out of sync: {len(owners)} owners for "
@@ -182,19 +193,8 @@ def golden_trace(
     """
     caps = capabilities
     ops = list(expand(test, caps.n_words, width=caps.width, ports=caps.ports))
-    owners: List[str] = []
-    backgrounds = len(data_backgrounds(caps.width))
-    for _port in range(caps.ports):
-        for _background in range(backgrounds):
-            for item_index, item in enumerate(test.items):
-                if isinstance(item, Pause):
-                    owners.append(f"item {item_index} {item}")
-                    continue
-                for _address in range(caps.n_words):
-                    for op_index in range(item.op_count):
-                        owners.append(
-                            f"item {item_index} {item} op {op_index}"
-                        )
+    passes = caps.ports * len(data_backgrounds(caps.width))
+    owners = _pass_owners(test, caps.n_words) * passes
     if len(owners) != len(ops):  # pragma: no cover - structural invariant
         raise AssertionError(
             f"golden attribution out of sync: {len(owners)} owners for "

@@ -27,9 +27,17 @@ from repro.core.datapath import (
     shared_datapath_hardware,
 )
 from repro.core.hardwired.synthesis import FsmState, StateGraph, step_signals, synthesize
+from repro.march.backgrounds import background_count
 from repro.march.element import AddressOrder, OpKind
 from repro.march.simulator import MemoryOperation
 from repro.march.test import MarchTest
+
+
+def runtime_cycle_bound(states: int, capabilities: ControllerCapabilities) -> int:
+    """Default ``max_cycles`` of a controller with ``states`` FSM states."""
+    backgrounds = background_count(capabilities.width)
+    per_pass = states * max(1, capabilities.n_words)
+    return 1000 + 20 * per_pass * backgrounds * capabilities.ports
 
 
 @dataclass(frozen=True)
@@ -73,10 +81,7 @@ class HardwiredBistController(BistController):
     # -- execution ------------------------------------------------------------
 
     def _cycle_bound(self) -> int:
-        caps = self.capabilities
-        backgrounds = len(DataGenerator(caps.width).backgrounds)
-        per_pass = self.graph.state_count * max(1, caps.n_words)
-        return 1000 + 20 * per_pass * backgrounds * caps.ports
+        return runtime_cycle_bound(self.graph.state_count, self.capabilities)
 
     def trace(self) -> Iterator[HardwiredTraceEntry]:
         caps = self.capabilities

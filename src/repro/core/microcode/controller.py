@@ -48,6 +48,7 @@ from repro.core.microcode.assembler import MicrocodeProgram, assemble
 from repro.core.microcode.instruction import MicroInstruction
 from repro.core.microcode.isa import PAUSE_TIMER_BITS, ConditionOp
 from repro.core.microcode.storage import DEFAULT_ROWS, StorageUnit
+from repro.march.backgrounds import background_count
 from repro.march.element import AddressOrder
 from repro.march.simulator import MemoryOperation
 from repro.march.test import MarchTest
@@ -170,6 +171,13 @@ def decoder_truth_table() -> TruthTable:
     return TruthTable(8, outputs)
 
 
+def runtime_cycle_bound(rows: int, capabilities: ControllerCapabilities) -> int:
+    """Default ``max_cycles`` of a controller running a ``rows``-row program."""
+    backgrounds = background_count(capabilities.width)
+    per_pass = max(1, rows) * max(1, capabilities.n_words)
+    return 1000 + 20 * per_pass * backgrounds * capabilities.ports
+
+
 @dataclass(frozen=True)
 class TraceEntry:
     """One executed microcode cycle, for architecture-level inspection."""
@@ -277,10 +285,7 @@ class MicrocodeBistController(BistController):
     # -- execution -----------------------------------------------------------
 
     def _cycle_bound(self) -> int:
-        caps = self.capabilities
-        backgrounds = len(self._data.backgrounds)
-        per_pass = max(1, len(self.program)) * max(1, caps.n_words)
-        return 1000 + 20 * per_pass * backgrounds * caps.ports
+        return runtime_cycle_bound(len(self.program), self.capabilities)
 
     def trace(self) -> Iterator[TraceEntry]:
         """Cycle-by-cycle execution trace (used by the Fig. 1/2 bench)."""

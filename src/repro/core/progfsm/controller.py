@@ -39,9 +39,17 @@ from repro.core.progfsm.lower_fsm import (
     lower_fsm_truth_table,
 )
 from repro.core.progfsm.upper_buffer import DEFAULT_ROWS, CircularBuffer
+from repro.march.backgrounds import background_count
 from repro.march.element import AddressOrder
 from repro.march.simulator import MemoryOperation
 from repro.march.test import MarchTest
+
+
+def runtime_cycle_bound(rows: int, capabilities: ControllerCapabilities) -> int:
+    """Default ``max_cycles`` of a controller running a ``rows``-row program."""
+    backgrounds = background_count(capabilities.width)
+    per_pass = max(1, rows) * max(1, capabilities.n_words) * 6
+    return 1000 + 20 * per_pass * backgrounds * capabilities.ports
 
 
 @dataclass(frozen=True)
@@ -136,10 +144,7 @@ class ProgrammableFsmBistController(BistController):
     # -- execution ---------------------------------------------------------
 
     def _cycle_bound(self) -> int:
-        caps = self.capabilities
-        backgrounds = len(DataGenerator(caps.width).backgrounds)
-        per_pass = max(1, len(self.program)) * max(1, caps.n_words) * 6
-        return 1000 + 20 * per_pass * backgrounds * caps.ports
+        return runtime_cycle_bound(len(self.program), self.capabilities)
 
     def trace(self) -> Iterator[FsmTraceEntry]:
         """Cycle-by-cycle trace of upper-buffer rows and lower-FSM states."""

@@ -6,14 +6,24 @@ every (stimulus, fault) pair.  This module reaches the same report with
 two structural savings:
 
 * **per stimulus**: the test is resolved to its
-  :class:`~repro.conformance.faulty.check.Stimulus` and every partner's
-  stream (the three architectures of a march test, the FSM controller
-  and replay of a PRT session, the replay of an in-field session) is
-  built once and verified op-for-op equal to the golden stream.
-  Response capture is a deterministic function of the normalised ops
-  alone, so identical streams give identical captures for *every*
-  fault — the per-partner sessions per fault disappear entirely, and
-  the pair's payload needs only one detected / not-detected verdict;
+  :class:`~repro.conformance.faulty.check.Stimulus` and every partner
+  is verified equal to the golden stream once.  A controller partner
+  (microcode, progfsm, hardwired) with its stock stream builder is
+  *proved*: the collapsed walk of its program
+  (:mod:`repro.core.walk`) gives an N-free op summary, and a summary
+  equal to the one read off the march notation — on a geometry whose
+  datapath enumerates what ``expand`` uses — means the stream is the
+  golden stream op for op, without cycle-stepping the controller
+  (:func:`~repro.conformance.check.proved_conformant`).  Every other
+  partner — an UNKNOWN or different summary, a replaced builder, the
+  FSM controller and replay of a PRT session, the replay of an
+  in-field session — is *simulated*: its stream is built once and
+  compared op for op.  The report counts both (``partners_proved``,
+  ``partners_simulated``, under ``timing``).  Response capture is a
+  deterministic function of the normalised ops alone, so identical
+  streams give identical captures for *every* fault — the per-partner
+  sessions per fault disappear entirely, and the pair's payload needs
+  only one detected / not-detected verdict;
 * **per fault**: the verdict is a *support projection* of the golden
   capture.  The golden stream is indexed once by address, pauses kept
   apart; a fault's replay is only the ops on its support addresses
@@ -42,21 +52,23 @@ is counted in the report's ``fallback_runs``:
   replaced partner capture path (the seeded-defect harness swaps
   :data:`RESPONSE_CAPTURES` entries; capture identity is the
   precondition the per-test saving rests on), a golden stream that is
-  not realisable or overruns the op budget, a partner stream that
-  failed to build with a non-skip error or diverged from the golden
-  stream, or a golden stream whose fault-free capture on a plain
+  not realisable or overruns the op budget, a simulated partner
+  stream that failed to build with a non-skip error or diverged from
+  the golden stream, or a golden stream whose fault-free capture on a plain
   :class:`~repro.memory.sram.Sram` raised (a port or address out of
   range) or recorded a fail event.
 
 The fallback runs the scalar engine's own per-pair check on the test's
-already-resolved stimulus (whose streams were built once, during
-planning), so its results — including failure records and raised
-errors — are the scalar engine's own, byte for byte.
+already-resolved stimulus (whose simulated streams were built once,
+during planning; proved ones are built there on first use), so its
+results — including failure records and raised errors — are the scalar
+engine's own, byte for byte.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -71,8 +83,10 @@ from repro.conformance.faulty.check import (
     check_fault_conformance,  # noqa: F401  (perfbench/layers.py patches it)
     resolve_stimulus,
 )
+from repro.conformance.check import PROGRAM_WALKS, proved_conformant
 from repro.conformance.trace import AttributedOp
 from repro.core.controller import ControllerCapabilities
+from repro.core.progfsm.compiler import CompileError
 from repro.faults.base import CellFault
 from repro.faults.support import support_of
 from repro.march.simulator import MemoryOperation
@@ -87,48 +101,81 @@ lane_spec = compile_stream = evaluate_lanes = None
 Projection = Tuple[Tuple[int, ...], Tuple]
 
 
+@dataclass
+class _Plan:
+    """A test's plan: the verified golden stream (``None`` sends the
+    whole test to the scalar engine), its skipped partners, and how the
+    rest were verified."""
+
+    stream: Optional[Sequence[AttributedOp]] = None
+    skipped: int = 0
+    proved: int = 0
+    simulated: int = 0
+
+
 def _plan_test(
     stimulus: Stimulus,
+    test: MarchTest,
     caps: ControllerCapabilities,
     max_ops: Optional[int],
-) -> Optional[Tuple[Sequence[AttributedOp], int]]:
+) -> _Plan:
     """Verify every partner against the golden stream, and golden itself.
 
-    Returns ``(golden_stream, skipped_partners)`` when every partner
-    either is not realisable (a skip) or emits a stream op-for-op equal
-    to the golden stream within the op budget, through the shared
-    capture path, and the golden stream's fault-free capture is clean;
-    ``None`` sends the whole test to the scalar engine.
+    The plan carries the golden stream when every partner either is not
+    realisable (a skip) or emits a stream op-for-op equal to the golden
+    stream within the op budget, through the shared capture path, and
+    the golden stream's fault-free capture is clean.  A controller
+    partner whose op summary proves it golden
+    (:func:`~repro.conformance.check.proved_conformant`) is verified
+    without building its stream; every other partner — UNKNOWN, a
+    different summary, a replaced builder, a PRT or replay partner — is
+    built and compared.
     """
+    plan = _Plan()
     if stimulus.cycle or any(
         partner.capture is not faulty_events.capture_response
         for partner in stimulus.partners
     ):
-        return None
+        return plan
     golden_stream = stimulus.golden().stream
     if golden_stream is None:
-        return None
+        return plan
     if len(golden_stream) > _op_budget(golden_stream, max_ops):
-        return None  # scalar reproduces the budget trip exactly
-    keys = [entry.key for entry in golden_stream]
-    skipped = 0
+        return plan  # scalar reproduces the budget trip exactly
+    keys = None
     for partner in stimulus.partners:
+        if partner.name in PROGRAM_WALKS:
+            try:
+                proved = proved_conformant(
+                    partner.name, test, caps, stimulus.compress
+                )
+            except CompileError:
+                plan.skipped += 1  # the builder skips it the same way
+                continue
+            except Exception:
+                proved = None  # the builder meets the same error and records it
+            if proved:
+                plan.proved += 1
+                continue
         built = partner.build()
         if built.status == "skipped":
-            skipped += 1
+            plan.skipped += 1
             continue
+        plan.simulated += 1
         if built.stream is None:
-            return None  # error statuses produce per-fault failure records
+            return plan  # error statuses produce per-fault failure records
+        if keys is None:
+            keys = [entry.key for entry in golden_stream]
         if [entry.key for entry in built.stream] != keys:
-            return None
+            return plan
     try:
         memory = Sram(caps.n_words, width=caps.width, ports=caps.ports)
         free = faulty_events.capture_response(golden_stream, memory)
     except Exception:
-        return None  # scalar reproduces the error
-    if free.events:
-        return None
-    return golden_stream, skipped
+        return plan  # scalar reproduces the error
+    if not free.events:
+        plan.stream = golden_stream
+    return plan
 
 
 class _GoldenIndex:
@@ -195,16 +242,16 @@ def _verdicts(
     projections: Sequence[Optional[Projection]],
     max_ops: Optional[int],
     mode: str,
-) -> Tuple[List[Optional[bool]], int]:
-    """Projected detection verdict per fault, and the skipped partners.
+) -> Tuple[List[Optional[bool]], _Plan]:
+    """Projected detection verdict per fault, and the test's plan.
 
     A ``None`` verdict sends that fault to the scalar fallback; every
     verdict is ``None`` when the test fails its plan.
     """
-    plan = _plan_test(stimulus, caps, max_ops)
-    if plan is None:
-        return [None] * len(faults), 0
-    golden = _GoldenIndex(plan[0], caps)
+    plan = _plan_test(stimulus, test, caps, max_ops)
+    if plan.stream is None:
+        return [None] * len(faults), plan
+    golden = _GoldenIndex(plan.stream, caps)
     # One replay per stratum is sound only where the golden stream is
     # expand(test): every element visits the support in rank order.
     strata: Optional[Dict[Tuple, bool]] = (
@@ -226,7 +273,7 @@ def _verdicts(
                     if strata is not None:
                         strata[key] = detected
         verdicts.append(detected)
-    return verdicts, plan[1]
+    return verdicts, plan
 
 
 def _sweep_test_into(
@@ -241,9 +288,11 @@ def _sweep_test_into(
 ) -> None:
     """Sweep one test over the fault population, fault order preserved."""
     stimulus = resolve_stimulus(test, caps, mode, compress=compress)
-    verdicts, skipped = _verdicts(
+    verdicts, plan = _verdicts(
         stimulus, test, caps, faults, projections, max_ops, mode
     )
+    report.partners_proved += plan.proved
+    report.partners_simulated += plan.simulated
     for fault, detected in zip(faults, verdicts):
         if detected is None:
             report.add(_check_pair(stimulus, test, caps, fault, max_ops))
@@ -251,7 +300,7 @@ def _sweep_test_into(
         else:
             report.checked += 1
             report.detected += detected
-            report.skipped_runs += skipped
+            report.skipped_runs += plan.skipped
 
 
 def _vector_shard(

@@ -444,6 +444,52 @@ class TestStimulusFamiliesOnTheKernel:
         assert len(scalar.failures) == len(faults)
 
 
+class TestPartnerAccounting:
+    """``partners_proved`` / ``partners_simulated``: how the planner
+    verified the differential partners, outside the compared payload."""
+
+    def test_library_partners_are_proved_not_simulated(self):
+        caps = _caps(64, 2, 1)
+        faults = sweep_faults(caps, per_kind=1)
+        vector = run_fault_sweep(LIBRARY, caps, faults, engine="vector")
+        assert vector.partners_simulated == 0
+        # 17 tests x 3 architectures, less the 4 outside SM0-SM7.
+        assert vector.partners_proved == 3 * len(LIBRARY) - 4
+        assert "0 simulated" in vector.format()
+        timing = vector.to_json()["timing"]
+        assert timing["partners_proved"] == vector.partners_proved
+        assert "partners_proved" not in vector.to_json(include_timing=False)
+        assert FaultSweepReport.from_json(vector.to_json()).partners_proved == (
+            vector.partners_proved
+        )
+
+    def test_counters_merge_across_shards(self):
+        caps = _caps(4, 1, 1)
+        faults = sweep_faults(caps, per_kind=1)
+        tests = LIBRARY[:5] + [PRT_RING_UP]
+        serial = run_fault_sweep(tests, caps, faults, engine="vector")
+        sharded = run_fault_sweep(tests, caps, faults, engine="vector", jobs=2)
+        assert (sharded.partners_proved, sharded.partners_simulated) == (
+            serial.partners_proved, serial.partners_simulated
+        )
+        # The PRT session's controller and replay partners are simulated.
+        assert serial.partners_simulated == 2
+
+    def test_replaced_builder_is_simulated(self, monkeypatch):
+        caps = _caps(4, 1, 1)
+        builders = dict(faulty_check.STREAM_BUILDERS)
+        monkeypatch.setitem(
+            faulty_check.STREAM_BUILDERS, "hardwired",
+            lambda test, caps, compress: builders["hardwired"](
+                test, caps, compress
+            ),
+        )
+        faults = [StuckAtFault(0, 0, 1)]
+        vector = run_fault_sweep([MARCH_C], caps, faults, engine="vector")
+        assert (vector.partners_proved, vector.partners_simulated) == (2, 1)
+        assert vector.fallback_runs == 0
+
+
 class TestSramBitImage:
     def test_bit_image_matches_snapshot(self):
         memory = Sram(3, width=4)
