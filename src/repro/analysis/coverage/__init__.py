@@ -8,9 +8,9 @@ Public surface:
 - :class:`CoverageCertificate` / :class:`FaultVerdict` — the certificate
   datatypes, with ``covered`` / ``not-covered`` / ``unknown`` verdicts.
 - :func:`support_of` — per-fault address support and stratum signature
-  (defined in :mod:`repro.faults.support`; the sparse
-  :class:`ShadowMemory` the projections run on lives in
-  :mod:`repro.memory.shadow`).
+  (defined in :mod:`repro.faults.support`; the projected replay loop
+  lives in :mod:`repro.march.projection`, the sparse
+  :class:`ShadowMemory` it runs on in :mod:`repro.memory.shadow`).
 """
 
 from repro.analysis.coverage.certificate import (

@@ -10,7 +10,9 @@ detects each fault of a universe — without ever simulating the full
     the fault's own addresses, and idle time only advances at explicit
     pauses — so the faulty run restricted to the support is *bit-exact*
     regardless of memory size.
-2.  The projected run executes the real fault object against a sparse
+2.  The projected run (:class:`repro.march.projection.MarchProjection`,
+    the replay loop the projected sweep engine shares) executes the
+    real fault object against a sparse
     :class:`~repro.memory.shadow.ShadowMemory`, visiting only
     support addresses in each element's traversal order.  A failing read
     there is a failing read of the full run; no failing read there (for
@@ -34,7 +36,7 @@ any projection failure, yield ``unknown`` — never a guessed ``covered``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.coverage.certificate import (
     COVERED,
@@ -47,118 +49,11 @@ from repro.faults.base import CellFault
 from repro.faults.spec import format_fault
 from repro.faults.support import support_of
 from repro.faults.universe import FaultUniverse, standard_universe
-from repro.march.backgrounds import apply_polarity, data_backgrounds
-from repro.march.element import AddressOrder, MarchElement, Pause
+from repro.march.projection import MarchProjection, SymbolicFailure
 from repro.march.test import MarchTest
-from repro.memory.shadow import ShadowMemory
 
-#: Symbolic failure location inside one projected run:
-#: (port, background index, item index, support slot, op index).
-_SymbolicFailure = Tuple[int, int, int, int, int]
-
-
-def _fault_free_failures(
-    test: MarchTest, patterns: Sequence[int], width: int, ports: int
-) -> List[Tuple[int, int, int, int]]:
-    """(port, bg_idx, item_idx, op_idx) of reads failing without any fault.
-
-    In a fault-free memory every address receives the identical operation
-    sequence, so a single symbolic cell (power-on value 0, carried across
-    backgrounds and ports exactly like the real array state) traces all
-    of them at once.
-    """
-    failures: List[Tuple[int, int, int, int]] = []
-    value = 0
-    for port in range(ports):
-        for bg_idx, background in enumerate(patterns):
-            for item_idx, item in enumerate(test.items):
-                if isinstance(item, Pause):
-                    continue
-                for op_idx, op in enumerate(item.ops):
-                    word = apply_polarity(background, op.polarity, width)
-                    if op.is_write:
-                        value = word
-                    elif word != value:
-                        failures.append((port, bg_idx, item_idx, op_idx))
-    return failures
-
-
-class _Projection:
-    """One test + geometry, prepared for per-stratum symbolic runs."""
-
-    def __init__(
-        self, test: MarchTest, n_words: int, width: int, ports: int
-    ) -> None:
-        self.test = test
-        self.n_words = n_words
-        self.width = width
-        self.ports = ports
-        self.patterns = list(data_backgrounds(width))
-        # Golden-stream offset of each item within one (port, background)
-        # pass; mirrors the expand() loop structure analytically.
-        self.item_offsets: List[int] = []
-        offset = 0
-        for item in test.items:
-            self.item_offsets.append(offset)
-            offset += 1 if isinstance(item, Pause) else len(item.ops) * n_words
-        self.per_pass = offset
-        self.free_failures = _fault_free_failures(
-            test, self.patterns, width, ports
-        )
-
-    def run(self, fault: CellFault, addresses: Sequence[int]):
-        """Execute the projected faulty run over the support addresses.
-
-        Returns the first symbolic failure, or None when every projected
-        read matches.  The fault object's dynamic state is reset around
-        the run so shared universe instances stay reusable.
-        """
-        shadow = ShadowMemory(self.n_words, width=self.width, ports=self.ports)
-        fault.reset()
-        shadow.attach(fault)
-        try:
-            for port in range(self.ports):
-                for bg_idx, background in enumerate(self.patterns):
-                    for item_idx, item in enumerate(self.test.items):
-                        if isinstance(item, Pause):
-                            shadow.elapse(item.duration)
-                            continue
-                        up = item.order.resolve() is AddressOrder.UP
-                        sweep = addresses if up else tuple(reversed(addresses))
-                        for address in sweep:
-                            for op_idx, op in enumerate(item.ops):
-                                word = apply_polarity(
-                                    background, op.polarity, self.width
-                                )
-                                if op.is_write:
-                                    shadow.write(port, address, word)
-                                    continue
-                                if shadow.read(port, address) != word:
-                                    slot = addresses.index(address)
-                                    return (
-                                        port, bg_idx, item_idx, slot, op_idx
-                                    )
-        finally:
-            shadow.detach_all()
-            fault.reset()
-        return None
-
-    def witness_index(
-        self, port: int, bg_idx: int, item_idx: int, address: int, op_idx: int
-    ) -> int:
-        """Golden-expansion index of one (pass, item, address, op) read."""
-        item = self.test.items[item_idx]
-        assert isinstance(item, MarchElement)
-        if item.order.resolve() is AddressOrder.UP:
-            position = address
-        else:
-            position = self.n_words - 1 - address
-        return (
-            (port * len(self.patterns) + bg_idx) * self.per_pass
-            + self.item_offsets[item_idx]
-            + position * len(item.ops)
-            + op_idx
-        )
+#: perfbench/layers.py times projected runs at ``prover._Projection.run``.
+_Projection = MarchProjection
 
 
 def certify(
@@ -196,7 +91,7 @@ def certify(
     else:
         population = list(faults)
 
-    projection = _Projection(test, n_words, width, ports)
+    projection = MarchProjection(test, n_words, width, ports)
     inconsistent = bool(projection.free_failures)
     all_addresses = frozenset(range(n_words))
 
@@ -209,7 +104,7 @@ def certify(
         fault_free_consistent=not inconsistent,
     )
     # stratum key -> (verdict, symbolic failure or None)
-    cache: Dict[tuple, Tuple[str, Optional[_SymbolicFailure]]] = {}
+    cache: Dict[tuple, Tuple[str, Optional[SymbolicFailure]]] = {}
 
     for index, fault in enumerate(population):
         support = support_of(fault)

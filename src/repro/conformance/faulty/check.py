@@ -427,8 +427,11 @@ class Stimulus:
             with (reported in results).
         cycle: golden stream is a same-cycle multi-port cycle stream
             (captured with :func:`capture_cycle_response`).
-        diagnose: whether the diagnosis layer applies (the classifier's
-            op-index model is the sequential march golden stream).
+        march: a sequential march stimulus — the golden stream is
+            :func:`~repro.march.simulator.expand` of the notation, so
+            the diagnosis layer applies (the classifier's op-index model
+            is that stream) and the projected sweep decides verdicts
+            from the notation without building the stream.
     """
 
     name: str
@@ -438,7 +441,7 @@ class Stimulus:
     partners: Tuple[Partner, ...]
     compress: bool = True
     cycle: bool = False
-    diagnose: bool = False
+    march: bool = False
 
 
 def resolve_stimulus(
@@ -532,7 +535,7 @@ def resolve_stimulus(
         return Stimulus(
             test.name, notation, mode,
             _once(lambda: GOLDEN_CACHE.get(test, caps), partner=False),
-            partners, compress, diagnose=True,
+            partners, compress, march=True,
         )
     if mode == "concurrent":
         def cycle_stream():
@@ -562,11 +565,12 @@ def resolve_stimulus(
     )
 
 
-def _op_budget(stream: Sequence[Any], max_ops: Optional[int]) -> int:
-    """The per-run op budget: ``max_ops``, or the default multiple."""
+def _op_budget(length: int, max_ops: Optional[int]) -> int:
+    """The per-run op budget for a golden stream of ``length`` ops:
+    ``max_ops``, or the default multiple."""
     if max_ops is not None:
         return max_ops
-    return DEFAULT_BUDGET_FACTOR * max(len(stream), 1)
+    return DEFAULT_BUDGET_FACTOR * max(length, 1)
 
 
 def check_fault_conformance(
@@ -650,7 +654,7 @@ def _check_pair(
         ]
         return result
     golden_stream = golden_built.stream
-    budget = _op_budget(golden_stream, max_ops)
+    budget = _op_budget(len(golden_stream), max_ops)
     capture_golden = (
         capture_cycle_response if stimulus.cycle else capture_response
     )
@@ -662,7 +666,7 @@ def _check_pair(
     result.golden_events = len(golden.events)
     golden_cells = golden.log(stimulus.name).failing_cells()
     golden_diagnosis = (
-        _diagnose(golden, test, caps) if stimulus.diagnose else []
+        _diagnose(golden, test, caps) if stimulus.march else []
     )
 
     for partner in stimulus.partners:
@@ -691,7 +695,7 @@ def _check_pair(
         response.ops_applied = capture.ops_applied
         response.event_count = len(capture.events)
         response.failing_cells = capture.log(stimulus.name).failing_cells()
-        if stimulus.diagnose:
+        if stimulus.march:
             response.diagnosis = _diagnose(capture, test, caps)
 
         divergence = first_fail_divergence(

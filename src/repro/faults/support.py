@@ -26,7 +26,7 @@ mechanism depends on them).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.faults.address_decoder import (
     AddressMapsNowhere,
@@ -53,134 +53,133 @@ from repro.faults.stuck_at import StuckAtFault
 from repro.faults.stuck_open import StuckOpenFault
 from repro.faults.transition import TransitionFault
 
-#: Marker wrapping a word coordinate inside a raw signature; the
-#: relativisation pass replaces it by the word's rank in the support.
+#: Marker tagging a word coordinate inside a signature: ``(_W, rank)``,
+#: the word's rank in the support.
 _W = "w"
 
 
-def _word(word: int) -> Tuple[str, int]:
-    return (_W, word)
+def _cell_words(fault) -> Tuple[int, ...]:
+    return (fault.word,)
 
 
-def _raw_signature(fault: CellFault) -> Optional[Tuple[Set[int], Tuple]]:
-    """(support words, signature with ``(_W, word)`` markers) or None.
+def _coupling_words(fault) -> Tuple[int, ...]:
+    return (fault.aggressor_word, fault.victim_word)
 
-    Dispatch is on the *exact* type: subclasses may override hooks with
-    semantics the projection cannot see, so they are unknown.
-    """
-    t = type(fault)
-    if t is StuckAtFault:
-        return {fault.word}, ("SAF", _word(fault.word), fault.bit, fault.value)
-    if t is TransitionFault:
-        return {fault.word}, ("TF", _word(fault.word), fault.bit, fault.rising)
-    if t is StuckOpenFault:
-        return (
-            {fault.word},
-            ("SOF", _word(fault.word), fault.bit, fault.weak_value,
-             fault.disturb_threshold),
-        )
-    if t is DataRetentionFault:
-        return (
-            {fault.word},
-            ("DRF", _word(fault.word), fault.bit, fault.from_value,
-             fault.decay_time),
-        )
-    if t is IncorrectReadFault:
-        return {fault.word}, ("IRF", _word(fault.word), fault.bit, fault.state)
-    if t is ReadDestructiveFault:
-        return {fault.word}, ("RDF", _word(fault.word), fault.bit, fault.state)
-    if t is DeceptiveReadDestructiveFault:
-        return {fault.word}, ("DRDF", _word(fault.word), fault.bit, fault.state)
-    if t is InversionCouplingFault:
-        return (
-            {fault.aggressor_word, fault.victim_word},
-            ("CFin", _word(fault.aggressor_word), fault.aggressor_bit,
-             _word(fault.victim_word), fault.victim_bit, fault.rising),
-        )
-    if t is IdempotentCouplingFault:
-        return (
-            {fault.aggressor_word, fault.victim_word},
-            ("CFid", _word(fault.aggressor_word), fault.aggressor_bit,
-             _word(fault.victim_word), fault.victim_bit, fault.rising,
-             fault.forced_value),
-        )
-    if t is StateCouplingFault:
-        return (
-            {fault.aggressor_word, fault.victim_word},
-            ("CFst", _word(fault.aggressor_word), fault.aggressor_bit,
-             _word(fault.victim_word), fault.victim_bit,
-             fault.aggressor_state, fault.forced_value),
-        )
-    if t is AddressMapsNowhere:
-        return {fault.address}, ("AF1", _word(fault.address))
-    if t is AddressMapsToWrongCell:
-        return (
-            {fault.address, fault.wrong_word},
-            ("AF2", _word(fault.address), _word(fault.wrong_word)),
-        )
-    if t is TwoAddressesOneCell:
-        return (
-            {fault.address, fault.other_address},
-            ("AF3", _word(fault.address), _word(fault.other_address)),
-        )
-    if t is AddressMapsToMultiple:
-        return (
-            {fault.address, fault.extra_word},
-            ("AF4", _word(fault.address), _word(fault.extra_word)),
-        )
-    if t is PassiveNpsf:
-        base_word, base_bit = fault.base
-        words = {base_word} | {word for word, _ in fault.neighbour_cells}
-        return (
-            words,
-            ("PNPSF", _word(base_word), base_bit,
-             tuple((_word(w), b) for w, b in fault.neighbour_cells),
-             fault.pattern),
-        )
-    if t is ActiveNpsf:
-        base_word, base_bit = fault.base
-        trig_word, trig_bit = fault.trigger
-        words = {base_word, trig_word} | {word for word, _ in fault.others}
-        return (
-            words,
-            ("ANPSF", _word(base_word), base_bit, _word(trig_word), trig_bit,
-             fault.rising,
-             tuple((_word(w), b) for w, b in fault.others),
-             fault.pattern),
-        )
-    if t is PortStuckOpenAccess:
-        return (
-            {fault.word},
-            ("PAF", fault.port, _word(fault.word), fault.bit,
-             fault.open_value),
-        )
-    if t is PortRestrictedFault:
-        inner = _raw_signature(fault.fault)
-        if inner is None:
+
+def _pnpsf_words(fault) -> Tuple[int, ...]:
+    return (fault.base[0],) + tuple(word for word, _ in fault.neighbour_cells)
+
+
+def _anpsf_words(fault) -> Tuple[int, ...]:
+    return (fault.base[0], fault.trigger[0]) + tuple(
+        word for word, _ in fault.others
+    )
+
+
+def _port_words(fault) -> Optional[Tuple[int, ...]]:
+    return _words(fault.fault)
+
+
+def _linked_words(fault) -> Optional[Tuple[int, ...]]:
+    words: Tuple[int, ...] = ()
+    for member in fault.faults:
+        member_words = _words(member)
+        if member_words is None:
             return None
-        words, sig = inner
-        return words, ("PORT", fault.port, sig)
-    if t is CompositeFault:
-        words: Set[int] = set()
-        sigs = []
-        for member in fault.faults:
-            inner = _raw_signature(member)
-            if inner is None:
-                return None
-            member_words, sig = inner
-            words |= member_words
-            sigs.append(sig)
-        return words, ("LINKED", fault.kind, tuple(sigs))
-    return None
+        words += member_words
+    return words
 
 
-def _relativise(node: Any, rank: dict) -> Any:
-    """Replace every ``(_W, word)`` marker by ``(_W, rank[word])``."""
-    if isinstance(node, tuple):
-        if len(node) == 2 and node[0] is _W:
-            return (_W, rank[node[1]])
-        return tuple(_relativise(child, rank) for child in node)
-    return node
+def _cells(cells, support: Tuple[int, ...]) -> Tuple:
+    return tuple(((_W, support.index(word)), bit) for word, bit in cells)
+
+
+def _pnpsf_signature(fault, a: Tuple[int, ...]) -> Tuple:
+    base_word, base_bit = fault.base
+    return (
+        "PNPSF", (_W, a.index(base_word)), base_bit,
+        _cells(fault.neighbour_cells, a), fault.pattern,
+    )
+
+
+def _anpsf_signature(fault, a: Tuple[int, ...]) -> Tuple:
+    base_word, base_bit = fault.base
+    trig_word, trig_bit = fault.trigger
+    return (
+        "ANPSF", (_W, a.index(base_word)), base_bit,
+        (_W, a.index(trig_word)), trig_bit, fault.rising,
+        _cells(fault.others, a), fault.pattern,
+    )
+
+
+#: Per *exact* fault type: (its words, possibly repeated; its signature
+#: given the ascending support ``a``, every word as ``(_W, rank)``).
+#: Dispatch is on the exact type: subclasses may override hooks with
+#: semantics the projection cannot see, so they are unknown.
+_EXTRACTORS: Dict[type, Tuple[Callable, Callable]] = {
+    StuckAtFault: (_cell_words, lambda f, a: (
+        "SAF", (_W, a.index(f.word)), f.bit, f.value)),
+    TransitionFault: (_cell_words, lambda f, a: (
+        "TF", (_W, a.index(f.word)), f.bit, f.rising)),
+    StuckOpenFault: (_cell_words, lambda f, a: (
+        "SOF", (_W, a.index(f.word)), f.bit, f.weak_value,
+        f.disturb_threshold)),
+    DataRetentionFault: (_cell_words, lambda f, a: (
+        "DRF", (_W, a.index(f.word)), f.bit, f.from_value, f.decay_time)),
+    IncorrectReadFault: (_cell_words, lambda f, a: (
+        "IRF", (_W, a.index(f.word)), f.bit, f.state)),
+    ReadDestructiveFault: (_cell_words, lambda f, a: (
+        "RDF", (_W, a.index(f.word)), f.bit, f.state)),
+    DeceptiveReadDestructiveFault: (_cell_words, lambda f, a: (
+        "DRDF", (_W, a.index(f.word)), f.bit, f.state)),
+    InversionCouplingFault: (_coupling_words, lambda f, a: (
+        "CFin", (_W, a.index(f.aggressor_word)), f.aggressor_bit,
+        (_W, a.index(f.victim_word)), f.victim_bit, f.rising)),
+    IdempotentCouplingFault: (_coupling_words, lambda f, a: (
+        "CFid", (_W, a.index(f.aggressor_word)), f.aggressor_bit,
+        (_W, a.index(f.victim_word)), f.victim_bit, f.rising,
+        f.forced_value)),
+    StateCouplingFault: (_coupling_words, lambda f, a: (
+        "CFst", (_W, a.index(f.aggressor_word)), f.aggressor_bit,
+        (_W, a.index(f.victim_word)), f.victim_bit, f.aggressor_state,
+        f.forced_value)),
+    AddressMapsNowhere: (lambda f: (f.address,), lambda f, a: (
+        "AF1", (_W, a.index(f.address)))),
+    AddressMapsToWrongCell: (
+        lambda f: (f.address, f.wrong_word),
+        lambda f, a: (
+            "AF2", (_W, a.index(f.address)), (_W, a.index(f.wrong_word))),
+    ),
+    TwoAddressesOneCell: (
+        lambda f: (f.address, f.other_address),
+        lambda f, a: (
+            "AF3", (_W, a.index(f.address)), (_W, a.index(f.other_address))),
+    ),
+    AddressMapsToMultiple: (
+        lambda f: (f.address, f.extra_word),
+        lambda f, a: (
+            "AF4", (_W, a.index(f.address)), (_W, a.index(f.extra_word))),
+    ),
+    PassiveNpsf: (_pnpsf_words, _pnpsf_signature),
+    ActiveNpsf: (_anpsf_words, _anpsf_signature),
+    PortStuckOpenAccess: (_cell_words, lambda f, a: (
+        "PAF", f.port, (_W, a.index(f.word)), f.bit, f.open_value)),
+    PortRestrictedFault: (_port_words, lambda f, a: (
+        "PORT", f.port, _signature(f.fault, a))),
+    CompositeFault: (_linked_words, lambda f, a: (
+        "LINKED", f.kind, tuple(_signature(m, a) for m in f.faults))),
+}
+
+
+def _words(fault: CellFault) -> Optional[Tuple[int, ...]]:
+    """Every word ``fault`` touches (repeats allowed), or None."""
+    extractor = _EXTRACTORS.get(type(fault))
+    return None if extractor is None else extractor[0](fault)
+
+
+def _signature(fault: CellFault, support: Tuple[int, ...]) -> Tuple:
+    """``fault``'s signature relative to ``support`` (a known type)."""
+    return _EXTRACTORS[type(fault)][1](fault, support)
 
 
 def _label(node: Any) -> str:
@@ -204,12 +203,15 @@ class FaultSupport:
         label: human-readable stratum name for certificates.
     """
 
-    __slots__ = ("addresses", "signature", "label")
+    __slots__ = ("addresses", "signature")
 
     def __init__(self, addresses: Tuple[int, ...], signature: Tuple) -> None:
         self.addresses = addresses
         self.signature = signature
-        self.label = _label(signature)
+
+    @property
+    def label(self) -> str:
+        return _label(self.signature)
 
     def project(self, n_words: int) -> Tuple[Tuple[int, ...], bool, Tuple]:
         """The support on an ``n_words`` memory, with its stratum key.
@@ -221,10 +223,14 @@ class FaultSupport:
         membership is part of the key: a stratum-mate whose support is
         partly out of range visits fewer cells and is not isomorphic.
         """
-        in_range = tuple(0 <= a < n_words for a in self.addresses)
-        visited = tuple(
-            a for a, inside in zip(self.addresses, in_range) if inside
-        )
+        addresses = self.addresses
+        if addresses[0] >= 0 and addresses[-1] < n_words:
+            covers_all = len(addresses) == n_words
+            in_range = (True,) * len(addresses)
+            key = (self.signature, covers_all, in_range)
+            return addresses, covers_all, key
+        in_range = tuple(0 <= a < n_words for a in addresses)
+        visited = tuple(a for a, inside in zip(addresses, in_range) if inside)
         covers_all = len(visited) == n_words
         return visited, covers_all, (self.signature, covers_all, in_range)
 
@@ -235,10 +241,11 @@ def support_of(fault: CellFault) -> Optional[FaultSupport]:
     Returns None for fault types outside the registry — the prover must
     then report ``unknown`` rather than project unsoundly.
     """
-    raw = _raw_signature(fault)
-    if raw is None:
+    extractor = _EXTRACTORS.get(type(fault))
+    if extractor is None:
         return None
-    words, sig = raw
-    addresses = tuple(sorted(words))
-    rank = {address: index for index, address in enumerate(addresses)}
-    return FaultSupport(addresses, _relativise(sig, rank))
+    words = extractor[0](fault)
+    if words is None:
+        return None
+    addresses = words if len(words) == 1 else tuple(sorted(set(words)))
+    return FaultSupport(addresses, extractor[1](fault, addresses))

@@ -25,21 +25,34 @@ two structural savings:
   sessions per fault disappear entirely, and the pair's payload needs
   only one detected / not-detected verdict;
 * **per fault**: the verdict is a *support projection* of the golden
-  capture.  The golden stream is indexed once by address, pauses kept
-  apart; a fault's replay is only the ops on its support addresses
+  capture: only the golden ops on the fault's support addresses
   (:func:`~repro.faults.support.support_of`) plus every pause, in
   stream order, against the real fault object on a sparse
-  :class:`~repro.memory.shadow.ShadowMemory`, reads compared with
-  ``op.expected`` exactly as
+  :class:`~repro.memory.shadow.ShadowMemory`, reads compared with the
+  expected word exactly as
   :func:`~repro.conformance.faulty.events.capture_response` does.
-  Every other address behaves fault-free, and the fault-free capture of
-  the golden stream is checked clean once per test, so the replay
-  decides the full capture's verdict.  For a sequential march stimulus
-  (golden stream = :func:`~repro.march.simulator.expand`) faults of one
-  stratum (:meth:`~repro.faults.support.FaultSupport.project`, the key
-  the coverage prover uses) see isomorphic replays and share one; PRT
-  and in-field streams do not visit addresses in rank order, so they
-  are replayed fault by fault.
+  Every other address behaves fault-free, and the golden stream's
+  fault-free run is checked once per test to fail no read, so the
+  replay decides the full capture's verdict.
+
+  For a sequential march stimulus the golden stream is
+  :func:`~repro.march.simulator.expand` of the notation, and none of
+  this needs it: the op budget is checked against its analytic length,
+  the fault-free check is the single-symbolic-cell pass, and each
+  replay is read off the notation by
+  :class:`~repro.march.projection.MarchProjection` — the coverage
+  prover's own replay loop — so a test costs O(items) to plan and a
+  replay O(|support| · ops), at any memory size.  Faults of one stratum
+  (:meth:`~repro.faults.support.FaultSupport.project`, the key the
+  coverage prover uses) see isomorphic replays and share one.  The
+  stream is built only when a simulated partner is compared with it or
+  a fault falls back to the scalar check.
+
+  PRT and in-field streams do not come from the notation: their golden
+  stream is built, captured fault-free on a plain
+  :class:`~repro.memory.sram.Sram` once per test and indexed once by
+  address, pauses kept apart; and since they do not visit addresses in
+  rank order, they are replayed fault by fault.
 
 Anything outside those preconditions falls back to the scalar path and
 is counted in the report's ``fallback_runs``:
@@ -54,9 +67,10 @@ is counted in the report's ``fallback_runs``:
   precondition the per-test saving rests on), a golden stream that is
   not realisable or overruns the op budget, a simulated partner
   stream that failed to build with a non-skip error or diverged from
-  the golden stream, or a golden stream whose fault-free capture on a plain
-  :class:`~repro.memory.sram.Sram` raised (a port or address out of
-  range) or recorded a fail event.
+  the golden stream, or a golden stream whose fault-free run fails a
+  read (for PRT and in-field: whose fault-free capture on a plain
+  :class:`~repro.memory.sram.Sram` raised — a port or address out of
+  range — or recorded a fail event).
 
 The fallback runs the scalar engine's own per-pair check on the test's
 already-resolved stimulus (whose simulated streams were built once,
@@ -71,7 +85,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.conformance.faulty import events as faulty_events
 from repro.conformance.faulty.check import (
@@ -89,6 +103,7 @@ from repro.core.controller import ControllerCapabilities
 from repro.core.progfsm.compiler import CompileError
 from repro.faults.base import CellFault
 from repro.faults.support import support_of
+from repro.march.projection import MarchProjection
 from repro.march.simulator import MemoryOperation
 from repro.march.test import MarchTest
 from repro.memory.shadow import ShadowMemory
@@ -101,13 +116,19 @@ lane_spec = compile_stream = evaluate_lanes = None
 Projection = Tuple[Tuple[int, ...], Tuple]
 
 
+#: A fault's verdict replay: (fault, in-range support) -> detected.
+Replay = Callable[[CellFault, Sequence[int]], bool]
+
+
 @dataclass
 class _Plan:
-    """A test's plan: the verified golden stream (``None`` sends the
-    whole test to the scalar engine), its skipped partners, and how the
+    """A test's plan: the verified replay that decides each fault
+    (``None`` sends the whole test to the scalar engine), whether one
+    replay decides a whole stratum, its skipped partners, and how the
     rest were verified."""
 
-    stream: Optional[Sequence[AttributedOp]] = None
+    detects: Optional[Replay] = None
+    stratified: bool = False
     skipped: int = 0
     proved: int = 0
     simulated: int = 0
@@ -121,15 +142,23 @@ def _plan_test(
 ) -> _Plan:
     """Verify every partner against the golden stream, and golden itself.
 
-    The plan carries the golden stream when every partner either is not
+    The plan carries a replay when every partner either is not
     realisable (a skip) or emits a stream op-for-op equal to the golden
     stream within the op budget, through the shared capture path, and
-    the golden stream's fault-free capture is clean.  A controller
+    the golden stream's fault-free run fails no read.  A controller
     partner whose op summary proves it golden
     (:func:`~repro.conformance.check.proved_conformant`) is verified
     without building its stream; every other partner — UNKNOWN, a
     different summary, a replaced builder, a PRT or replay partner — is
     built and compared.
+
+    A sequential march stimulus's golden stream is ``expand`` of the
+    notation: its length, its fault-free run and each fault's
+    replay are read off the notation (:class:`MarchProjection`), and
+    the stream is only built when a simulated partner must be compared
+    with it.  Every other stimulus's golden stream is built, captured
+    fault-free on a plain :class:`Sram` and indexed by address
+    (:class:`_GoldenIndex`).
     """
     plan = _Plan()
     if stimulus.cycle or any(
@@ -137,10 +166,16 @@ def _plan_test(
         for partner in stimulus.partners
     ):
         return plan
-    golden_stream = stimulus.golden().stream
-    if golden_stream is None:
-        return plan
-    if len(golden_stream) > _op_budget(golden_stream, max_ops):
+    notation = golden_stream = None
+    if stimulus.march:
+        notation = MarchProjection(test, caps.n_words, caps.width, caps.ports)
+        length = notation.length
+    else:
+        golden_stream = stimulus.golden().stream
+        if golden_stream is None:
+            return plan
+        length = len(golden_stream)
+    if length > _op_budget(length, max_ops):
         return plan  # scalar reproduces the budget trip exactly
     keys = None
     for partner in stimulus.partners:
@@ -165,21 +200,28 @@ def _plan_test(
         if built.stream is None:
             return plan  # error statuses produce per-fault failure records
         if keys is None:
-            keys = [entry.key for entry in golden_stream]
+            keys = [entry.key for entry in stimulus.golden().stream]
         if [entry.key for entry in built.stream] != keys:
             return plan
+    if notation is not None:
+        if not notation.free_failures:
+            # One replay per stratum is sound: every element visits the
+            # support in rank order.
+            plan.detects, plan.stratified = notation.detects, True
+        return plan
     try:
         memory = Sram(caps.n_words, width=caps.width, ports=caps.ports)
         free = faulty_events.capture_response(golden_stream, memory)
     except Exception:
         return plan  # scalar reproduces the error
     if not free.events:
-        plan.stream = golden_stream
+        plan.detects = _GoldenIndex(golden_stream, caps).detects
     return plan
 
 
 class _GoldenIndex:
-    """A verified golden stream, indexed for support-projected replays."""
+    """A verified PRT or in-field golden stream, indexed for
+    support-projected replays."""
 
     def __init__(
         self, stream: Sequence[AttributedOp], caps: ControllerCapabilities
@@ -241,7 +283,6 @@ def _verdicts(
     faults: Sequence[CellFault],
     projections: Sequence[Optional[Projection]],
     max_ops: Optional[int],
-    mode: str,
 ) -> Tuple[List[Optional[bool]], _Plan]:
     """Projected detection verdict per fault, and the test's plan.
 
@@ -249,14 +290,9 @@ def _verdicts(
     verdict is ``None`` when the test fails its plan.
     """
     plan = _plan_test(stimulus, test, caps, max_ops)
-    if plan.stream is None:
+    if plan.detects is None:
         return [None] * len(faults), plan
-    golden = _GoldenIndex(plan.stream, caps)
-    # One replay per stratum is sound only where the golden stream is
-    # expand(test): every element visits the support in rank order.
-    strata: Optional[Dict[Tuple, bool]] = (
-        {} if isinstance(test, MarchTest) and mode == "sequential" else None
-    )
+    strata: Optional[Dict[Tuple, bool]] = {} if plan.stratified else None
     verdicts: List[Optional[bool]] = []
     for fault, projection in zip(faults, projections):
         detected = None
@@ -266,7 +302,7 @@ def _verdicts(
                 detected = strata[key]
             else:
                 try:
-                    detected = golden.detects(fault, addresses)
+                    detected = plan.detects(fault, addresses)
                 except Exception:
                     pass  # the scalar check reproduces the error
                 else:
@@ -289,7 +325,7 @@ def _sweep_test_into(
     """Sweep one test over the fault population, fault order preserved."""
     stimulus = resolve_stimulus(test, caps, mode, compress=compress)
     verdicts, plan = _verdicts(
-        stimulus, test, caps, faults, projections, max_ops, mode
+        stimulus, test, caps, faults, projections, max_ops
     )
     report.partners_proved += plan.proved
     report.partners_simulated += plan.simulated

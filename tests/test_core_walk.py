@@ -326,7 +326,8 @@ class TestSoundness:
 
 
 class TestThousandWords:
-    """A 1K-word library sweep proves every partner and builds no stream."""
+    """A 1K-word library sweep proves every partner and builds no
+    stream, golden included."""
 
     def test_library_sweep_builds_no_controller_stream(self, monkeypatch):
         from repro.analysis.coverage import certify
@@ -335,6 +336,16 @@ class TestThousandWords:
         from repro.vector.sweep import _projection, _verdicts
 
         calls = []
+        golden_fetches = []
+        fetch = stimulus_check.GOLDEN_CACHE.get
+
+        def counted_fetch(*args, **kwargs):
+            golden_fetches.append(args)
+            return fetch(*args, **kwargs)
+
+        # Wrapped the way perfbench counts it; capture_response is left
+        # alone (a replaced capture path disables the projected sweep).
+        monkeypatch.setattr(stimulus_check.GOLDEN_CACHE, "get", counted_fetch)
 
         def forbidden(name):
             def call(*args, **kwargs):
@@ -356,7 +367,7 @@ class TestThousandWords:
         caps = ControllerCapabilities(1024, 1, 1)
         faults = sweep_faults(caps, per_kind=1)
         report = run_fault_sweep(LIBRARY, caps, faults, engine="vector")
-        assert calls == []
+        assert calls == [] and golden_fetches == []
         assert report.ok and report.fallback_runs == 0
         assert report.partners_simulated == 0
         realisable = sum(
@@ -370,14 +381,14 @@ class TestThousandWords:
         for test in LIBRARY:
             stimulus = resolve_stimulus(test, caps)
             verdicts, plan = _verdicts(
-                stimulus, test, caps, faults, projections, None, "sequential"
+                stimulus, test, caps, faults, projections, None
             )
             certificate = certify(test, caps.n_words, faults=faults)
             assert verdicts == [
                 verdict.verdict == "covered" for verdict in certificate.verdicts
             ], test.name
             detected += sum(verdicts)
-        assert calls == []
+        assert calls == [] and golden_fetches == []
         assert detected == report.detected
 
 

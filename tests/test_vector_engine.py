@@ -19,6 +19,7 @@ performance change:
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -26,6 +27,7 @@ import textwrap
 import pytest
 
 import repro
+from repro.analysis.fuzz import random_march
 from repro.conformance import (
     GOLDEN_CACHE,
     run_fault_sweep,
@@ -48,12 +50,13 @@ from repro.faults.injector import FaultInjector
 from repro.faults.linked import CompositeFault, linked_cfid_universe
 from repro.faults.port import PortRestrictedFault, PortStuckOpenAccess
 from repro.faults.stuck_at import StuckAtFault
-from repro.faults.universe import npsf_universe
+from repro.faults.universe import npsf_universe, standard_universe
 from repro.march import library
-from repro.march.notation import parse_test
+from repro.march.notation import format_test, parse_test
+from repro.march.projection import MarchProjection
 from repro.memory.sram import Sram
 from repro.prt import PRT_RING_DOWN, PRT_RING_UP
-from repro.vector.sweep import _projection, _verdicts
+from repro.vector.sweep import _GoldenIndex, _projection, _verdicts
 
 MARCH_C = library.get("March C")
 LIBRARY = [library.get(name) for name in library.ALGORITHMS]
@@ -108,13 +111,103 @@ class TestVerdictLevelEquivalence:
         for test in tests:
             stimulus = resolve_stimulus(test, caps, mode)
             verdicts, _ = _verdicts(
-                stimulus, test, caps, faults, projections, None, mode
+                stimulus, test, caps, faults, projections, None
             )
             golden = stimulus.golden().stream
             for fault, verdict in zip(faults, verdicts):
                 with injector.injected(fault) as memory:
                     expected = capture_response(golden, memory).detected
                 assert verdict is expected, (test.name, fault.describe())
+
+
+def _notation_marches(count=24):
+    """Fuzz-generated marches plus hand-written edge cases: a test whose
+    fault-free run fails reads, pauses, and ANY-order elements."""
+    marches = [
+        random_march(random.Random(seed)) for seed in range(count)
+    ]
+    marches += [
+        parse_test(notation, name=f"edge-{index}")
+        for index, notation in enumerate((
+            "^(w0); ^(r1)",
+            "^(w0); Del(64); v(r0,w1); Del(64); ^(r1)",
+            "~(w1); ~(r1,w0,r0); Del(8)",
+            "v(w1,r1); ^(r0)",
+        ))
+    ]
+    return marches
+
+
+class TestNotationPath:
+    """A sequential march's verdicts are read off its notation
+    (:class:`MarchProjection`) instead of its materialised golden
+    stream; each shortcut is checked against what it replaces."""
+
+    MARCHES = LIBRARY + _notation_marches()
+
+    @pytest.mark.parametrize("ports", [1, 2])
+    @pytest.mark.parametrize("width", [1, 2, 8, 128])
+    @pytest.mark.parametrize("words", [1, 3, 5])
+    def test_symbolic_fault_free_check_matches_sram_capture(
+        self, words, width, ports
+    ):
+        caps = _caps(words, width, ports)
+        clean = []
+        for test in self.MARCHES:
+            notation = MarchProjection(test, words, width, ports)
+            golden = GOLDEN_CACHE.get(test, caps)
+            assert notation.length == len(golden), test.name
+            capture = capture_response(
+                golden, Sram(words, width=width, ports=ports)
+            )
+            assert (not notation.free_failures) is (not capture.events), (
+                format_test(test)
+            )
+            clean.append(not capture.events)
+        assert any(clean) and not all(clean)
+
+    @pytest.mark.parametrize("geometry", [(4, 1, 1), (5, 4, 2), (3, 2, 3)])
+    def test_notation_verdicts_match_the_golden_index(self, geometry):
+        caps = _caps(*geometry)
+        faults = list(
+            standard_universe(caps.n_words, caps.width, ports=caps.ports)
+            .faults
+        ) + linked_cfid_universe(caps.n_words)
+        projections = [_projection(fault, caps.n_words) for fault in faults]
+        assert None not in projections
+        seen = set()
+        for test in self.MARCHES:
+            notation = MarchProjection(
+                test, caps.n_words, caps.width, caps.ports
+            )
+            golden = _GoldenIndex(GOLDEN_CACHE.get(test, caps), caps)
+            for fault, (addresses, _) in zip(faults, projections):
+                detected = notation.detects(fault, addresses)
+                assert detected is golden.detects(fault, addresses), (
+                    format_test(test), fault.describe()
+                )
+                seen.add(detected)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("test", [MARCH_C, library.get("March B")])
+    def test_budget_below_the_analytic_length_trips_like_scalar(self, test):
+        caps = _caps(5, 2, 2)
+        faults = [StuckAtFault(1, 0, 1), StuckAtFault(4, 1, 0)]
+        length = MarchProjection(test, 5, 2, 2).length
+        with pytest.raises(ResponseBudgetExceeded) as vector_error:
+            run_fault_sweep(
+                [test], caps, faults, max_ops=length - 1, engine="vector"
+            )
+        with pytest.raises(ResponseBudgetExceeded) as scalar_error:
+            run_fault_sweep([test], caps, faults, max_ops=length - 1)
+        assert str(vector_error.value) == str(scalar_error.value)
+        vector = run_fault_sweep(
+            [test], caps, faults, max_ops=length, engine="vector"
+        )
+        assert vector.fallback_runs == 0
+        assert _payloads_equal(
+            vector, run_fault_sweep([test], caps, faults, max_ops=length)
+        )
 
 
 class TestSweepLevelCases:
