@@ -105,6 +105,8 @@ def certify(
     )
     # stratum key -> (verdict, symbolic failure or None)
     cache: Dict[tuple, Tuple[str, Optional[SymbolicFailure]]] = {}
+    # signature -> its label, rendered once per stratum
+    labels: Dict[tuple, str] = {}
 
     for index, fault in enumerate(population):
         support = support_of(fault)
@@ -112,7 +114,9 @@ def certify(
             verdict, witness, label = UNKNOWN, None, "?"
         else:
             visited, covers_all, key = support.project(n_words)
-            label = support.label
+            label = labels.get(support.signature)
+            if label is None:
+                label = labels[support.signature] = support.label
             if inconsistent and not covers_all:
                 # Some address is untouched by the fault; it behaves
                 # fault-free there, and the fault-free run already fails

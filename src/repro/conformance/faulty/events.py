@@ -147,22 +147,24 @@ def capture_response(
             classifies the run as an *error*, not a mismatch.
     """
     capture = ResponseCapture()
+    events = capture.events
+    read, write, elapse = memory.read, memory.write, memory.elapse
     for index, entry in enumerate(stream):
-        if max_ops is not None and capture.ops_applied >= max_ops:
+        if max_ops is not None and index >= max_ops:
             raise ResponseBudgetExceeded(
                 f"op budget of {max_ops} exceeded after "
-                f"{capture.ops_applied} operation(s)"
+                f"{index} operation(s)"
             )
-        capture.ops_applied += 1
+        capture.ops_applied = index + 1
         op = entry.op
-        if op.is_delay:
-            memory.elapse(op.delay)
+        if op.delay > 0:
+            elapse(op.delay)
         elif op.is_write:
-            memory.write(op.port, op.address, op.value)
+            write(op.port, op.address, op.value)
         else:
-            observed = memory.read(op.port, op.address)
+            observed = read(op.port, op.address)
             if observed != op.expected:
-                capture.events.append(
+                events.append(
                     FailEvent(
                         op_index=index,
                         port=op.port,

@@ -17,18 +17,21 @@ Labels produced:
 ``AF/gross``       a large fraction of the address space fails.
 ``unknown``        anything else.
 
-The classifier needs to know *which* read each failure came from, so it
-re-expands the diagnostic algorithm's golden stream and annotates every
-read with (element index, position-in-burst, follows-pause) context.
+The classifier needs to know *which* read each failure came from: its
+(element index, position-in-burst, follows-pause) context.  It reads
+that off the notation — :meth:`~repro.march.projection.MarchProjection.
+locate` inverts the golden stream's layout — so a call costs O(items)
+plus O(failures), never a walk of the golden stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.diagnostics.faillog import FailLog
-from repro.march.element import MarchElement, Pause
+from repro.march.element import Pause
+from repro.march.projection import MarchProjection
 from repro.march.simulator import expand, run_on_memory
 from repro.march.test import MarchTest
 from repro.march.library import MARCH_C_PLUS_PLUS
@@ -69,21 +72,24 @@ class Diagnosis:
     rationale: str
 
 
-def _annotate_reads(
-    test: MarchTest, n_words: int, width: int, ports: int
-) -> List[Optional[ReadContext]]:
-    """Read context per op index of the golden stream (None for non-reads)."""
-    # Build per-element op metadata first.
-    element_meta: List[Tuple[int, List[Tuple[int, int]], bool]] = []
+def _read_contexts(
+    projection: MarchProjection,
+) -> Callable[[int], Optional[ReadContext]]:
+    """Read context of a golden op index (None for writes and pauses).
+
+    Per item, once: its element index, per op (polarity, burst
+    position) with -1 for writes, and whether a pause precedes it.  An
+    op index is then placed by :meth:`MarchProjection.locate`; one
+    outside the golden stream raises ``IndexError``.
+    """
+    per_item: List[Optional[Tuple[int, List[Tuple[int, int]], bool]]] = []
     follows_pause = False
     element_index = 0
-    per_item: List[Optional[Tuple[int, List[Tuple[int, int]], bool]]] = []
-    for item in test.items:
+    for item in projection.test.items:
         if isinstance(item, Pause):
             follows_pause = True
             per_item.append(None)
             continue
-        reads: List[Tuple[int, int]] = []  # (op position, burst position)
         burst = 0
         meta: List[Tuple[int, int]] = []
         for op in item.ops:
@@ -97,36 +103,24 @@ def _annotate_reads(
         follows_pause = False
         element_index += 1
 
-    contexts: List[Optional[ReadContext]] = []
-    for op_meta in _iter_stream_meta(test, per_item, n_words, width, ports):
-        contexts.append(op_meta)
-    return contexts
+    def context(index: int) -> Optional[ReadContext]:
+        _, bg_idx, item_idx, _, op_idx = projection.locate(index)
+        item = per_item[item_idx]
+        if item is None:
+            return None
+        element_index, meta, follows_pause = item
+        polarity, burst = meta[op_idx]
+        if polarity < 0:
+            return None
+        return ReadContext(
+            element_index=element_index,
+            expected_polarity=polarity,
+            background=projection.patterns[bg_idx],
+            burst_position=burst,
+            follows_pause=follows_pause,
+        )
 
-
-def _iter_stream_meta(test, per_item, n_words, width, ports):
-    """Mirror the golden expander's loop nest, yielding per-op context."""
-    from repro.march.backgrounds import data_backgrounds
-
-    backgrounds = data_backgrounds(width)
-    for _port in range(ports):
-        for background in backgrounds:
-            for item, meta in zip(test.items, per_item):
-                if isinstance(item, Pause):
-                    yield None  # the delay op
-                    continue
-                element_index, op_meta, follows_pause = meta
-                for _address in range(n_words):
-                    for (polarity, burst), op in zip(op_meta, item.ops):
-                        if op.is_read:
-                            yield ReadContext(
-                                element_index=element_index,
-                                expected_polarity=polarity,
-                                background=background,
-                                burst_position=burst,
-                                follows_pause=follows_pause,
-                            )
-                        else:
-                            yield None
+    return context
 
 
 def classify(
@@ -142,16 +136,25 @@ def classify(
         log: full fail capture of the run.
         test: the diagnostic algorithm that produced it.
         n_words / width / ports: memory geometry of the run.
+
+    Raises:
+        IndexError: a failure's op index lies outside the golden stream.
     """
     if log.is_clean:
         return []
-    contexts = _annotate_reads(test, n_words, width, ports)
-    from repro.march.backgrounds import data_backgrounds
+    projection = MarchProjection(test, n_words, width, ports)
+    context_of = _read_contexts(projection)
+    # Reads per march polarity in one (port, background) pass.
+    reads_by_polarity: Dict[int, int] = {0: 0, 1: 0}
+    for item in test.items:
+        if isinstance(item, Pause):
+            continue
+        for op in item.ops:
+            if op.is_read:
+                reads_by_polarity[op.polarity] += 1
 
-    backgrounds = data_backgrounds(width)
-
-    failing_addresses = set(log.failing_addresses())
-    gross = len(failing_addresses) >= GROSS_FAIL_FRACTION * n_words
+    by_address = log.by_address()
+    gross = len(by_address) >= GROSS_FAIL_FRACTION * n_words
 
     diagnoses: List[Diagnosis] = []
     for address, bit in log.failing_cells():
@@ -159,21 +162,15 @@ def classify(
         # across a full run (backgrounds shift which bit value each march
         # polarity maps to).
         reads_per_value: Dict[int, int] = {0: 0, 1: 0}
-        for background in backgrounds:
+        for background in projection.patterns:
             background_bit = (background >> bit) & 1
-            for item in test.items:
-                if isinstance(item, Pause):
-                    continue
-                for op in item.ops:
-                    if op.is_read:
-                        reads_per_value[background_bit ^ op.polarity] += ports
+            for polarity, reads in reads_by_polarity.items():
+                reads_per_value[background_bit ^ polarity] += ports * reads
         fail_contexts: List[ReadContext] = []
-        for failure in log.failures:
-            if failure.address != address:
-                continue
+        for failure in by_address[address]:
             if not (failure.failing_bits >> bit) & 1:
                 continue
-            context = contexts[failure.op_index]
+            context = context_of(failure.op_index)
             if context is not None:
                 fail_contexts.append(context)
         diagnoses.append(

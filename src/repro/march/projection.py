@@ -26,6 +26,8 @@ verdict off the same run.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from repro.faults.base import CellFault
@@ -66,7 +68,12 @@ def fault_free_failures(
 
 
 class MarchProjection:
-    """One test + geometry, prepared for per-stratum projected runs."""
+    """One test + geometry, prepared for per-stratum projected runs.
+
+    Also the golden stream's layout, written down once:
+    :meth:`witness_index` maps a (pass, item, address, op) read to its
+    op index and :meth:`locate` maps an op index back.
+    """
 
     def __init__(
         self, test: MarchTest, n_words: int, width: int, ports: int
@@ -84,13 +91,20 @@ class MarchProjection:
             self.item_offsets.append(offset)
             offset += 1 if isinstance(item, Pause) else len(item.ops) * n_words
         self.per_pass = offset
-        self.free_failures = fault_free_failures(
-            test, self.patterns, width, ports
+
+    @cached_property
+    def free_failures(self) -> List[Tuple[int, int, int, int]]:
+        """:func:`fault_free_failures` of this test and geometry."""
+        return fault_free_failures(
+            self.test, self.patterns, self.width, self.ports
         )
-        # Per background, per item: (pause duration, ascending sweep,
-        # ((is_write, word), ...)) — the element body with its words
-        # resolved once instead of on every support address.
-        self._passes = [
+
+    @cached_property
+    def _passes(self) -> List[List[tuple]]:
+        """Per background, per item: (pause duration, ascending sweep,
+        ((is_write, word), ...)) — the element body with its words
+        resolved once instead of on every support address."""
+        return [
             [
                 (item.duration, True, ())
                 if isinstance(item, Pause)
@@ -99,11 +113,11 @@ class MarchProjection:
                     item.order.resolve() is AddressOrder.UP,
                     tuple(
                         (op.is_write,
-                         apply_polarity(background, op.polarity, width))
+                         apply_polarity(background, op.polarity, self.width))
                         for op in item.ops
                     ),
                 )
-                for item in test.items
+                for item in self.test.items
             ]
             for background in self.patterns
         ]
@@ -170,3 +184,29 @@ class MarchProjection:
             + position * len(item.ops)
             + op_idx
         )
+
+    def locate(self, index: int) -> Tuple[int, int, int, int, int]:
+        """(port, bg_idx, item_idx, address, op_idx) of one golden op.
+
+        The inverse of :meth:`witness_index`, defined for every op: a
+        pause is item ``item_idx`` with address and op index 0 (expand
+        issues its delay at address 0).  ``index`` is taken like a list
+        index into the golden stream — negative counts from the end —
+        and one outside it raises ``IndexError``.
+        """
+        if index < 0:
+            index += self.length
+        if not 0 <= index < self.length:
+            raise IndexError("list index out of range")
+        pass_index, offset = divmod(index, self.per_pass)
+        port, bg_idx = divmod(pass_index, len(self.patterns))
+        item_idx = bisect_right(self.item_offsets, offset) - 1
+        item = self.test.items[item_idx]
+        if isinstance(item, Pause):
+            return port, bg_idx, item_idx, 0, 0
+        position, op_idx = divmod(
+            offset - self.item_offsets[item_idx], len(item.ops)
+        )
+        if item.order.resolve() is not AddressOrder.UP:
+            position = self.n_words - 1 - position
+        return port, bg_idx, item_idx, position, op_idx

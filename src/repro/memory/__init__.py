@@ -8,9 +8,9 @@ memory-under-test model:
   time base.
 * :class:`~repro.memory.decoder.AddressDecoder` — logical-to-physical
   address mapping, mutable by address-decoder faults.
-* :class:`~repro.memory.shadow.ShadowMemory` — a sparse, hook-faithful
-  stand-in for :class:`Sram` that the support-projected runs of the
-  coverage prover and the projected sweep engine use.
+* :class:`~repro.memory.shadow.ShadowMemory` — an :class:`Sram` over
+  sparse storage, which the support-projected runs of the coverage
+  prover and the projected sweep engine use.
 * :mod:`~repro.memory.retention` — the decay time base used by
   data-retention faults.
 """

@@ -41,7 +41,8 @@ class AddressDecoder:
 
     def targets(self, address: int) -> Tuple[int, ...]:
         """Physical words accessed (read or written) for ``address``."""
-        self._check(address)
+        if not 0 <= address < self.n_words:
+            self._check(address)
         return self._map.get(address, (address,))
 
     def remap(self, address: int, targets: Tuple[int, ...]) -> None:

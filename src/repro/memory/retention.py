@@ -35,5 +35,9 @@ class RetentionClock:
             raise ValueError(f"time cannot move backwards ({duration})")
         self._now += duration
 
+    def tick(self) -> None:
+        """Advance by one access cycle (the memory's per-access step)."""
+        self._now += 1
+
     def reset(self) -> None:
         self._now = 0

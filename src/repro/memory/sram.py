@@ -27,7 +27,7 @@ contention PAF and cross-port coupling models of
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.memory.decoder import AddressDecoder
 from repro.memory.retention import RetentionClock
@@ -67,17 +67,24 @@ class Sram:
         self.n_words = n_words
         self.width = width
         self.ports = ports
+        self.word_mask = (1 << width) - 1
         self.open_read_value = open_read_value & self.word_mask
         self.decoder = AddressDecoder(n_words)
         self.clock = RetentionClock()
         self.faults: List = []
-        self._cells: List[int] = [0] * n_words
+        self._cells = self._storage(0)
+
+    def _storage(self, fill: int) -> Union[List[int], Dict[int, int]]:
+        """Fresh cell storage, every word holding ``fill``.
+
+        The one place storage is built: subclasses may return any
+        mapping from word index to word that reads ``fill`` for a word
+        never written (:class:`~repro.memory.shadow.ShadowMemory` keeps
+        only the words it touches).
+        """
+        return [fill] * self.n_words
 
     # -- geometry ----------------------------------------------------------
-
-    @property
-    def word_mask(self) -> int:
-        return (1 << self.width) - 1
 
     @property
     def size_bits(self) -> int:
@@ -113,16 +120,20 @@ class Sram:
 
     def write(self, port: int, address: int, value: int) -> None:
         """Write ``value`` through ``port`` at logical ``address``."""
-        self._check_port(port)
-        value &= self.word_mask
-        self.clock.advance(1)
+        if not 0 <= port < self.ports:
+            self._check_port(port)
+        mask = self.word_mask
+        value &= mask
+        self.clock.tick()
+        cells = self._cells
+        faults = self.faults
         for word in self.decoder.targets(address):
-            old = self._cells[word]
+            old = cells[word]
             new = value
-            for fault in self.faults:
-                new = fault.on_write(self, port, word, old, new) & self.word_mask
-            self._cells[word] = new
-            for fault in self.faults:
+            for fault in faults:
+                new = fault.on_write(self, port, word, old, new) & mask
+            cells[word] = new
+            for fault in faults:
                 fault.on_any_write(self, port, word, old, new)
 
     def read(self, port: int, address: int) -> int:
@@ -132,16 +143,19 @@ class Sram:
         wired-AND of their (fault-distorted) contents; an address decoded
         to no cell observes :attr:`open_read_value`.
         """
-        self._check_port(port)
-        self.clock.advance(1)
+        if not 0 <= port < self.ports:
+            self._check_port(port)
+        self.clock.tick()
         targets = self.decoder.targets(address)
         if not targets:
             return self.open_read_value
-        observed = self.word_mask
+        mask = observed = self.word_mask
+        cells = self._cells
+        faults = self.faults
         for word in targets:
-            value = self._cells[word]
-            for fault in self.faults:
-                value = fault.on_read(self, port, word, value) & self.word_mask
+            value = cells[word]
+            for fault in faults:
+                value = fault.on_read(self, port, word, value) & mask
             observed &= value
         return observed
 
@@ -198,7 +212,7 @@ class Sram:
         if group[0].is_delay:
             self.elapse(group[0].delay)
             return {}
-        self.clock.advance(1)
+        self.clock.tick()
         frozen = tuple(group)
         for fault in self.faults:
             fault.on_cycle_start(self, frozen)
@@ -282,14 +296,14 @@ class Sram:
         Fault *presence* is kept — this models power-cycling a defective
         part between test runs.
         """
-        self._cells = [fill & self.word_mask] * self.n_words
+        self._cells = self._storage(fill & self.word_mask)
         self.clock.reset()
         for fault in self.faults:
             fault.reset()
 
     def snapshot(self) -> Sequence[int]:
         """Immutable copy of the physical cell contents."""
-        return tuple(self._cells)
+        return tuple(map(self._cells.__getitem__, range(self.n_words)))
 
     def bit_image(self) -> Tuple[Tuple[int, ...], ...]:
         """Cell contents as a ``words × width`` bit matrix (LSB first).
@@ -299,12 +313,12 @@ class Sram:
         """
         return tuple(
             tuple((word >> bit) & 1 for bit in range(self.width))
-            for word in self._cells
+            for word in self.snapshot()
         )
 
     def __repr__(self) -> str:
         kind = "bit-oriented" if self.width == 1 else f"{self.width}-bit word"
         return (
-            f"Sram({self.n_words} words, {kind}, {self.ports} port(s), "
-            f"{len(self.faults)} fault(s))"
+            f"{type(self).__name__}({self.n_words} words, {kind}, "
+            f"{self.ports} port(s), {len(self.faults)} fault(s))"
         )

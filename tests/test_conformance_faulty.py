@@ -339,6 +339,49 @@ class TestSeededResponseDefect:
         assert result.ok
 
 
+class _PastEndCapture:
+    """A fail register that latches one extra event, repeating the last
+    failing read at an op index one past the end of the stream."""
+
+    def __call__(self, stream, memory, max_ops=None):
+        capture = capture_response(stream, memory, max_ops=max_ops)
+        if capture.events:
+            capture.events.append(dataclasses.replace(
+                capture.events[-1], op_index=len(stream)
+            ))
+        return capture
+
+
+class TestClassifierCrashFolding:
+    def test_event_past_the_stream_folds_into_the_diagnosis(
+        self, monkeypatch
+    ):
+        # The classifier cannot place an op index outside the golden
+        # stream; the harness must fold its crash into the comparable
+        # verdict and still report the divergence, not raise.
+        monkeypatch.setitem(
+            faulty_check.RESPONSE_CAPTURES, "hardwired", _PastEndCapture()
+        )
+        result = check_fault_conformance(
+            library.get("March C"), CAPS, parse_fault("saf:2:1:1")
+        )
+        by_name = {r.architecture: r for r in result.responses}
+        hardwired = by_name.pop("hardwired")
+        assert hardwired.status == "diverged"
+        assert hardwired.layer == "events"
+        assert hardwired.divergence.reference is None
+        assert hardwired.divergence.candidate.op_index == (
+            hardwired.ops_applied
+        )
+        assert hardwired.diagnosis == [
+            "<classifier failed: list index out of range>"
+        ]
+        assert [r.status for r in by_name.values()] == ["ok", "ok"]
+        assert all(
+            r.diagnosis == ["(2,1): SA1/TF-down"] for r in by_name.values()
+        )
+
+
 class _DefectiveAggregation(ResponseCapture):
     """Events intact, downstream aggregation broken — exercises the
     coarser comparison layers the event diff cannot reach."""

@@ -6,6 +6,7 @@ from repro.core.bist_unit import MemoryBistUnit
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode import MicrocodeBistController
 from repro.diagnostics import FailBitmap, FailLog, classify, diagnose
+from repro.diagnostics.classifier import ReadContext, _read_contexts
 from repro.faults import (
     AddressMapsNowhere,
     DataRetentionFault,
@@ -15,6 +16,10 @@ from repro.faults import (
     TransitionFault,
 )
 from repro.march import library
+from repro.march.backgrounds import data_backgrounds
+from repro.march.element import Pause
+from repro.march.projection import MarchProjection
+from repro.march.simulator import Failure, expand
 from repro.memory import Sram
 
 N = 16
@@ -158,3 +163,109 @@ class TestClassifier:
             d.address == 2 and d.bit == 5 and d.label == "SA0/TF-up"
             for d in diags
         )
+
+
+def _reference_contexts(test, n_words, width, ports):
+    """Read context per golden op index, by walking ``expand``'s loop
+    nest op by op — the classifier's former annotation, kept here as
+    the oracle for :meth:`MarchProjection.locate`."""
+    per_item = []
+    follows_pause = False
+    element_index = 0
+    for item in test.items:
+        if isinstance(item, Pause):
+            follows_pause = True
+            per_item.append(None)
+            continue
+        burst = 0
+        meta = []
+        for op in item.ops:
+            if op.is_read:
+                meta.append((op.polarity, burst))
+                burst += 1
+            else:
+                meta.append((-1, -1))
+                burst = 0
+        per_item.append((element_index, meta, follows_pause))
+        follows_pause = False
+        element_index += 1
+
+    contexts = []
+    for _port in range(ports):
+        for background in data_backgrounds(width):
+            for item, meta in zip(test.items, per_item):
+                if isinstance(item, Pause):
+                    contexts.append(None)  # the delay op
+                    continue
+                element_index, op_meta, follows_pause = meta
+                for _address in range(n_words):
+                    for (polarity, burst), op in zip(op_meta, item.ops):
+                        contexts.append(
+                            ReadContext(
+                                element_index=element_index,
+                                expected_polarity=polarity,
+                                background=background,
+                                burst_position=burst,
+                                follows_pause=follows_pause,
+                            )
+                            if op.is_read
+                            else None
+                        )
+    return contexts
+
+
+GEOMETRIES = [(1, 1, 1), (4, 2, 2), (5, 4, 2), (3, 2, 3), (16, 1, 1)]
+
+
+class TestReadContexts:
+    """The classifier places a failing op by arithmetic on the notation;
+    that must agree with a walk of the golden stream everywhere."""
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_every_op_index_matches_the_stream_walk(self, geometry):
+        for name in library.ALGORITHMS:
+            test = library.get(name)
+            projection = MarchProjection(test, *geometry)
+            context = _read_contexts(projection)
+            expected = _reference_contexts(test, *geometry)
+            assert projection.length == len(expected), name
+            assert [context(i) for i in range(len(expected))] == expected, (
+                name
+            )
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_locate_inverts_the_golden_layout(self, geometry):
+        for name in library.ALGORITHMS:
+            test = library.get(name)
+            projection = MarchProjection(test, *geometry)
+            for index, op in enumerate(expand(test, *geometry)):
+                located = projection.locate(index)
+                port, bg_idx, item_idx, address, op_idx = located
+                assert op.port == port and op.address == address, name
+                if isinstance(test.items[item_idx], Pause):
+                    assert op.is_delay and op_idx == 0, name
+                    continue
+                assert projection.witness_index(*located) == index, name
+                assert located == projection.locate(index - projection.length)
+
+    def test_index_past_the_end_raises_like_a_list(self):
+        test = library.MARCH_C_PLUS_PLUS
+        projection = MarchProjection(test, 4, 2, 2)
+        for index in (projection.length, projection.length + 7,
+                      -projection.length - 1):
+            with pytest.raises(IndexError) as error:
+                projection.locate(index)
+            assert str(error.value) == "list index out of range"
+        with pytest.raises(IndexError) as error:
+            _read_contexts(projection)(projection.length)
+        assert str(error.value) == "list index out of range"
+
+    def test_classify_raises_for_a_failure_past_the_stream(self):
+        # The differential harness folds this crash into the verdict
+        # "<classifier failed: list index out of range>".
+        test = library.MARCH_C_PLUS_PLUS
+        length = MarchProjection(test, 4, 2, 2).length
+        log = FailLog(test.name, [Failure(length, 0, 1, 0, 1)])
+        with pytest.raises(IndexError) as error:
+            classify(log, test, 4, width=2, ports=2)
+        assert str(error.value) == "list index out of range"
