@@ -16,7 +16,9 @@ catch it); ``unknown`` is always legal.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Verdict values (plain strings so certificates serialise naturally).
@@ -119,11 +121,14 @@ class CoverageCertificate:
     def by_kind(self) -> Dict[str, Dict[str, int]]:
         """Per-kind verdict counts: ``{kind: {verdict: count}}``."""
         groups: Dict[str, Dict[str, int]] = {}
-        for v in self.verdicts:
-            counts = groups.setdefault(
-                v.kind, {COVERED: 0, NOT_COVERED: 0, UNKNOWN: 0}
-            )
-            counts[v.verdict] += 1
+        # Kinds keep their order of first appearance: a kind's first
+        # (kind, verdict) pair is the first time the counter sees it.
+        pairs = Counter(map(attrgetter("kind", "verdict"), self.verdicts))
+        for (kind, verdict), count in pairs.items():
+            counts = groups.get(kind)
+            if counts is None:
+                counts = groups[kind] = dict.fromkeys(VERDICTS, 0)
+            counts[verdict] += count
         return groups
 
     def kind_fully_covered(self, kind: str) -> Optional[bool]:
@@ -154,16 +159,19 @@ class CoverageCertificate:
         return (self.n_words, self.width, self.ports)
 
     def to_json(self) -> Dict[str, Any]:
+        by_kind = self.by_kind()
+        totals = {v: sum(c[v] for c in by_kind.values()) for v in VERDICTS}
+        rate = totals[UNKNOWN] / len(self.verdicts) if self.verdicts else 0.0
         return {
             "test": self.test_name,
             "universe": self.universe_name,
             "geometry": list(self.geometry),
-            "covered": self.covered_count,
-            "not_covered": self.not_covered_count,
-            "unknown": self.unknown_count,
-            "unknown_rate": round(self.unknown_rate, 4),
+            "covered": totals[COVERED],
+            "not_covered": totals[NOT_COVERED],
+            "unknown": totals[UNKNOWN],
+            "unknown_rate": round(rate, 4),
             "fault_free_consistent": self.fault_free_consistent,
-            "by_kind": self.by_kind(),
+            "by_kind": by_kind,
             "strata": self.strata,
             "verdicts": [v.to_json() for v in self.verdicts],
         }

@@ -19,8 +19,11 @@ detects each fault of a universe — without ever simulating the full
     a fault-free-consistent test) proves the full run passes.
 3.  Faults sharing a *stratum signature* (parameters relativised to
     support ranks) see isomorphic projected runs, so one symbolic
-    execution decides the whole stratum; witnesses are re-instantiated
-    per member analytically.
+    execution decides the whole stratum.  Everything else about the
+    stratum — verdict, label, strata entry and the witness line
+    (:meth:`~repro.march.projection.MarchProjection.witness_line`) — is
+    settled with it, and each member is only stamped: its witness is
+    ``base + stride·address`` at the support slot that failed.
 
 For covered faults the certificate carries a *witness*: the index in the
 golden expansion (:func:`repro.march.simulator.expand`) of an operation
@@ -36,7 +39,7 @@ any projection failure, yield ``unknown`` — never a guessed ``covered``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.coverage.certificate import (
     COVERED,
@@ -49,7 +52,7 @@ from repro.faults.base import CellFault
 from repro.faults.spec import format_fault
 from repro.faults.support import support_of
 from repro.faults.universe import FaultUniverse, standard_universe
-from repro.march.projection import MarchProjection, SymbolicFailure
+from repro.march.projection import MarchProjection
 from repro.march.test import MarchTest
 
 #: perfbench/layers.py times projected runs at ``prover._Projection.run``.
@@ -93,7 +96,6 @@ def certify(
 
     projection = MarchProjection(test, n_words, width, ports)
     inconsistent = bool(projection.free_failures)
-    all_addresses = frozenset(range(n_words))
 
     certificate = CoverageCertificate(
         test_name=test.name,
@@ -103,66 +105,68 @@ def certify(
         ports=ports,
         fault_free_consistent=not inconsistent,
     )
-    # stratum key -> (verdict, symbolic failure or None)
-    cache: Dict[tuple, Tuple[str, Optional[SymbolicFailure]]] = {}
-    # signature -> its label, rendered once per stratum
-    labels: Dict[tuple, str] = {}
+    strata = certificate.strata
+    # stratum key (None: no support) -> (verdict, label, strata entry,
+    # witness base, stride, support slot); slot None: the witness is
+    # at the first address the support leaves untouched.
+    settled: Dict[Optional[tuple], tuple] = {}
 
     for index, fault in enumerate(population):
         support = support_of(fault)
         if support is None:
-            verdict, witness, label = UNKNOWN, None, "?"
+            visited, covers_all, key = (), False, None
         else:
             visited, covers_all, key = support.project(n_words)
-            label = labels.get(support.signature)
-            if label is None:
-                label = labels[support.signature] = support.label
-            if inconsistent and not covers_all:
+        stratum = settled.get(key)
+        if stratum is None:
+            label = "?" if support is None else support.label
+            verdict, base, stride, slot = UNKNOWN, None, None, None
+            if support is None:
+                pass
+            elif inconsistent and not covers_all:
                 # Some address is untouched by the fault; it behaves
                 # fault-free there, and the fault-free run already fails
                 # a read — so the faulty run fails at that address too.
                 verdict = COVERED
-                untouched = min(all_addresses - set(visited))
-                port, bg_idx, item_idx, op_idx = projection.free_failures[0]
-                witness = projection.witness_index(
-                    port, bg_idx, item_idx, untouched, op_idx
+                base, stride = projection.witness_line(
+                    *projection.free_failures[0]
                 )
             else:
-                if key not in cache:
-                    try:
-                        failure = projection.run(fault, visited)
-                    except Exception:
-                        cache[key] = (UNKNOWN, None)
-                    else:
-                        cache[key] = (
-                            (COVERED, failure)
-                            if failure is not None
-                            else (NOT_COVERED, None)
+                try:
+                    failure = projection.run(fault, visited)
+                except Exception:
+                    pass
+                else:
+                    verdict = NOT_COVERED if failure is None else COVERED
+                    if failure is not None:
+                        port, bg_idx, item_idx, slot, op_idx = failure
+                        base, stride = projection.witness_line(
+                            port, bg_idx, item_idx, op_idx
                         )
-                verdict, symbolic = cache[key]
-                witness = None
-                if verdict == COVERED and symbolic is not None:
-                    port, bg_idx, item_idx, slot, op_idx = symbolic
-                    witness = projection.witness_index(
-                        port, bg_idx, item_idx, visited[slot], op_idx
-                    )
-        entry = certificate.strata.setdefault(
-            label, {"verdict": verdict, "members": 0}
-        )
+            entry = strata.get(label)
+            if entry is None:
+                entry = strata[label] = {"verdict": verdict, "members": 0}
+            elif entry["verdict"] != verdict:
+                # Same label, different geometry interaction (e.g.
+                # support partly out of range) — don't misreport it.
+                entry["verdict"] = "mixed"
+            stratum = settled[key] = (
+                verdict, label, entry, base, stride, slot
+            )
+        verdict, label, entry, base, stride, slot = stratum
         entry["members"] += 1
-        if entry["verdict"] != verdict:
-            # Same label, different geometry interaction (e.g. support
-            # partly out of range) — don't misreport the stratum.
-            entry["verdict"] = "mixed"
+        if base is None:
+            witness = None
+        elif slot is None:
+            witness = base + stride * next(
+                (a for a, m in enumerate(visited) if a != m), len(visited)
+            )
+        else:
+            witness = base + stride * visited[slot]
         certificate.verdicts.append(
             FaultVerdict(
-                index=index,
-                kind=fault.kind,
-                spec=format_fault(fault),
-                description=fault.describe(),
-                verdict=verdict,
-                witness=witness,
-                stratum=label,
+                index, fault.kind, format_fault(fault), fault.describe(),
+                verdict, witness, label,
             )
         )
     return certificate

@@ -45,7 +45,7 @@ spec-expressible populations.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 from repro.faults.address_decoder import (
     AddressMapsNowhere,
@@ -154,63 +154,59 @@ def parse_fault(spec: str) -> CellFault:
     )
 
 
+def _arrow(fault) -> str:
+    return "up" if fault.rising else "down"
+
+
+#: (type, formatter) in resolution order.  A fault of exactly one of
+#: these types formats directly; a subclass as its first base here.
+_FORMATTERS = (
+    (StuckAtFault, lambda f: f"saf:{f.word}:{f.bit}:{f.value}"),
+    (TransitionFault, lambda f: f"tf:{f.word}:{f.bit}:{_arrow(f)}"),
+    (DataRetentionFault, lambda f: f"drf:{f.word}:{f.bit}:{f.from_value}"),
+    (StuckOpenFault, lambda f: f"sof:{f.word}:{f.bit}:{f.weak_value}"),
+    (IncorrectReadFault, lambda f: f"irf:{f.word}:{f.bit}:{f.state}"),
+    (ReadDestructiveFault, lambda f: f"rdf:{f.word}:{f.bit}:{f.state}"),
+    (DeceptiveReadDestructiveFault,
+     lambda f: f"drdf:{f.word}:{f.bit}:{f.state}"),
+    (IdempotentCouplingFault, lambda f: (
+        f"cfid:{f.aggressor_word}:{f.aggressor_bit}:"
+        f"{f.victim_word}:{f.victim_bit}:{_arrow(f)}:{f.forced_value}")),
+    (InversionCouplingFault, lambda f: (
+        f"cfin:{f.aggressor_word}:{f.aggressor_bit}:"
+        f"{f.victim_word}:{f.victim_bit}:{_arrow(f)}")),
+    (StateCouplingFault, lambda f: (
+        f"cfst:{f.aggressor_word}:{f.aggressor_bit}:"
+        f"{f.victim_word}:{f.victim_bit}:"
+        f"{f.aggressor_state}:{f.forced_value}")),
+    (AddressMapsNowhere, lambda f: f"af1:{f.address}"),
+    (AddressMapsToWrongCell, lambda f: f"af2:{f.address}:{f.wrong_word}"),
+    (TwoAddressesOneCell, lambda f: f"af3:{f.address}:{f.other_address}"),
+    (AddressMapsToMultiple, lambda f: f"af4:{f.address}:{f.extra_word}"),
+    (PortStuckOpenAccess, lambda f: f"paf:{f.port}:{f.word}:{f.bit}"),
+    (ConcurrentPortAccessFault, lambda f: f"pafc:{f.port}:{f.word}:{f.bit}"),
+    (CrossPortCouplingFault, lambda f: (
+        f"cfxp:{f.aggressor_word}:{f.aggressor_bit}:"
+        f"{f.victim_word}:{f.victim_bit}:{_arrow(f)}:{f.forced_value}")),
+)
+
+#: Formatter per exact type; other types are resolved on first sight.
+_DISPATCH: Dict[type, Optional[Callable[[CellFault], str]]] = dict(
+    _FORMATTERS
+)
+
+
 def format_fault(fault: CellFault) -> Optional[str]:
     """Render ``fault`` as a spec string, or ``None`` when inexpressible.
 
     ``parse_fault(format_fault(f))`` rebuilds a behaviourally identical
     fault for every non-``None`` result.
     """
-    if isinstance(fault, StuckAtFault):
-        return f"saf:{fault.word}:{fault.bit}:{fault.value}"
-    if isinstance(fault, TransitionFault):
-        arrow = "up" if fault.rising else "down"
-        return f"tf:{fault.word}:{fault.bit}:{arrow}"
-    if isinstance(fault, DataRetentionFault):
-        return f"drf:{fault.word}:{fault.bit}:{fault.from_value}"
-    if isinstance(fault, StuckOpenFault):
-        return f"sof:{fault.word}:{fault.bit}:{fault.weak_value}"
-    if isinstance(fault, IncorrectReadFault):
-        return f"irf:{fault.word}:{fault.bit}:{fault.state}"
-    if isinstance(fault, ReadDestructiveFault):
-        return f"rdf:{fault.word}:{fault.bit}:{fault.state}"
-    if isinstance(fault, DeceptiveReadDestructiveFault):
-        return f"drdf:{fault.word}:{fault.bit}:{fault.state}"
-    if isinstance(fault, IdempotentCouplingFault):
-        arrow = "up" if fault.rising else "down"
-        return (
-            f"cfid:{fault.aggressor_word}:{fault.aggressor_bit}:"
-            f"{fault.victim_word}:{fault.victim_bit}:{arrow}:"
-            f"{fault.forced_value}"
+    kind = type(fault)
+    try:
+        formatter = _DISPATCH[kind]
+    except KeyError:
+        formatter = _DISPATCH[kind] = next(
+            (f for base, f in _FORMATTERS if issubclass(kind, base)), None
         )
-    if isinstance(fault, InversionCouplingFault):
-        arrow = "up" if fault.rising else "down"
-        return (
-            f"cfin:{fault.aggressor_word}:{fault.aggressor_bit}:"
-            f"{fault.victim_word}:{fault.victim_bit}:{arrow}"
-        )
-    if isinstance(fault, StateCouplingFault):
-        return (
-            f"cfst:{fault.aggressor_word}:{fault.aggressor_bit}:"
-            f"{fault.victim_word}:{fault.victim_bit}:"
-            f"{fault.aggressor_state}:{fault.forced_value}"
-        )
-    if isinstance(fault, AddressMapsNowhere):
-        return f"af1:{fault.address}"
-    if isinstance(fault, AddressMapsToWrongCell):
-        return f"af2:{fault.address}:{fault.wrong_word}"
-    if isinstance(fault, TwoAddressesOneCell):
-        return f"af3:{fault.address}:{fault.other_address}"
-    if isinstance(fault, AddressMapsToMultiple):
-        return f"af4:{fault.address}:{fault.extra_word}"
-    if isinstance(fault, PortStuckOpenAccess):
-        return f"paf:{fault.port}:{fault.word}:{fault.bit}"
-    if isinstance(fault, ConcurrentPortAccessFault):
-        return f"pafc:{fault.port}:{fault.word}:{fault.bit}"
-    if isinstance(fault, CrossPortCouplingFault):
-        arrow = "up" if fault.rising else "down"
-        return (
-            f"cfxp:{fault.aggressor_word}:{fault.aggressor_bit}:"
-            f"{fault.victim_word}:{fault.victim_bit}:{arrow}:"
-            f"{fault.forced_value}"
-        )
-    return None
+    return None if formatter is None else formatter(fault)

@@ -71,8 +71,9 @@ class MarchProjection:
     """One test + geometry, prepared for per-stratum projected runs.
 
     Also the golden stream's layout, written down once:
-    :meth:`witness_index` maps a (pass, item, address, op) read to its
-    op index and :meth:`locate` maps an op index back.
+    :meth:`witness_line` maps a (pass, item, op) read to the line its
+    op indices lie on, :meth:`witness_index` a (pass, item, address,
+    op) read to its op index, and :meth:`locate` an op index back.
     """
 
     def __init__(
@@ -168,22 +169,29 @@ class MarchProjection:
         """Whether the projected run of ``fault`` fails a read."""
         return self.run(fault, addresses) is not None
 
+    def witness_line(
+        self, port: int, bg_idx: int, item_idx: int, op_idx: int
+    ) -> Tuple[int, int]:
+        """``(base, stride)`` of one (pass, item, op) read: at ``address``
+        it is golden op ``base + stride * address``."""
+        item = self.test.items[item_idx]
+        assert isinstance(item, MarchElement)
+        stride = len(item.ops)
+        base = (
+            (port * len(self.patterns) + bg_idx) * self.per_pass
+            + self.item_offsets[item_idx]
+            + op_idx
+        )
+        if item.order.resolve() is AddressOrder.UP:
+            return base, stride
+        return base + (self.n_words - 1) * stride, -stride
+
     def witness_index(
         self, port: int, bg_idx: int, item_idx: int, address: int, op_idx: int
     ) -> int:
         """Golden-expansion index of one (pass, item, address, op) read."""
-        item = self.test.items[item_idx]
-        assert isinstance(item, MarchElement)
-        if item.order.resolve() is AddressOrder.UP:
-            position = address
-        else:
-            position = self.n_words - 1 - address
-        return (
-            (port * len(self.patterns) + bg_idx) * self.per_pass
-            + self.item_offsets[item_idx]
-            + position * len(item.ops)
-            + op_idx
-        )
+        base, stride = self.witness_line(port, bg_idx, item_idx, op_idx)
+        return base + stride * address
 
     def locate(self, index: int) -> Tuple[int, int, int, int, int]:
         """(port, bg_idx, item_idx, address, op_idx) of one golden op.

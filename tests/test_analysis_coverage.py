@@ -11,6 +11,7 @@ from repro.analysis.coverage import (
     NOT_COVERED,
     UNKNOWN,
     CoverageCertificate,
+    FaultVerdict,
     ShadowMemory,
     certify,
     support_of,
@@ -26,10 +27,13 @@ from repro.faults.base import CellFault
 from repro.faults.conditions import condition_for, condition_table
 from repro.faults.coupling import InversionCouplingFault
 from repro.faults.injector import FaultInjector
-from repro.faults.spec import parse_fault
+from repro.faults.spec import format_fault, parse_fault
+from repro.faults.stuck_at import StuckAtFault
 from repro.faults.universe import standard_universe
 from repro.march import library
+from repro.march.element import AddressOrder, MarchElement
 from repro.march.notation import parse_test
+from repro.march.projection import MarchProjection
 from repro.march.simulator import expand
 from repro.march.test import MarchTest
 from repro.memory.sram import Sram
@@ -187,6 +191,207 @@ class TestSoundness:
         assert certificate.not_covered_count == 0
         result = check_coverage_conformance(tests=[test], geometry=(4, 1, 1))
         assert result.ok, result.format()
+
+
+def _reference_witness(projection, port, bg_idx, item_idx, address, op_idx):
+    """The golden-stream index of one read, written out directly."""
+    item = projection.test.items[item_idx]
+    if item.order.resolve() is AddressOrder.UP:
+        position = address
+    else:
+        position = projection.n_words - 1 - address
+    return (
+        (port * len(projection.patterns) + bg_idx) * projection.per_pass
+        + projection.item_offsets[item_idx]
+        + position * len(item.ops)
+        + op_idx
+    )
+
+
+def _reference_certify(test, n_words, width, ports, faults):
+    """``certify`` as one independent loop per fault — the reference the
+    per-stratum stamping must reproduce exactly."""
+    projection = MarchProjection(test, n_words, width, ports)
+    inconsistent = bool(projection.free_failures)
+    all_addresses = frozenset(range(n_words))
+    certificate = CoverageCertificate(
+        test_name=test.name, universe_name="faults", n_words=n_words,
+        width=width, ports=ports, fault_free_consistent=not inconsistent,
+    )
+    cache = {}
+    for index, fault in enumerate(faults):
+        support = support_of(fault)
+        if support is None:
+            verdict, witness, label = UNKNOWN, None, "?"
+        else:
+            visited, covers_all, key = support.project(n_words)
+            label = support.label
+            if inconsistent and not covers_all:
+                verdict = COVERED
+                untouched = min(all_addresses - set(visited))
+                port, bg_idx, item_idx, op_idx = projection.free_failures[0]
+                witness = _reference_witness(
+                    projection, port, bg_idx, item_idx, untouched, op_idx
+                )
+            else:
+                if key not in cache:
+                    try:
+                        failure = projection.run(fault, visited)
+                    except Exception:
+                        cache[key] = (UNKNOWN, None)
+                    else:
+                        cache[key] = (
+                            (COVERED, failure)
+                            if failure is not None
+                            else (NOT_COVERED, None)
+                        )
+                verdict, symbolic = cache[key]
+                witness = None
+                if verdict == COVERED:
+                    port, bg_idx, item_idx, slot, op_idx = symbolic
+                    witness = _reference_witness(
+                        projection, port, bg_idx, item_idx, visited[slot],
+                        op_idx,
+                    )
+        entry = certificate.strata.setdefault(
+            label, {"verdict": verdict, "members": 0}
+        )
+        entry["members"] += 1
+        if entry["verdict"] != verdict:
+            entry["verdict"] = "mixed"
+        certificate.verdicts.append(
+            FaultVerdict(
+                index=index,
+                kind=fault.kind,
+                spec=format_fault(fault),
+                description=fault.describe(),
+                verdict=verdict,
+                witness=witness,
+                stratum=label,
+            )
+        )
+    return certificate
+
+
+def _reference_json(certificate):
+    """``CoverageCertificate.to_json`` as one walk per aggregate."""
+    by_kind = {}
+    for v in certificate.verdicts:
+        counts = by_kind.setdefault(
+            v.kind, {COVERED: 0, NOT_COVERED: 0, UNKNOWN: 0}
+        )
+        counts[v.verdict] += 1
+    total = len(certificate.verdicts)
+    unknown = certificate.count(UNKNOWN)
+    return {
+        "test": certificate.test_name,
+        "universe": certificate.universe_name,
+        "geometry": list(certificate.geometry),
+        "covered": certificate.count(COVERED),
+        "not_covered": certificate.count(NOT_COVERED),
+        "unknown": unknown,
+        "unknown_rate": round(unknown / total, 4) if total else 0.0,
+        "fault_free_consistent": certificate.fault_free_consistent,
+        "by_kind": by_kind,
+        "strata": certificate.strata,
+        "verdicts": [v.to_json() for v in certificate.verdicts],
+    }
+
+
+def _assert_stamped_equals_reference(test, geometry, faults):
+    n_words, width, ports = geometry
+    stamped = certify(test, n_words, width=width, ports=ports, faults=faults)
+    reference = _reference_certify(test, n_words, width, ports, faults)
+    # Serialised text, so key order counts too.
+    assert json.dumps(stamped.to_json()) == json.dumps(
+        _reference_json(reference)
+    ), (test.name, geometry)
+    return stamped
+
+
+class _SubclassedSaf(StuckAtFault):
+    """A subclass may override hooks, so the prover must not project it."""
+
+
+class TestStampedVerdicts:
+    @pytest.mark.parametrize(
+        "geometry", [(4, 2, 1), (8, 1, 1), (3, 2, 3), (5, 4, 2), (16, 1, 1)]
+    )
+    def test_library_matches_per_fault_reference(self, geometry):
+        n_words, width, ports = geometry
+        faults = standard_universe(n_words, width, ports=ports).faults
+        for name in sorted(library.ALGORITHMS):
+            _assert_stamped_equals_reference(
+                library.get(name), geometry, faults
+            )
+
+    def test_smaller_geometry_than_universe_gives_mixed_strata(self):
+        faults = standard_universe(8, 2).faults
+        mixed = 0
+        for name in sorted(library.ALGORITHMS):
+            certificate = _assert_stamped_equals_reference(
+                library.get(name), (5, 2, 1), faults
+            )
+            mixed += sum(
+                s["verdict"] == "mixed" for s in certificate.strata.values()
+            )
+        assert mixed
+
+    @pytest.mark.parametrize("geometry", [(8, 1, 1), (5, 4, 2)])
+    @pytest.mark.parametrize("notation", ["⇑(r1)", "⇑(w0);⇓(r1,w1)"])
+    def test_inconsistent_test_witnesses_match(self, notation, geometry):
+        test = parse_test(notation, name="inconsistent")
+        n_words, width, ports = geometry
+        faults = standard_universe(n_words, width, ports=ports).faults
+        certificate = _assert_stamped_equals_reference(test, geometry, faults)
+        assert not certificate.fault_free_consistent
+
+    def test_subclassed_and_raising_faults_are_unknown(self):
+        def refuse(memory):
+            raise RuntimeError("cannot install")
+
+        raising = StuckAtFault(2, 0, 1)
+        raising.install = refuse
+        # The raising fault settles its stratum, so its stratum-mate
+        # (1,0,1) is stamped unknown with it.
+        faults = [
+            raising, _SubclassedSaf(1, 0, 1), StuckAtFault(1, 0, 1),
+            StuckAtFault(3, 0, 0), _SubclassedSaf(2, 0, 0),
+        ]
+        certificate = _assert_stamped_equals_reference(
+            library.get("March C"), (4, 1, 1), faults
+        )
+        verdicts = [(v.verdict, v.stratum) for v in certificate.verdicts]
+        assert verdicts[1] == verdicts[4] == (UNKNOWN, "?")
+        assert verdicts[0] == verdicts[2] != (UNKNOWN, "?")
+        assert verdicts[0][0] == UNKNOWN
+        assert verdicts[3][0] == COVERED
+
+    @pytest.mark.parametrize("name", sorted(library.ALGORITHMS))
+    def test_witness_line_places_every_read(self, name):
+        test = library.get(name)
+        n_words, width, ports = 3, 2, 3
+        projection = MarchProjection(test, n_words, width, ports)
+        golden = list(expand(test, n_words, width=width, ports=ports))
+        for port in range(ports):
+            for bg_idx in range(len(projection.patterns)):
+                for item_idx, item in enumerate(test.items):
+                    if not isinstance(item, MarchElement):
+                        continue
+                    for op_idx in range(len(item.ops)):
+                        base, stride = projection.witness_line(
+                            port, bg_idx, item_idx, op_idx
+                        )
+                        for address in range(n_words):
+                            index = base + stride * address
+                            place = (port, bg_idx, item_idx, address, op_idx)
+                            assert index == _reference_witness(
+                                projection, *place
+                            )
+                            assert index == projection.witness_index(*place)
+                            assert projection.locate(index) == place
+                            op = golden[index]
+                            assert (op.port, op.address) == (port, address)
 
 
 class TestGeometryMonotonicity:

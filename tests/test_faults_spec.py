@@ -16,9 +16,32 @@ from repro.faults import (
     StuckAtFault,
     TransitionFault,
 )
+from repro.faults.address_decoder import (
+    AddressMapsNowhere,
+    AddressMapsToMultiple,
+    AddressMapsToWrongCell,
+    TwoAddressesOneCell,
+)
+from repro.faults.base import CellFault
+from repro.faults.concurrent import (
+    ConcurrentPortAccessFault,
+    CrossPortCouplingFault,
+)
+from repro.faults.coupling import (
+    IdempotentCouplingFault,
+    InversionCouplingFault,
+    StateCouplingFault,
+)
 from repro.faults.linked import CompositeFault
-from repro.faults.port import PortRestrictedFault
+from repro.faults.port import PortRestrictedFault, PortStuckOpenAccess
 from repro.faults.injector import FaultInjector
+from repro.faults.read_faults import (
+    DeceptiveReadDestructiveFault,
+    IncorrectReadFault,
+    ReadDestructiveFault,
+)
+from repro.faults.retention import DataRetentionFault
+from repro.faults.stuck_open import StuckOpenFault
 from repro.faults.spec import FaultSpecError, format_fault, parse_fault
 from repro.faults.universe import standard_universe
 from repro.memory.sram import Sram
@@ -94,6 +117,108 @@ class TestInexpressible:
     def test_port_restricted_wrapper_has_no_spec_form(self):
         wrapped = PortRestrictedFault(1, StuckAtFault(0, 0, 1))
         assert format_fault(wrapped) is None
+
+
+def _reference_format(fault):
+    """``format_fault`` as an ``isinstance`` chain — the reference the
+    exact-type dispatch must reproduce."""
+    if isinstance(fault, StuckAtFault):
+        return f"saf:{fault.word}:{fault.bit}:{fault.value}"
+    if isinstance(fault, TransitionFault):
+        arrow = "up" if fault.rising else "down"
+        return f"tf:{fault.word}:{fault.bit}:{arrow}"
+    if isinstance(fault, DataRetentionFault):
+        return f"drf:{fault.word}:{fault.bit}:{fault.from_value}"
+    if isinstance(fault, StuckOpenFault):
+        return f"sof:{fault.word}:{fault.bit}:{fault.weak_value}"
+    if isinstance(fault, IncorrectReadFault):
+        return f"irf:{fault.word}:{fault.bit}:{fault.state}"
+    if isinstance(fault, ReadDestructiveFault):
+        return f"rdf:{fault.word}:{fault.bit}:{fault.state}"
+    if isinstance(fault, DeceptiveReadDestructiveFault):
+        return f"drdf:{fault.word}:{fault.bit}:{fault.state}"
+    if isinstance(fault, IdempotentCouplingFault):
+        arrow = "up" if fault.rising else "down"
+        return (
+            f"cfid:{fault.aggressor_word}:{fault.aggressor_bit}:"
+            f"{fault.victim_word}:{fault.victim_bit}:{arrow}:"
+            f"{fault.forced_value}"
+        )
+    if isinstance(fault, InversionCouplingFault):
+        arrow = "up" if fault.rising else "down"
+        return (
+            f"cfin:{fault.aggressor_word}:{fault.aggressor_bit}:"
+            f"{fault.victim_word}:{fault.victim_bit}:{arrow}"
+        )
+    if isinstance(fault, StateCouplingFault):
+        return (
+            f"cfst:{fault.aggressor_word}:{fault.aggressor_bit}:"
+            f"{fault.victim_word}:{fault.victim_bit}:"
+            f"{fault.aggressor_state}:{fault.forced_value}"
+        )
+    if isinstance(fault, AddressMapsNowhere):
+        return f"af1:{fault.address}"
+    if isinstance(fault, AddressMapsToWrongCell):
+        return f"af2:{fault.address}:{fault.wrong_word}"
+    if isinstance(fault, TwoAddressesOneCell):
+        return f"af3:{fault.address}:{fault.other_address}"
+    if isinstance(fault, AddressMapsToMultiple):
+        return f"af4:{fault.address}:{fault.extra_word}"
+    if isinstance(fault, PortStuckOpenAccess):
+        return f"paf:{fault.port}:{fault.word}:{fault.bit}"
+    if isinstance(fault, ConcurrentPortAccessFault):
+        return f"pafc:{fault.port}:{fault.word}:{fault.bit}"
+    if isinstance(fault, CrossPortCouplingFault):
+        arrow = "up" if fault.rising else "down"
+        return (
+            f"cfxp:{fault.aggressor_word}:{fault.aggressor_bit}:"
+            f"{fault.victim_word}:{fault.victim_bit}:{arrow}:"
+            f"{fault.forced_value}"
+        )
+    return None
+
+
+class _SubclassedSaf(StuckAtFault):
+    pass
+
+
+class _SubclassedCfid(IdempotentCouplingFault):
+    pass
+
+
+class _Unregistered(CellFault):
+    kind = "???"
+
+    def describe(self):
+        return "unregistered"
+
+
+class TestFormatDispatch:
+    def test_matches_reference_chain(self):
+        faults = list(standard_universe(5, 4, ports=2).faults) + [
+            parse_fault("pafc:1:2:0"),
+            parse_fault("cfxp:0:1:3:2:down:1"),
+            parse_fault("cfxp:1:0:2:0:up:0"),
+            CompositeFault(
+                [StuckAtFault(0, 0, 1), TransitionFault(1, 0, True)]
+            ),
+            PortRestrictedFault(1, StuckAtFault(0, 0, 1)),
+        ]
+        for fault in faults:
+            assert format_fault(fault) == _reference_format(fault), fault
+
+    def test_subclasses_format_as_their_bases(self):
+        # Twice each: the second call takes the memoised resolution.
+        cases = [
+            (_SubclassedSaf(3, 1, 0), "saf:3:1:0"),
+            (_SubclassedCfid(0, 1, 2, 3, False, 1), "cfid:0:1:2:3:down:1"),
+            (_Unregistered(), None),
+        ]
+        for _ in range(2):
+            for fault, spec in cases:
+                assert format_fault(fault) == spec
+                assert _reference_format(fault) == spec
+        assert format_fault(_SubclassedSaf(0, 0, 1)) == "saf:0:0:1"
 
 
 class TestParseErrors:
