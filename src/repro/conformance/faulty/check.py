@@ -1542,10 +1542,11 @@ class MultiGeometrySweepReport:
         return sum(len(sweep.failures) for sweep in self.sweeps)
 
     def format(self) -> str:
+        count = len(self.sweeps)
         lines = [
-            f"multi-geometry fault-response sweep: "
-            f"{len(self.sweeps)} geometrie(s), {self.checked} runs, "
-            f"{self.failure_count} failure(s)"
+            f"multi-geometry fault-response sweep: {count} "
+            f"{'geometry' if count == 1 else 'geometries'}, "
+            f"{self.checked} runs, {self.failure_count} failure(s)"
         ]
         for sweep in self.sweeps:
             lines.extend("  " + line for line in sweep.format().splitlines())

@@ -44,9 +44,10 @@ def stratified_sample(
     samples still touch different cells and polarities.
     """
     rng = random.Random(seed)
+    groups = universe.by_kind()
     sample: List[CellFault] = []
-    for kind in universe.kinds():
-        population = spec_expressible(universe.by_kind()[kind])
+    for kind in sorted(groups):
+        population = spec_expressible(groups[kind])
         if not population:
             continue
         if len(population) <= per_kind:

@@ -24,8 +24,8 @@ two structural savings:
   streams give identical captures for *every* fault — the per-partner
   sessions per fault disappear entirely, and the pair's payload needs
   only one detected / not-detected verdict;
-* **per fault**: the verdict is a *support projection* of the golden
-  capture: only the golden ops on the fault's support addresses
+* **per stratum**: a fault's verdict is a *support projection* of the
+  golden capture: only the golden ops on its support addresses
   (:func:`~repro.faults.support.support_of`) plus every pause, in
   stream order, against the real fault object on a sparse
   :class:`~repro.memory.shadow.ShadowMemory`, reads compared with the
@@ -44,9 +44,10 @@ two structural savings:
   prover's own replay loop — so a test costs O(items) to plan and a
   replay O(|support| · ops), at any memory size.  Faults of one stratum
   (:meth:`~repro.faults.support.FaultSupport.project`, the key the
-  coverage prover uses) see isomorphic replays and share one.  The
-  stream is built only when a simulated partner is compared with it or
-  a fault falls back to the scalar check.
+  coverage prover uses) see isomorphic replays and share one; a shard
+  groups its faults by stratum once, and a test tallies each stratum
+  once, so it costs O(strata + fallbacks).  The stream is built only
+  for a simulated partner's compare or a scalar fallback.
 
   PRT and in-field streams do not come from the notation: their golden
   stream is built, captured fault-free on a plain
@@ -114,6 +115,10 @@ lane_spec = compile_stream = evaluate_lanes = None
 
 #: A fault's projection: (in-range support addresses, stratum key).
 Projection = Tuple[Tuple[int, ...], Tuple]
+
+#: A shard's faults: projections, indices by stratum key, loose indices.
+Population = Tuple[List[Optional[Projection]], Dict[Tuple, List[int]],
+                   List[int]]
 
 
 #: A fault's verdict replay: (fault, in-range support) -> detected.
@@ -276,40 +281,39 @@ def _projection(fault: CellFault, n_words: int) -> Optional[Projection]:
     return visited, key
 
 
-def _verdicts(
-    stimulus: Stimulus,
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    faults: Sequence[CellFault],
-    projections: Sequence[Optional[Projection]],
-    max_ops: Optional[int],
-) -> Tuple[List[Optional[bool]], _Plan]:
-    """Projected detection verdict per fault, and the test's plan.
-
-    A ``None`` verdict sends that fault to the scalar fallback; every
-    verdict is ``None`` when the test fails its plan.
-    """
-    plan = _plan_test(stimulus, test, caps, max_ops)
-    if plan.detects is None:
-        return [None] * len(faults), plan
-    strata: Optional[Dict[Tuple, bool]] = {} if plan.stratified else None
-    verdicts: List[Optional[bool]] = []
-    for fault, projection in zip(faults, projections):
-        detected = None
+def _population(faults: Sequence[CellFault], n_words: int) -> Population:
+    """Each fault's projection, the fault indices grouped by stratum key
+    in order of first appearance, and the loose ones (no projection)."""
+    projections = [_projection(fault, n_words) for fault in faults]
+    loose = [index for index, p in enumerate(projections) if p is None]
+    strata: Dict[Tuple, List[int]] = {}
+    for index, projection in enumerate(projections):
         if projection is not None:
-            addresses, key = projection
-            if strata is not None and key in strata:
-                detected = strata[key]
-            else:
-                try:
-                    detected = plan.detects(fault, addresses)
-                except Exception:
-                    pass  # the scalar check reproduces the error
-                else:
-                    if strata is not None:
-                        strata[key] = detected
-        verdicts.append(detected)
-    return verdicts, plan
+            strata.setdefault(projection[1], []).append(index)
+    return projections, strata, loose
+
+
+def _decide(
+    plan: _Plan, faults: Sequence[CellFault], population: Population
+) -> Tuple[List[Tuple[List[int], int, int, bool]], List[int]]:
+    """One replay per group: each decision ``(members, start, stop,
+    detected)`` is the verdict of ``members[start:stop]`` (a stratum's
+    rest if stratified, else one fault); raised faults fall back."""
+    projections, strata, _ = population
+    decided: List[Tuple[List[int], int, int, bool]] = []
+    raised: List[int] = []
+    for members in strata.values():
+        for position, index in enumerate(members):
+            try:
+                detected = plan.detects(faults[index], projections[index][0])
+            except Exception:
+                raised.append(index)  # the scalar check reproduces it
+                continue
+            stop = len(members) if plan.stratified else position + 1
+            decided.append((members, position, stop, detected))
+            if plan.stratified:
+                break
+    return decided, raised
 
 
 def _sweep_test_into(
@@ -317,26 +321,29 @@ def _sweep_test_into(
     test: MarchTest,
     caps: ControllerCapabilities,
     faults: Sequence[CellFault],
-    projections: Sequence[Optional[Projection]],
+    population: Population,
     compress: bool,
     max_ops: Optional[int],
     mode: str,
 ) -> None:
-    """Sweep one test over the fault population, fault order preserved."""
+    """Sweep one test over the fault population: tally each decision at
+    once, then check the fallbacks in fault order."""
     stimulus = resolve_stimulus(test, caps, mode, compress=compress)
-    verdicts, plan = _verdicts(
-        stimulus, test, caps, faults, projections, max_ops
-    )
+    plan = _plan_test(stimulus, test, caps, max_ops)
     report.partners_proved += plan.proved
     report.partners_simulated += plan.simulated
-    for fault, detected in zip(faults, verdicts):
-        if detected is None:
-            report.add(_check_pair(stimulus, test, caps, fault, max_ops))
-            report.fallback_runs += 1
-        else:
-            report.checked += 1
-            report.detected += detected
-            report.skipped_runs += plan.skipped
+    fallback: Sequence[int] = range(len(faults))
+    if plan.detects is not None:
+        decided, raised = _decide(plan, faults, population)
+        runs = sum(stop - start for _, start, stop, _ in decided)
+        hits = sum(stop - start for _, start, stop, hit in decided if hit)
+        report.checked += runs
+        report.detected += hits
+        report.skipped_runs += plan.skipped * runs
+        fallback = sorted(population[2] + raised) if raised else population[2]
+    for index in fallback:
+        report.add(_check_pair(stimulus, test, caps, faults[index], max_ops))
+        report.fallback_runs += 1
 
 
 def _vector_shard(
@@ -348,8 +355,8 @@ def _vector_shard(
     Planning is per test, so shards are contiguous *test* chunks
     (unlike the scalar engine's product chunks); the product order
     inside each shard is still algorithm-major, so merged reports match
-    the serial sweep byte for byte.  Each fault's support is extracted
-    once per shard and reused for every test in it.
+    the serial sweep byte for byte.  Each fault's support is extracted,
+    and the population grouped by stratum, once per shard.
     """
     (shard_index, tests, caps, faults, start, count, compress,
      max_ops, mode) = args
@@ -358,10 +365,10 @@ def _vector_shard(
         geometry=(caps.n_words, caps.width, caps.ports), engine="vector",
         mode=mode,
     )
-    projections = [_projection(fault, caps.n_words) for fault in faults]
+    population = _population(faults, caps.n_words)
     for test in tests[start:start + count]:
         _sweep_test_into(
-            report, test, caps, faults, projections, compress, max_ops, mode
+            report, test, caps, faults, population, compress, max_ops, mode
         )
     report.shards = [{
         "shard": shard_index,

@@ -492,6 +492,30 @@ class TestFaultAxisShrinking:
         assert result.to_dict()["fault"] == "saf:0:0:1"
 
 
+def _regrouping_stratified_sample(universe, per_kind, seed):
+    """``stratified_sample`` as it was when it regrouped the universe
+    for every kind: the reference its one-grouping form must match."""
+    import random
+
+    from repro.conformance.faulty.sampling import spec_expressible
+
+    rng = random.Random(seed)
+    sample = []
+    for kind in universe.kinds():
+        population = spec_expressible(universe.by_kind()[kind])
+        if not population:
+            continue
+        if len(population) <= per_kind:
+            sample.extend(population)
+            continue
+        picks = [population[0], population[-1]]
+        middle = population[1:-1]
+        rng.shuffle(middle)
+        picks.extend(middle)
+        sample.extend(picks[:per_kind])
+    return sample
+
+
 class TestSampling:
     def test_stratified_sample_covers_every_kind(self):
         universe = standard_universe(4, width=1, include_npsf=False)
@@ -504,6 +528,35 @@ class TestSampling:
         a = [format_fault(f) for f in stratified_sample(universe, seed=7)]
         b = [format_fault(f) for f in stratified_sample(universe, seed=7)]
         assert a == b
+
+    @pytest.mark.parametrize("per_kind", [1, 2, 3])
+    @pytest.mark.parametrize("geometry", [(4, 2, 2), (8, 1, 1), (5, 4, 2)])
+    def test_one_grouping_draws_the_per_kind_sample(
+        self, geometry, per_kind, monkeypatch
+    ):
+        """The universe is grouped by kind once, and the sample is the
+        one a regrouping per kind drew."""
+        n_words, width, ports = geometry
+        universe = standard_universe(
+            n_words, width=width, include_npsf=False, ports=ports
+        )
+        expected = [
+            format_fault(fault)
+            for fault in _regrouping_stratified_sample(
+                universe, per_kind=per_kind, seed=3
+            )
+        ]
+        calls = []
+        by_kind = universe.by_kind
+
+        def counted():
+            calls.append(1)
+            return by_kind()
+
+        monkeypatch.setattr(universe, "by_kind", counted)
+        sample = stratified_sample(universe, per_kind=per_kind, seed=3)
+        assert [format_fault(fault) for fault in sample] == expected
+        assert len(calls) == 1
 
     def test_random_fault_is_seed_deterministic(self):
         import random
@@ -680,6 +733,20 @@ class TestMultiGeometrySweeps:
         assert payload["timing"]["wall_time_s"] > 0
         formatted = report.format()
         assert "(3, 1, 1)" in formatted and "(2, 2, 1)" in formatted
+
+    @pytest.mark.parametrize(
+        "count, noun", [(1, "1 geometry"), (2, "2 geometries")]
+    )
+    def test_summary_counts_geometries_in_words(self, count, noun):
+        sweeps = [
+            faulty_check.FaultSweepReport(geometry=(2 + index, 1, 1))
+            for index in range(count)
+        ]
+        report = faulty_check.MultiGeometrySweepReport(sweeps=sweeps)
+        assert report.format().splitlines()[0] == (
+            f"multi-geometry fault-response sweep: {noun}, 0 runs, "
+            "0 failure(s)"
+        )
 
     def test_two_component_geometry_defaults_to_one_port(self):
         report = run_fault_sweeps([(2, 2)], [library.get("MATS")],

@@ -333,7 +333,9 @@ class TestThousandWords:
         from repro.analysis.coverage import certify
         from repro.conformance import run_fault_sweep, sweep_faults
         from repro.conformance.faulty.check import resolve_stimulus
-        from repro.vector.sweep import _projection, _verdicts
+        from repro.vector.sweep import _population
+
+        from tests.test_vector_engine import sweep_verdicts
 
         calls = []
         golden_fetches = []
@@ -376,12 +378,12 @@ class TestThousandWords:
         )
         assert report.partners_proved == realisable
 
-        projections = [_projection(fault, caps.n_words) for fault in faults]
+        population = _population(faults, caps.n_words)
         detected = 0
         for test in LIBRARY:
             stimulus = resolve_stimulus(test, caps)
-            verdicts, plan = _verdicts(
-                stimulus, test, caps, faults, projections, None
+            verdicts, plan = sweep_verdicts(
+                stimulus, test, caps, faults, population
             )
             certificate = certify(test, caps.n_words, faults=faults)
             assert verdicts == [

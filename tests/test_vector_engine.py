@@ -56,7 +56,13 @@ from repro.march.notation import format_test, parse_test
 from repro.march.projection import MarchProjection
 from repro.memory.sram import Sram
 from repro.prt import PRT_RING_DOWN, PRT_RING_UP
-from repro.vector.sweep import _GoldenIndex, _projection, _verdicts
+from repro.vector import sweep as vector_sweep
+from repro.vector.sweep import (
+    _decide,
+    _GoldenIndex,
+    _population,
+    _projection,
+)
 
 MARCH_C = library.get("March C")
 LIBRARY = [library.get(name) for name in library.ALGORITHMS]
@@ -84,6 +90,20 @@ def _payloads_equal(a, b):
     return a.to_json(include_timing=False) == b.to_json(include_timing=False)
 
 
+def sweep_verdicts(stimulus, test, caps, faults, population, max_ops=None):
+    """The vector sweep's verdict per fault (``None``: the scalar
+    fallback) and the test's plan: the per-stratum decisions of
+    ``_decide``, expanded through the shard's grouping ``population``."""
+    plan = vector_sweep._plan_test(stimulus, test, caps, max_ops)
+    verdicts = [None] * len(faults)
+    if plan.detects is not None:
+        decided, _ = _decide(plan, faults, population)
+        for members, start, stop, detected in decided:
+            for index in members[start:stop]:
+                verdicts[index] = detected
+    return verdicts, plan
+
+
 class TestVerdictLevelEquivalence:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize(
@@ -103,15 +123,15 @@ class TestVerdictLevelEquivalence:
         caps = _caps(*geometry)
         tests, mode = FAMILIES[family]
         faults = sweep_faults(caps, full=True, mode=mode)
-        projections = [_projection(fault, caps.n_words) for fault in faults]
-        assert None not in projections
+        population = _population(faults, caps.n_words)
+        assert population[2] == []  # nothing loose
         injector = FaultInjector(
             Sram(caps.n_words, width=caps.width, ports=caps.ports)
         )
         for test in tests:
             stimulus = resolve_stimulus(test, caps, mode)
-            verdicts, _ = _verdicts(
-                stimulus, test, caps, faults, projections, None
+            verdicts, _ = sweep_verdicts(
+                stimulus, test, caps, faults, population
             )
             golden = stimulus.golden().stream
             for fault, verdict in zip(faults, verdicts):
@@ -173,21 +193,33 @@ class TestNotationPath:
             standard_universe(caps.n_words, caps.width, ports=caps.ports)
             .faults
         ) + linked_cfid_universe(caps.n_words)
-        projections = [_projection(fault, caps.n_words) for fault in faults]
+        population = _population(faults, caps.n_words)
+        projections = population[0]
         assert None not in projections
         seen = set()
+        stratified = 0
         for test in self.MARCHES:
             notation = MarchProjection(
                 test, caps.n_words, caps.width, caps.ports
             )
             golden = _GoldenIndex(GOLDEN_CACHE.get(test, caps), caps)
+            replays = []
             for fault, (addresses, _) in zip(faults, projections):
                 detected = notation.detects(fault, addresses)
                 assert detected is golden.detects(fault, addresses), (
                     format_test(test), fault.describe()
                 )
-                seen.add(detected)
+                replays.append(detected)
+            seen.update(replays)
+            # One replay per stratum decides every member alike.
+            verdicts, plan = sweep_verdicts(
+                resolve_stimulus(test, caps), test, caps, faults, population
+            )
+            if plan.detects is not None:
+                stratified += plan.stratified
+                assert verdicts == replays, format_test(test)
         assert seen == {True, False}
+        assert stratified
 
     @pytest.mark.parametrize("test", [MARCH_C, library.get("March B")])
     def test_budget_below_the_analytic_length_trips_like_scalar(self, test):
@@ -535,6 +567,217 @@ class TestStimulusFamiliesOnTheKernel:
             include_timing=False
         )
         assert len(scalar.failures) == len(faults)
+
+
+def _reference_verdicts(stimulus, test, caps, faults, projections, max_ops):
+    """The sweep's verdict per fault as it was computed before the sweep
+    grouped its population: one pass over every fault, a replay per
+    stratum key not yet seen."""
+    plan = vector_sweep._plan_test(stimulus, test, caps, max_ops)
+    if plan.detects is None:
+        return [None] * len(faults), plan
+    strata = {} if plan.stratified else None
+    verdicts = []
+    for fault, projection in zip(faults, projections):
+        detected = None
+        if projection is not None:
+            addresses, key = projection
+            if strata is not None and key in strata:
+                detected = strata[key]
+            else:
+                try:
+                    detected = plan.detects(fault, addresses)
+                except Exception:
+                    pass
+                else:
+                    if strata is not None:
+                        strata[key] = detected
+        verdicts.append(detected)
+    return verdicts, plan
+
+
+def _reference_shard(args):
+    """``_vector_shard`` tallying per fault: the reference the
+    per-stratum tally must match field for field."""
+    (shard_index, tests, caps, faults, start, count, compress,
+     max_ops, mode) = args
+    report = FaultSweepReport(
+        geometry=(caps.n_words, caps.width, caps.ports), engine="vector",
+        mode=mode,
+    )
+    projections = [_projection(fault, caps.n_words) for fault in faults]
+    for test in tests[start:start + count]:
+        stimulus = resolve_stimulus(test, caps, mode, compress=compress)
+        verdicts, plan = _reference_verdicts(
+            stimulus, test, caps, faults, projections, max_ops
+        )
+        report.partners_proved += plan.proved
+        report.partners_simulated += plan.simulated
+        for fault, detected in zip(faults, verdicts):
+            if detected is None:
+                report.add(vector_sweep._check_pair(
+                    stimulus, test, caps, fault, max_ops
+                ))
+                report.fallback_runs += 1
+            else:
+                report.checked += 1
+                report.detected += detected
+                report.skipped_runs += plan.skipped
+    report.shards = [{"shard": shard_index, "runs": count * len(faults),
+                      "wall_time_s": 0.0}]
+    return report
+
+
+def _tallies(report):
+    return (
+        report.to_json(include_timing=False), report.fallback_runs,
+        report.partners_proved, report.partners_simulated,
+    )
+
+
+class TestStratumTallies:
+    """The sweep tallies each stratum's verdict once per test; its
+    report must equal the per-fault tally's, field for field."""
+
+    @staticmethod
+    def _assert_tallies_match(monkeypatch, tests, caps, faults, mode,
+                              jobs=(1,)):
+        with monkeypatch.context() as patched:
+            patched.setattr(vector_sweep, "_vector_shard", _reference_shard)
+            reference = run_fault_sweep(
+                tests, caps, faults, engine="vector", mode=mode
+            )
+        for count in jobs:
+            report = run_fault_sweep(
+                tests, caps, faults, engine="vector", mode=mode, jobs=count
+            )
+            assert _tallies(report) == _tallies(reference), count
+        return reference
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [(1, 1, 1), (4, 2, 1), (8, 1, 1), (4, 2, 2), (3, 2, 3), (5, 4, 2)],
+    )
+    def test_library_full_universe(self, monkeypatch, geometry):
+        caps = _caps(*geometry)
+        faults = sweep_faults(caps, full=True)
+        jobs = (1, 2) if geometry == (4, 2, 2) else (1,)
+        reference = self._assert_tallies_match(
+            monkeypatch, LIBRARY, caps, faults, "sequential", jobs
+        )
+        assert reference.fallback_runs == 0
+
+    def test_library_and_prt_sessions(self, monkeypatch):
+        caps = _caps(8, 1, 1)
+        self._assert_tallies_match(
+            monkeypatch, LIBRARY + [PRT_RING_UP, PRT_RING_DOWN], caps,
+            sweep_faults(caps, full=True), "sequential",
+        )
+
+    def test_infield(self, monkeypatch):
+        caps = _caps(4, 1, 1)
+        self._assert_tallies_match(
+            monkeypatch, LIBRARY, caps,
+            sweep_faults(caps, full=True, mode="infield"), "infield",
+        )
+
+    def test_concurrent_falls_back_per_test(self, monkeypatch):
+        caps = _caps(2, 2, 2)
+        faults = sweep_faults(caps, full=True, mode="concurrent")
+        tests = [library.MATS_PLUS, MARCH_C]
+        reference = self._assert_tallies_match(
+            monkeypatch, tests, caps, faults, "concurrent"
+        )
+        assert reference.fallback_runs == len(tests) * len(faults)
+
+    def test_loose_faults_interleaved(self, monkeypatch):
+        caps = _caps(4, 2, 1)
+        faults = sweep_faults(caps, per_kind=2, seed=1)
+        for index in (0, 5, len(faults) // 2, len(faults) - 1):
+            faults[index] = _SubclassedStuckAt(index % 4, index % 2, index % 2)
+        reference = self._assert_tallies_match(
+            monkeypatch, LIBRARY, caps, faults, "sequential", jobs=(1, 2)
+        )
+        assert reference.fallback_runs == 4 * len(LIBRARY)
+
+    def test_raising_first_member_falls_back_in_fault_order(
+        self, monkeypatch
+    ):
+        """A replay that raises for a stratum's first member: its
+        stratum-mate decides the rest, and it falls back in fault order
+        between the loose faults."""
+        caps = _caps(8, 1, 1)
+        faults = sweep_faults(caps, full=True)
+        _, strata, _ = _population(faults, caps.n_words)
+        members = next(
+            m for m in strata.values() if len(m) >= 3 and m[0] > 0
+        )
+        chosen = faults[members[0]]
+        loose = (members[0] - 1, members[0] + 1, len(faults) - 1)
+        for index in loose:
+            faults[index] = _SubclassedStuckAt(index % 8, 0, index % 2)
+        detects = MarchProjection.detects
+
+        def raising(self, fault, addresses):
+            if fault is chosen:
+                raise RuntimeError("deliberately broken replay")
+            return detects(self, fault, addresses)
+
+        monkeypatch.setattr(MarchProjection, "detects", raising)
+        checked = []
+        check_pair = vector_sweep._check_pair
+
+        def recorded(stimulus, test, caps, fault, max_ops):
+            checked.append(faults.index(fault))
+            return check_pair(stimulus, test, caps, fault, max_ops)
+
+        monkeypatch.setattr(vector_sweep, "_check_pair", recorded)
+        tests = [MARCH_C, library.get("March B")]
+        reference = self._assert_tallies_match(
+            monkeypatch, tests, caps, faults, "sequential"
+        )
+        assert reference.fallback_runs == 4 * len(tests)
+        order = sorted(loose + (members[0],))
+        assert checked == order * 2 * len(tests)  # reference, then sweep
+        scalar = run_fault_sweep(tests, caps, faults)
+        assert _payloads_equal(reference, scalar)
+
+    def test_replaced_capture_falls_back_with_failures_in_order(
+        self, monkeypatch
+    ):
+        def lossy_capture(stream, memory, max_ops=None):
+            capture = capture_response(stream, memory, max_ops=max_ops)
+            del capture.events[1:]
+            return capture
+
+        monkeypatch.setitem(
+            faulty_check.RESPONSE_CAPTURES, "microcode", lossy_capture
+        )
+        caps = _caps(4, 1, 1)
+        faults = sweep_faults(caps, per_kind=2)
+        tests = [MARCH_C, library.get("March B")]
+        reference = self._assert_tallies_match(
+            monkeypatch, tests, caps, faults, "sequential"
+        )
+        assert reference.fallback_runs == len(tests) * len(faults)
+        assert len(reference.failures) > 1
+
+    def test_one_replay_per_test_and_stratum(self, monkeypatch):
+        caps = _caps(64, 2, 1)
+        faults = sweep_faults(caps, full=True)
+        _, strata, loose = _population(faults, caps.n_words)
+        assert loose == []
+        runs = []
+        run = MarchProjection.run
+
+        def counted(self, *args, **kwargs):
+            runs.append(1)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(MarchProjection, "run", counted)
+        report = run_fault_sweep(LIBRARY, caps, faults, engine="vector")
+        assert report.fallback_runs == 0
+        assert len(runs) == len(LIBRARY) * len(strata) == 1955
 
 
 class TestPartnerAccounting:
