@@ -536,9 +536,9 @@ def _check_vector_identity(
     cross-engine conformance case on a *random* (march, geometry,
     fault) triple, far off the curated library the dedicated
     ``--cross-engine`` sweeps exercise.  Divergences are reported with
-    the first differing payload field; the "{seed}:{index}" sample seed
-    is already a minimal-enough reproducer (one algorithm, one fault),
-    so no shrink pass is run.
+    the path of the first differing payload leaf; the "{seed}:{index}"
+    sample seed is already a minimal-enough reproducer (one algorithm,
+    one fault), so no shrink pass is run.
     """
     from repro.conformance.faulty import (
         CrossEngineResult,
@@ -554,11 +554,11 @@ def _check_vector_identity(
         [test], caps, [fault], compress=compress, engine="vector"
     )
     result.vector_checked = True
-    cross = CrossEngineResult(scalar=scalar, vector=vector)
-    if not cross.ok:
+    divergence = CrossEngineResult(scalar=scalar, vector=vector).divergence()
+    if divergence is not None:
         result.mismatches.append(
             "sweep-engine divergence under "
-            f"{result.fault_spec}: {cross.divergence()}"
+            f"{result.fault_spec}: {divergence}"
         )
 
 

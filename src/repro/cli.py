@@ -50,12 +50,22 @@ Commands:
     writes the JSON artifact (failing samples carry minimised
     reproducers).
 ``sweep``
-    Service-backed fault-response sweep on the crash-tolerant job
-    engine (``docs/SERVICE.md``): per-shard timeouts, bounded retry,
-    crash quarantine, and — with ``--store DIR`` — content-hashed
-    shard checkpoints so an interrupted sweep resumes (``--resume``)
-    and an identical rerun is pure cache hits.  SIGINT writes the
-    partial report (marked ``"interrupted": true``) and exits 130.
+    The fault sweep: every architecture's BIST session runs against
+    the *same injected fault* and the fail events, fail-log
+    aggregations and diagnosis are compared (``--fault SPEC``, or a
+    stratified/``--full-universe`` sample of the standard fault
+    universe).  Repeatable ``--geometry WxBxP`` flags give one report
+    with a section per geometry; ``--mode concurrent|infield``
+    switches the stimulus regime to the same-cycle dual-port expansion
+    or a deterministic in-field transparent session; ``--engine
+    vector`` picks the projected engine and ``--cross-engine`` runs
+    both and compares their payloads.  Runs on the crash-tolerant job
+    engine (``docs/SERVICE.md``): ``--jobs N`` shards with a
+    jobs-independent report, per-shard timeouts, bounded retry, crash
+    quarantine, and — with ``--store DIR`` — content-hashed shard
+    checkpoints so an interrupted sweep resumes (``--resume``) and an
+    identical rerun is pure cache hits.  SIGINT writes the partial
+    report (marked ``"interrupted": true``) and exits 130.
 ``serve``
     File-backed sweep sessions in the BIST controller handshake idiom:
     ``submit`` configures (prints the content-addressed session id),
@@ -64,16 +74,8 @@ Commands:
 ``conformance``
     Differential conformance tooling: ``run`` checks one algorithm (or
     ``--all``) op-for-op across the architectures with a structured
-    first-divergence report; ``run-faulty`` runs every architecture's
-    BIST session against the *same injected fault* and compares fail
-    events, fail-log aggregations and diagnosis (``--fault SPEC``, or a
-    stratified/``--full-universe`` sweep of the standard fault
-    universe; ``--jobs N`` shards the sweep over worker processes with
-    a jobs-independent report, repeatable ``--geometry WxBxP`` flags
-    sweep several memory geometries into one sectioned report, and
-    ``--mode concurrent|infield`` switches the stimulus regime to the
-    same-cycle dual-port expansion or a deterministic in-field
-    transparent session);
+    first-divergence report (the faulty-memory differential is
+    ``sweep``);
     ``shrink`` delta-debugs a failing sample (``--sample
     SEED:INDEX`` from a fuzz report, or ``--notation``) to a minimal
     reproducer — with ``--fault SPEC`` the shrink runs over all three
@@ -491,217 +493,84 @@ def _write_report(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def _cmd_conformance_run_faulty(args: argparse.Namespace) -> int:
-    import os
-    import time
-
-    from repro.conformance import (
-        FaultSweepReport,
-        check_cross_engine,
-        check_fault_conformance,
-        run_fault_sweep,
-        run_fault_sweeps,
-        sweep_faults,
-    )
-
-    names = list(library.ALGORITHMS) if args.all else [args.algorithm]
-    tests = [library.get(name) for name in names]
-    compress = not args.no_compress
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    explicit_faults = (
-        [parse_fault(spec) for spec in args.fault] if args.fault else None
-    )
-    if args.geometry:
-        # Multi-geometry driver: one report with a section per geometry,
-        # each drawing its own (geometry-dependent) fault population
-        # unless --fault pinned one explicitly.
-        geometries = [_parse_geometry(token) for token in args.geometry]
-        if args.cross_engine:
-            reports = {
-                engine: run_fault_sweeps(
-                    geometries,
-                    tests,
-                    faults=explicit_faults,
-                    per_kind=args.per_kind,
-                    seed=args.seed,
-                    full=args.full_universe,
-                    compress=compress,
-                    max_ops=args.max_ops,
-                    jobs=jobs,
-                    engine=engine,
-                    mode=args.mode,
-                )
-                for engine in ("scalar", "vector")
-            }
-            identical = (
-                reports["scalar"].to_json(include_timing=False)
-                == reports["vector"].to_json(include_timing=False)
-            )
-            payload = {
-                "ok": identical and reports["scalar"].ok,
-                "identical": identical,
-                "scalar": reports["scalar"].to_json(),
-                "vector": reports["vector"].to_json(),
-            }
-            if args.report:
-                _write_report(args.report, payload)
-            if args.json:
-                print(json.dumps(payload, indent=2))
-            else:
-                print(
-                    "cross-engine multi-geometry sweep: "
-                    + ("IDENTICAL" if identical else "DIVERGED")
-                )
-                for engine in ("scalar", "vector"):
-                    print(f"--- {engine} ---")
-                    print(reports[engine].format())
-            return 0 if payload["ok"] else 1
-        report = run_fault_sweeps(
-            geometries,
-            tests,
-            faults=explicit_faults,
-            per_kind=args.per_kind,
-            seed=args.seed,
-            full=args.full_universe,
-            compress=compress,
-            max_ops=args.max_ops,
-            jobs=jobs,
-            engine=args.engine,
-            mode=args.mode,
-        )
-        if args.report:
-            _write_report(args.report, report.to_json())
-        if args.json:
-            print(json.dumps(report.to_json(), indent=2))
-        else:
-            print(report.format())
-        return 0 if report.ok else 1
-    caps = _conformance_caps(args)
-    faults = (
-        explicit_faults
-        if explicit_faults is not None
-        else sweep_faults(
-            caps,
-            per_kind=args.per_kind,
-            seed=args.seed,
-            full=args.full_universe,
-            mode=args.mode,
-        )
-    )
-    if args.cross_engine:
-        result = check_cross_engine(
-            tests, caps, faults, compress=compress, max_ops=args.max_ops,
-            jobs=jobs, mode=args.mode,
-        )
-        if args.report:
-            _write_report(args.report, result.to_json())
-        if args.json:
-            print(json.dumps(result.to_json(), indent=2))
-        else:
-            print(result.format())
-        return 0 if result.ok and result.scalar.ok else 1
-    if args.engine == "scalar" and len(tests) == 1 and len(faults) == 1:
-        started = time.perf_counter()
-        result = check_fault_conformance(
-            tests[0], caps, faults[0], compress=compress,
-            max_ops=args.max_ops, mode=args.mode,
-        )
-        if args.report:
-            # A one-run sweep JSON, so --report behaves identically
-            # whether the run happens to be a single pair or a sweep.
-            sweep = FaultSweepReport(
-                geometry=(caps.n_words, caps.width, caps.ports),
-                mode=args.mode,
-            )
-            sweep.add(result)
-            sweep.wall_time_s = time.perf_counter() - started
-            _write_report(args.report, sweep.to_json())
-        if args.json:
-            print(json.dumps(result.to_dict(), indent=2))
-        else:
-            print(result.format())
-        return 0 if result.ok else 1
-    report = run_fault_sweep(
-        tests, caps, faults, compress=compress, max_ops=args.max_ops,
-        jobs=jobs, engine=args.engine, mode=args.mode,
-    )
-    if args.report:
-        _write_report(args.report, report.to_json())
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.format())
-    return 0 if report.ok else 1
+#: Fault coordinate attributes, each with the geometry axis it must stay
+#: inside (0: words, 1: width, 2: ports) — what an explicit ``--fault``
+#: is checked against.
+_FAULT_COORDINATES = {
+    "word": 0, "aggressor_word": 0, "victim_word": 0, "address": 0,
+    "other_address": 0, "wrong_word": 0, "extra_word": 0,
+    "bit": 1, "aggressor_bit": 1, "victim_bit": 1,
+    "port": 2,
+}
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Service-backed fault sweep: resumable, crash-tolerant, cached."""
+def _explicit_faults(specs: Optional[List[str]], geometries: List[tuple]):
+    """Parse ``--fault`` specs, rejecting any outside a swept geometry.
+
+    Every spec is checked against every geometry before any sweep
+    starts, so a bad spec fails fast with its name instead of deep in
+    a later geometry's section.  ``None`` means "sample the universe".
+    """
+    if not specs:
+        return None
+    faults = [parse_fault(spec) for spec in specs]
+    for spec, fault in zip(specs, faults):
+        for geometry in geometries:
+            for name, axis in _FAULT_COORDINATES.items():
+                value = getattr(fault, name, None)
+                if value is not None and not 0 <= value < geometry[axis]:
+                    raise ValueError(
+                        f"--fault {spec} does not fit geometry "
+                        f"{'x'.join(map(str, geometry))}: {name} {value} "
+                        f"is outside 0..{geometry[axis] - 1}"
+                    )
+    return faults
+
+
+def _run_sweep(
+    args: argparse.Namespace,
+    tests: list,
+    geometries: List[tuple],
+    faults=None,
+    compress: bool = True,
+    engine: str = "scalar",
+    mode: str = "sequential",
+    cross_engine: bool = False,
+    store=None,
+    resume: bool = False,
+    shard_timeout: Optional[float] = None,
+) -> int:
+    """Sweep ``tests`` over ``geometries``, print and write the report.
+
+    The one sweep runner behind ``sweep`` and ``prt conformance``:
+    ``args`` supplies the population (``per_kind``, ``seed``,
+    ``full_universe``), ``max_ops``, ``jobs`` and the output flags
+    (``json``, ``report``); the keywords are what only ``sweep``
+    exposes.  ``cross_engine`` runs both engines into a
+    :class:`~repro.conformance.CrossEngineResult`; the store keys the
+    two engines apart, so one store never mixes their shards.
+    """
     import os
 
-    from repro.conformance import run_fault_sweeps
-    from repro.service import ResultStore
+    from repro.conformance import CrossEngineResult, run_fault_sweeps
 
-    names = list(library.ALGORITHMS) if args.all else [args.algorithm]
-    tests = [library.get(name) for name in names]
-    compress = not args.no_compress
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    store = ResultStore(args.store) if args.store else None
-    explicit_faults = (
-        [parse_fault(spec) for spec in args.fault] if args.fault else None
-    )
-    geometries = (
-        [_parse_geometry(token) for token in args.geometry]
-        if args.geometry
-        else [(args.words, args.width, args.ports)]
-    )
-    service_kwargs = dict(
-        store=store,
-        resume=args.resume,
-        shard_timeout=args.shard_timeout,
-    )
-    if args.cross_engine:
-        reports = {
-            engine: run_fault_sweeps(
-                geometries, tests, faults=explicit_faults,
-                per_kind=args.per_kind, seed=args.seed,
-                full=args.full_universe, compress=compress,
-                max_ops=args.max_ops, jobs=jobs, engine=engine,
-                mode=args.mode, **service_kwargs,
-            )
-            for engine in ("scalar", "vector")
-        }
-        identical = (
-            reports["scalar"].to_json(include_timing=False)
-            == reports["vector"].to_json(include_timing=False)
+
+    def sweep(engine_name: str):
+        return run_fault_sweeps(
+            geometries, tests, faults=faults, per_kind=args.per_kind,
+            seed=args.seed, full=args.full_universe, compress=compress,
+            max_ops=args.max_ops, jobs=jobs, engine=engine_name,
+            mode=mode, store=store, resume=resume,
+            shard_timeout=shard_timeout,
         )
-        payload = {
-            "ok": identical and reports["scalar"].ok,
-            "identical": identical,
-            "scalar": reports["scalar"].to_json(),
-            "vector": reports["vector"].to_json(),
-        }
-        if store is not None:
-            payload["store"] = store.stats()
-        if args.report:
-            _write_report(args.report, payload)
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            print(
-                "cross-engine sweep: "
-                + ("IDENTICAL" if identical else "DIVERGED")
-            )
-            for engine in ("scalar", "vector"):
-                print(f"--- {engine} ---")
-                print(reports[engine].format())
-        return 0 if payload["ok"] else 1
-    report = run_fault_sweeps(
-        geometries, tests, faults=explicit_faults, per_kind=args.per_kind,
-        seed=args.seed, full=args.full_universe, compress=compress,
-        max_ops=args.max_ops, jobs=jobs, engine=args.engine,
-        mode=args.mode, **service_kwargs,
+
+    result = (
+        CrossEngineResult(scalar=sweep("scalar"), vector=sweep("vector"))
+        if cross_engine
+        else sweep(engine)
     )
-    payload = report.to_json()
+    payload = result.to_json()
     if store is not None:
         payload["store"] = store.stats()
     if args.report:
@@ -709,15 +578,43 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        print(report.format())
+        print(result.format())
         if store is not None:
-            stats = store.stats()
+            stats = payload["store"]
             print(
                 f"store: {stats['hits']} hit(s), {stats['misses']} "
                 f"miss(es), {stats['corruptions']} corruption(s), "
                 f"{stats['puts']} put(s)"
             )
-    return 0 if report.ok else 1
+    return 0 if payload["ok"] else 1
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Service-backed fault sweep: resumable, crash-tolerant, cached."""
+    from repro.service import ResultStore
+
+    if args.resume and not args.store:
+        print("error: --resume requires --store", file=sys.stderr)
+        return 2
+    geometries = (
+        [_parse_geometry(token) for token in args.geometry]
+        if args.geometry
+        else [(args.words, args.width, args.ports)]
+    )
+    names = list(library.ALGORITHMS) if args.all else [args.algorithm]
+    return _run_sweep(
+        args,
+        [library.get(name) for name in names],
+        geometries,
+        faults=_explicit_faults(args.fault, geometries),
+        compress=not args.no_compress,
+        engine=args.engine,
+        mode=args.mode,
+        cross_engine=args.cross_engine,
+        store=ResultStore(args.store) if args.store else None,
+        resume=args.resume,
+        shard_timeout=args.shard_timeout,
+    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -965,32 +862,13 @@ def _cmd_prt_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_prt_conformance(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.conformance import run_fault_sweeps
     from repro.prt import PRT_RING_DOWN, PRT_RING_UP
 
     geometries = [
         _parse_geometry(token)
         for token in (args.geometry or ["4x1x1", "3x2x2"])
     ]
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    report = run_fault_sweeps(
-        geometries,
-        [PRT_RING_UP, PRT_RING_DOWN],
-        per_kind=args.per_kind,
-        seed=args.seed,
-        full=args.full_universe,
-        max_ops=args.max_ops,
-        jobs=jobs,
-    )
-    if args.report:
-        _write_report(args.report, report.to_json())
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(report.format())
-    return 0 if report.ok else 1
+    return _run_sweep(args, [PRT_RING_UP, PRT_RING_DOWN], geometries)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1170,8 +1048,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_cmd.add_argument(
         "--fault", action="append", metavar="SPEC",
-        help="fault spec(s) to inject (repeatable); default: a "
-        "stratified sample of the standard universe",
+        help="fault spec(s) to inject (e.g. saf:3:0:1; repeatable); "
+        "default: a stratified sample of the standard universe",
     )
     sweep_cmd.add_argument(
         "--per-kind", type=int, default=3,
@@ -1179,7 +1057,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_cmd.add_argument(
         "--full-universe", action="store_true",
-        help="sweep the whole spec-expressible standard universe",
+        help="sweep the whole spec-expressible standard universe "
+        "(nightly mode) instead of a stratified sample",
     )
     sweep_cmd.add_argument(
         "--seed", type=int, default=0,
@@ -1197,7 +1076,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument(
         "--geometry", action="append", metavar="WxBxP",
         help="memory geometry WORDSxWIDTH[xPORTS] to sweep "
-        "(repeatable); overrides --words/--width/--ports",
+        "(repeatable; e.g. --geometry 4x2x1 --geometry 8x1x1); "
+        "overrides --words/--width/--ports; the report has one "
+        "section per geometry",
     )
     sweep_cmd.add_argument(
         "--no-compress", action="store_true",
@@ -1206,16 +1087,27 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument(
         "--mode", choices=("sequential", "concurrent", "infield"),
         default="sequential",
-        help="stimulus regime (see 'conformance run-faulty --mode')",
+        help="stimulus regime: 'sequential' is the architecture "
+        "differential on the golden expansion; 'concurrent' replays "
+        "the same-cycle dual-port expansion (multi-port geometries "
+        "additionally sweep the PAFc/CFxp concurrency stratum); "
+        "'infield' replays a deterministic in-field transparent "
+        "session built from the algorithm's transparent variant",
     )
     sweep_cmd.add_argument(
         "--engine", choices=("scalar", "vector"), default="scalar",
-        help="sweep engine (see 'conformance run-faulty --engine')",
+        help="sweep engine: 'scalar' simulates every run on the Sram "
+        "model (the oracle); 'vector' verifies each stimulus's streams "
+        "once, then decides each fault by a replay of only the ops on "
+        "its support cells (identical report payload; faults or tests "
+        "outside the projection fall back to scalar and are counted in "
+        "timing.fallback_runs)",
     )
     sweep_cmd.add_argument(
         "--cross-engine", action="store_true",
         help="run the sweep through BOTH engines and fail unless the "
-        "reports are byte-identical (timing aside)",
+        "reports are byte-identical (timing aside) and the scalar "
+        "report is clean - conformance identity (g)",
     )
     sweep_cmd.add_argument(
         "--store", metavar="DIR",
@@ -1390,90 +1282,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     conf_run.set_defaults(handler=_cmd_conformance_run)
 
-    conf_faulty = conf_commands.add_parser(
-        "run-faulty",
-        help="differential fault-response conformance: run every "
-        "architecture's BIST session against the same injected fault "
-        "and compare fail events, fail logs and diagnosis",
-    )
-    _add_geometry_args(conf_faulty)
-    conf_faulty.add_argument(
-        "--all", action="store_true",
-        help="sweep every library algorithm instead of --algorithm",
-    )
-    conf_faulty.add_argument(
-        "--fault", action="append", metavar="SPEC",
-        help="fault spec(s) to inject (e.g. saf:3:0:1; repeatable); "
-        "default: a stratified sample of the standard universe",
-    )
-    conf_faulty.add_argument(
-        "--per-kind", type=int, default=3,
-        help="stratified-sample size per fault kind (default: 3)",
-    )
-    conf_faulty.add_argument(
-        "--full-universe", action="store_true",
-        help="sweep the whole spec-expressible standard universe "
-        "(nightly mode) instead of a stratified sample",
-    )
-    conf_faulty.add_argument(
-        "--seed", type=int, default=0,
-        help="stratified-sample seed (default: 0)",
-    )
-    conf_faulty.add_argument(
-        "--max-ops", type=int, default=None,
-        help="per-run op budget (default: 4x the golden stream length)",
-    )
-    conf_faulty.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes sharding the (algorithm, fault) product "
-        "(0 = one per CPU); the report is identical regardless, timing "
-        "aside (default: 1)",
-    )
-    conf_faulty.add_argument(
-        "--geometry", action="append", metavar="WxBxP",
-        help="memory geometry WORDSxWIDTH[xPORTS] to sweep (repeatable; "
-        "e.g. --geometry 4x2x1 --geometry 8x1x1); overrides "
-        "--words/--width/--ports and produces one report with a "
-        "section per geometry",
-    )
-    conf_faulty.add_argument(
-        "--no-compress", action="store_true",
-        help="assemble the microcode without REPEAT compression",
-    )
-    conf_faulty.add_argument(
-        "--mode", choices=("sequential", "concurrent", "infield"),
-        default="sequential",
-        help="stimulus regime: 'sequential' is the architecture "
-        "differential on the golden expansion; 'concurrent' replays "
-        "the same-cycle dual-port expansion (multi-port geometries "
-        "additionally sweep the PAFc/CFxp concurrency stratum); "
-        "'infield' replays a deterministic in-field transparent "
-        "session built from the algorithm's transparent variant",
-    )
-    conf_faulty.add_argument(
-        "--engine", choices=("scalar", "vector"), default="scalar",
-        help="sweep engine: 'scalar' simulates every run on the Sram "
-        "model (the oracle); 'vector' verifies each stimulus's streams "
-        "once, then decides each fault by a replay of only the ops on "
-        "its support cells (identical report payload; faults or tests "
-        "outside the projection fall back to scalar and are counted in "
-        "timing.fallback_runs)",
-    )
-    conf_faulty.add_argument(
-        "--cross-engine", action="store_true",
-        help="run the sweep through BOTH engines and fail unless the "
-        "reports are byte-identical (timing aside) - conformance "
-        "identity (g)",
-    )
-    conf_faulty.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    conf_faulty.add_argument(
-        "--report", metavar="FILE",
-        help="also write the JSON sweep report to FILE (CI artifact)",
-    )
-    conf_faulty.set_defaults(handler=_cmd_conformance_run_faulty)
-
     conf_record = conf_commands.add_parser(
         "record",
         help="(re)write the golden or stream corpus, or promote "
@@ -1524,7 +1332,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("sequential", "concurrent", "infield"),
         default="sequential",
         help="stimulus regime the --fault predicate re-checks under "
-        "(see 'run-faulty --mode')",
+        "(see 'sweep --mode')",
     )
     conf_shrink.add_argument(
         "--json", action="store_true", help="machine-readable output"

@@ -39,7 +39,6 @@ from repro.conformance.faulty import (
     capture_cycle_response,
     capture_response,
     check_coverage_conformance,
-    check_cross_engine,
     check_fault_conformance,
     coverage_disagreement_predicate,
     fault_detection_predicate,
@@ -127,7 +126,6 @@ __all__ = [
     "check_conformance",
     "check_corpus",
     "check_coverage_conformance",
-    "check_cross_engine",
     "check_fault_conformance",
     "concurrent_trace",
     "conformance_predicate",

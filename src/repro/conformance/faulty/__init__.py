@@ -18,7 +18,6 @@ from repro.conformance.faulty.check import (
     MultiGeometrySweepReport,
     RESPONSE_CAPTURES,
     ResponseDivergence,
-    check_cross_engine,
     check_fault_conformance,
     first_fail_divergence,
     run_fault_sweep,
@@ -74,7 +73,6 @@ __all__ = [
     "capture_cycle_response",
     "capture_response",
     "check_coverage_conformance",
-    "check_cross_engine",
     "check_fault_conformance",
     "coverage_disagreement_predicate",
     "fault_detection_predicate",

@@ -1410,6 +1410,36 @@ def run_fault_sweep(
     )
 
 
+def _first_difference(scalar: Any, vector: Any, path: str) -> Optional[str]:
+    """Where two JSON payloads first differ: a leaf path and both values.
+
+    Dict keys are visited in the scalar payload's order, list items in
+    index order, so the answer is deterministic and names the deepest
+    differing field (``geometries[0].detected``), not its section.
+    """
+    if scalar == vector:
+        return None
+    if isinstance(scalar, dict) and isinstance(vector, dict):
+        for key in [*scalar, *(key for key in vector if key not in scalar)]:
+            where = f"{path}.{key}" if path else key
+            if key not in vector or key not in scalar:
+                side = "scalar" if key in scalar else "vector"
+                return f"{where}: only in the {side} payload"
+            found = _first_difference(scalar[key], vector[key], where)
+            if found is not None:
+                return found
+    if isinstance(scalar, list) and isinstance(vector, list):
+        for index, pair in enumerate(zip(scalar, vector)):
+            found = _first_difference(*pair, f"{path}[{index}]")
+            if found is not None:
+                return found
+        return (
+            f"{path}: scalar has {len(scalar)} item(s), "
+            f"vector {len(vector)}"
+        )
+    return f"{path}: scalar {scalar!r} != vector {vector!r}"
+
+
 @dataclass
 class CrossEngineResult:
     """Differential comparison of the two sweep engines on one input.
@@ -1417,40 +1447,44 @@ class CrossEngineResult:
     The scalar engine is the oracle; conformance identity (g) in
     ``docs/TESTING.md`` is that the vector engine's report payload —
     everything except the ``timing`` block — is byte-identical to it.
+    Both sides are sweep reports of the same shape: two
+    :class:`FaultSweepReport` objects or two
+    :class:`MultiGeometrySweepReport` objects.  A sequential march, PRT
+    or in-field sweep compares the projection against the oracle; a
+    ``concurrent`` vector sweep is the counted per-test scalar
+    fallback, so there the comparison is a replay determinism check.
     """
 
-    scalar: FaultSweepReport
-    vector: FaultSweepReport
+    scalar: Union[FaultSweepReport, MultiGeometrySweepReport]
+    vector: Union[FaultSweepReport, MultiGeometrySweepReport]
 
     @property
     def ok(self) -> bool:
-        return (
-            self.scalar.to_json(include_timing=False)
-            == self.vector.to_json(include_timing=False)
-        )
+        """Identity (g) holds *and* the oracle's own report is clean."""
+        return self.divergence() is None and self.scalar.ok
 
     def divergence(self) -> Optional[str]:
-        """First differing payload field, or ``None`` when identical."""
-        scalar = self.scalar.to_json(include_timing=False)
-        vector = self.vector.to_json(include_timing=False)
-        for key in scalar:
-            if scalar[key] != vector[key]:
-                return (
-                    f"payload field {key!r}: scalar {scalar[key]!r} != "
-                    f"vector {vector[key]!r}"
-                )
-        return None
+        """First differing payload leaf, or ``None`` when identical."""
+        return _first_difference(
+            self.scalar.to_json(include_timing=False),
+            self.vector.to_json(include_timing=False),
+            "",
+        )
 
     def format(self) -> str:
+        divergence = self.divergence()
         lines = [
-            "cross-engine fault-sweep comparison "
-            f"{self.scalar.geometry}: "
-            + ("IDENTICAL" if self.ok else "DIVERGED"),
-            "  scalar: " + self.scalar.format().splitlines()[0],
-            "  vector: " + self.vector.format().splitlines()[0],
+            "cross-engine fault-sweep comparison: "
+            + ("IDENTICAL" if divergence is None else "DIVERGED")
         ]
-        if not self.ok:
-            lines.append(f"  {self.divergence()}")
+        for engine, report in (
+            ("scalar", self.scalar), ("vector", self.vector)
+        ):
+            first, *rest = report.format().splitlines()
+            lines.append(f"  {engine}: {first}")
+            lines.extend("  " + line for line in rest)
+        if divergence is not None:
+            lines.append(f"  {divergence}")
         return "\n".join(lines)
 
     def to_json(self, include_timing: bool = True) -> Dict[str, Any]:
@@ -1460,45 +1494,6 @@ class CrossEngineResult:
             "scalar": self.scalar.to_json(include_timing=include_timing),
             "vector": self.vector.to_json(include_timing=include_timing),
         }
-
-
-def check_cross_engine(
-    tests: Sequence[MarchTest],
-    capabilities: ControllerCapabilities,
-    faults: Sequence[CellFault],
-    compress: bool = True,
-    max_ops: Optional[int] = None,
-    jobs: int = 1,
-    mode: str = "sequential",
-    service: Optional[Any] = None,
-    store: Optional[Any] = None,
-    resume: bool = False,
-    shard_timeout: Optional[float] = None,
-) -> CrossEngineResult:
-    """Run one sweep through both engines and compare the payloads.
-
-    Sequential march, PRT and in-field sweeps compare the projection
-    against the scalar oracle.  A ``concurrent`` vector sweep is the
-    counted per-test scalar fallback, so there the comparison
-    degenerates to a replay determinism check — still a meaningful
-    payload-equality assertion.  The service
-    knobs pass straight through to both sweeps (the store keys the two
-    engines separately, so they never share — or poison — each other's
-    cache entries).
-    """
-    scalar = run_fault_sweep(
-        tests, capabilities, faults, compress=compress,
-        max_ops=max_ops, jobs=jobs, engine="scalar", mode=mode,
-        service=service, store=store, resume=resume,
-        shard_timeout=shard_timeout,
-    )
-    vector = run_fault_sweep(
-        tests, capabilities, faults, compress=compress,
-        max_ops=max_ops, jobs=jobs, engine="vector", mode=mode,
-        service=service, store=store, resume=resume,
-        shard_timeout=shard_timeout,
-    )
-    return CrossEngineResult(scalar=scalar, vector=vector)
 
 
 Geometry = Union[Tuple[int, ...], ControllerCapabilities]

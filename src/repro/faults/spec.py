@@ -3,8 +3,8 @@
 A *fault spec* is a small colon-separated string naming one behavioural
 fault, e.g. ``saf:3:0:1`` (stuck-at-1 at cell (3,0)).  It is the wire
 format everywhere a fault must travel as data rather than as a live
-object: the ``repro run --fault`` / ``conformance run-faulty --fault``
-CLI flags, the fault axis of the delta-debugging shrinker, fuzz-report
+object: the ``repro run --fault`` / ``repro sweep --fault`` CLI
+flags, the fault axis of the delta-debugging shrinker, fuzz-report
 reproducers and the corpus regression entries — all of which need a
 fault that can be written to JSON and parsed back bit-identically.
 

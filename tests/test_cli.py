@@ -327,76 +327,90 @@ class TestLintFixCommand:
         assert "--fix requires --program" in capsys.readouterr().err
 
 
-class TestConformanceRunFaultyCommand:
+def _crashed_capture(stream, memory, max_ops=None):
+    raise IndexError("comparator bank out of range")
+
+
+class TestSweepCommand:
     def test_single_fault_exits_zero(self, capsys):
-        assert main(["conformance", "run-faulty", "--algorithm", "March C",
+        assert main(["sweep", "--algorithm", "March C",
                      "--words", "4", "--width", "2",
                      "--fault", "saf:2:1:1"]) == 0
         out = capsys.readouterr().out
-        assert "saf:2:1:1" in out
+        assert "(4, 2, 1): 1 (algorithm, fault) runs, 1 detected" in out
 
     def test_stratified_sweep_reports_and_exits_zero(self, capsys, tmp_path):
         import json as json_module
 
         report_file = tmp_path / "sweep.json"
-        assert main(["conformance", "run-faulty", "--algorithm", "MATS+",
+        assert main(["sweep", "--algorithm", "MATS+",
                      "--words", "3", "--per-kind", "1",
                      "--report", str(report_file)]) == 0
         out = capsys.readouterr().out
         assert "fault-response sweep" in out
         payload = json_module.loads(report_file.read_text())
         assert payload["ok"]
-        assert payload["checked"] > 0
+        [section] = payload["geometries"]
+        assert section["ok"]
+        assert section["checked"] > 0
 
-    def test_json_result_shape(self, capsys):
+    def test_json_result_shape(self, capsys, monkeypatch):
+        """A failing run's record names the spec and every architecture,
+        in the fixed architecture order."""
         import json as json_module
 
-        assert main(["conformance", "run-faulty", "--algorithm", "MATS",
+        from repro.conformance.faulty import check as faulty_check
+
+        monkeypatch.setitem(
+            faulty_check.RESPONSE_CAPTURES, "hardwired", _crashed_capture
+        )
+        assert main(["sweep", "--algorithm", "MATS",
                      "--words", "4", "--fault", "tf:1:0:up",
-                     "--json"]) == 0
+                     "--json"]) == 1
         payload = json_module.loads(capsys.readouterr().out)
-        assert payload["fault_spec"] == "tf:1:0:up"
-        assert [r["architecture"] for r in payload["architectures"]] == [
+        [failure] = payload["geometries"][0]["failures"]
+        assert failure["fault_spec"] == "tf:1:0:up"
+        assert [r["architecture"] for r in failure["architectures"]] == [
             "microcode", "progfsm", "hardwired"
         ]
 
     def test_bad_fault_spec_exits_two(self, capsys):
-        assert main(["conformance", "run-faulty", "--fault", "zzz:1"]) == 2
+        assert main(["sweep", "--fault", "zzz:1"]) == 2
         assert "unknown fault kind" in capsys.readouterr().err
 
     def test_single_run_writes_the_report_too(self, capsys, tmp_path):
-        """Regression: with exactly one algorithm and one --fault the
-        single-run branch returned before the --report write, silently
-        dropping the file."""
+        """With exactly one algorithm and one --fault, --report is
+        still written."""
         import json as json_module
 
         report_file = tmp_path / "single.json"
-        assert main(["conformance", "run-faulty", "--algorithm", "March C",
+        assert main(["sweep", "--algorithm", "March C",
                      "--words", "4", "--width", "2",
                      "--fault", "saf:2:1:1",
                      "--report", str(report_file)]) == 0
-        assert "fault-response conformance" in capsys.readouterr().out
+        assert "fault-response sweep" in capsys.readouterr().out
         payload = json_module.loads(report_file.read_text())
         assert payload["ok"] and payload["checked"] == 1
-        assert payload["geometry"] == [4, 2, 1]
-        assert payload["detected"] == 1
+        [section] = payload["geometries"]
+        assert section["geometry"] == [4, 2, 1]
+        assert section["detected"] == 1
 
     @pytest.mark.parametrize("mode", ["infield", "concurrent"])
     def test_single_run_report_carries_the_mode(
         self, capsys, tmp_path, mode
     ):
-        """Regression: the single-pair --report was always written as a
-        sequential sweep, whatever --mode the run used."""
+        """A single-pair --report carries the --mode the run used."""
         import json as json_module
 
         report_file = tmp_path / "single.json"
-        assert main(["conformance", "run-faulty", "--algorithm", "MATS+",
+        assert main(["sweep", "--algorithm", "MATS+",
                      "--words", "3", "--width", "2", "--ports", "2",
                      "--fault", "saf:1:0:1", "--mode", mode,
                      "--report", str(report_file)]) == 0
         assert f"[{mode} mode]" in capsys.readouterr().out
         payload = json_module.loads(report_file.read_text())
-        assert payload["mode"] == mode
+        [section] = payload["geometries"]
+        assert section["mode"] == mode
         assert payload["ok"] and payload["checked"] == 1
 
     def test_jobs_flag_keeps_the_report_identical(self, capsys, tmp_path):
@@ -404,7 +418,7 @@ class TestConformanceRunFaultyCommand:
 
         serial_file = tmp_path / "serial.json"
         parallel_file = tmp_path / "parallel.json"
-        base = ["conformance", "run-faulty", "--algorithm", "MATS+",
+        base = ["sweep", "--algorithm", "MATS+",
                 "--words", "3", "--per-kind", "1"]
         assert main(base + ["--jobs", "1",
                             "--report", str(serial_file)]) == 0
@@ -415,13 +429,17 @@ class TestConformanceRunFaultyCommand:
         parallel = json_module.loads(parallel_file.read_text())
         assert serial.pop("timing")["jobs"] == 1
         assert parallel.pop("timing")["jobs"] == 2
+        [serial_section] = serial["geometries"]
+        [parallel_section] = parallel["geometries"]
+        assert serial_section.pop("timing")["jobs"] == 1
+        assert parallel_section.pop("timing")["jobs"] == 2
         assert serial == parallel
 
     def test_multi_geometry_sweep_sections(self, capsys, tmp_path):
         import json as json_module
 
         report_file = tmp_path / "multi.json"
-        assert main(["conformance", "run-faulty", "--algorithm", "MATS+",
+        assert main(["sweep", "--algorithm", "MATS+",
                      "--geometry", "3x1x1", "--geometry", "2x2",
                      "--per-kind", "1",
                      "--report", str(report_file)]) == 0
@@ -435,11 +453,116 @@ class TestConformanceRunFaultyCommand:
         ]
 
     def test_bad_geometry_exits_two(self, capsys):
-        assert main(["conformance", "run-faulty",
-                     "--geometry", "4xZ"]) == 2
+        assert main(["sweep", "--geometry", "4xZ"]) == 2
         assert "bad geometry" in capsys.readouterr().err
-        assert main(["conformance", "run-faulty",
-                     "--geometry", "4"]) == 2
+        assert main(["sweep", "--geometry", "4"]) == 2
+
+    def test_resume_requires_a_store(self, capsys):
+        assert main(["sweep", "--algorithm", "MATS", "--words", "3",
+                     "--per-kind", "1", "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --resume requires --store" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    @pytest.mark.parametrize("spec, fits, misfit, field", [
+        ("saf:7:0:1", "8x1x1", "4x1x1", "word 7 is outside 0..3"),
+        ("cfin:0:0:1:3:up", "2x4x1", "2x2x1", "victim_bit 3 is outside 0..1"),
+        ("paf:1:0:0", "4x1x2", "4x1x1", "port 1 is outside 0..0"),
+    ], ids=["word", "bit", "port"])
+    def test_explicit_fault_outside_a_geometry_exits_two(
+        self, capsys, engine, spec, fits, misfit, field
+    ):
+        """Every --fault is checked against every geometry before the
+        first section runs, so the geometry it fits sweeps nothing."""
+        assert main(["sweep", "--algorithm", "MATS", "--fault", spec,
+                     "--geometry", fits, "--geometry", misfit,
+                     "--engine", engine]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --fault {spec} does not fit geometry {misfit}: "
+            f"{field}\n"
+        )
+
+    def test_store_resume_rerun_is_all_cache_hits(self, capsys, tmp_path):
+        import json as json_module
+
+        argv = ["sweep", "--algorithm", "MATS+", "--words", "3",
+                "--per-kind", "1", "--store", str(tmp_path / "store"),
+                "--resume", "--json"]
+        assert main(argv) == 0
+        first = json_module.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        second = json_module.loads(capsys.readouterr().out)
+        shards = len(first["geometries"][0]["timing"]["shards"])
+        assert shards > 1
+        assert first["store"]["hits"] == 0
+        assert second["store"]["hits"] == shards
+        assert second["store"]["misses"] == 0
+        for payload in (first, second):
+            del payload["store"], payload["timing"]
+            for section in payload["geometries"]:
+                del section["timing"]
+        assert first == second
+
+    CROSS = ["sweep", "--algorithm", "MATS+", "--words", "3",
+             "--per-kind", "1", "--cross-engine", "--json"]
+
+    def test_cross_engine_exits_zero_when_engines_agree(self, capsys):
+        import json as json_module
+
+        assert main(self.CROSS) == 0
+        payload = json_module.loads(capsys.readouterr().out)
+        assert payload["ok"] and payload["divergence"] is None
+        assert payload["scalar"]["geometries"][0]["timing"]["engine"] == (
+            "scalar"
+        )
+        assert payload["vector"]["geometries"][0]["timing"]["engine"] == (
+            "vector"
+        )
+
+    def test_cross_engine_exits_one_on_a_vector_divergence(
+        self, capsys, monkeypatch
+    ):
+        import json as json_module
+
+        from repro.vector import sweep as vector_sweep
+
+        decide = vector_sweep._decide
+
+        def flip_first(plan, faults, population):
+            decided, raised = decide(plan, faults, population)
+            members, start, stop, detected = decided[0]
+            decided[0] = (members, start, stop, not detected)
+            return decided, raised
+
+        monkeypatch.setattr(vector_sweep, "_decide", flip_first)
+        assert main(self.CROSS) == 1
+        payload = json_module.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert payload["divergence"].startswith(
+            "geometries[0].detected: scalar "
+        )
+
+    def test_cross_engine_exits_one_when_the_scalar_report_fails(
+        self, capsys, monkeypatch
+    ):
+        """Agreeing engines are not enough: the oracle must be clean.
+        A patched capture sends the vector engine down the scalar
+        road, so both reports carry the same failures."""
+        import json as json_module
+
+        from repro.conformance.faulty import check as faulty_check
+
+        monkeypatch.setitem(
+            faulty_check.RESPONSE_CAPTURES, "hardwired", _crashed_capture
+        )
+        assert main(self.CROSS) == 1
+        payload = json_module.loads(capsys.readouterr().out)
+        assert payload["divergence"] is None
+        assert payload["ok"] is False
+        assert payload["scalar"]["failure_count"] > 0
 
 
 class TestConformanceShrinkFaultCommand:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.conformance import (
     CONCURRENT_CACHE,
-    check_cross_engine,
+    CrossEngineResult,
     check_fault_conformance,
     concurrent_trace,
     run_fault_sweep,
@@ -474,9 +474,13 @@ class TestModeThreading:
     def test_cross_engine_agrees_in_concurrent_mode(self):
         caps = _caps((2, 2, 2))
         faults = sweep_faults(caps, per_kind=1, seed=1, mode="concurrent")
-        result = check_cross_engine(
-            [library.MATS_PLUS], caps, faults, mode="concurrent"
-        )
+        result = CrossEngineResult(*(
+            run_fault_sweep(
+                [library.MATS_PLUS], caps, faults, mode="concurrent",
+                engine=engine,
+            )
+            for engine in ("scalar", "vector")
+        ))
         assert result.ok
 
     def test_mixed_mode_reports_do_not_merge(self):

@@ -37,7 +37,7 @@ from repro.conformance.faulty import check as faulty_check
 from repro.conformance.faulty.check import (
     CrossEngineResult,
     FaultSweepReport,
-    check_cross_engine,
+    MultiGeometrySweepReport,
     resolve_stimulus,
 )
 from repro.conformance.faulty.events import (
@@ -281,13 +281,21 @@ class _RemoveRaisesStuckAt(StuckAtFault):
         raise RuntimeError("deliberately broken remove()")
 
 
+def _cross_engine(tests, caps, faults, **kwargs) -> CrossEngineResult:
+    """Sweep through both engines and pair the reports."""
+    return CrossEngineResult(*(
+        run_fault_sweep(tests, caps, faults, engine=engine, **kwargs)
+        for engine in ("scalar", "vector")
+    ))
+
+
 class TestReportLevelEquivalence:
     TESTS = [library.get(name) for name in ("MATS", "March C", "March Y")]
 
     def test_cross_engine_identity_stratified(self):
         caps = _caps(4, 2, 1)
         faults = sweep_faults(caps, per_kind=1, seed=3)
-        result = check_cross_engine(self.TESTS, caps, faults)
+        result = _cross_engine(self.TESTS, caps, faults)
         assert result.ok
         assert result.divergence() is None
         assert "IDENTICAL" in result.format()
@@ -297,7 +305,7 @@ class TestReportLevelEquivalence:
     def test_single_cell_geometry_sweep(self):
         caps = _caps(1, 1, 1)
         faults = sweep_faults(caps, full=True)
-        result = check_cross_engine(self.TESTS, caps, faults)
+        result = _cross_engine(self.TESTS, caps, faults)
         assert result.ok
         assert result.scalar.checked == len(self.TESTS) * len(faults)
 
@@ -328,8 +336,79 @@ class TestReportLevelEquivalence:
         )
         result = CrossEngineResult(scalar=scalar, vector=vector)
         assert not result.ok
-        assert "detected" in result.divergence()
+        assert result.divergence() == "detected: scalar 2 != vector 1"
         assert "DIVERGED" in result.format()
+        assert result.to_json()["ok"] is False
+
+    def test_cross_engine_divergence_names_the_nested_leaf(self):
+        """Multi-geometry reports diverge inside a section: the message
+        is the path to the differing leaf, not the top-level key."""
+        def sweeps(second_detected, engine):
+            return MultiGeometrySweepReport(sweeps=[
+                FaultSweepReport(
+                    geometry=(4, 2, 1), checked=3, detected=2,
+                    engine=engine,
+                ),
+                FaultSweepReport(
+                    geometry=(8, 1, 1), checked=3,
+                    detected=second_detected, engine=engine,
+                ),
+            ])
+
+        result = CrossEngineResult(
+            scalar=sweeps(3, "scalar"), vector=sweeps(1, "vector")
+        )
+        assert result.divergence() == (
+            "geometries[1].detected: scalar 3 != vector 1"
+        )
+        assert result.to_json()["divergence"] == result.divergence()
+        text = result.format()
+        assert "DIVERGED" in text
+        assert text.endswith("geometries[1].detected: scalar 3 != vector 1")
+        identical = CrossEngineResult(
+            scalar=sweeps(3, "scalar"), vector=sweeps(3, "vector")
+        )
+        assert identical.ok and identical.divergence() is None
+
+    def test_cross_engine_divergence_in_lists_and_keys(self):
+        """Lists are walked item by item, a length difference is named,
+        and so is a key only one side carries."""
+        def section(failures=(), interrupted=False):
+            return FaultSweepReport(
+                geometry=(4, 1, 1), checked=1, failures=list(failures),
+                interrupted=interrupted,
+            )
+
+        def divergence(scalar, vector):
+            return CrossEngineResult(
+                scalar=MultiGeometrySweepReport(sweeps=scalar),
+                vector=MultiGeometrySweepReport(sweeps=vector),
+            ).divergence()
+
+        assert divergence([section(), section()], [section()]) == (
+            "geometries: scalar has 2 item(s), vector 1"
+        )
+        assert divergence(
+            [section([{"fault": "TF"}])], [section([{"fault": "SAF"}])]
+        ) == "geometries[0].failures[0].fault: scalar 'TF' != vector 'SAF'"
+        assert divergence([section(interrupted=True)], [section()]) == (
+            "geometries[0].interrupted: only in the scalar payload"
+        )
+
+    def test_cross_engine_ok_needs_a_clean_oracle(self):
+        """Identical payloads that carry failures are not ok."""
+        failing = [{"fault": "SAF"}]
+        result = CrossEngineResult(
+            scalar=FaultSweepReport(
+                geometry=(4, 1, 1), checked=1, failures=list(failing)
+            ),
+            vector=FaultSweepReport(
+                geometry=(4, 1, 1), checked=1, failures=list(failing),
+                engine="vector",
+            ),
+        )
+        assert result.divergence() is None
+        assert not result.ok
         assert result.to_json()["ok"] is False
 
 
