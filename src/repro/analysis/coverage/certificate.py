@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 #: Verdict values (plain strings so certificates serialise naturally).
 COVERED = "covered"
@@ -29,9 +29,8 @@ UNKNOWN = "unknown"
 VERDICTS = (COVERED, NOT_COVERED, UNKNOWN)
 
 
-@dataclass(frozen=True)
-class FaultVerdict:
-    """The proved verdict for one fault instance.
+class FaultVerdict(NamedTuple):
+    """The proved verdict for one fault instance (an immutable record).
 
     Attributes:
         index: the fault's position in the certified population.
@@ -55,15 +54,7 @@ class FaultVerdict:
     stratum: str = ""
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "spec": self.spec,
-            "description": self.description,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "stratum": self.stratum,
-        }
+        return self._asdict()
 
 
 @dataclass

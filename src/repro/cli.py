@@ -378,6 +378,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     cross-checked fault-for-fault against simulated sweeps."""
     from repro.analysis.coverage import certify
     from repro.conformance import check_coverage_conformance
+    from repro.faults.universe import standard_universe
 
     names = list(library.ALGORITHMS) if args.all else [args.algorithm]
     tests = [library.get(name) for name in names]
@@ -397,8 +398,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 print(result.format())
         else:
             n_words, width, ports = geometry
+            universe = standard_universe(n_words, width, ports=ports)
             for test in tests:
-                certificate = certify(test, n_words, width=width, ports=ports)
+                certificate = certify(
+                    test, n_words, width=width, ports=ports, universe=universe
+                )
                 payload.append(certificate.to_json())
                 if not args.json:
                     print(certificate.format())

@@ -27,47 +27,51 @@ class AddressDecoder:
     Attributes:
         n_words: size of both the logical address space and the physical
             cell array (fault-free mapping is the identity).
+        remaps: ``address -> physical words`` of every address not mapped
+            to itself (empty when fault-free); read-only outside this
+            class, the memory's access paths look addresses up in it.
     """
 
     def __init__(self, n_words: int) -> None:
         if n_words <= 0:
             raise ValueError(f"decoder needs at least one word, got {n_words}")
         self.n_words = n_words
-        self._map: Dict[int, Tuple[int, ...]] = {}
+        self.remaps: Dict[int, Tuple[int, ...]] = {}
 
-    def _check(self, address: int) -> None:
+    def check(self, address: int) -> None:
+        """Raise IndexError unless ``address`` is a logical address."""
         if not 0 <= address < self.n_words:
             raise IndexError(f"address {address} out of range 0..{self.n_words - 1}")
 
     def targets(self, address: int) -> Tuple[int, ...]:
         """Physical words accessed (read or written) for ``address``."""
         if not 0 <= address < self.n_words:
-            self._check(address)
-        return self._map.get(address, (address,))
+            self.check(address)
+        return self.remaps.get(address, (address,))
 
     def remap(self, address: int, targets: Tuple[int, ...]) -> None:
         """Overwrite the mapping of one address (used by AF faults).
 
         An empty target tuple models AF1 (address selects no cell).
         """
-        self._check(address)
+        self.check(address)
         for target in targets:
             if not 0 <= target < self.n_words:
                 raise IndexError(f"physical word {target} out of range")
-        self._map[address] = tuple(targets)
+        self.remaps[address] = tuple(targets)
 
     def restore(self, address: int) -> None:
         """Restore the fault-free identity mapping of one address."""
-        self._check(address)
-        self._map.pop(address, None)
+        self.check(address)
+        self.remaps.pop(address, None)
 
     def reset(self) -> None:
         """Restore the fault-free identity mapping everywhere."""
-        self._map.clear()
+        self.remaps.clear()
 
     @property
     def is_faulty(self) -> bool:
-        return bool(self._map)
+        return bool(self.remaps)
 
     def unreachable_cells(self) -> List[int]:
         """Physical words no logical address can access (AF2 victims)."""

@@ -19,25 +19,20 @@ class RetentionClock:
     march pauses contribute their ``duration``.  Default DRF decay times
     (500 units) sit far above any per-cycle accumulation of the
     memory sizes used in tests, so only explicit pauses trigger decay.
+
+    Attributes:
+        now: current absolute time; the memory's access paths advance
+            it in place, by one per access cycle.
     """
 
     def __init__(self) -> None:
-        self._now = 0
-
-    @property
-    def now(self) -> int:
-        """Current absolute time."""
-        return self._now
+        self.now = 0
 
     def advance(self, duration: int) -> None:
         """Advance time by a non-negative number of units."""
         if duration < 0:
             raise ValueError(f"time cannot move backwards ({duration})")
-        self._now += duration
-
-    def tick(self) -> None:
-        """Advance by one access cycle (the memory's per-access step)."""
-        self._now += 1
+        self.now += duration
 
     def reset(self) -> None:
-        self._now = 0
+        self.now = 0

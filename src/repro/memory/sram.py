@@ -124,10 +124,13 @@ class Sram:
             self._check_port(port)
         mask = self.word_mask
         value &= mask
-        self.clock.tick()
+        self.clock.now += 1
+        if not 0 <= address < self.n_words:
+            self.decoder.check(address)
+        remaps = self.decoder.remaps
         cells = self._cells
         faults = self.faults
-        for word in self.decoder.targets(address):
+        for word in remaps.get(address, (address,)) if remaps else (address,):
             old = cells[word]
             new = value
             for fault in faults:
@@ -145,8 +148,11 @@ class Sram:
         """
         if not 0 <= port < self.ports:
             self._check_port(port)
-        self.clock.tick()
-        targets = self.decoder.targets(address)
+        self.clock.now += 1
+        if not 0 <= address < self.n_words:
+            self.decoder.check(address)
+        remaps = self.decoder.remaps
+        targets = remaps.get(address, (address,)) if remaps else (address,)
         if not targets:
             return self.open_read_value
         mask = observed = self.word_mask
@@ -212,7 +218,7 @@ class Sram:
         if group[0].is_delay:
             self.elapse(group[0].delay)
             return {}
-        self.clock.tick()
+        self.clock.now += 1
         frozen = tuple(group)
         for fault in self.faults:
             fault.on_cycle_start(self, frozen)

@@ -394,6 +394,51 @@ class TestStampedVerdicts:
                             assert (op.port, op.address) == (port, address)
 
 
+class TestFaultVerdictRecord:
+    """``FaultVerdict`` is an immutable, hashable record whose JSON form
+    is part of every certificate payload."""
+
+    @staticmethod
+    def _verdict(**changes):
+        fields = dict(
+            index=3, kind="SAF", spec="saf:1:0:1", description="SAF",
+            verdict=COVERED, witness=7, stratum="(SAF,w0,0,1)",
+        )
+        fields.update(changes)
+        return FaultVerdict(**fields)
+
+    def test_fields_cannot_be_assigned(self):
+        verdict = self._verdict()
+        with pytest.raises(AttributeError):
+            verdict.verdict = NOT_COVERED
+        with pytest.raises(AttributeError):
+            verdict.extra = 1
+
+    def test_equal_fields_are_equal_and_hash_equal(self):
+        assert self._verdict() == self._verdict()
+        assert hash(self._verdict()) == hash(self._verdict())
+        assert self._verdict() != self._verdict(witness=8)
+        assert len({self._verdict(), self._verdict()}) == 1
+
+    def test_defaults(self):
+        verdict = FaultVerdict(0, "SAF", None, "SAF", UNKNOWN)
+        assert (verdict.witness, verdict.stratum) == (None, "")
+
+    def test_to_json_keys_and_order(self):
+        assert json.dumps(self._verdict().to_json()) == (
+            '{"index": 3, "kind": "SAF", "spec": "saf:1:0:1", '
+            '"description": "SAF", "verdict": "covered", "witness": 7, '
+            '"stratum": "(SAF,w0,0,1)"}'
+        )
+
+    def test_dual_port_certificates_match_reference_json(self):
+        faults = standard_universe(4, 2, ports=2).faults
+        for name in sorted(library.ALGORITHMS):
+            _assert_stamped_equals_reference(
+                library.get(name), (4, 2, 2), faults
+            )
+
+
 class TestGeometryMonotonicity:
     @pytest.mark.parametrize("name", sorted(library.ALGORITHMS))
     def test_cell_local_coverage_survives_growth(self, name):

@@ -278,6 +278,36 @@ class TestCertifyCommand:
             [[2, 1, 1], [2, 2, 1]]
         assert json_module.loads(path.read_text())["results"] == payload
 
+    def test_all_builds_one_universe_per_geometry(self, capsys, monkeypatch):
+        import json as json_module
+
+        from repro.analysis.coverage import certify, prover
+        from repro.faults import universe as universe_module
+        from repro.march import library
+
+        geometries = [(4, 2, 1), (3, 2, 3)]
+        expected = [
+            certify(library.get(name), n_words, width=width, ports=ports)
+            .to_json()
+            for n_words, width, ports in geometries
+            for name in library.ALGORITHMS
+        ]
+        built = []
+        real = universe_module.standard_universe
+
+        def spy(n_words, width=1, **kwargs):
+            built.append((n_words, width, kwargs.get("ports", 1)))
+            return real(n_words, width, **kwargs)
+
+        monkeypatch.setattr(universe_module, "standard_universe", spy)
+        monkeypatch.setattr(prover, "standard_universe", spy)
+        assert main(["certify", "--all", "--geometry", "4x2x1",
+                     "--geometry", "3x2x3", "--json"]) == 0
+        assert built == geometries
+        assert capsys.readouterr().out == (
+            json_module.dumps(expected, indent=2) + "\n"
+        )
+
     def test_bad_geometry_errors(self, capsys):
         assert main(["certify", "--geometry", "nope"]) == 2
         assert "bad geometry" in capsys.readouterr().err

@@ -186,7 +186,14 @@ def _population(n_words, width, ports):
     return faults
 
 
-@pytest.mark.parametrize("geometry", [(32, 4, 1), (64, 2, 1), (4, 2, 2)])
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        (32, 4, 1), (64, 2, 1), (4, 2, 2),
+        # The CI certify geometries: odd word counts and three ports.
+        (4, 2, 1), (8, 1, 1), (3, 2, 3), (5, 4, 2),
+    ],
+)
 def test_extraction_matches_the_reference(geometry):
     n_words, width, ports = geometry
     smaller = (n_words, n_words // 2, 1)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults.stuck_at import StuckAtFault
+from repro.memory.shadow import ShadowMemory
 from repro.memory.sram import Sram
 
 
@@ -64,9 +65,19 @@ class TestReadWrite:
             memory.write(-1, 0, 1)
 
     def test_invalid_address_rejected(self):
-        memory = Sram(4)
-        with pytest.raises(IndexError):
-            memory.read(0, 4)
+        # Both memories, both access paths, both ends of the range: the
+        # sparse ShadowMemory storage would accept any word on its own.
+        for memory_type in (Sram, ShadowMemory):
+            for address in (4, -1):
+                for access, args in (("read", ()), ("write", (1,))):
+                    memory = memory_type(4)
+                    case = (memory_type.__name__, access, address)
+                    message = f"address {address} out of range"
+                    with pytest.raises(IndexError, match=message):
+                        getattr(memory, access)(0, address, *args)
+                    # The access still took its cycle and stored nothing.
+                    assert memory.clock.now == 1, case
+                    assert memory.snapshot() == (0, 0, 0, 0), case
 
     def test_ports_share_cell_array(self):
         memory = Sram(4, ports=2)
