@@ -52,10 +52,12 @@ from repro.conformance.faulty.events import (
     format_fail,
 )
 from repro.core.controller import ControllerCapabilities
+from repro.diagnostics.faillog import FailLog
 from repro.faults.base import CellFault
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import format_fault
 from repro.march.notation import format_test
+from repro.march.simulator import Failure
 from repro.march.test import MarchTest
 from repro.memory.sram import Sram
 
@@ -305,11 +307,11 @@ class FaultResponseResult:
 
 
 def _diagnose(
-    capture: ResponseCapture,
+    log: FailLog,
     test: MarchTest,
     caps: ControllerCapabilities,
 ) -> List[str]:
-    """Classifier verdicts of one capture, as comparable strings.
+    """Classifier verdicts of one fail log, as comparable strings.
 
     A defective architecture can log op indices outside the golden
     stream; the classifier is downstream tooling and must not take the
@@ -319,7 +321,7 @@ def _diagnose(
 
     try:
         diagnoses = classify(
-            capture.log(test.name),
+            log,
             test,
             caps.n_words,
             width=caps.width,
@@ -414,7 +416,11 @@ class Stimulus:
     A controller's stream is a function of (stimulus, geometry,
     compression), never of the fault, so the golden and partner
     builders run at most once per :class:`Stimulus` and every fault
-    checked against it reuses their outcomes.
+    checked against it reuses their outcomes.  Likewise the fail-log
+    aggregations are a function of the fail log alone: ``aggregations``
+    memoises them per distinct log, so the classifier runs once per
+    distinct log however many captures produce it.  The captures
+    themselves stay per pair and per partner.
 
     Attributes:
         name: fail-log name (the algorithm or session name).
@@ -432,6 +438,10 @@ class Stimulus:
             the diagnosis layer applies (the classifier's op-index model
             is that stream) and the projected sweep decides verdicts
             from the notation without building the stream.
+        aggregations: memo of :func:`_aggregate`, keyed by a fail
+            log's failures, holding its ``(failing cells, diagnosis)``.
+            Not an ``__init__`` argument, so every :class:`Stimulus`,
+            including a :func:`dataclasses.replace` copy, starts empty.
     """
 
     name: str
@@ -442,6 +452,9 @@ class Stimulus:
     compress: bool = True
     cycle: bool = False
     march: bool = False
+    aggregations: Dict[
+        Tuple[Failure, ...], Tuple[List[Tuple[int, int]], List[str]]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def resolve_stimulus(
@@ -621,6 +634,33 @@ def check_fault_conformance(
     return _check_pair(stimulus, test, capabilities, fault, max_ops)
 
 
+def _aggregate(
+    stimulus: Stimulus,
+    capture: ResponseCapture,
+    test: MarchTest,
+    caps: ControllerCapabilities,
+) -> Tuple[List[Tuple[int, int]], List[str]]:
+    """The fail-log layers of one capture: its failing cells and (for
+    a march stimulus) its diagnosis.
+
+    Both are pure functions of the fail log, so they are computed once
+    per distinct log and memoised on ``stimulus``; each call returns
+    its own copies, so no two responses share a list.  The key is the
+    log the capture aggregates, not its events: a response path whose
+    aggregation disagrees with its events still gets its own entry.
+    """
+    log = capture.log(stimulus.name)
+    key = tuple(log.failures)
+    layers = stimulus.aggregations.get(key)
+    if layers is None:
+        layers = stimulus.aggregations[key] = (
+            log.failing_cells(),
+            _diagnose(log, test, caps) if stimulus.march else [],
+        )
+    cells, diagnosis = layers
+    return list(cells), list(diagnosis)
+
+
 def _check_pair(
     stimulus: Stimulus,
     test: MarchTest,
@@ -634,7 +674,8 @@ def _check_pair(
     the first fault, replayed for the rest); everything fault-dependent
     happens here, per pair: a fresh :class:`FaultInjector` memory for
     the golden capture and for each partner's own capture path, the op
-    budget, and the three-layer compare.
+    budget, and the three-layer compare.  The fail-log layers come from
+    the stimulus's aggregation memo (:func:`_aggregate`).
     """
     result = FaultResponseResult(
         notation=stimulus.notation,
@@ -664,10 +705,7 @@ def _check_pair(
     with injector.injected(fault) as memory:
         golden = capture_golden(golden_stream, memory, max_ops=budget)
     result.golden_events = len(golden.events)
-    golden_cells = golden.log(stimulus.name).failing_cells()
-    golden_diagnosis = (
-        _diagnose(golden, test, caps) if stimulus.march else []
-    )
+    golden_cells, golden_diagnosis = _aggregate(stimulus, golden, test, caps)
 
     for partner in stimulus.partners:
         response = ArchitectureResponse(architecture=partner.name)
@@ -694,9 +732,9 @@ def _check_pair(
             continue
         response.ops_applied = capture.ops_applied
         response.event_count = len(capture.events)
-        response.failing_cells = capture.log(stimulus.name).failing_cells()
-        if stimulus.march:
-            response.diagnosis = _diagnose(capture, test, caps)
+        response.failing_cells, response.diagnosis = _aggregate(
+            stimulus, capture, test, caps
+        )
 
         divergence = first_fail_divergence(
             golden.events, capture.events, partner.name
@@ -954,9 +992,12 @@ def _sweep_shard(
     same order the serial loop visits, so the merged failure list
     matches the serial one — and a shard's pairs come in runs of one
     test.  Each test is resolved once per shard: its controller streams
-    are built on its first pair and reused for the rest, while capture
-    and compare stay per pair (:func:`_check_pair`).  Only the current
-    test's :class:`Stimulus` is held.
+    are built on its first pair and reused for the rest, and its
+    fail-log aggregations are memoised per distinct log, while capture
+    and compare stay per pair and per partner (:func:`_check_pair`).
+    :func:`_sharded_sweep` cuts shards on test boundaries whenever a
+    shard holds a whole test, so each test is then resolved once per
+    sweep.  Only the current test's :class:`Stimulus` is held.
     """
     (shard_index, tests, caps, faults, start, count, compress,
      max_ops, mode) = args
@@ -1283,9 +1324,12 @@ def _sharded_sweep(
     faults, start, count, compress, max_ops, mode)``.  Shards are finer
     than the worker count (``shards_per_worker`` each): stimuli differ
     widely in stream length, so equal ``jobs``-sized chunks leave
-    workers idle behind the chunk that drew the longest ones.  Merging
-    by shard index keeps the report order (and bytes) independent of
-    the shard count.
+    workers idle behind the chunk that drew the longest ones.  A
+    ``product`` chunk that holds at least one whole test is rounded
+    down to whole tests, so no test's streams are built in two shards;
+    only a chunk smaller than one test splits a test.  Merging by shard
+    index keeps the report order (and bytes) independent of the shard
+    count.
     """
     geometry = (caps.n_words, caps.width, caps.ports)
     started = time.perf_counter()
@@ -1302,6 +1346,10 @@ def _sharded_sweep(
         workers = min(jobs, units)
         shards = min(units, max(workers, 2) * shards_per_worker)
         chunk = (units + shards - 1) // shards
+        if axis == "product" and chunk > len(faults):
+            # Whole tests per shard: each test is resolved, and its
+            # streams built, in exactly one shard.
+            chunk -= chunk % len(faults)
         work = [
             (shard, tests, caps, faults, start,
              min(chunk, units - start), compress, max_ops, mode)

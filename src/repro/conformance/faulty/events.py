@@ -21,6 +21,7 @@ surface as a classified *error*, never as a hang — see
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -144,18 +145,20 @@ def capture_response(
 
     Raises:
         ResponseBudgetExceeded: when the budget trips — the caller
-            classifies the run as an *error*, not a mismatch.
+            classifies the run as an *error*, not a mismatch.  The
+            first ``max_ops`` operations are applied before the raise.
     """
     capture = ResponseCapture()
     events = capture.events
     read, write, elapse = memory.read, memory.write, memory.elapse
+    # The stream is open-loop, so the budget is decided before the
+    # loop: apply what fits, then trip if anything is left over.
+    applied = len(stream)
+    over_budget = max_ops is not None and applied > max(max_ops, 0)
+    if over_budget:
+        applied = max(max_ops, 0)
+        stream = itertools.islice(stream, applied)
     for index, entry in enumerate(stream):
-        if max_ops is not None and index >= max_ops:
-            raise ResponseBudgetExceeded(
-                f"op budget of {max_ops} exceeded after "
-                f"{index} operation(s)"
-            )
-        capture.ops_applied = index + 1
         op = entry.op
         if op.delay > 0:
             elapse(op.delay)
@@ -174,6 +177,12 @@ def capture_response(
                         owner=entry.owner,
                     )
                 )
+    if over_budget:
+        raise ResponseBudgetExceeded(
+            f"op budget of {max_ops} exceeded after "
+            f"{applied} operation(s)"
+        )
+    capture.ops_applied = applied
     return capture
 
 

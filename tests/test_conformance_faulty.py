@@ -38,6 +38,7 @@ from repro.core.controller import ControllerCapabilities
 from repro.faults.spec import format_fault, parse_fault
 from repro.faults.universe import standard_universe
 from repro.march import library
+from repro.march.notation import format_test
 from repro.prt import PRT_RING_UP
 from repro.memory.sram import Sram
 
@@ -105,6 +106,25 @@ class TestFailEvents:
             capture_response(
                 stream, _faulty_memory("saf:0:0:1"), max_ops=2
             )
+
+    def test_budget_boundary(self):
+        # The budget is checked once, before the loop: a stream that
+        # fits is applied whole, and one op too many still applies
+        # exactly ``max_ops`` ops before the raise.
+        stream = golden_trace(library.get("MATS"), CAPS)
+        assert all(entry.op.delay == 0 for entry in stream)
+        fits = capture_response(
+            stream, _faulty_memory("saf:0:0:1"), max_ops=len(stream)
+        )
+        assert fits.ops_applied == len(stream)
+        max_ops = len(stream) - 1
+        memory = _faulty_memory("saf:0:0:1")
+        with pytest.raises(ResponseBudgetExceeded) as raised:
+            capture_response(stream, memory, max_ops=max_ops)
+        assert str(raised.value) == (
+            f"op budget of {max_ops} exceeded after {max_ops} operation(s)"
+        )
+        assert memory.clock.now == max_ops
 
     def test_capture_converts_to_faillog(self):
         stream = golden_trace(library.get("March C"), CAPS)
@@ -441,6 +461,101 @@ class TestCoarserLayers:
         failing = result.failures[0]
         assert failing.status == "diverged"
         assert failing.layer == "diagnosis"
+
+    #: Faults that fail at address 0 (what the drop-address defect
+    #: removes) and elsewhere, with and without retention pauses.
+    SWEEP_TESTS = [library.get("March C"), library.get("March C+")]
+    SWEEP_FAULTS = ["af3:0:1", "saf:0:0:1", "saf:2:1:1", "tf:1:0:up",
+                    "drf:1:0:1", "cfin:1:0:2:0:up", "saf:0:1:0"]
+
+    @pytest.mark.parametrize("defect, layer", [
+        ({"drop_address": 0}, "faillog"),
+        ({"shift_log_index": 1}, "diagnosis"),
+    ], ids=["drop-address", "shift-index"])
+    def test_sweep_memo_matches_per_pair_checks(
+        self, monkeypatch, defect, layer
+    ):
+        """A sweep memoises fail-log aggregations per stimulus; a
+        per-pair check resolves a fresh stimulus every time.  Keyed by
+        the log, the memo never hands a defective aggregation the
+        golden one's layers, so both agree record for record."""
+        self._patched(monkeypatch, **defect)
+        faults = [parse_fault(spec) for spec in self.SWEEP_FAULTS]
+        report = run_fault_sweep(self.SWEEP_TESTS, CAPS, faults)
+        expected = FaultSweepReport(geometry=report.geometry)
+        by_pair = {}
+        for test in self.SWEEP_TESTS:
+            results = {
+                index: check_fault_conformance(test, CAPS, faults[index])
+                for index in reversed(range(len(faults)))
+            }
+            for index in range(len(faults)):
+                expected.add(results[index])
+                by_pair[format_test(test), self.SWEEP_FAULTS[index]] = (
+                    results[index]
+                )
+        assert any(
+            failure["architectures"][-1]["layer"] == layer
+            for failure in report.failures
+        )
+        for failure in report.failures:
+            pair = by_pair[failure["notation"], failure["fault_spec"]]
+            *others, hardwired = failure["architectures"]
+            assert [other["status"] for other in others] == ["ok", "ok"]
+            (alone,) = pair.failures
+            assert hardwired["architecture"] == alone.architecture
+            assert hardwired["layer"] == alone.layer
+            assert hardwired["mismatch"] == alone.mismatch
+            assert hardwired["failing_cells"] == [
+                list(cell) for cell in alone.failing_cells
+            ]
+            assert hardwired["diagnosis"] == alone.diagnosis
+        assert _payload(report) == _payload(expected)
+
+    @pytest.mark.parametrize("defect", [None, {"drop_address": 0}],
+                             ids=["healthy", "drop-address"])
+    def test_classifier_runs_once_per_distinct_log(self, monkeypatch, defect):
+        from repro.diagnostics import classifier
+
+        if defect:
+            self._patched(monkeypatch, **defect)
+        classify = classifier.classify
+        classified, captured = [], []
+
+        def spy(log, *args, **kwargs):
+            classified.append(tuple(log.failures))
+            return classify(log, *args, **kwargs)
+
+        def recording(capture_fn):
+            def record(stream, memory, max_ops=None):
+                capture = capture_fn(stream, memory, max_ops=max_ops)
+                captured.append(tuple(capture.log("").failures))
+                return capture
+
+            return record
+
+        monkeypatch.setattr(classifier, "classify", spy)
+        monkeypatch.setattr(
+            faulty_check, "capture_response",
+            recording(faulty_check.capture_response),
+        )
+        for architecture, capture_fn in list(
+            faulty_check.RESPONSE_CAPTURES.items()
+        ):
+            monkeypatch.setitem(
+                faulty_check.RESPONSE_CAPTURES, architecture,
+                recording(capture_fn),
+            )
+        faults = [parse_fault(spec) for spec in self.SWEEP_FAULTS]
+        for test in self.SWEEP_TESTS:
+            classified.clear()
+            captured.clear()
+            # One test, one shard: the whole sweep is one Stimulus.
+            report = run_fault_sweep([test], CAPS, faults)
+            assert report.checked == len(faults)
+            assert len(classified) == len(set(classified))
+            assert set(classified) == set(captured)
+            assert len(classified) < len(captured)
 
 
 class TestFaultAxisShrinking:
@@ -940,6 +1055,53 @@ class TestStreamsBuiltOncePerShard:
         assert dict(build_counts) == _expected_builds(
             BUILD_ONCE_TESTS, per_test
         )
+
+    @pytest.mark.parametrize("sharding", ["store", "jobs"])
+    def test_whole_test_shards_build_each_stream_once(
+        self, monkeypatch, tmp_path, sharding
+    ):
+        """Once a shard holds a whole test, shards are cut on test
+        boundaries: every test's streams are built in exactly one shard,
+        in this process (``store=``) or in a forked worker (``jobs=2``),
+        so builds are logged to a file both can append to."""
+        from collections import Counter
+
+        from repro.service.store import ResultStore
+
+        tests = [library.get(name) for name in library.ALGORITHMS]
+        faults = self.FAULTS[:2]
+        serial = run_fault_sweep(tests, CAPS, faults)
+        log = tmp_path / "builds.log"
+        for architecture, builder in list(
+            faulty_check.STREAM_BUILDERS.items()
+        ):
+            def logged(test, caps, compress, _arch=architecture,
+                       _build=builder):
+                with open(log, "a") as handle:
+                    handle.write(f"{test.name}\t{_arch}\n")
+                return _build(test, caps, compress)
+
+            monkeypatch.setitem(
+                faulty_check.STREAM_BUILDERS, architecture, logged
+            )
+        if sharding == "store":
+            options = {"store": ResultStore(tmp_path / "store")}
+        else:
+            options = {"jobs": 2}
+        report = run_fault_sweep(tests, CAPS, faults, **options)
+        assert len(report.shards) > 1
+        assert all(
+            shard["runs"] % len(faults) == 0 for shard in report.shards
+        )
+        builds = Counter(
+            tuple(line.split("\t")) for line in log.read_text().splitlines()
+        )
+        assert builds == Counter({
+            (test.name, architecture): 1
+            for test in tests
+            for architecture in faulty_check.ARCHITECTURES
+        })
+        assert _payload(report) == _payload(serial)
 
     @pytest.mark.parametrize("raised, detail", [
         (RuntimeError("cycle bound 100000 exceeded"),
