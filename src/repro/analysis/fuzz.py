@@ -74,6 +74,12 @@ geometries and, for every sample, checks these identities:
     equal the session's predicted MISR signature.  Like (h), this is
     march-independent — it pins the non-march stimulus family.
 
+Identities (a)–(c) always run.  (d)–(j) are the rows of one table,
+:data:`IDENTITIES`: each row names its check, the report counter and
+shrunk-reproducer keys it owns, and the rows it needs, and the result
+payload, batch records and report read their keys from it.  ``skip``
+(``repro fuzz --skip e,g``) turns rows off by letter.
+
 Any violation — including the verifier *rejecting* a well-formed
 algorithm, the false-positive direction — is a mismatch.  The
 ``repro fuzz`` CLI subcommand batch-parallelises the corpus over the
@@ -91,7 +97,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode.assembler import assemble
@@ -120,6 +137,9 @@ PAUSE_DURATIONS = (128, 256, 512, 1024)
 MAX_WORDS = 9
 WIDTHS = (1, 2, 4)
 MAX_PORTS = 3
+
+#: Predicate-evaluation budget of every row's shrink pass.
+SHRINK_CHECKS = 500
 
 _ORDERS = (AddressOrder.UP, AddressOrder.DOWN, AddressOrder.ANY)
 
@@ -179,6 +199,44 @@ def march_test_strategy():
 
 
 @dataclass
+class _Sample:
+    """One generated sample, as every identity row sees it.
+
+    Attributes:
+        seed: the per-sample seed string ``"{seed}:{index}"``.
+        index: sample index within the corpus.
+        test / caps / compress: the generated algorithm, geometry and
+            REPEAT-compression choice.
+        rng: the sample RNG, positioned after the structural draws —
+            identity (e) draws its fault from it, so the seed string
+            alone regenerates the (march, geometry, fault) triple.
+        fault / response: identity (e)'s injected fault and scalar
+            response, which identity (g) reuses.
+    """
+
+    seed: str
+    index: int
+    test: MarchTest
+    caps: ControllerCapabilities
+    compress: bool
+    rng: random.Random
+    fault: Any = None
+    response: Any = None
+
+    def derived_rng(self, name: str) -> random.Random:
+        """An RNG derived from the sample seed, so a row's draws do not
+        depend on which other rows ran."""
+        return random.Random(f"{self.seed}:{name}")
+
+
+def _empty_identities() -> Dict[str, Any]:
+    fields: Dict[str, Any] = {}
+    for row in IDENTITIES:
+        fields.update(row.fields())
+    return fields
+
+
+@dataclass
 class SampleResult:
     """Verdict for one fuzzed sample.
 
@@ -194,26 +252,10 @@ class SampleResult:
         fsm_cycles: proved progfsm trace-cycle count (compiled samples).
         mismatches: human-readable description of every violated
             identity — empty means the sample agrees everywhere.
-        shrunk: minimal reproducer of a behavioural divergence
-            (notation/geometry/checks), or None when identity (d) held.
-        fault_spec: the fault injected for identity (e), as a
-            :mod:`repro.faults.spec` string (None when (e) was off).
-        fault_detected: whether the golden response saw the fault.
-        shrunk_faulty: minimal (march, geometry, fault) reproducer of a
-            response divergence, or None when identity (e) held.
-        vector_checked: whether identity (g) ran (requires
-            ``fault_conformance`` and ``vector_conformance``).
-        coverage_pairs: certificate-vs-sweep fault pairs cross-checked
-            for identity (f) (0 when (f) was off).
-        shrunk_coverage: minimal (march, geometry, fault) reproducer of
-            a certificate-vs-sweep disagreement, or None when identity
-            (f) held.
-        infield_checked: whether identity (h) ran — the fault-free and
-            mid-stream-injection in-field session pair.
-        service_checked: whether identity (i) ran — the interrupted-
-            then-resumed sweep vs the uninterrupted serial sweep.
-        prt_checked: whether identity (j) ran — pseudo-ring session
-            determinism and controller/session agreement.
+        identities: every key the rows of :data:`IDENTITIES` own (the
+            injected fault, the counters, the shrunk reproducers), in
+            table order; a row that did not run leaves its keys at their
+            empty values.
     """
 
     index: int
@@ -225,16 +267,7 @@ class SampleResult:
     fsm_compiled: bool = False
     fsm_cycles: Optional[int] = None
     mismatches: List[str] = field(default_factory=list)
-    shrunk: Optional[Dict[str, Any]] = None
-    fault_spec: Optional[str] = None
-    fault_detected: bool = False
-    shrunk_faulty: Optional[Dict[str, Any]] = None
-    vector_checked: bool = False
-    coverage_pairs: int = 0
-    shrunk_coverage: Optional[Dict[str, Any]] = None
-    infield_checked: bool = False
-    service_checked: bool = False
-    prt_checked: bool = False
+    identities: Dict[str, Any] = field(default_factory=_empty_identities)
 
     @property
     def ok(self) -> bool:
@@ -251,45 +284,43 @@ class SampleResult:
             "fsm_compiled": self.fsm_compiled,
             "fsm_cycles": self.fsm_cycles,
             "mismatches": self.mismatches,
-            "shrunk": self.shrunk,
-            "fault_spec": self.fault_spec,
-            "fault_detected": self.fault_detected,
-            "shrunk_faulty": self.shrunk_faulty,
-            "vector_checked": self.vector_checked,
-            "coverage_pairs": self.coverage_pairs,
-            "shrunk_coverage": self.shrunk_coverage,
-            "infield_checked": self.infield_checked,
-            "service_checked": self.service_checked,
-            "prt_checked": self.prt_checked,
+            **self.identities,
         }
 
 
+def resolve_skip(skip: Iterable[str]) -> FrozenSet[str]:
+    """The identity letters ``skip`` turns off: the named rows plus every
+    row that needs a skipped one (skipping (e) skips (g)).
+
+    Raises:
+        ValueError: a letter that names no row of :data:`IDENTITIES`.
+    """
+    skipped = set(skip)
+    letters = sorted(row.letter for row in IDENTITIES)
+    unknown = skipped.difference(letters)
+    if unknown:
+        raise ValueError(
+            f"unknown fuzz identity {', '.join(sorted(unknown))} "
+            f"(choose from {', '.join(letters)})"
+        )
+    for row in IDENTITIES:  # rows only need earlier rows: one pass
+        if skipped.intersection(row.needs):
+            skipped.add(row.letter)
+    return frozenset(skipped)
+
+
 def check_sample(
-    seed: int,
-    index: int,
-    conformance: bool = True,
-    fault_conformance: bool = True,
-    coverage_conformance: bool = True,
-    vector_conformance: bool = True,
-    infield_conformance: bool = True,
-    service_conformance: bool = True,
-    prt_conformance: bool = True,
+    seed: int, index: int, skip: Iterable[str] = ()
 ) -> SampleResult:
-    """Generate sample ``index`` of corpus ``seed`` and check all ten
-    verifier-vs-simulator identities on it (``conformance=False`` skips
-    the behavioural-equivalence identity (d); ``fault_conformance=False``
-    skips the faulty-memory response identity (e) — and with it the
-    sweep-engine identity (g), which reuses (e)'s response;
-    ``coverage_conformance=False`` skips the coverage-certificate
-    identity (f); ``vector_conformance=False`` skips (g) alone;
-    ``infield_conformance=False`` skips the in-field session identity
-    (h); ``service_conformance=False`` skips the resumed-sweep identity
-    (i); ``prt_conformance=False`` skips the pseudo-ring determinism
-    identity (j))."""
+    """Generate sample ``index`` of corpus ``seed`` and check the
+    verifier-vs-simulator identities on it: (a)–(c) always, then every
+    row of :data:`IDENTITIES` in table order, except the letters in
+    ``skip`` (and the rows that need them, see :func:`resolve_skip`)."""
     from repro.analysis.interpreter import Verdict, interpret
     from repro.analysis.progfsm_cfg import interpret_fsm
     from repro.analysis.verifier import verify_fsm_program, verify_program
 
+    skipped = resolve_skip(skip)
     sample_seed = f"{seed}:{index}"
     rng = random.Random(sample_seed)
     test = random_march(rng)
@@ -302,7 +333,6 @@ def check_sample(
         geometry=(caps.n_words, caps.width, caps.ports),
         compress=compress,
     )
-
     # -- (a)+(c), microcode ------------------------------------------------
     program = assemble(test, caps, compress=compress, verify=False)
     report = verify_program(program, caps)
@@ -377,52 +407,16 @@ def check_sample(
                         f"{fsm_interp.cycles}, simulated {traced}"
                     )
 
-    # -- (d), op-for-op behavioural equivalence ----------------------------
-    if conformance:
-        _check_conformance_identity(result, test, caps, compress)
-
-    # -- (e)+(g), fault-response and sweep-engine equivalence --------------
-    # The fault is drawn from the sample's own RNG *after* the structural
-    # draws above, so "{seed}:{index}" alone regenerates the whole triple.
-    if fault_conformance:
-        _check_fault_identity(
-            result, test, caps, compress, rng, vector=vector_conformance
-        )
-
-    # -- (f), coverage-certificate equivalence -----------------------------
-    if coverage_conformance:
-        _check_coverage_identity(result, test, caps, index)
-
-    # -- (h), in-field session identity ------------------------------------
-    # Drawn from a derived RNG so the session is deterministic in the
-    # sample seed regardless of which other identities are enabled.
-    if infield_conformance:
-        _check_infield_identity(
-            result, caps, random.Random(f"{sample_seed}:infield")
-        )
-
-    # -- (i), interrupted-then-resumed sweep identity ----------------------
-    # Also from a derived RNG, for the same reason.
-    if service_conformance:
-        _check_service_identity(
-            result, test, caps, compress,
-            random.Random(f"{sample_seed}:service"),
-        )
-
-    # -- (j), pseudo-ring determinism --------------------------------------
-    # March-independent like (h); the config comes from a derived RNG.
-    if prt_conformance:
-        _check_prt_identity(
-            result, caps, random.Random(f"{sample_seed}:prt")
-        )
+    # -- (d)-(j), the identity table -------------------------------------
+    sample = _Sample(sample_seed, index, test, caps, compress, rng)
+    for row in IDENTITIES:
+        if row.letter not in skipped:
+            row.check(sample, result)
     return result
 
 
 def _check_conformance_identity(
-    result: SampleResult,
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    compress: bool,
+    sample: _Sample, result: SampleResult
 ) -> None:
     """Identity (d): all realising architectures emit the golden stream,
     and each one's op-summary verdict agrees with its simulation.
@@ -438,6 +432,7 @@ def _check_conformance_identity(
     )
     from repro.conformance.check import proved_conformant
 
+    test, caps, compress = sample.test, sample.caps, sample.compress
     conf = check_conformance(test, caps, compress=compress)
     for arch in conf.results:
         if arch.skipped is not None:
@@ -463,34 +458,21 @@ def _check_conformance_identity(
         test,
         caps,
         conformance_predicate(compress=compress),
-        max_checks=500,
+        max_checks=SHRINK_CHECKS,
     )
-    result.shrunk = shrunk.to_dict()
+    result.identities["shrunk"] = shrunk.to_dict()
 
 
-def _check_fault_identity(
-    result: SampleResult,
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    compress: bool,
-    rng: random.Random,
-    vector: bool = True,
-) -> None:
-    """Identities (e) and (g): one injected fault, every engine agrees.
+def _check_fault_identity(sample: _Sample, result: SampleResult) -> None:
+    """Identity (e): one injected fault, every architecture agrees.
 
     Draws a single spec-expressible fault from the sample RNG, runs all
     realising architectures' BIST sessions against it and compares fail
     events, fail logs and diagnosis against the golden response.  A
     divergence (or a wedged/crashed session) is delta-debugged over
     march items, operations, the fault and the geometry; the minimal
-    triple rides in the report.
-
-    When ``vector`` is on, the scalar response doubles as the oracle
-    for identity (g): it is wrapped into a one-run
-    :class:`~repro.conformance.faulty.FaultSweepReport` and the vector
-    engine must reproduce that report payload — timing aside — from
-    scratch.  No extra scalar run is spent; the (e) result is
-    reused.
+    triple rides in the report.  The fault and the response stay on
+    ``sample`` for identity (g).
     """
     from repro.conformance import (
         check_fault_conformance,
@@ -500,41 +482,38 @@ def _check_fault_identity(
     )
     from repro.faults.spec import format_fault
 
-    fault = random_fault(rng, caps)
-    result.fault_spec = format_fault(fault)
-    response = check_fault_conformance(test, caps, fault, compress=compress)
-    result.fault_detected = response.detected
-    if not response.ok:
-        result.mismatches.append(
-            "fault-response divergence under "
-            f"{result.fault_spec}: {response.describe_failures()}"
-        )
-        shrunk = shrink_faulty_sample(
-            test,
-            caps,
-            result.fault_spec,
-            fault_response_predicate(compress=compress),
-            max_checks=500,
-        )
-        result.shrunk_faulty = shrunk.to_dict()
-    if vector:
-        _check_vector_identity(result, test, caps, fault, compress, response)
+    test, caps, compress = sample.test, sample.caps, sample.compress
+    sample.fault = random_fault(sample.rng, caps)
+    spec = result.identities["fault_spec"] = format_fault(sample.fault)
+    response = sample.response = check_fault_conformance(
+        test, caps, sample.fault, compress=compress
+    )
+    result.identities["fault_detected"] = response.detected
+    if response.ok:
+        return
+    result.mismatches.append(
+        f"fault-response divergence under {spec}: "
+        f"{response.describe_failures()}"
+    )
+    shrunk = shrink_faulty_sample(
+        test,
+        caps,
+        spec,
+        fault_response_predicate(compress=compress),
+        max_checks=SHRINK_CHECKS,
+    )
+    result.identities["shrunk_faulty"] = shrunk.to_dict()
 
 
-def _check_vector_identity(
-    result: SampleResult,
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    fault,
-    compress: bool,
-    response,
-) -> None:
+def _check_vector_identity(sample: _Sample, result: SampleResult) -> None:
     """Identity (g): the projected engine reproduces the scalar report.
 
-    The scalar side costs nothing — identity (e)'s response is folded
-    into a one-run sweep report — so each fuzz sample buys a free
-    cross-engine conformance case on a *random* (march, geometry,
-    fault) triple, far off the curated library the dedicated
+    The scalar side costs nothing: identity (e)'s response is folded
+    into a one-run :class:`~repro.conformance.faulty.FaultSweepReport`,
+    and the vector engine must reproduce that report payload, timing
+    aside, from scratch.  So each fuzz sample buys a free cross-engine
+    conformance case on a *random* (march, geometry, fault) triple,
+    far off the curated library the dedicated
     ``--cross-engine`` sweeps exercise.  Divergences are reported with
     the path of the first differing payload leaf; the "{seed}:{index}"
     sample seed is already a minimal-enough reproducer (one algorithm,
@@ -546,27 +525,26 @@ def _check_vector_identity(
         run_fault_sweep,
     )
 
+    caps = sample.caps
     scalar = FaultSweepReport(
         geometry=(caps.n_words, caps.width, caps.ports)
     )
-    scalar.add(response)
+    scalar.add(sample.response)
     vector = run_fault_sweep(
-        [test], caps, [fault], compress=compress, engine="vector"
+        [sample.test], caps, [sample.fault], compress=sample.compress,
+        engine="vector",
     )
-    result.vector_checked = True
+    result.identities["vector_checked"] = True
     divergence = CrossEngineResult(scalar=scalar, vector=vector).divergence()
     if divergence is not None:
         result.mismatches.append(
             "sweep-engine divergence under "
-            f"{result.fault_spec}: {divergence}"
+            f"{result.identities['fault_spec']}: {divergence}"
         )
 
 
 def _check_coverage_identity(
-    result: SampleResult,
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    index: int,
+    sample: _Sample, result: SampleResult
 ) -> None:
     """Identity (f): the static coverage prover agrees with simulation.
 
@@ -584,11 +562,12 @@ def _check_coverage_identity(
         coverage_disagreement_predicate,
     )
 
-    faults = sweep_faults(caps, per_kind=2, seed=index)
+    test, caps = sample.test, sample.caps
+    faults = sweep_faults(caps, per_kind=2, seed=sample.index)
     check = check_coverage_conformance(
         tests=[test], geometry=caps, faults=faults, universe_name="sample"
     )
-    result.coverage_pairs = check.checked
+    result.identities["coverage_pairs"] = check.checked
     if check.ok:
         return
     first = check.disagreements[0]
@@ -599,16 +578,12 @@ def _check_coverage_identity(
             caps,
             first.spec,
             coverage_disagreement_predicate(),
-            max_checks=500,
+            max_checks=SHRINK_CHECKS,
         )
-        result.shrunk_coverage = shrunk.to_dict()
+        result.identities["shrunk_coverage"] = shrunk.to_dict()
 
 
-def _check_infield_identity(
-    result: SampleResult,
-    caps: ControllerCapabilities,
-    rng: random.Random,
-) -> None:
+def _check_infield_identity(sample: _Sample, result: SampleResult) -> None:
     """Identity (h): the in-field scheduler preserves data and detects.
 
     Builds the deterministic in-field plan for the sample's geometry
@@ -626,6 +601,7 @@ def _check_infield_identity(
     from repro.faults.spec import parse_fault
     from repro.memory.sram import Sram
 
+    caps, rng = sample.caps, sample.derived_rng("infield")
     plan = build_infield_plan(caps, seed=rng.randrange(2**16))
 
     clean = run_infield_session(
@@ -663,16 +639,10 @@ def _check_infield_identity(
             f"slot {checkpoint.slot}, first event owned by "
             f"{faulty.events[0].owner!r}"
         )
-    result.infield_checked = True
+    result.identities["infield_checked"] = True
 
 
-def _check_service_identity(
-    result: SampleResult,
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    compress: bool,
-    rng: random.Random,
-) -> None:
+def _check_service_identity(sample: _Sample, result: SampleResult) -> None:
     """Identity (i): a resumed sweep equals the uninterrupted sweep.
 
     Runs the sample's algorithm against a few random faults three ways:
@@ -692,6 +662,8 @@ def _check_service_identity(
     from repro.conformance.faulty.sampling import random_fault
     from repro.service import ChaosPlan, ResultStore
 
+    test, caps, compress = sample.test, sample.caps, sample.compress
+    rng = sample.derived_rng("service")
     faults = [random_fault(rng, caps) for _ in range(3)]
     baseline = run_fault_sweep(
         [test], caps, faults, compress=compress
@@ -737,14 +709,10 @@ def _check_service_identity(
                 "service identity: resume recomputed every shard "
                 f"(store stats {stats})"
             )
-    result.service_checked = True
+    result.identities["service_checked"] = True
 
 
-def _check_prt_identity(
-    result: SampleResult,
-    caps: ControllerCapabilities,
-    rng: random.Random,
-) -> None:
+def _check_prt_identity(sample: _Sample, result: SampleResult) -> None:
     """Identity (j): PRT sessions are deterministic and the controller
     realises them.
 
@@ -759,6 +727,7 @@ def _check_prt_identity(
     """
     from repro.prt import PrtConfig, PrtController, PrtSession
 
+    caps, rng = sample.caps, sample.derived_rng("prt")
     config = PrtConfig(
         passes=rng.randint(1, 5),
         seed=rng.randrange(1, 1 << 16),
@@ -797,23 +766,88 @@ def _check_prt_identity(
             f"prt signature mismatch: controller latched "
             f"{controller.signature}, session predicts {predicted}"
         )
-    result.prt_checked = True
+    result.identities["prt_checked"] = True
+
+
+class Identity(NamedTuple):
+    """One row of the identity table.
+
+    Attributes:
+        letter: the identity's letter, (d)–(j); ``skip`` names rows by it.
+        check: ``check(sample, result)`` runs the identity, appending to
+            ``result.mismatches`` and filling the keys below.
+        counter: the :class:`FuzzReport` counter key it owns (None for
+            (d), which counts nothing beyond the checked samples).
+        label: how :meth:`FuzzReport.format` names that counter.
+        shrunk: the shrunk-reproducer key it owns, None when the sample
+            seed is already a minimal-enough reproducer.
+        fault: the key of the fault it draws from the sample RNG.
+        needs: letters of the rows whose output it reuses; skipping one
+            of them skips this row too.
+        empty: the counter's value on a sample the row did not check.
+    """
+
+    letter: str
+    check: Callable[[_Sample, SampleResult], None]
+    counter: Optional[str] = None
+    label: str = ""
+    shrunk: Optional[str] = None
+    fault: Optional[str] = None
+    needs: str = ""
+    empty: Any = False
+
+    def fields(self) -> Dict[str, Any]:
+        """The result keys this row owns, in payload order, at their
+        empty values."""
+        fields: Dict[str, Any] = {}
+        if self.fault:
+            fields[self.fault] = None
+        if self.counter:
+            fields[self.counter] = self.empty
+        if self.shrunk:
+            fields[self.shrunk] = None
+        return fields
+
+
+#: Identities (d)–(j) in run order.  (g) runs straight after (e), whose
+#: response it reuses; the order fixes the mismatch order, the payload
+#: key order and the report's counter order.
+IDENTITIES: Tuple[Identity, ...] = (
+    Identity("d", _check_conformance_identity, shrunk="shrunk"),
+    Identity("e", _check_fault_identity, "fault_detected",
+             "fault-detecting", shrunk="shrunk_faulty", fault="fault_spec"),
+    Identity("g", _check_vector_identity, "vector_checked",
+             "vector-cross-checked", needs="e"),
+    Identity("f", _check_coverage_identity, "coverage_pairs",
+             "coverage pairs certified", shrunk="shrunk_coverage",
+             empty=0),
+    Identity("h", _check_infield_identity, "infield_checked",
+             "in-field sessions"),
+    Identity("i", _check_service_identity, "service_checked",
+             "resumed-sweep identities"),
+    Identity("j", _check_prt_identity, "prt_checked",
+             "pseudo-ring sessions"),
+)
+
+#: The rows that feed a :class:`FuzzReport` counter, in report order.
+_COUNTED = tuple(row for row in IDENTITIES if row.counter)
 
 
 @dataclass
 class FuzzReport:
-    """Aggregated outcome of one corpus run."""
+    """Aggregated outcome of one corpus run.
+
+    ``counts`` holds one counter per counting row of
+    :data:`IDENTITIES`, keyed and ordered like the table.
+    """
 
     samples: int
     seed: int
     checked: int = 0
     fsm_compiled: int = 0
-    fault_detected: int = 0
-    vector_checked: int = 0
-    coverage_pairs: int = 0
-    infield_checked: int = 0
-    service_checked: int = 0
-    prt_checked: int = 0
+    counts: Dict[str, int] = field(
+        default_factory=lambda: {row.counter: 0 for row in _COUNTED}
+    )
     mismatch_count: int = 0
     mismatches: List[Dict[str, Any]] = field(default_factory=list)
     interrupted: bool = False
@@ -834,12 +868,7 @@ class FuzzReport:
                 if self.checked
                 else 0.0
             ),
-            "fault_detected": self.fault_detected,
-            "vector_checked": self.vector_checked,
-            "coverage_pairs": self.coverage_pairs,
-            "infield_checked": self.infield_checked,
-            "service_checked": self.service_checked,
-            "prt_checked": self.prt_checked,
+            **self.counts,
             "mismatch_count": self.mismatch_count,
             "mismatches": self.mismatches,
         }
@@ -855,13 +884,11 @@ class FuzzReport:
         lines = [
             f"fuzz: {self.checked}/{self.samples} samples checked "
             f"(seed {self.seed}), {self.fsm_compiled} SM-compilable, "
-            f"{self.fault_detected} fault-detecting, "
-            f"{self.vector_checked} vector-cross-checked, "
-            f"{self.coverage_pairs} coverage pairs certified, "
-            f"{self.infield_checked} in-field sessions, "
-            f"{self.service_checked} resumed-sweep identities, "
-            f"{self.prt_checked} pseudo-ring sessions, "
-            f"{self.mismatch_count} mismatch(es)"
+            + "".join(
+                f"{self.counts[row.counter]} {row.label}, "
+                for row in _COUNTED
+            )
+            + f"{self.mismatch_count} mismatch(es)"
             + (" [INTERRUPTED]" if self.interrupted else "")
         ]
         for entry in self.mismatches:
@@ -870,67 +897,44 @@ class FuzzReport:
                 f"(seed {entry.get('sample_seed', '?')}) "
                 f"{tuple(entry['geometry'])}: {entry['notation']}"
             )
-            if entry.get("fault_spec"):
-                lines.append(f"    fault: {entry['fault_spec']}")
+            for row in IDENTITIES:
+                if row.fault and entry.get(row.fault):
+                    lines.append(f"    fault: {entry[row.fault]}")
             for mismatch in entry["mismatches"]:
                 lines.append(f"    {mismatch}")
-            shrunk = entry.get("shrunk")
-            if shrunk:
-                lines.append(
-                    f"    shrunk reproducer: {shrunk['notation']} on "
-                    f"{tuple(shrunk['geometry'])}"
-                )
-            shrunk_faulty = entry.get("shrunk_faulty")
-            if shrunk_faulty:
-                lines.append(
-                    f"    shrunk faulty reproducer: "
-                    f"{shrunk_faulty['notation']} on "
-                    f"{tuple(shrunk_faulty['geometry'])} under "
-                    f"{shrunk_faulty['fault']}"
-                )
-            shrunk_coverage = entry.get("shrunk_coverage")
-            if shrunk_coverage:
-                lines.append(
-                    f"    shrunk coverage reproducer: "
-                    f"{shrunk_coverage['notation']} on "
-                    f"{tuple(shrunk_coverage['geometry'])} under "
-                    f"{shrunk_coverage['fault']}"
-                )
+            for row in IDENTITIES:
+                shrunk = entry.get(row.shrunk) if row.shrunk else None
+                if shrunk:
+                    lines.append(
+                        f"    {row.shrunk.replace('_', ' ')} reproducer: "
+                        f"{shrunk['notation']} on "
+                        f"{tuple(shrunk['geometry'])}"
+                        + (f" under {shrunk['fault']}"
+                           if "fault" in shrunk else "")
+                    )
         return "\n".join(lines)
 
 
 def _check_batch(
-    args: Tuple[int, int, int, bool, bool, bool, bool, bool, bool, bool]
+    args: Tuple[int, int, int, Tuple[str, ...]]
 ) -> List[Dict[str, Any]]:
     """Worker entry point: check samples ``start..start+count-1``.
 
     Returns compact per-sample dicts (full detail only for mismatches)
     to keep the inter-process payload small.
     """
-    (seed, start, count, conformance, fault_conformance, coverage,
-     vector, infield, service, prt) = args
+    seed, start, count, skip = args
     out: List[Dict[str, Any]] = []
     for index in range(start, start + count):
-        result = check_sample(
-            seed,
-            index,
-            conformance=conformance,
-            fault_conformance=fault_conformance,
-            coverage_conformance=coverage,
-            vector_conformance=vector,
-            infield_conformance=infield,
-            service_conformance=service,
-            prt_conformance=prt,
-        )
+        result = check_sample(seed, index, skip=skip)
         if result.ok:
-            out.append({"index": index, "ok": True,
-                        "fsm_compiled": result.fsm_compiled,
-                        "fault_detected": result.fault_detected,
-                        "vector_checked": result.vector_checked,
-                        "coverage_pairs": result.coverage_pairs,
-                        "infield_checked": result.infield_checked,
-                        "service_checked": result.service_checked,
-                        "prt_checked": result.prt_checked})
+            out.append({
+                "index": index,
+                "ok": True,
+                "fsm_compiled": result.fsm_compiled,
+                **{row.counter: result.identities[row.counter]
+                   for row in _COUNTED},
+            })
         else:
             payload = result.to_dict()
             payload["ok"] = False
@@ -954,13 +958,7 @@ def run_fuzz(
     samples: int,
     seed: int = 0,
     jobs: int = 1,
-    conformance: bool = True,
-    fault_conformance: bool = True,
-    coverage_conformance: bool = True,
-    vector_conformance: bool = True,
-    infield_conformance: bool = True,
-    service_conformance: bool = True,
-    prt_conformance: bool = True,
+    skip: Iterable[str] = (),
     shard_timeout: Optional[float] = None,
 ) -> FuzzReport:
     """Run the corpus and aggregate a :class:`FuzzReport`.
@@ -974,27 +972,14 @@ def run_fuzz(
             crashed worker no longer discards the completed batches,
             and batches that failed without crash/timeout history are
             retried serially.
-        conformance: check identity (d), op-for-op behavioural
-            equivalence across all architectures (on by default).
-        fault_conformance: check identity (e), response equivalence on
-            a faulty memory (on by default).
-        coverage_conformance: check identity (f), coverage-certificate
-            vs simulated-sweep agreement (on by default).
-        vector_conformance: check identity (g), scalar-vs-vector sweep
-            report equality on identity (e)'s sample (on by default;
-            no-op with ``fault_conformance=False``).
-        infield_conformance: check identity (h), the fault-free and
-            mid-stream-injection in-field session pair (on by default).
-        service_conformance: check identity (i), the interrupted-then-
-            resumed sweep vs the uninterrupted serial sweep (on by
-            default).
-        prt_conformance: check identity (j), pseudo-ring session
-            determinism and controller/session agreement (on by
-            default).
+        skip: letters of the :data:`IDENTITIES` rows not to check (see
+            :func:`resolve_skip`); every row runs by default.
         shard_timeout: per-batch wall-clock budget (seconds), enforced
             by the engine when ``jobs > 1``.
 
     Raises:
+        ValueError: a bad sample or job count, or an unknown letter in
+            ``skip``.
         SweepInterrupted: SIGINT mid-corpus; carries the partial
             :class:`FuzzReport` (marked ``interrupted``) aggregating
             every completed batch.
@@ -1011,25 +996,16 @@ def run_fuzz(
         raise ValueError(f"need at least one sample, got {samples}")
     if jobs <= 0:
         raise ValueError(f"need at least one job, got {jobs}")
+    skip = tuple(sorted(resolve_skip(skip)))
     report = FuzzReport(samples=samples, seed=seed)
 
     def aggregate(batches: Sequence[List[Dict[str, Any]]]) -> FuzzReport:
         for batch in batches:
             for entry in batch:
                 report.checked += 1
-                if entry.get("fsm_compiled"):
-                    report.fsm_compiled += 1
-                if entry.get("fault_detected"):
-                    report.fault_detected += 1
-                if entry.get("vector_checked"):
-                    report.vector_checked += 1
-                report.coverage_pairs += entry.get("coverage_pairs", 0)
-                if entry.get("infield_checked"):
-                    report.infield_checked += 1
-                if entry.get("service_checked"):
-                    report.service_checked += 1
-                if entry.get("prt_checked"):
-                    report.prt_checked += 1
+                report.fsm_compiled += entry.get("fsm_compiled", False)
+                for key in report.counts:
+                    report.counts[key] += entry.get(key, 0)
                 if not entry["ok"]:
                     report.mismatch_count += 1
                     report.mismatches.append(
@@ -1041,12 +1017,7 @@ def run_fuzz(
     jobs = min(jobs, samples)
     if jobs == 1:
         try:
-            batches = [
-                _check_batch((seed, 0, samples, conformance,
-                              fault_conformance, coverage_conformance,
-                              vector_conformance, infield_conformance,
-                              service_conformance, prt_conformance))
-            ]
+            batches = [_check_batch((seed, 0, samples, skip))]
         except KeyboardInterrupt:
             report.interrupted = True
             raise SweepInterrupted(aggregate([])) from None
@@ -1054,9 +1025,7 @@ def run_fuzz(
 
     chunk = (samples + jobs - 1) // jobs
     work = [
-        (seed, start, min(chunk, samples - start), conformance,
-         fault_conformance, coverage_conformance, vector_conformance,
-         infield_conformance, service_conformance, prt_conformance)
+        (seed, start, min(chunk, samples - start), skip)
         for start in range(0, samples, chunk)
     ]
     submissions = [

@@ -41,11 +41,12 @@ Commands:
     agreement between the static analyses and the cycle-accurate
     controllers of both programmable architectures, plus op-for-op
     behavioural equivalence of all three architectures against the
-    golden march expansion (``--no-conformance`` to skip) and response
-    equivalence on a randomly faulted memory (``--no-faults`` to skip),
-    cross-checked against the projected sweep engine (``--no-vector``
-    to skip), plus an in-field transparent-session identity
-    (``--no-infield`` to skip).
+    golden march expansion (identity d), response equivalence on a
+    randomly faulted memory (e), cross-checked against the projected
+    sweep engine (g), the coverage certificate against a simulated
+    sweep (f), an in-field transparent session (h), an interrupted-
+    then-resumed sweep (i) and a pseudo-ring session (j); ``--skip
+    e,g`` leaves the named identities out (skipping e also skips g).
     Exits 1 on any mismatch, so CI can gate on it; ``--report FILE``
     writes the JSON artifact (failing samples carry minimised
     reproducers).
@@ -423,13 +424,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     try:
         report = run_fuzz(
             args.samples, seed=args.seed, jobs=jobs,
-            conformance=not args.no_conformance,
-            fault_conformance=not args.no_faults,
-            coverage_conformance=not args.no_coverage,
-            vector_conformance=not args.no_vector,
-            infield_conformance=not args.no_infield,
-            service_conformance=not args.no_service,
-            prt_conformance=not args.no_prt,
+            skip=[letter.strip() for letter in args.skip.split(",")
+                  if letter.strip()],
         )
     except SweepInterrupted as interrupt:
         # Partial corpus, marked "interrupted": still a valid artifact.
@@ -1003,38 +999,11 @@ def build_parser() -> argparse.ArgumentParser:
         "samples carry their shrunk reproducers)",
     )
     fuzz.add_argument(
-        "--no-conformance", action="store_true",
-        help="skip identity (d), op-for-op behavioural equivalence",
-    )
-    fuzz.add_argument(
-        "--no-faults", action="store_true",
-        help="skip identity (e), fault-response equivalence on a "
-        "randomly faulted memory",
-    )
-    fuzz.add_argument(
-        "--no-coverage", action="store_true",
-        help="skip identity (f), static coverage certificate vs "
-        "simulated fault sweep",
-    )
-    fuzz.add_argument(
-        "--no-vector", action="store_true",
-        help="skip identity (g), scalar-vs-vector sweep-engine report "
-        "equality on the identity-(e) sample",
-    )
-    fuzz.add_argument(
-        "--no-infield", action="store_true",
-        help="skip identity (h), the fault-free and mid-stream-"
-        "injection in-field transparent session pair",
-    )
-    fuzz.add_argument(
-        "--no-service", action="store_true",
-        help="skip identity (i), interrupted-then-resumed sweep vs "
-        "uninterrupted serial sweep byte-equality",
-    )
-    fuzz.add_argument(
-        "--no-prt", action="store_true",
-        help="skip identity (j), pseudo-ring session determinism and "
-        "controller/session agreement",
+        "--skip", metavar="LETTERS", default="",
+        help="comma-separated identities not to check, from d (op-for-op "
+        "equivalence), e (fault response; also skips g), f (coverage "
+        "certificate vs sweep), g (scalar vs vector sweep), h (in-field "
+        "session), i (resumed sweep), j (pseudo-ring session)",
     )
     fuzz.set_defaults(handler=_cmd_fuzz)
 

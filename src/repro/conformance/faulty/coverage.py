@@ -13,11 +13,10 @@ fault?".  :func:`check_coverage_conformance` runs both over the same
 * ``unknown`` verdicts are counted (the prover's honesty budget) but
   never simulated — they are the prover declining to claim anything.
 
-The simulation side replays the golden expansion directly (the same
-definition :func:`repro.march.coverage.evaluate_coverage` uses), with
-one optimisation: a run stops as soon as it has both observed a failure
-and passed the witness index, since nothing later can change the
-verdict comparison.
+The simulation side replays the golden expansion through
+:func:`repro.march.simulator.run_on_memory`, with one optimisation: a
+run stops as soon as it has both observed a failure and passed the
+witness index, since nothing later can change the verdict comparison.
 
 :func:`coverage_disagreement_predicate` wraps the single-fault check as
 a three-axis shrink predicate, so fuzz identity (f) disagreements reduce
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.conformance.faulty.check import Geometry, _as_capabilities
@@ -38,7 +38,7 @@ from repro.faults.base import CellFault
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import parse_fault
 from repro.faults.universe import FaultUniverse, standard_universe
-from repro.march.simulator import expand
+from repro.march.simulator import Failure, expand, run_on_memory
 from repro.march.test import MarchTest
 from repro.memory.sram import Sram
 
@@ -140,41 +140,6 @@ class CoverageConformanceResult:
         return payload
 
 
-def _simulate(
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    fault: CellFault,
-    injector: FaultInjector,
-    witness: Optional[int],
-) -> Tuple[bool, bool]:
-    """(detected, witness_failed) of one golden-expansion faulty run.
-
-    Stops as soon as both a failure has been seen and the witness index
-    (if any) has been executed — later operations cannot change either
-    answer.
-    """
-    detected = False
-    witness_failed = False
-    with injector.injected(fault) as memory:
-        stream = expand(
-            test, caps.n_words, width=caps.width, ports=caps.ports
-        )
-        for index, op in enumerate(stream):
-            if op.is_delay:
-                memory.elapse(op.delay)
-            elif op.is_write:
-                memory.write(op.port, op.address, op.value)
-            else:
-                observed = memory.read(op.port, op.address)
-                if observed != op.expected:
-                    detected = True
-                    if index == witness:
-                        witness_failed = True
-            if detected and (witness is None or index >= witness):
-                break
-    return detected, witness_failed
-
-
 def check_coverage_conformance(
     tests: Optional[Sequence[MarchTest]] = None,
     geometry: Geometry = (4, 2, 1),
@@ -214,8 +179,9 @@ def check_coverage_conformance(
         geometry=(caps.n_words, caps.width, caps.ports),
         universe_name=universe_name,
     )
-    memory = Sram(caps.n_words, width=caps.width, ports=caps.ports)
-    injector = FaultInjector(memory)
+    injector = FaultInjector(
+        Sram(caps.n_words, width=caps.width, ports=caps.ports)
+    )
     for test in tests:
         result.tests.append(test.name)
         started = time.perf_counter()
@@ -234,9 +200,26 @@ def check_coverage_conformance(
             if verdict.verdict not in (COVERED, NOT_COVERED):
                 result.unknown += 1
                 continue
-            detected, witness_failed = _simulate(
-                test, caps, fault, injector, verdict.witness
-            )
+            witness = verdict.witness
+            with injector.injected(fault) as memory:
+                stream = expand(
+                    test, caps.n_words, width=caps.width, ports=caps.ports
+                )
+                failures: List[Failure] = []
+                if verdict.verdict == COVERED and witness is not None:
+                    # Run through the witness in full, then on to the
+                    # first failure only if nothing failed yet.
+                    failures = run_on_memory(
+                        islice(stream, witness + 1), memory
+                    ).failures
+                witness_failed = bool(failures) and (
+                    failures[-1].op_index == witness
+                )
+                if not failures:
+                    failures = run_on_memory(
+                        stream, memory, stop_at_first_failure=True
+                    ).failures
+            detected = bool(failures)
             reason = None
             if verdict.verdict == COVERED:
                 if not detected:
@@ -244,11 +227,11 @@ def check_coverage_conformance(
                         "certificate claims covered but the simulated "
                         "sweep saw no failing read"
                     )
-                elif verdict.witness is None:
+                elif witness is None:
                     reason = "covered verdict without a witness"
                 elif not witness_failed:
                     reason = (
-                        f"witness op {verdict.witness} did not fail in "
+                        f"witness op {witness} did not fail in "
                         f"the simulated capture"
                     )
                 else:
@@ -271,7 +254,7 @@ def check_coverage_conformance(
                         description=verdict.description,
                         verdict=verdict.verdict,
                         detected=detected,
-                        witness=verdict.witness,
+                        witness=witness,
                         reason=reason,
                     )
                 )

@@ -479,6 +479,50 @@ class TestCoverageConformance:
         assert predicate(library.get("March C"), caps, "saf:0:0:1") is False
         assert predicate(library.get("March C"), caps, "not-a-spec") is False
 
+    def test_tampered_certificate_hits_every_disagreement(self, monkeypatch):
+        # ~(w0); ~(r0) on 2 words: saf:0:0:1 fails the read at op 2,
+        # saf:1:0:0 is never seen.  Tampering the real verdicts drives
+        # each of the four disagreement branches once.
+        import repro.analysis.coverage as coverage_pkg
+
+        real_certify = coverage_pkg.certify
+        tampered = {
+            0: dict(verdict=COVERED, witness=3),      # undetected fault
+            1: dict(witness=None),                    # covered, no witness
+            2: dict(witness=0),                       # witness is a write
+            3: dict(verdict=NOT_COVERED, witness=None),
+        }
+
+        def fake_certify(*args, **kwargs):
+            certificate = real_certify(*args, **kwargs)
+            certificate.verdicts = [
+                verdict._replace(**tampered[verdict.index])
+                for verdict in certificate.verdicts
+            ]
+            return certificate
+
+        monkeypatch.setattr(coverage_pkg, "certify", fake_certify)
+        test = parse_test("~(w0); ~(r0)", name="w0r0")
+        faults = [parse_fault("saf:1:0:0")] + [
+            parse_fault("saf:0:0:1") for _ in range(3)
+        ]
+        result = check_coverage_conformance(
+            tests=[test], geometry=(2, 1, 1), faults=faults
+        )
+        assert [d.reason for d in result.disagreements] == [
+            "certificate claims covered but the simulated sweep saw no "
+            "failing read",
+            "covered verdict without a witness",
+            "witness op 0 did not fail in the simulated capture",
+            "certificate claims not-covered but the simulated sweep "
+            "failed a read",
+        ]
+        assert [d.detected for d in result.disagreements] == [
+            False, True, True, True,
+        ]
+        assert result.checked == 4
+        assert result.covered_agree == result.not_covered_agree == 0
+
     def test_regression_corpus_fault_verdicts_match_sweep(self):
         # Satellite: every recorded regression that carries a fault must
         # get, from the certificate, the exact verdict the sweep records.

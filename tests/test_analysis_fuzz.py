@@ -11,14 +11,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import fuzz
 from repro.analysis.fuzz import (
+    IDENTITIES,
     FuzzReport,
     check_sample,
     march_test_strategy,
     random_geometry,
     random_march,
+    resolve_skip,
     run_fuzz,
 )
+from repro.cli import main
 from repro.march.element import MarchElement, Pause
 from repro.march.test import MarchTest
 
@@ -108,25 +112,27 @@ class TestFaultIdentity:
 
     def test_sample_draws_a_fault(self):
         result = check_sample(0, 0)
-        assert result.fault_spec  # the (e) draw happened ...
+        assert result.identities["fault_spec"]  # the (e) draw happened ...
         assert result.ok          # ... and the responses agreed
 
     def test_fault_draw_is_deterministic_per_seed(self):
         one = check_sample(7, 3)
         two = check_sample(7, 3)
-        assert one.fault_spec == two.fault_spec
-        assert one.fault_detected == two.fault_detected
+        assert one.identities["fault_spec"] == two.identities["fault_spec"]
+        assert (one.identities["fault_detected"]
+                == two.identities["fault_detected"])
 
     def test_fault_check_can_be_disabled(self):
-        result = check_sample(0, 0, fault_conformance=False)
-        assert result.fault_spec is None
-        assert not result.fault_detected
+        result = check_sample(0, 0, skip={"e"})
+        assert result.identities["fault_spec"] is None
+        assert not result.identities["fault_detected"]
 
     def test_report_counts_detecting_samples(self):
         report = run_fuzz(40, seed=0, jobs=1)
         assert report.ok
-        assert report.fault_detected > 0  # most random faults are seen
-        assert report.to_json()["fault_detected"] == report.fault_detected
+        detected = report.counts["fault_detected"]
+        assert detected > 0  # most random faults are seen
+        assert report.to_json()["fault_detected"] == detected
         assert "fault-detecting" in report.format()
 
     def test_seeded_response_defect_is_caught_and_shrunk(self, monkeypatch):
@@ -162,6 +168,133 @@ class TestFaultIdentity:
         assert shrunk is not None
         assert shrunk["fault"]
         assert "shrunk faulty reproducer" in report.format()
+
+
+@pytest.fixture(scope="module")
+def unskipped():
+    return check_sample(0, 0).to_dict()
+
+
+class TestIdentityTable:
+    """Identities (d)-(j) are rows of one table, skipped by letter."""
+
+    @pytest.mark.parametrize("letter", list("defghij"))
+    def test_skip_by_letter(self, letter, unskipped):
+        payload = check_sample(0, 0, skip={letter}).to_dict()
+        owned = {}
+        for row in IDENTITIES:
+            if row.letter in resolve_skip({letter}):
+                owned.update(row.fields())
+        assert owned  # every row owns a key, (d) its shrunk reproducer
+        for key, value in unskipped.items():
+            assert payload[key] == owned.get(key, value), key
+        assert list(payload) == list(unskipped)
+
+    def test_skip_runs_only_the_other_rows_in_table_order(
+        self, monkeypatch
+    ):
+        ran = []
+
+        def spy(row):
+            def check(sample, result):
+                ran.append(row.letter)
+                row.check(sample, result)
+            return row._replace(check=check)
+
+        monkeypatch.setattr(
+            fuzz, "IDENTITIES", tuple(spy(row) for row in IDENTITIES)
+        )
+        check_sample(0, 0)
+        assert ran == ["d", "e", "g", "f", "h", "i", "j"]
+        for letter in "defghij":
+            ran.clear()
+            check_sample(0, 0, skip={letter})
+            expected = [row.letter for row in IDENTITIES
+                        if row.letter not in resolve_skip({letter})]
+            assert ran == expected, letter
+
+    def test_g_follows_e(self):
+        assert resolve_skip({"e"}) == {"e", "g"}
+        result = check_sample(0, 0, skip={"e"})
+        assert result.identities["vector_checked"] is False
+        assert check_sample(0, 0, skip={"g"}).identities["fault_detected"]
+
+    def test_bad_letter(self, capsys):
+        assert main(["fuzz", "--samples", "1", "--jobs", "1",
+                     "--skip", "z"]) == 2
+        assert "unknown fuzz identity z" in capsys.readouterr().err
+        with pytest.raises(ValueError):
+            run_fuzz(1, skip={"a"})  # (a)-(c) always run
+        with pytest.raises(ValueError):
+            check_sample(0, 0, skip={"z"})
+
+    def test_pinned_report_layout(self):
+        assert run_fuzz(8, seed=0, jobs=1).to_json() == {
+            "samples": 8,
+            "seed": 0,
+            "checked": 8,
+            "fsm_compiled": 2,
+            "fsm_compiled_fraction": 0.25,
+            "fault_detected": 8,
+            "vector_checked": 8,
+            "coverage_pairs": 228,
+            "infield_checked": 8,
+            "service_checked": 8,
+            "prt_checked": 8,
+            "mismatch_count": 0,
+            "mismatches": [],
+        }
+        assert list(FuzzReport(samples=1, seed=0).to_json()) == [
+            "samples", "seed", "checked", "fsm_compiled",
+            "fsm_compiled_fraction", "fault_detected", "vector_checked",
+            "coverage_pairs", "infield_checked", "service_checked",
+            "prt_checked", "mismatch_count", "mismatches",
+        ]
+
+    def test_pinned_sample_layout(self, unskipped):
+        assert list(unskipped) == [
+            "index", "sample_seed", "notation", "geometry", "compress",
+            "microcode_cycles", "fsm_compiled", "fsm_cycles", "mismatches",
+            "shrunk", "fault_spec", "fault_detected", "shrunk_faulty",
+            "vector_checked", "coverage_pairs", "shrunk_coverage",
+            "infield_checked", "service_checked", "prt_checked",
+        ]
+
+    def test_format_reads_every_reproducer_from_the_table(self):
+        entry = {
+            "index": 3, "sample_seed": "0:3", "notation": "~(w0); ~(r0)",
+            "geometry": [2, 1, 1], "mismatches": ["boom", "bang"],
+            "shrunk": {"notation": "~(r0)", "geometry": [1, 1, 1],
+                       "checks": 4, "reduced": True},
+            "fault_spec": "saf:0:0:1",
+            "shrunk_faulty": {"notation": "~(w0)", "geometry": [1, 1, 1],
+                              "fault": "saf:0:0:0", "checks": 2,
+                              "reduced": True},
+            "shrunk_coverage": {"notation": "~(r1)", "geometry": [2, 1, 1],
+                                "fault": "tf:1:0:up", "checks": 9,
+                                "reduced": False},
+        }
+        report = FuzzReport(samples=4, seed=0, checked=4, fsm_compiled=1,
+                            mismatch_count=1, mismatches=[entry],
+                            interrupted=True)
+        report.counts.update(fault_detected=3, vector_checked=3,
+                             coverage_pairs=50, infield_checked=4,
+                             service_checked=4, prt_checked=4)
+        assert report.format().splitlines() == [
+            "fuzz: 4/4 samples checked (seed 0), 1 SM-compilable, "
+            "3 fault-detecting, 3 vector-cross-checked, 50 coverage pairs "
+            "certified, 4 in-field sessions, 4 resumed-sweep identities, "
+            "4 pseudo-ring sessions, 1 mismatch(es) [INTERRUPTED]",
+            "  sample 3 (seed 0:3) (2, 1, 1): ~(w0); ~(r0)",
+            "    fault: saf:0:0:1",
+            "    boom",
+            "    bang",
+            "    shrunk reproducer: ~(r0) on (1, 1, 1)",
+            "    shrunk faulty reproducer: ~(w0) on (1, 1, 1) under "
+            "saf:0:0:0",
+            "    shrunk coverage reproducer: ~(r1) on (2, 1, 1) under "
+            "tf:1:0:up",
+        ]
 
 
 class TestProperty:

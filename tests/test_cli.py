@@ -643,7 +643,8 @@ class TestFuzzCommand:
         import json as json_module
 
         assert main(["fuzz", "--samples", "6", "--seed", "0",
-                     "--jobs", "1", "--no-faults", "--json"]) == 0
+                     "--jobs", "1", "--skip", "e", "--json"]) == 0
         payload = json_module.loads(capsys.readouterr().out)
         assert payload["checked"] == 6
         assert payload["fault_detected"] == 0
+        assert payload["vector_checked"] == 0  # (g) needs (e)

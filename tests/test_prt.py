@@ -365,27 +365,16 @@ class TestFuzzIdentityJ:
         from repro.analysis.fuzz import check_sample
 
         for index in range(3):
-            result = check_sample(
-                11, index,
-                conformance=False, fault_conformance=False,
-                coverage_conformance=False, vector_conformance=False,
-                infield_conformance=False, service_conformance=False,
-            )
-            assert result.prt_checked
+            result = check_sample(11, index, skip=set("defghi"))
+            assert result.identities["prt_checked"]
             assert result.ok, result.mismatches
             assert result.to_dict()["prt_checked"] is True
 
     def test_identity_is_skippable(self):
         from repro.analysis.fuzz import check_sample
 
-        result = check_sample(
-            11, 0,
-            conformance=False, fault_conformance=False,
-            coverage_conformance=False, vector_conformance=False,
-            infield_conformance=False, service_conformance=False,
-            prt_conformance=False,
-        )
-        assert not result.prt_checked
+        result = check_sample(11, 0, skip=set("defghij"))
+        assert not result.identities["prt_checked"]
 
 
 class TestPrtCli:

@@ -201,8 +201,9 @@ class TestInterruptAndResume:
         assert resumed.service_stats["store"]["hits"] >= 3
 
     def test_resume_across_worker_counts(self, baseline, tmp_path):
-        # Interrupt a serial run, resume with a pool: shard keys only
-        # depend on the workload, so the cache still applies.
+        # Interrupt a serial run, resume with a pool: jobs=1 and jobs=2
+        # shard alike (max(jobs, 2) workers' worth), so the cache still
+        # applies.
         store = ResultStore(tmp_path / "store")
         with pytest.raises(SweepInterrupted):
             run_fault_sweep(
@@ -217,6 +218,25 @@ class TestInterruptAndResume:
             TESTS, CAPS, FAULTS, jobs=2, store=store, resume=True
         )
         assert resumed.ok
+        assert sans_timing(resumed.to_json()) == sans_timing(
+            baseline.to_json()
+        )
+
+    def test_jobs_one_store_serves_every_jobs_two_shard(
+        self, baseline, tmp_path
+    ):
+        # Shard start/count are part of each store key and the shard
+        # count is max(jobs, 2) * shards_per_worker, so a jobs=1 store
+        # is complete for a jobs=2 resume: every shard hits.
+        store = ResultStore(tmp_path / "store")
+        first = run_fault_sweep(TESTS, CAPS, FAULTS, jobs=1, store=store)
+        puts = first.service_stats["store"]["puts"]
+        assert puts > 1
+        resumed = run_fault_sweep(
+            TESTS, CAPS, FAULTS, jobs=2, store=store, resume=True
+        )
+        stats = resumed.service_stats["store"]
+        assert (stats["hits"], stats["misses"]) == (puts, 0)
         assert sans_timing(resumed.to_json()) == sans_timing(
             baseline.to_json()
         )
@@ -275,21 +295,21 @@ class TestFuzzServiceIdentity:
 
         result = check_sample(11, 0)
         assert result.ok, result.mismatches
-        assert result.service_checked
+        assert result.identities["service_checked"]
 
     def test_run_fuzz_counts_service_identities(self):
         from repro.analysis.fuzz import run_fuzz
 
         report = run_fuzz(3, seed=5, jobs=1)
         assert report.ok
-        assert report.service_checked == 3
+        assert report.counts["service_checked"] == 3
 
     def test_service_identity_can_be_disabled(self):
         from repro.analysis.fuzz import run_fuzz
 
-        report = run_fuzz(2, seed=5, jobs=1, service_conformance=False)
+        report = run_fuzz(2, seed=5, jobs=1, skip={"i"})
         assert report.ok
-        assert report.service_checked == 0
+        assert report.counts["service_checked"] == 0
 
 
 class TestVectorEngineService:

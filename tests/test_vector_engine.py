@@ -921,18 +921,15 @@ class TestFuzzVectorIdentity:
     def test_sample_reports_vector_checked(self):
         from repro.analysis.fuzz import check_sample
 
-        result = check_sample(11, 0, conformance=False,
-                              coverage_conformance=False)
-        assert result.vector_checked
+        result = check_sample(11, 0, skip={"d", "f"})
+        assert result.identities["vector_checked"]
         assert result.ok, result.mismatches
 
     def test_vector_identity_can_be_disabled(self):
         from repro.analysis.fuzz import check_sample
 
-        result = check_sample(11, 0, conformance=False,
-                              coverage_conformance=False,
-                              vector_conformance=False)
-        assert not result.vector_checked
+        result = check_sample(11, 0, skip={"d", "f", "g"})
+        assert not result.identities["vector_checked"]
 
 
 class TestNumpyFree:
