@@ -125,14 +125,30 @@ ARCHITECTURES = {
 }
 
 
+class _Once(argparse.Action):
+    """``store``, but a repeated option is an error (plain ``store``
+    would silently keep only the last value)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = f"_{self.dest}_given"
+        if getattr(namespace, given, False):
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, given, True)
+        setattr(namespace, self.dest, values)
+
+
+def _add_algorithm_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--algorithm", default="March C", action=_Once,
+        help='library algorithm name (see "algorithms")',
+    )
+
+
 def _add_geometry_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--words", type=int, default=64, help="memory depth")
     parser.add_argument("--width", type=int, default=1, help="word width")
     parser.add_argument("--ports", type=int, default=1, help="port count")
-    parser.add_argument(
-        "--algorithm", default="March C",
-        help='library algorithm name (see "algorithms")',
-    )
+    _add_algorithm_arg(parser)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -1132,10 +1148,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="configure a sweep session; prints its id"
     )
     _serve_common(serve_submit)
-    serve_submit.add_argument(
-        "--algorithm", default="March C",
-        help='library algorithm name (see "algorithms")',
-    )
+    _add_algorithm_arg(serve_submit)
     serve_submit.add_argument(
         "--all", action="store_true",
         help="sweep every library algorithm",
@@ -1193,10 +1206,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="statically prove per-fault coverage (the coverage "
         "certificate), optionally cross-checked against simulation",
     )
-    certify_cmd.add_argument(
-        "--algorithm", default="March C",
-        help='library algorithm name (see "algorithms")',
-    )
+    _add_algorithm_arg(certify_cmd)
     certify_cmd.add_argument(
         "--all", action="store_true",
         help="certify every library algorithm instead of --algorithm",

@@ -447,10 +447,10 @@ def record_regression(
             )
         entry["mode"] = mode
     if fault is not None:
-        from repro.faults.spec import parse_fault
+        from repro.faults.spec import format_fault, parse_fault
 
-        parse_fault(fault)  # validate before committing
-        entry["fault"] = fault
+        # Validate before committing, and store the canonical form.
+        entry["fault"] = format_fault(parse_fault(fault))
         if expect_detected is not None:
             entry["expect_detected"] = bool(expect_detected)
     elif expect_detected is not None:
@@ -700,13 +700,19 @@ def _check_fault_entry(
 ) -> None:
     """Re-run the fault-response differential a regression entry pins."""
     from repro.conformance.faulty.check import check_fault_conformance
-    from repro.faults.spec import FaultSpecError, parse_fault
+    from repro.faults.spec import FaultSpecError, format_fault, parse_fault
 
     try:
         fault = parse_fault(entry["fault"])
     except FaultSpecError as error:
         problem(f"bad fault spec in corpus entry: {error}")
         return
+    canonical = format_fault(fault)
+    if canonical != entry["fault"]:
+        problem(
+            f"fault spec {entry['fault']!r} is not canonical "
+            f"(write it as {canonical!r})"
+        )
     mode = entry.get("mode", "sequential")
     try:
         response = check_fault_conformance(

@@ -22,9 +22,11 @@ behavioural distortion plugged into :class:`repro.memory.sram.Sram`:
   sensitive faults (march tests only partially cover these; kept in the
   universe to show that boundary).
 
-:mod:`~repro.faults.universe` enumerates standard fault universes for
-coverage experiments and :mod:`~repro.faults.injector` manages injecting
-one fault at a time into a memory.
+:mod:`~repro.faults.kinds` states each class once, as a row that the
+spec strings, support extraction and detection conditions are read
+from.  :mod:`~repro.faults.universe` enumerates standard fault universes
+for coverage experiments and :mod:`~repro.faults.injector` manages
+injecting one fault at a time into a memory.
 """
 
 from repro.faults.base import CellFault

@@ -23,13 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.faults.kinds import KINDS
+
 
 @dataclass(frozen=True)
 class DetectionCondition:
     """The textbook detection condition for one fault kind.
 
     Attributes:
-        kind: taxonomy tag matching ``CellFault.kind``.
+        kind: the key the kind table's rows name (a ``CellFault.kind``
+            tag, or ``AF`` for AF1–AF4 and ``linked`` for composites).
         name: full fault-model name.
         condition: prose detection condition.
         primitives: decomposition into per-cell read/write test
@@ -46,7 +49,7 @@ class DetectionCondition:
 
 _C = DetectionCondition
 
-#: Detection conditions per fault kind, keyed by ``CellFault.kind``.
+#: Detection conditions, keyed by the ``condition`` of the kind rows.
 CONDITIONS: Dict[str, DetectionCondition] = {
     c.kind: c
     for c in (
@@ -204,16 +207,19 @@ CONDITIONS: Dict[str, DetectionCondition] = {
 }
 
 
+#: Condition key per ``CellFault.kind`` tag, from the kind table.
+_KEYS: Dict[str, str] = {
+    row.cls.kind: row.condition for row in KINDS if row.condition
+}
+
+
 def condition_for(kind: str) -> Optional[DetectionCondition]:
     """The detection condition for ``kind`` (AF1–AF4 share ``AF``;
     composite kinds like ``CFid&CFid`` share ``linked``)."""
-    if kind in CONDITIONS:
-        return CONDITIONS[kind]
-    if kind.startswith("AF"):
-        return CONDITIONS["AF"]
-    if "&" in kind or "linked" in kind:
-        return CONDITIONS["linked"]
-    return None
+    key = _KEYS.get(kind)
+    if key is None and ("&" in kind or "linked" in kind):
+        key = "linked"
+    return None if key is None else CONDITIONS[key]
 
 
 def condition_table() -> Tuple[DetectionCondition, ...]:

@@ -28,6 +28,9 @@ class CompositeFault(CellFault):
     member kinds (e.g. ``"CFid&CFid"``).
     """
 
+    #: The class tag; each instance's ``kind`` names its members.
+    kind = "LINKED"
+
     def __init__(self, faults: Sequence[CellFault], kind: str = "") -> None:
         if len(faults) < 2:
             raise ValueError("a composite fault needs at least two members")

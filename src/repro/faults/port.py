@@ -32,6 +32,9 @@ class PortRestrictedFault(CellFault):
         fault: the underlying cell fault.
     """
 
+    #: The class tag; each instance's ``kind`` is ``"<inner>@p<port>"``.
+    kind = "PORT"
+
     def __init__(self, port: int, fault: CellFault) -> None:
         if port < 0:
             raise ValueError(f"port index must be non-negative, got {port}")

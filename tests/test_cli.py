@@ -140,6 +140,32 @@ class TestAlgorithmsCommand:
         assert "10N" in out
 
 
+class TestAlgorithmGivenOnce:
+    """A second ``--algorithm`` is an error, not a silent override of
+    the first; naming several algorithms is ``--all``."""
+
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["sweep", "--per-kind", "1"],
+        ["certify"],
+        ["serve", "submit"],
+    ])
+    def test_repeat_exits_two(self, command, capsys, tmp_path):
+        if command[0] == "serve":
+            command = command + ["--root", str(tmp_path)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--algorithm", "March C",
+                            "--algorithm", "MATS+"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --algorithm: given more than once" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_single_explicit_default_accepted(self, capsys):
+        assert main(["certify", "--algorithm", "March C",
+                     "--words", "4"]) == 0
+
+
 class TestRecommendCommand:
     def test_recommend_retention(self, capsys):
         assert main(["recommend", "--classes", "saf,tf,drf"]) == 0

@@ -195,6 +195,29 @@ class TestFaultRegressionEntries:
         result = check_entry(path)
         assert result.ok, result.problems
 
+    def test_recorded_fault_spec_is_canonical(self, tmp_path):
+        path = record_regression(
+            tmp_path, "^(r0)", (1, 1, 1), name="spelled",
+            fault="TF:0:0:rising",
+        )
+        assert load_entry(path)["fault"] == "tf:0:0:up"
+        assert check_entry(path).ok
+
+    def test_non_canonical_fault_spec_flagged(self, tmp_path):
+        path = record_regression(
+            tmp_path, "^(r0)", (1, 1, 1), name="spelled",
+            fault="saf:0:0:1",
+        )
+        entry = load_entry(path)
+        entry["fault"] = "SAF:0:0:1"
+        write_entry(path, entry)
+        result = check_entry(path)
+        assert not result.ok
+        assert result.problems == [
+            "fault spec 'SAF:0:0:1' is not canonical "
+            "(write it as 'saf:0:0:1')"
+        ]
+
     def test_invalid_fault_spec_rejected_at_record_time(self, tmp_path):
         from repro.faults.spec import FaultSpecError
 

@@ -238,6 +238,31 @@ class TestParseErrors:
         with pytest.raises(FaultSpecError):
             parse_fault(spec)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "af1:3:99",
+            "af2:1:2:3",
+            "tf:1:0:up:junk",
+            "cfin:0:0:1:0:up:7",
+            "saf:1:0:1:5",
+            "paf:0:1:0:1",
+        ],
+    )
+    def test_trailing_field_rejected(self, spec):
+        # A trailing field is never dropped: a defaulted constructor
+        # parameter has no spec field.
+        with pytest.raises(FaultSpecError, match="field"):
+            parse_fault(spec)
+
+    def test_unknown_kind_lists_the_table_prefixes(self):
+        with pytest.raises(FaultSpecError) as error:
+            parse_fault("zzz:1")
+        assert str(error.value) == (
+            "unknown fault kind 'zzz' (saf/tf/drf/sof/irf/rdf/drdf/cfin/"
+            "cfid/cfst/af1/af2/af3/af4/paf/pafc/cfxp)"
+        )
+
     def test_error_is_a_value_error(self):
         with pytest.raises(ValueError):
             parse_fault("saf:bad")
