@@ -14,9 +14,13 @@ from repro.classic import (
     pseudorandom_test,
     walking_op_count,
 )
+from repro.conformance.faulty.coverage import (
+    evaluate_coverage,
+    evaluate_trace_coverage,
+)
+from repro.conformance.trace import op_trace
 from repro.faults.universe import standard_universe
 from repro.march import library
-from repro.march.coverage import evaluate_coverage, evaluate_stream_coverage
 from repro.march.simulator import operation_count
 from repro.memory import Sram
 
@@ -67,16 +71,16 @@ def test_coverage_per_class(benchmark):
         march = evaluate_coverage(
             library.MARCH_C, universe, N_COVERAGE
         ).overall
-        classical = evaluate_stream_coverage(
-            lambda: galpat(N_COVERAGE), Sram(N_COVERAGE), universe,
+        classical = evaluate_trace_coverage(
+            op_trace(galpat(N_COVERAGE)), Sram(N_COVERAGE), universe,
             test_name="GALPAT",
         ).overall
-        random_10n = evaluate_stream_coverage(
-            lambda: pseudorandom_test(N_COVERAGE), Sram(N_COVERAGE),
+        random_10n = evaluate_trace_coverage(
+            op_trace(pseudorandom_test(N_COVERAGE)), Sram(N_COVERAGE),
             universe, test_name="pseudorandom@10N",
         ).overall
-        random_100n = evaluate_stream_coverage(
-            lambda: pseudorandom_test(N_COVERAGE, length=100 * N_COVERAGE),
+        random_100n = evaluate_trace_coverage(
+            op_trace(pseudorandom_test(N_COVERAGE, length=100 * N_COVERAGE)),
             Sram(N_COVERAGE), universe, test_name="pseudorandom@100N",
         ).overall
         return march, classical, random_10n, random_100n

@@ -23,13 +23,17 @@ import sys
 
 from _harness import Sections, parse_geometry, write_record
 
+from repro.conformance.faulty.coverage import (
+    evaluate_coverage,
+    evaluate_trace_coverage,
+)
+from repro.conformance.trace import fsm_trace, hardwired_trace, microcode_trace
 from repro.core.controller import ControllerCapabilities
 from repro.core.hardwired import HardwiredBistController
 from repro.core.microcode import MicrocodeBistController
 from repro.core.progfsm import ProgrammableFsmBistController
 from repro.faults import standard_universe
 from repro.march import library
-from repro.march.coverage import evaluate_coverage, evaluate_stream_coverage
 from repro.memory import Sram
 
 N_WORDS = 6
@@ -41,15 +45,15 @@ def test_coverage_equivalence_across_architectures(benchmark):
 
     def sweep():
         results = {}
-        for controller_cls in (
-            MicrocodeBistController,
-            ProgrammableFsmBistController,
-            HardwiredBistController,
+        for controller_cls, trace in (
+            (MicrocodeBistController, microcode_trace),
+            (ProgrammableFsmBistController, fsm_trace),
+            (HardwiredBistController, hardwired_trace),
         ):
             controller = controller_cls(library.MARCH_C_PLUS, caps)
             memory = Sram(N_WORDS)
-            report = evaluate_stream_coverage(
-                controller.operations, memory, universe,
+            report = evaluate_trace_coverage(
+                trace(controller), memory, universe,
                 test_name=controller.architecture,
             )
             results[controller.architecture] = report

@@ -13,7 +13,7 @@ re-design — the paper's flexibility argument at the fault-model level.
 from repro.faults.linked import linked_cfid_universe
 from repro.faults.universe import FaultUniverse
 from repro.march import library
-from repro.march.coverage import evaluate_coverage
+from repro.conformance.faulty.coverage import evaluate_coverage
 
 N = 8
 

@@ -137,18 +137,38 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _add_algorithm_arg(parser: argparse.ArgumentParser) -> None:
+def _add_algorithm_args(
+    parser: argparse.ArgumentParser, every: Optional[str] = None
+) -> None:
+    """``--algorithm``, and with ``every`` (the command's verb) also
+    ``--all``; :func:`_algorithm_names` rejects giving both."""
     parser.add_argument(
         "--algorithm", default="March C", action=_Once,
         help='library algorithm name (see "algorithms")',
     )
+    if every:
+        parser.add_argument(
+            "--all", action="store_true",
+            help=f"{every} every library algorithm instead of --algorithm",
+        )
 
 
-def _add_geometry_args(parser: argparse.ArgumentParser) -> None:
+def _algorithm_names(args: argparse.Namespace) -> List[str]:
+    """The algorithms a command selected: the library or one name."""
+    if not args.all:
+        return [args.algorithm]
+    if getattr(args, "_algorithm_given", False):
+        raise ValueError("--all and --algorithm exclude each other")
+    return list(library.ALGORITHMS)
+
+
+def _add_geometry_args(
+    parser: argparse.ArgumentParser, every: Optional[str] = None
+) -> None:
     parser.add_argument("--words", type=int, default=64, help="memory depth")
     parser.add_argument("--width", type=int, default=1, help="word width")
     parser.add_argument("--ports", type=int, default=1, help="port count")
-    _add_algorithm_arg(parser)
+    _add_algorithm_args(parser, every)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -354,7 +374,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         )
         reports = [verify_program(program, caps)]
     else:
-        names = list(library.ALGORITHMS) if args.all else [args.algorithm]
+        names = _algorithm_names(args)
         reports = [_lint_one(name, args) for name in names]
     failed = any(report.has_errors for report in reports)
     if args.json:
@@ -397,7 +417,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     from repro.conformance import check_coverage_conformance
     from repro.faults.universe import standard_universe
 
-    names = list(library.ALGORITHMS) if args.all else [args.algorithm]
+    names = _algorithm_names(args)
     tests = [library.get(name) for name in names]
     geometries = (
         [_parse_geometry(token) for token in args.geometry]
@@ -466,7 +486,7 @@ def _conformance_caps(args: argparse.Namespace) -> ControllerCapabilities:
 def _cmd_conformance_run(args: argparse.Namespace) -> int:
     from repro.conformance import check_conformance
 
-    names = list(library.ALGORITHMS) if args.all else [args.algorithm]
+    names = _algorithm_names(args)
     caps = _conformance_caps(args)
     results = [
         check_conformance(
@@ -617,7 +637,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.geometry
         else [(args.words, args.width, args.ports)]
     )
-    names = list(library.ALGORITHMS) if args.all else [args.algorithm]
+    names = _algorithm_names(args)
     return _run_sweep(
         args,
         [library.get(name) for name in names],
@@ -644,10 +664,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     if args.serve_command == "submit":
+        names = _algorithm_names(args)
         spec = {
-            "algorithms": (
-                "all" if args.all else [args.algorithm]
-            ),
+            "algorithms": "all" if args.all else names,
             "geometries": [
                 list(_parse_geometry(token))
                 for token in (args.geometry or ["8x2x1"])
@@ -954,11 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = commands.add_parser(
         "lint", help="statically verify programs without running them"
     )
-    _add_geometry_args(lint)
-    lint.add_argument(
-        "--all", action="store_true",
-        help="lint every library algorithm instead of --algorithm",
-    )
+    _add_geometry_args(lint, every="lint")
     lint.add_argument(
         "--target",
         choices=["microcode", "progfsm", "march", "rtl", "coverage"],
@@ -1030,11 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
         "store that makes interrupted sweeps resumable (--resume) and "
         "reruns cache hits",
     )
-    _add_geometry_args(sweep_cmd)
-    sweep_cmd.add_argument(
-        "--all", action="store_true",
-        help="sweep every library algorithm instead of --algorithm",
-    )
+    _add_geometry_args(sweep_cmd, every="sweep")
     sweep_cmd.add_argument(
         "--fault", action="append", metavar="SPEC",
         help="fault spec(s) to inject (e.g. saf:3:0:1; repeatable); "
@@ -1148,11 +1159,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="configure a sweep session; prints its id"
     )
     _serve_common(serve_submit)
-    _add_algorithm_arg(serve_submit)
-    serve_submit.add_argument(
-        "--all", action="store_true",
-        help="sweep every library algorithm",
-    )
+    _add_algorithm_args(serve_submit, every="sweep")
     serve_submit.add_argument(
         "--geometry", action="append", metavar="WxBxP",
         help="memory geometry (repeatable; default: 8x2x1)",
@@ -1206,11 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="statically prove per-fault coverage (the coverage "
         "certificate), optionally cross-checked against simulation",
     )
-    _add_algorithm_arg(certify_cmd)
-    certify_cmd.add_argument(
-        "--all", action="store_true",
-        help="certify every library algorithm instead of --algorithm",
-    )
+    _add_algorithm_args(certify_cmd, every="certify")
     certify_cmd.add_argument(
         "--words", type=int, default=8, help="memory depth"
     )
@@ -1251,11 +1254,7 @@ def build_parser() -> argparse.ArgumentParser:
     conf_run = conf_commands.add_parser(
         "run", help="check one algorithm (or the whole library) now"
     )
-    _add_geometry_args(conf_run)
-    conf_run.add_argument(
-        "--all", action="store_true",
-        help="check every library algorithm instead of --algorithm",
-    )
+    _add_geometry_args(conf_run, every="check")
     conf_run.add_argument(
         "--no-compress", action="store_true",
         help="assemble the microcode without REPEAT compression",

@@ -1,22 +1,27 @@
-"""Certificate-vs-sweep differential coverage conformance.
+"""Simulated fault coverage, and its cross-check against certificates.
 
-The static prover (:mod:`repro.analysis.coverage`) and the single-fault
-simulation sweep (:mod:`repro.march.coverage`) are two independent
-implementations of the same question — "does this march test detect this
-fault?".  :func:`check_coverage_conformance` runs both over the same
-(test, fault) product and asserts they agree *fault-for-fault*:
+One loop answers "does this stimulus detect this fault by simulation":
+:func:`simulate_faults` injects each fault of a population into one
+memory in turn and applies a materialised attributed stream through the
+scalar oracle's :func:`~repro.conformance.faulty.events.capture_response`.
+A fault is detected when its capture holds a fail event.  The loop has
+two users:
 
-* a ``covered`` verdict must correspond to a simulated run with at least
-  one failing read, **and** the certificate's witness op index must be
-  one of the failing reads in the simulated capture;
-* a ``not-covered`` verdict must correspond to a clean simulated run;
-* ``unknown`` verdicts are counted (the prover's honesty budget) but
-  never simulated — they are the prover declining to claim anything.
+* :func:`evaluate_trace_coverage` and :func:`evaluate_coverage` count
+  detections per fault kind into a :class:`CoverageReport` — the
+  measured coverage of the studies (:mod:`repro.eval.coverage_study`,
+  :mod:`repro.eval.prt_study`).  A march test's stream is read once
+  from :data:`~repro.conformance.check.GOLDEN_CACHE`;
+* :func:`check_coverage_conformance` runs the static prover
+  (:mod:`repro.analysis.coverage`) and the loop over the same (test,
+  fault) product and asserts they agree *fault-for-fault*:
 
-The simulation side replays the golden expansion through
-:func:`repro.march.simulator.run_on_memory`, with one optimisation: a
-run stops as soon as it has both observed a failure and passed the
-witness index, since nothing later can change the verdict comparison.
+  * a ``covered`` verdict must correspond to a capture with at least
+    one fail event, **and** the certificate's witness op index must be
+    the op index of one of those events;
+  * a ``not-covered`` verdict must correspond to an empty capture;
+  * ``unknown`` verdicts are counted (the prover's honesty budget) but
+    never simulated — they are the prover declining to claim anything.
 
 :func:`coverage_disagreement_predicate` wraps the single-fault check as
 a three-axis shrink predicate, so fuzz identity (f) disagreements reduce
@@ -27,20 +32,197 @@ divergences do.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
+from repro.conformance.check import GOLDEN_CACHE
 from repro.conformance.faulty.check import Geometry, _as_capabilities
+from repro.conformance.faulty.events import FailEvent, capture_response
 from repro.conformance.faulty.shrink import FaultyPredicate
+from repro.conformance.trace import AttributedOp
 from repro.core.controller import ControllerCapabilities
 from repro.faults.base import CellFault
 from repro.faults.injector import FaultInjector
-from repro.faults.spec import parse_fault
+from repro.faults.spec import format_fault, parse_fault
 from repro.faults.universe import FaultUniverse, standard_universe
-from repro.march.simulator import Failure, expand, run_on_memory
 from repro.march.test import MarchTest
 from repro.memory.sram import Sram
+
+
+@dataclass
+class CoverageReport:
+    """Per-kind and overall detection statistics for one test run."""
+
+    test_name: str
+    universe_name: str
+    detected: Dict[str, int] = field(default_factory=dict)
+    total: Dict[str, int] = field(default_factory=dict)
+    escapes: List[CellFault] = field(default_factory=list)
+
+    @property
+    def detected_count(self) -> int:
+        return sum(self.detected.values())
+
+    @property
+    def total_count(self) -> int:
+        return sum(self.total.values())
+
+    @property
+    def is_vacuous(self) -> bool:
+        """True when the swept universe contained no faults at all —
+        every ratio is then 0/0 and carries no information."""
+        return not self.total_count
+
+    @property
+    def overall(self) -> float:
+        """Overall coverage fraction in [0, 1].
+
+        A 0/0 sweep (empty universe) reports 0.0, *not* 1.0: an empty
+        sweep detects nothing and must never read as full coverage.
+        Check :attr:`is_vacuous` to distinguish 0/0 from a genuine
+        all-escaped 0/N.
+        """
+        if not self.total_count:
+            return 0.0
+        return self.detected_count / self.total_count
+
+    def coverage_of(self, kind: str) -> float:
+        """Coverage fraction for one fault kind; 0.0 when the universe
+        held no fault of that kind (0/0 — see :attr:`is_vacuous`)."""
+        total = self.total.get(kind, 0)
+        if not total:
+            return 0.0
+        return self.detected.get(kind, 0) / total
+
+    def as_rows(self) -> List[tuple]:
+        """(kind, detected, total, percent) rows, sorted by kind.
+
+        Warns on a vacuous report so table renderers can't silently
+        show an empty sweep as a clean one.
+        """
+        if self.is_vacuous:
+            warnings.warn(
+                f"coverage report for {self.test_name!r} over "
+                f"{self.universe_name!r} is vacuous: 0 faults swept "
+                "(0/0 reported as 0%)",
+                stacklevel=2,
+            )
+        rows = []
+        for kind in sorted(self.total):
+            rows.append(
+                (
+                    kind,
+                    self.detected.get(kind, 0),
+                    self.total[kind],
+                    100.0 * self.coverage_of(kind),
+                )
+            )
+        return rows
+
+    def escape_specs(self) -> List[str]:
+        """The escaped faults as portable strings.
+
+        Spec-expressible faults serialise through
+        :func:`repro.faults.spec.format_fault` (re-parseable); the rest
+        fall back to a tagged repr ``unspec:<kind>:<description>`` so
+        JSON reports never drop an escape silently.
+        """
+        specs = []
+        for fault in self.escapes:
+            spec = format_fault(fault)
+            if spec is None:
+                spec = f"unspec:{fault.kind}:{fault.describe()}"
+            specs.append(spec)
+        return specs
+
+    def to_json(self) -> Dict[str, Any]:
+        return {
+            "test": self.test_name,
+            "universe": self.universe_name,
+            "detected": self.detected_count,
+            "total": self.total_count,
+            "vacuous": self.is_vacuous,
+            "overall_percent": round(100.0 * self.overall, 2),
+            "by_kind": {
+                kind: {
+                    "detected": self.detected.get(kind, 0),
+                    "total": self.total[kind],
+                }
+                for kind in sorted(self.total)
+            },
+            "escapes": self.escape_specs(),
+        }
+
+    def __str__(self) -> str:
+        lines = [
+            f"coverage of {self.test_name} over {self.universe_name}: "
+            f"{100.0 * self.overall:.1f}% "
+            f"({self.detected_count}/{self.total_count})"
+            + (" [vacuous: 0 faults swept]" if self.is_vacuous else "")
+        ]
+        for kind, detected, total, percent in self.as_rows():
+            lines.append(f"  {kind:6s} {detected:5d}/{total:<5d} {percent:6.1f}%")
+        return "\n".join(lines)
+
+
+def simulate_faults(
+    stream: Sequence[AttributedOp],
+    memory: Sram,
+    faults: Iterable[CellFault],
+) -> Iterator[Tuple[CellFault, List[FailEvent]]]:
+    """Each fault with the fail events ``stream`` captures on ``memory``
+    with exactly that fault injected (power-cycled per fault)."""
+    injector = FaultInjector(memory)
+    for fault in faults:
+        with injector.injected(fault) as faulty:
+            events = capture_response(stream, faulty).events
+        yield fault, events
+
+
+def evaluate_trace_coverage(
+    stream: Sequence[AttributedOp],
+    memory: Sram,
+    universe: FaultUniverse,
+    test_name: str = "stream",
+) -> CoverageReport:
+    """Measure the coverage of a materialised attributed stream.
+
+    Args:
+        stream: the stimulus, e.g. a :mod:`repro.conformance.trace`
+            builder's output or a PRT session's ``attributed_stream``.
+        memory: the memory-under-test instance to reuse across faults.
+        universe: fault population to sweep.
+        test_name: label for the report.
+    """
+    report = CoverageReport(test_name=test_name, universe_name=universe.name)
+    for fault, events in simulate_faults(stream, memory, universe):
+        kind = fault.kind
+        report.total[kind] = report.total.get(kind, 0) + 1
+        if events:
+            report.detected[kind] = report.detected.get(kind, 0) + 1
+        else:
+            report.escapes.append(fault)
+    return report
+
+
+def evaluate_coverage(
+    test: MarchTest,
+    universe: FaultUniverse,
+    n_words: int,
+    width: int = 1,
+    ports: int = 1,
+) -> CoverageReport:
+    """Measure the golden-stream coverage of a march test."""
+    caps = ControllerCapabilities(n_words=n_words, width=width, ports=ports)
+    return evaluate_trace_coverage(
+        GOLDEN_CACHE.get(test, caps),
+        Sram(n_words, width=width, ports=ports),
+        universe,
+        test_name=test.name,
+    )
 
 
 @dataclass(frozen=True)
@@ -179,9 +361,7 @@ def check_coverage_conformance(
         geometry=(caps.n_words, caps.width, caps.ports),
         universe_name=universe_name,
     )
-    injector = FaultInjector(
-        Sram(caps.n_words, width=caps.width, ports=caps.ports)
-    )
+    memory = Sram(caps.n_words, width=caps.width, ports=caps.ports)
     for test in tests:
         result.tests.append(test.name)
         started = time.perf_counter()
@@ -195,31 +375,21 @@ def check_coverage_conformance(
         )
         result.static_time_s += time.perf_counter() - started
         started = time.perf_counter()
-        for verdict, fault in zip(certificate.verdicts, population):
-            result.checked += 1
-            if verdict.verdict not in (COVERED, NOT_COVERED):
-                result.unknown += 1
-                continue
+        result.checked += len(certificate.verdicts)
+        decided = [
+            (verdict, fault)
+            for verdict, fault in zip(certificate.verdicts, population)
+            if verdict.verdict in (COVERED, NOT_COVERED)
+        ]
+        result.unknown += len(certificate.verdicts) - len(decided)
+        simulated = simulate_faults(
+            GOLDEN_CACHE.get(test, caps),
+            memory,
+            [fault for _, fault in decided],
+        )
+        for (verdict, _), (_, events) in zip(decided, simulated):
+            detected = bool(events)
             witness = verdict.witness
-            with injector.injected(fault) as memory:
-                stream = expand(
-                    test, caps.n_words, width=caps.width, ports=caps.ports
-                )
-                failures: List[Failure] = []
-                if verdict.verdict == COVERED and witness is not None:
-                    # Run through the witness in full, then on to the
-                    # first failure only if nothing failed yet.
-                    failures = run_on_memory(
-                        islice(stream, witness + 1), memory
-                    ).failures
-                witness_failed = bool(failures) and (
-                    failures[-1].op_index == witness
-                )
-                if not failures:
-                    failures = run_on_memory(
-                        stream, memory, stop_at_first_failure=True
-                    ).failures
-            detected = bool(failures)
             reason = None
             if verdict.verdict == COVERED:
                 if not detected:
@@ -229,7 +399,7 @@ def check_coverage_conformance(
                     )
                 elif witness is None:
                     reason = "covered verdict without a witness"
-                elif not witness_failed:
+                elif witness not in {event.op_index for event in events}:
                     reason = (
                         f"witness op {witness} did not fail in "
                         f"the simulated capture"

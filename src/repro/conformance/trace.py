@@ -27,7 +27,7 @@ Normalisation rules (see ``docs/TESTING.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.core.controller import ControllerCapabilities
 from repro.march.backgrounds import data_backgrounds
@@ -201,6 +201,14 @@ def golden_trace(
             f"{len(ops)} operations"
         )
     return [AttributedOp(op, owner) for op, owner in zip(ops, owners)]
+
+
+def op_trace(operations: Iterable[MemoryOperation]) -> List[AttributedOp]:
+    """Any plain operation stream (a classical algorithm, a controller's
+    ``operations()``), each op owned by its stream index ``op I``."""
+    return [
+        AttributedOp(op, f"op {index}") for index, op in enumerate(operations)
+    ]
 
 
 def microcode_trace(controller) -> List[AttributedOp]:

@@ -13,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.conformance.faulty.coverage import CoverageReport, evaluate_coverage
+from repro.faults.conditions import CONDITIONS, condition_for
 from repro.faults.universe import standard_universe
 from repro.march import library
-from repro.march.coverage import CoverageReport, evaluate_coverage
 from repro.march.test import MarchTest
 
-#: Fault-class columns, in report order.
+#: Fault-class columns, in report order: detection-condition keys of
+#: :data:`repro.faults.conditions.CONDITIONS`.
 COVERAGE_COLUMNS = (
     "SAF", "TF", "AF", "CFin", "CFid", "CFst", "IRF", "RDF", "DRDF",
     "SOF", "DRF",
@@ -66,14 +68,14 @@ class CoverageRow:
 def _column_coverage(
     report: CoverageReport, column: str
 ) -> Optional[float]:
-    """Percent coverage of one report column; None for an empty (0/0)
-    column — the caller renders it ``n/a`` instead of a vacuous 100."""
-    if column == "AF":
-        kinds = ("AF1", "AF2", "AF3", "AF4")
-    else:
-        kinds = (column,)
+    """Percent coverage of one report column — the kinds whose detection
+    condition the column names (``AF`` gathers AF1–AF4); None for an
+    empty (0/0) column, which the caller renders ``n/a`` instead of a
+    vacuous 100."""
+    condition = CONDITIONS[column]
+    kinds = [kind for kind in report.total if condition_for(kind) is condition]
     detected = sum(report.detected.get(kind, 0) for kind in kinds)
-    total = sum(report.total.get(kind, 0) for kind in kinds)
+    total = sum(report.total[kind] for kind in kinds)
     return 100.0 * detected / total if total else None
 
 

@@ -21,14 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.conformance.check import GOLDEN_CACHE
+from repro.conformance.faulty.coverage import (
+    CoverageReport,
+    evaluate_coverage,
+    evaluate_trace_coverage,
+)
 from repro.core.controller import ControllerCapabilities
 from repro.faults.universe import FaultUniverse, standard_universe
 from repro.march import library
-from repro.march.coverage import (
-    CoverageReport,
-    evaluate_coverage,
-    evaluate_stream_coverage,
-)
 from repro.memory.sram import Sram
 from repro.prt.session import PrtSession
 
@@ -168,9 +169,9 @@ def prt_vs_march(
 ) -> PrtComparisonReport:
     """Measure PRT vs a march baseline over the standard fault universe.
 
-    Both sides sweep the *same* universe on the same geometry with the
-    same simulated-injection machinery
-    (:func:`repro.march.coverage.evaluate_stream_coverage`), so the
+    Both sides sweep the *same* universe on the same geometry through
+    the same single-fault loop
+    (:func:`repro.conformance.faulty.coverage.simulate_faults`), so the
     per-kind deltas are measurement, not modelling.
     """
     from repro.prt import PRT_RING_UP
@@ -182,9 +183,10 @@ def prt_vs_march(
             n_words, width=width, include_npsf=include_npsf, ports=ports
         )
     test = library.get(baseline)
-    memory = Sram(n_words, width=width, ports=ports)
-    prt_report = evaluate_stream_coverage(
-        lambda: session.operations(caps), memory, universe,
+    prt_report = evaluate_trace_coverage(
+        session.attributed_stream(caps),
+        Sram(n_words, width=width, ports=ports),
+        universe,
         test_name=session.name,
     )
     march_report = evaluate_coverage(
@@ -196,7 +198,7 @@ def prt_vs_march(
         geometry=(n_words, width, ports),
         universe_name=universe.name,
         prt_ops=session.op_count(caps),
-        march_ops=sum(1 for _ in _march_ops(test, caps)),
+        march_ops=len(GOLDEN_CACHE.get(test, caps)),
         prt=prt_report,
         march=march_report,
     )
@@ -210,9 +212,3 @@ def prt_vs_march(
             )
         )
     return report
-
-
-def _march_ops(test, caps: ControllerCapabilities):
-    from repro.march.simulator import expand
-
-    return expand(test, caps.n_words, width=caps.width, ports=caps.ports)

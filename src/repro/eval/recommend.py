@@ -63,7 +63,7 @@ def recommend(
 
     Args:
         required_classes: subset of :data:`COVERAGE_COLUMNS`
-            (``SAF TF AF CFin CFid CFst SOF DRF``).
+            (``SAF TF AF CFin CFid CFst IRF RDF DRDF SOF DRF``).
         n_words: array size for the measurement sweep (coverage
             properties are size-independent; small is fine).
         rows: pre-measured coverage rows (reuse across calls).

@@ -192,6 +192,34 @@ CONDITIONS: Dict[str, DetectionCondition] = {
             "per port",
         ),
         _C(
+            "PAFc",
+            "concurrent port-access fault",
+            "the faulty port reads the cell in the complement of its "
+            "floating value while another port accesses the same word "
+            "in the same cycle, or writes it under such contention and "
+            "a later read observes the lost write (one port at a time "
+            "never sensitises it)",
+            "{⇕(…,rX̄,…)} on port P with a same-cycle companion access "
+            "to the word on another port (X the floating value)",
+            "[ZU] §3 (multiport regime, Table 2); [vdG] §4.3 applied "
+            "to the contended port",
+        ),
+        _C(
+            "CFxp",
+            "cross-port coupling fault",
+            "for every intra-word (aggressor, victim) pair, trigger "
+            "direction and forced value: the aggressor makes the "
+            "triggering write transition while another port accesses "
+            "the victim's word in the same cycle, the victim holding "
+            "the complement of the forced value, and the victim is "
+            "read before it is re-written",
+            "the CFid decomposition ⇕(rX,…,wa↕) under same-cycle "
+            "victim-word access on another port, then {r} on the "
+            "victim",
+            "[vdG] §4.5 (CFid condition); [ZU] §3 (multiport "
+            "co-selection)",
+        ),
+        _C(
             "linked",
             "linked (composite) fault",
             "some member fault's detection condition is met at an "

@@ -194,8 +194,8 @@ KINDS: Tuple[FaultKind, ...] = (
               lambda f: _decoder_pair(f, f.extra_word), "AF"),
     FaultKind(PortStuckOpenAccess, "paf", lambda f: ((f.word,), (
         f.kind, f.port, _W0, f.bit, f.open_value)), "PAF"),
-    FaultKind(ConcurrentPortAccessFault, "pafc", None, None),
-    FaultKind(CrossPortCouplingFault, "cfxp", None, None),
+    FaultKind(ConcurrentPortAccessFault, "pafc", None, "PAFc"),
+    FaultKind(CrossPortCouplingFault, "cfxp", None, "CFxp"),
     FaultKind(PassiveNpsf, None, _pnpsf, "PNPSF"),
     FaultKind(ActiveNpsf, None, _anpsf, "ANPSF"),
     FaultKind(PortRestrictedFault, None, _port, None),

@@ -15,13 +15,14 @@ from repro.classic import (
     walking_op_count,
     walking_zeros,
 )
+from repro.conformance.faulty.coverage import evaluate_trace_coverage
+from repro.conformance.trace import op_trace
 from repro.faults.universe import (
     FaultUniverse,
     coupling_universe,
     stuck_at_universe,
     transition_universe,
 )
-from repro.march.coverage import evaluate_stream_coverage
 from repro.march.simulator import run_on_memory
 from repro.memory import Sram
 
@@ -52,7 +53,7 @@ class TestWalking:
         universe = _universe(
             "saf+cf", stuck_at_universe(N) + coupling_universe(N)
         )
-        report = evaluate_stream_coverage(both, Sram(N), universe)
+        report = evaluate_trace_coverage(op_trace(both()), Sram(N), universe)
         assert report.overall == 1.0
 
     def test_multiport(self):
@@ -75,8 +76,8 @@ class TestGalpat:
             "basic",
             stuck_at_universe(N) + transition_universe(N) + coupling_universe(N),
         )
-        report = evaluate_stream_coverage(
-            lambda: galpat(N), Sram(N), universe
+        report = evaluate_trace_coverage(
+            op_trace(galpat(N)), Sram(N), universe
         )
         assert report.overall == 1.0
 
@@ -131,15 +132,15 @@ class TestCheckerboard:
 
     def test_detects_all_safs(self):
         universe = _universe("saf", stuck_at_universe(N))
-        report = evaluate_stream_coverage(
-            lambda: checkerboard(N), Sram(N), universe
+        report = evaluate_trace_coverage(
+            op_trace(checkerboard(N)), Sram(N), universe
         )
         assert report.overall == 1.0
 
     def test_misses_many_couplings(self):
         universe = _universe("cf", coupling_universe(N))
-        report = evaluate_stream_coverage(
-            lambda: checkerboard(N), Sram(N), universe
+        report = evaluate_trace_coverage(
+            op_trace(checkerboard(N)), Sram(N), universe
         )
         assert report.overall < 0.9  # the gap to March C's 100%
 
@@ -221,18 +222,18 @@ class TestPseudorandomTest:
         """At March C's 10N budget the pseudorandom test leaves SAF
         escapes — the determinism argument, measured."""
         universe = _universe("saf", stuck_at_universe(8))
-        report = evaluate_stream_coverage(
-            lambda: pseudorandom_test(8), Sram(8), universe
+        report = evaluate_trace_coverage(
+            op_trace(pseudorandom_test(8)), Sram(8), universe
         )
         assert report.overall < 1.0
 
     def test_coverage_grows_with_budget(self):
         universe = _universe("saf", stuck_at_universe(8))
-        short = evaluate_stream_coverage(
-            lambda: pseudorandom_test(8, length=40), Sram(8), universe
+        short = evaluate_trace_coverage(
+            op_trace(pseudorandom_test(8, length=40)), Sram(8), universe
         ).overall
-        long = evaluate_stream_coverage(
-            lambda: pseudorandom_test(8, length=2000), Sram(8), universe
+        long = evaluate_trace_coverage(
+            op_trace(pseudorandom_test(8, length=2000)), Sram(8), universe
         ).overall
         assert long >= short
         assert long > 0.9  # eventually random excitation gets there

@@ -165,6 +165,30 @@ class TestAlgorithmGivenOnce:
         assert main(["certify", "--algorithm", "March C",
                      "--words", "4"]) == 0
 
+    @pytest.mark.parametrize("command", [
+        ["lint"],
+        ["sweep", "--per-kind", "1", "--words", "4"],
+        ["certify", "--words", "2"],
+        ["serve", "submit"],
+        ["conformance", "run", "--words", "4"],
+    ])
+    @pytest.mark.parametrize("order", ["all-first", "algorithm-first"])
+    def test_all_with_algorithm_exits_two(
+        self, command, order, capsys, tmp_path
+    ):
+        """``--all`` does not silently override an explicit
+        ``--algorithm``, whichever comes first."""
+        if command[0] == "serve":
+            command = command + ["--root", str(tmp_path)]
+        flags = ["--all", "--algorithm", "MATS"]
+        if order == "algorithm-first":
+            flags = flags[1:] + flags[:1]
+        assert main(command + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--all and --algorithm exclude each other" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRecommendCommand:
     def test_recommend_retention(self, capsys):

@@ -12,7 +12,7 @@ from repro.conformance import (
     normalize,
     shrink_sample,
 )
-from repro.conformance.trace import AttributedOp
+from repro.conformance.trace import op_trace
 from repro.core.controller import ControllerCapabilities
 from repro.march import library
 from repro.march.notation import parse_test
@@ -70,19 +70,16 @@ class TestGoldenTrace:
 
 
 class TestFirstDivergence:
-    def _attr(self, ops):
-        return [AttributedOp(op, f"op {i}") for i, op in enumerate(ops)]
-
     def test_equal_streams_no_divergence(self):
-        ops = self._attr([MemoryOperation(0, 0, True, value=1)])
+        ops = op_trace([MemoryOperation(0, 0, True, value=1)])
         assert first_divergence(ops, ops, "x") is None
 
     def test_mismatch_located(self):
-        ref = self._attr([
+        ref = op_trace([
             MemoryOperation(0, 0, True, value=0),
             MemoryOperation(0, 1, True, value=0),
         ])
-        cand = self._attr([
+        cand = op_trace([
             MemoryOperation(0, 0, True, value=0),
             MemoryOperation(0, 1, True, value=1),
         ])
@@ -94,14 +91,14 @@ class TestFirstDivergence:
         assert "expected" in div.describe()
 
     def test_short_candidate_is_missing(self):
-        ref = self._attr([MemoryOperation(0, 0, True, value=0)] * 2)
+        ref = op_trace([MemoryOperation(0, 0, True, value=0)] * 2)
         cand = ref[:1]
         div = first_divergence(ref, cand, "x")
         assert div.kind == "missing" and div.index == 1
 
     def test_long_candidate_is_extra(self):
-        ref = self._attr([MemoryOperation(0, 0, True, value=0)])
-        cand = ref + self._attr([MemoryOperation(0, 1, True, value=0)])
+        ref = op_trace([MemoryOperation(0, 0, True, value=0)])
+        cand = ref + op_trace([MemoryOperation(0, 1, True, value=0)])
         div = first_divergence(ref, cand, "x")
         assert div.kind == "extra" and div.index == 1
 

@@ -15,6 +15,7 @@ import pathlib
 import pytest
 
 import repro.faults
+from repro.conformance.faulty.coverage import CoverageReport
 from repro.faults.base import CellFault
 from repro.faults.concurrent import (
     ConcurrentPortAccessFault,
@@ -30,7 +31,6 @@ from repro.faults.stuck_at import StuckAtFault
 from repro.faults.stuck_open import StuckOpenFault
 from repro.faults.support import support_of
 from repro.faults.universe import standard_universe
-from repro.march.coverage import CoverageReport
 
 TESTING_DOC = pathlib.Path(__file__).parent.parent / "docs" / "TESTING.md"
 
@@ -100,6 +100,14 @@ class TestTable:
             for name in spec_fields(row.cls)[1]
         }
         assert hidden == {"disturb_threshold", "decay_time", "open_value"}
+
+    def test_every_kind_but_the_port_wrapper_has_a_condition(self):
+        """PORT wraps another kind and is explained by the inner
+        kind's condition; every other row names its own."""
+        missing = [row.cls.kind for row in KINDS if row.condition is None]
+        assert missing == [PortRestrictedFault.kind]
+        for tag in ("PAFc", "CFxp"):
+            assert condition_for(tag) is CONDITIONS[tag]
 
     def test_condition_keys_are_conditions(self):
         for row in KINDS:

@@ -11,7 +11,7 @@ from repro.faults.linked import (
 from repro.faults.stuck_at import StuckAtFault
 from repro.faults.universe import FaultUniverse
 from repro.march import library
-from repro.march.coverage import evaluate_coverage
+from repro.conformance.faulty.coverage import evaluate_coverage
 from repro.memory import Sram
 
 N = 8

@@ -10,7 +10,7 @@ from repro.faults.read_faults import (
 )
 from repro.faults.universe import FaultUniverse
 from repro.march import library
-from repro.march.coverage import evaluate_coverage
+from repro.conformance.faulty.coverage import evaluate_coverage
 from repro.memory import Sram
 
 N = 8

@@ -12,10 +12,14 @@ from repro import (
     library,
     parse_test,
 )
+from repro.conformance.faulty.coverage import (
+    evaluate_coverage,
+    evaluate_trace_coverage,
+)
+from repro.conformance.trace import op_trace
 from repro.core.transparent import TransparentBistRun, transparent_version
 from repro.diagnostics import FailBitmap, FailLog, diagnose
 from repro.faults import FaultInjector, StuckAtFault, standard_universe
-from repro.march.coverage import evaluate_stream_coverage
 
 
 class TestProductionFlow:
@@ -76,12 +80,10 @@ class TestCoverageEquivalence:
         universe = standard_universe(n_words, include_npsf=False)
         controller = controller_cls(library.MARCH_C_PLUS, caps)
         memory = Sram(n_words)
-        report = evaluate_stream_coverage(
-            controller.operations, memory, universe,
+        report = evaluate_trace_coverage(
+            op_trace(controller.operations()), memory, universe,
             test_name=controller.architecture,
         )
-        from repro.march.coverage import evaluate_coverage
-
         golden = evaluate_coverage(library.MARCH_C_PLUS, universe, n_words)
         assert report.detected == golden.detected
         assert report.total == golden.total

@@ -17,7 +17,7 @@ from repro.faults.universe import (
     transition_universe,
 )
 from repro.march import library
-from repro.march.coverage import evaluate_coverage
+from repro.conformance.faulty.coverage import evaluate_coverage
 
 N_WORDS = 8
 

@@ -3,6 +3,11 @@ for the word-oriented background rationale."""
 
 import pytest
 
+from repro.conformance.faulty.coverage import (
+    evaluate_coverage,
+    evaluate_trace_coverage,
+)
+from repro.conformance.trace import microcode_trace, op_trace
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode import MicrocodeBistController
 from repro.core.progfsm import ProgrammableFsmBistController
@@ -13,7 +18,6 @@ from repro.faults.universe import (
     standard_universe,
 )
 from repro.march import library
-from repro.march.coverage import evaluate_coverage, evaluate_stream_coverage
 from repro.march.properties import is_symmetric
 from repro.march.simulator import expand
 from repro.memory import Sram
@@ -112,8 +116,8 @@ class TestBackgroundRationale:
     def test_solid_background_misses_all_bridges(self):
         universe = self._bridge_universe(4)
         memory = Sram(4, width=2)
-        report = evaluate_stream_coverage(
-            lambda: expand(library.MARCH_C, 4, width=2, backgrounds=[0]),
+        report = evaluate_trace_coverage(
+            op_trace(expand(library.MARCH_C, 4, width=2, backgrounds=[0])),
             memory, universe,
         )
         assert report.overall == 0.0
@@ -126,8 +130,8 @@ class TestBackgroundRationale:
     def test_checkerboard_alone_suffices(self):
         universe = self._bridge_universe(4)
         memory = Sram(4, width=2)
-        report = evaluate_stream_coverage(
-            lambda: expand(library.MARCH_C, 4, width=2, backgrounds=[0b10]),
+        report = evaluate_trace_coverage(
+            op_trace(expand(library.MARCH_C, 4, width=2, backgrounds=[0b10])),
             memory, universe,
         )
         assert report.overall == 1.0
@@ -138,7 +142,7 @@ class TestBackgroundRationale:
         controller = MicrocodeBistController(library.MARCH_C, caps)
         universe = self._bridge_universe(4)
         memory = Sram(4, width=2)
-        report = evaluate_stream_coverage(
-            controller.operations, memory, universe
+        report = evaluate_trace_coverage(
+            microcode_trace(controller), memory, universe
         )
         assert report.overall == 1.0

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro.classic import checkerboard
+from repro.conformance.faulty.coverage import evaluate_trace_coverage
+from repro.conformance.trace import op_trace
 from repro.faults.coupling import StateCouplingFault
 from repro.faults.neighborhood import CellGrid
 from repro.faults.universe import FaultUniverse
-from repro.march.coverage import evaluate_stream_coverage
 from repro.memory import Sram
 from repro.memory.scramble import AddressScrambler
 
@@ -101,8 +102,8 @@ class TestScrambledCheckerboard:
 
     def test_identity_scrambling_full_coverage(self):
         universe = self._bridge_universe()
-        report = evaluate_stream_coverage(
-            lambda: checkerboard(self.N), Sram(self.N), universe
+        report = evaluate_trace_coverage(
+            op_trace(checkerboard(self.N)), Sram(self.N), universe
         )
         assert report.overall == 1.0
 
@@ -111,8 +112,8 @@ class TestScrambledCheckerboard:
         # (a pure transpose or fold would preserve it on a square grid).
         scrambler = AddressScrambler(4, bit_permutation=[0, 1, 3, 2])
         universe = self._bridge_universe(scrambler)
-        report = evaluate_stream_coverage(
-            lambda: checkerboard(self.N),  # scrambling ignored!
+        report = evaluate_trace_coverage(
+            op_trace(checkerboard(self.N)),  # scrambling ignored!
             Sram(self.N), universe,
         )
         assert report.overall < 1.0
@@ -120,8 +121,8 @@ class TestScrambledCheckerboard:
     def test_descrambled_checkerboard_recovers_coverage(self):
         scrambler = AddressScrambler(4, bit_permutation=[0, 1, 3, 2])
         universe = self._bridge_universe(scrambler)
-        report = evaluate_stream_coverage(
-            lambda: checkerboard(self.N, scrambler=scrambler),
+        report = evaluate_trace_coverage(
+            op_trace(checkerboard(self.N, scrambler=scrambler)),
             Sram(self.N), universe,
         )
         assert report.overall == 1.0
@@ -134,8 +135,8 @@ class TestScrambledCheckerboard:
 
         scrambler = AddressScrambler.folded(4)
         universe = self._bridge_universe(scrambler)
-        report = evaluate_stream_coverage(
-            lambda: expand(library.MARCH_C, self.N), Sram(self.N), universe
+        report = evaluate_trace_coverage(
+            op_trace(expand(library.MARCH_C, self.N)), Sram(self.N), universe
         )
         assert report.overall == 1.0
 
