@@ -8,7 +8,11 @@ good part, detects injected faults on a bad one, and its overhead
 relative to the plain test is the signature-prediction pass.
 """
 
-from repro.core.transparent import TransparentBistRun, transparent_version
+from repro.core.transparent import (
+    TransparentBistRun,
+    transparent_stream,
+    transparent_version,
+)
 from repro.faults import StuckAtFault, TransitionFault
 from repro.march import library
 from repro.march.simulator import expand
@@ -72,9 +76,9 @@ def test_transparent_overhead(benchmark):
 
     def count():
         memory = _loaded_memory()
-        run = TransparentBistRun(transparent, memory)
-        stream = run._operation_stream(memory.snapshot())
-        return len(stream)
+        return sum(1 for _ in transparent_stream(
+            transparent, memory.snapshot(), memory.width, memory.ports
+        ))
 
     transparent_ops = benchmark(count)
     plain_ops = len(list(expand(library.MARCH_C, N_WORDS, width=WIDTH,

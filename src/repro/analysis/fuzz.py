@@ -633,12 +633,13 @@ def _check_infield_identity(sample: _Sample, result: SampleResult) -> None:
             f"in-field session missed {spec} injected at slot "
             f"{checkpoint.slot} boundary (op {checkpoint.start_index})"
         )
-    elif not faulty.events[0].owner.startswith(f"slot {checkpoint.slot} "):
-        result.mismatches.append(
-            f"in-field detection of {spec} misattributed: expected "
-            f"slot {checkpoint.slot}, first event owned by "
-            f"{faulty.events[0].owner!r}"
-        )
+    else:
+        owner = plan.stream[faulty.events[0].op_index].owner
+        if not owner.startswith(f"slot {checkpoint.slot} "):
+            result.mismatches.append(
+                f"in-field detection of {spec} misattributed: expected "
+                f"slot {checkpoint.slot}, first event owned by {owner!r}"
+            )
     result.identities["infield_checked"] = True
 
 

@@ -29,7 +29,6 @@ from repro.conformance.faulty import (
     CoverageConformanceResult,
     CoverageDisagreement,
     CrossEngineResult,
-    FailEvent,
     FaultResponseResult,
     FaultSweepReport,
     FaultyShrinkResult,
@@ -105,7 +104,6 @@ __all__ = [
     "DEFAULT_CORPUS_DIR",
     "DEFAULT_INFIELD_TESTS",
     "Divergence",
-    "FailEvent",
     "FaultResponseResult",
     "FaultSweepReport",
     "FaultyShrinkResult",

@@ -236,18 +236,19 @@ def _transparent_stream_builder(algorithm: str):
 
     def build(caps: ControllerCapabilities) -> List[MemoryOperation]:
         from repro.core.transparent import (
-            TransparentBistRun,
+            transparent_stream,
             transparent_version,
         )
         from repro.march import library
-        from repro.memory.sram import Sram
 
         test = transparent_version(library.get(algorithm))
-        memory = Sram(caps.n_words, width=caps.width, ports=caps.ports)
-        for address in range(caps.n_words):
-            memory.poke(address, address & memory.word_mask)
-        run = TransparentBistRun(test, memory)
-        return run._operation_stream(tuple(memory.snapshot()))
+        mask = (1 << caps.width) - 1
+        initial = [address & mask for address in range(caps.n_words)]
+        return [
+            op for *_, op in transparent_stream(
+                test, initial, caps.width, caps.ports
+            )
+        ]
 
     return build
 

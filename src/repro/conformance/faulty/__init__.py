@@ -24,7 +24,6 @@ from repro.conformance.faulty.check import (
     run_fault_sweeps,
 )
 from repro.conformance.faulty.events import (
-    FailEvent,
     ResponseBudgetExceeded,
     ResponseCapture,
     capture_cycle_response,
@@ -59,7 +58,6 @@ __all__ = [
     "CoverageDisagreement",
     "CrossEngineResult",
     "ENGINES",
-    "FailEvent",
     "FaultResponseResult",
     "FaultSweepReport",
     "FaultyPredicate",

@@ -12,7 +12,7 @@ architectures) and differentially compares the responses on three
 layers, most precise first:
 
 1. **fail events** — the normalised event streams of
-   :mod:`repro.conformance.faulty.events`, key-for-key, with a
+   :mod:`repro.conformance.faulty.events`, failure for failure, with a
    provenance-attributed first divergence;
 2. **fail-log aggregations** — the
    :class:`~repro.diagnostics.faillog.FailLog` views downstream repair
@@ -44,12 +44,10 @@ from repro.conformance.check import (
 )
 from repro.conformance.trace import stimulus_notation
 from repro.conformance.faulty.events import (
-    FailEvent,
     ResponseBudgetExceeded,
     ResponseCapture,
     capture_cycle_response,
     capture_response,
-    format_fail,
 )
 from repro.core.controller import ControllerCapabilities
 from repro.diagnostics.faillog import FailLog
@@ -104,15 +102,19 @@ def _regime_tag(mode: str) -> str:
 class ResponseDivergence:
     """First fail-event disagreement between golden and a candidate.
 
-    ``kind`` is ``mismatch`` (both logged an event, different keys),
+    ``kind`` is ``mismatch`` (both logged an event, different ones),
     ``missing`` (the candidate logged fewer events) or ``extra`` (the
-    candidate logged events the golden response does not have).
+    candidate logged events the golden response does not have).  The
+    owners are the program locations that issued the two reads, looked
+    up in each stream by op index (``""`` past its end).
     """
 
     architecture: str
     index: int
-    reference: Optional[FailEvent]
-    candidate: Optional[FailEvent]
+    reference: Optional[Failure]
+    candidate: Optional[Failure]
+    reference_owner: str
+    candidate_owner: str
 
     @property
     def kind(self) -> str:
@@ -123,11 +125,13 @@ class ResponseDivergence:
         return "mismatch"
 
     def describe(self) -> str:
+        expected = _describe_event(self.reference, self.reference_owner)
+        got = _describe_event(self.candidate, self.candidate_owner)
         return "\n".join([
             f"{self.architecture} fail log diverges from the golden "
             f"response at event {self.index} ({self.kind}):",
-            f"  expected {format_fail(self.reference)}",
-            f"  got      {format_fail(self.candidate)}",
+            f"  expected {expected}",
+            f"  got      {got}",
         ])
 
     def to_dict(self) -> Dict[str, Any]:
@@ -135,30 +139,65 @@ class ResponseDivergence:
             "architecture": self.architecture,
             "index": self.index,
             "kind": self.kind,
-            "expected": (
-                self.reference.to_dict() if self.reference else None
-            ),
-            "got": self.candidate.to_dict() if self.candidate else None,
+            "expected": _event_dict(self.reference, self.reference_owner),
+            "got": _event_dict(self.candidate, self.candidate_owner),
         }
 
 
+def _describe_event(failure: Optional[Failure], owner: str) -> str:
+    """One side of a divergence report (None = stream end)."""
+    if failure is None:
+        return "<no event>"
+    text = (
+        f"op {failure.op_index}: p{failure.port} r@{failure.address} "
+        f"expected {failure.expected:x} observed {failure.observed:x}"
+    )
+    return f"{text}  <- {owner}" if owner else text
+
+
+def _event_dict(
+    failure: Optional[Failure], owner: str
+) -> Optional[Dict[str, Any]]:
+    if failure is None:
+        return None
+    return {
+        "op_index": failure.op_index,
+        "port": failure.port,
+        "address": failure.address,
+        "expected": failure.expected,
+        "observed": failure.observed,
+        "owner": owner,
+    }
+
+
+def _owner(stream: Sequence, failure: Optional[Failure]) -> str:
+    """The owner of the read that logged ``failure`` (``""`` when its
+    op index is outside ``stream``)."""
+    if failure is None or not 0 <= failure.op_index < len(stream):
+        return ""
+    return stream[failure.op_index].owner
+
+
 def first_fail_divergence(
-    reference: Sequence[FailEvent],
-    candidate: Sequence[FailEvent],
+    reference: Sequence[Failure],
+    candidate: Sequence[Failure],
     architecture: str,
+    reference_stream: Sequence,
+    candidate_stream: Sequence,
 ) -> Optional[ResponseDivergence]:
-    """Compare two fail-event streams key-for-key."""
+    """Compare two failure lists event for event; the streams that
+    produced them name the owners of the first disagreement."""
     for index in range(max(len(reference), len(candidate))):
         ref = reference[index] if index < len(reference) else None
         cand = candidate[index] if index < len(candidate) else None
-        ref_key = ref.key if ref is not None else None
-        cand_key = cand.key if cand is not None else None
-        if ref_key != cand_key:
+        if ref != cand:
             return ResponseDivergence(
                 architecture=architecture,
                 index=index,
                 reference=ref,
                 candidate=cand,
+                reference_owner=_owner(reference_stream, ref),
+                candidate_owner=_owner(candidate_stream, cand),
             )
     return None
 
@@ -737,7 +776,8 @@ def _check_pair(
         )
 
         divergence = first_fail_divergence(
-            golden.events, capture.events, partner.name
+            golden.events, capture.events, partner.name,
+            golden_stream, built.stream,
         )
         if divergence is not None:
             response.status = "diverged"

@@ -18,7 +18,9 @@ two users:
 
   * a ``covered`` verdict must correspond to a capture with at least
     one fail event, **and** the certificate's witness op index must be
-    the op index of one of those events;
+    the op index of one of those events.  The capture stops at the
+    witness when the witness read fails there, and runs the whole
+    stream otherwise;
   * a ``not-covered`` verdict must correspond to an empty capture;
   * ``unknown`` verdicts are counted (the prover's honesty budget) but
     never simulated — they are the prover declining to claim anything.
@@ -40,7 +42,7 @@ from typing import (
 
 from repro.conformance.check import GOLDEN_CACHE
 from repro.conformance.faulty.check import Geometry, _as_capabilities
-from repro.conformance.faulty.events import FailEvent, capture_response
+from repro.conformance.faulty.events import capture_response
 from repro.conformance.faulty.shrink import FaultyPredicate
 from repro.conformance.trace import AttributedOp
 from repro.core.controller import ControllerCapabilities
@@ -48,6 +50,7 @@ from repro.faults.base import CellFault
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import format_fault, parse_fault
 from repro.faults.universe import FaultUniverse, standard_universe
+from repro.march.simulator import Failure
 from repro.march.test import MarchTest
 from repro.memory.sram import Sram
 
@@ -172,7 +175,7 @@ def simulate_faults(
     stream: Sequence[AttributedOp],
     memory: Sram,
     faults: Iterable[CellFault],
-) -> Iterator[Tuple[CellFault, List[FailEvent]]]:
+) -> Iterator[Tuple[CellFault, List[Failure]]]:
     """Each fault with the fail events ``stream`` captures on ``memory``
     with exactly that fault injected (power-cycled per fault)."""
     injector = FaultInjector(memory)
@@ -362,6 +365,11 @@ def check_coverage_conformance(
         universe_name=universe_name,
     )
     memory = Sram(caps.n_words, width=caps.width, ports=caps.ports)
+
+    def capture(stream: Sequence[AttributedOp], fault: CellFault):
+        ((_, events),) = simulate_faults(stream, memory, (fault,))
+        return events
+
     for test in tests:
         result.tests.append(test.name)
         started = time.perf_counter()
@@ -382,14 +390,21 @@ def check_coverage_conformance(
             if verdict.verdict in (COVERED, NOT_COVERED)
         ]
         result.unknown += len(certificate.verdicts) - len(decided)
-        simulated = simulate_faults(
-            GOLDEN_CACHE.get(test, caps),
-            memory,
-            [fault for _, fault in decided],
-        )
-        for (verdict, _), (_, events) in zip(decided, simulated):
-            detected = bool(events)
+        golden = GOLDEN_CACHE.get(test, caps)
+        for verdict, fault in decided:
             witness = verdict.witness
+            # A covered verdict is confirmed by the capture up to its
+            # witness when the witness read fails there; otherwise the
+            # whole stream decides the detected flag and the reason.
+            prefix = 0
+            if verdict.verdict == COVERED and witness is not None and (
+                0 <= witness < len(golden)
+            ):
+                prefix = witness + 1
+            events = capture(golden[:prefix], fault) if prefix else []
+            if not events or events[-1].op_index != witness:
+                events = capture(golden, fault)
+            detected = bool(events)
             reason = None
             if verdict.verdict == COVERED:
                 if not detected:

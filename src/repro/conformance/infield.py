@@ -15,8 +15,9 @@ deterministic, open-loop attributed operation stream:
 2. each **slot** is a seeded user-traffic burst (reads expecting the
    tracked fault-free shadow, writes updating it) followed by one
    transparent test expanded against the shadow's slot-start snapshot
-   (per-port passes, exactly the rebasing of
-   :class:`~repro.core.transparent.TransparentBistRun`);
+   (per-port passes, by the expansion
+   :class:`~repro.core.transparent.TransparentBistRun` runs,
+   :func:`~repro.core.transparent.transparent_stream`);
 3. after every slot a **checkpoint** records the op index and the
    fault-free shadow contents — what the memory must hold if the
    transparent slot really was transparent.
@@ -27,32 +28,35 @@ the traffic-only reference run, computed at plan-build time, so applying
 the same plan twice (or on two memories) is bit-reproducible.  The
 determinism contract is documented in ``docs/TESTING.md``.
 
-:func:`run_infield_session` applies a plan to a memory, recording
-owner-attributed :class:`~repro.conformance.faulty.events.FailEvent`
-mismatches and verifying every checkpoint, with optional mid-stream
-fault injection.  On a fault-free memory a session yields zero events
-and bit-identical checkpoints (fuzz identity (h)); the default slot trio
-(transparent MATS+/March C/March Y) reads every cell with both relative
-polarities, so a stuck-at fault injected at any slot boundary is
-guaranteed to be detected by that very slot.
+:func:`run_infield_session` applies a plan to a memory through
+:func:`~repro.march.simulator.run_on_memory`, recording
+:class:`~repro.march.simulator.Failure` mismatches (the owner of one is
+``plan.stream[failure.op_index].owner``) and verifying every
+checkpoint, with optional mid-stream fault injection.  On a fault-free
+memory a session yields zero events and bit-identical checkpoints
+(fuzz identity (h)); the default slot trio (transparent MATS+/March
+C/March Y) reads every cell with both relative polarities, so a
+stuck-at fault injected at any slot boundary is guaranteed to be
+detected by that very slot.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.conformance.faulty.events import (
-    FailEvent,
     ResponseBudgetExceeded,
+    budget_cut,
 )
 from repro.conformance.trace import AttributedOp
 from repro.core.controller import ControllerCapabilities
-from repro.core.transparent import transparent_version
+from repro.core.transparent import transparent_stream, transparent_version
 from repro.march import library
-from repro.march.element import Pause
-from repro.march.simulator import MemoryOperation
+from repro.march.simulator import Failure, MemoryOperation, run_on_memory
 from repro.march.test import MarchTest
 from repro.memory.sram import Sram
 
@@ -179,55 +183,21 @@ def build_infield_plan(
                         owner,
                     )
                 )
-        # Transparent slot, expanded against the slot-start shadow (the
-        # rebasing of TransparentBistRun._operation_stream): polarity 0
-        # means the cell's slot-start content, polarity 1 its complement.
+        # Transparent slot, expanded against the slot-start shadow by
+        # the expansion TransparentBistRun runs: polarity 0 means the
+        # cell's slot-start content, polarity 1 its complement.
         start_index = len(stream)
         initial = tuple(shadow)
-        for port in range(caps.ports):
-            for item_index, item in enumerate(test.items):
-                if isinstance(item, Pause):
-                    stream.append(
-                        AttributedOp(
-                            MemoryOperation(
-                                port, 0, False, delay=item.duration
-                            ),
-                            f"slot {slot} ({test.name}) port {port} "
-                            f"item {item_index} {item}",
-                        )
-                    )
-                    continue
-                addresses = (
-                    range(caps.n_words)
-                    if not item.order.resolve().value == "down"
-                    else range(caps.n_words - 1, -1, -1)
-                )
-                for address in addresses:
-                    base = initial[address]
-                    for op_index, op in enumerate(item.ops):
-                        word = base ^ (mask if op.polarity else 0)
-                        owner = (
-                            f"slot {slot} ({test.name}) port {port} "
-                            f"item {item_index} {item} op {op_index}"
-                        )
-                        if op.is_write:
-                            stream.append(
-                                AttributedOp(
-                                    MemoryOperation(
-                                        port, address, True, value=word
-                                    ),
-                                    owner,
-                                )
-                            )
-                        else:
-                            stream.append(
-                                AttributedOp(
-                                    MemoryOperation(
-                                        port, address, False, expected=word
-                                    ),
-                                    owner,
-                                )
-                            )
+        for port, item_index, op_index, op in transparent_stream(
+            test, initial, caps.width, caps.ports
+        ):
+            owner = (
+                f"slot {slot} ({test.name}) port {port} "
+                f"item {item_index} {test.items[item_index]}"
+            )
+            if op_index is not None:
+                owner += f" op {op_index}"
+            stream.append(AttributedOp(op, owner))
         # Transparency: the slot restores the slot-start contents, so
         # the fault-free shadow is unchanged — the checkpoint pins that.
         checkpoints.append(
@@ -305,13 +275,14 @@ class InFieldResult:
 
     Attributes:
         ops_applied: stream operations executed.
-        events: owner-attributed read mismatches, in detection order
-            (traffic reads and transparent-slot reads both contribute).
+        events: read mismatches, in detection order, indexed in the
+            plan's stream (traffic reads and transparent-slot reads
+            both contribute).
         checkpoints: per-slot user-data integrity outcomes.
     """
 
     ops_applied: int = 0
-    events: List[FailEvent] = field(default_factory=list)
+    events: List[Failure] = field(default_factory=list)
     checkpoints: List[CheckpointResult] = field(default_factory=list)
 
     @property
@@ -351,16 +322,32 @@ def run_infield_session(
             f"does not match plan geometry {plan.geometry}"
         )
     result = InFieldResult()
-    pending = sorted(plan.checkpoints, key=lambda c: c.op_index)
-    next_checkpoint = 0
-
-    def _fire_checkpoints(applied: int) -> None:
-        nonlocal next_checkpoint
-        while (
-            next_checkpoint < len(pending)
-            and pending[next_checkpoint].op_index <= applied
-        ):
-            checkpoint = pending[next_checkpoint]
+    stream = plan.stream
+    cut = budget_cut(len(stream), max_ops)
+    applied = len(stream) if cut is None else cut
+    checkpoints = sorted(plan.checkpoints, key=lambda c: c.op_index)
+    # Apply the stream in segments between the injection point and the
+    # checkpoints; a checkpoint fires once its ops have run, and the
+    # fault is attached just before the op at its index.
+    bounds = {c.op_index for c in checkpoints}
+    if inject is not None:
+        bounds.add(inject[1])
+    start = 0
+    for end in sorted(b for b in bounds if 0 < b < applied) + [applied]:
+        if inject is not None and inject[1] == start < applied:
+            fault, _ = inject
+            fault.reset()
+            memory.attach(fault)
+        run = run_on_memory(
+            map(attrgetter("op"), stream[start:end]), memory
+        )
+        result.events.extend(
+            dataclasses.replace(failure, op_index=failure.op_index + start)
+            for failure in run.failures
+        )
+        start = end
+        while checkpoints and checkpoints[0].op_index <= end:
+            checkpoint = checkpoints.pop(0)
             snapshot = memory.snapshot()
             mismatches = tuple(
                 (address, expected, snapshot[address])
@@ -370,38 +357,11 @@ def run_infield_session(
             result.checkpoints.append(
                 CheckpointResult(checkpoint, mismatches)
             )
-            next_checkpoint += 1
-
-    for index, entry in enumerate(plan.stream):
-        if max_ops is not None and result.ops_applied >= max_ops:
-            raise ResponseBudgetExceeded(
-                f"op budget of {max_ops} exceeded after "
-                f"{result.ops_applied} operation(s)"
-            )
-        if inject is not None and index == inject[1]:
-            fault, _ = inject
-            fault.reset()
-            memory.attach(fault)
-        op = entry.op
-        if op.is_delay:
-            memory.elapse(op.delay)
-        elif op.is_write:
-            memory.write(op.port, op.address, op.value)
-        else:
-            observed = memory.read(op.port, op.address)
-            if observed != op.expected:
-                result.events.append(
-                    FailEvent(
-                        op_index=index,
-                        port=op.port,
-                        address=op.address,
-                        expected=op.expected,
-                        observed=observed,
-                        owner=entry.owner,
-                    )
-                )
-        result.ops_applied += 1
-        _fire_checkpoints(result.ops_applied)
+    if cut is not None:
+        raise ResponseBudgetExceeded(
+            f"op budget of {max_ops} exceeded after {cut} operation(s)"
+        )
+    result.ops_applied = applied
     return result
 
 

@@ -26,8 +26,8 @@ class BistResult:
     Attributes:
         passed: go/no-go verdict (the BIST *Test End* + fail flag).
         operations: memory operations the controller issued.
-        failures: read mismatches, in occurrence order (empty in go/no-go
-            mode after the first failure when ``stop_at_first_failure``).
+        failures: read mismatches, in occurrence order (in go/no-go
+            mode, only the first).
         controller: architecture name that produced the run.
         test_name: algorithm executed.
     """
@@ -83,17 +83,21 @@ class MemoryBistUnit:
 
         Args:
             stop_at_first_failure: go/no-go production mode; leave False
-                to capture the complete fail log for diagnostics.
+                to capture the complete fail log for diagnostics.  The
+                controller stream is open loop, so the go/no-go result
+                is the full run's first failure, with the operations
+                issued up to it.
         """
-        result = run_on_memory(
-            self.controller.operations(),
-            self.memory,
-            stop_at_first_failure=stop_at_first_failure,
-        )
+        result = run_on_memory(self.controller.operations(), self.memory)
+        failures = result.failures
+        operations = result.operations
+        if stop_at_first_failure and failures:
+            failures = failures[:1]
+            operations = failures[0].op_index + 1
         return BistResult(
             passed=result.passed,
-            operations=result.operations,
-            failures=result.failures,
+            operations=operations,
+            failures=failures,
             controller=self.controller.architecture,
             test_name=self.controller.loaded_test().name,
         )

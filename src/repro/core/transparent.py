@@ -29,10 +29,10 @@ top of any controller-compatible memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.march.element import MarchElement, OpKind, Operation, Pause
-from repro.march.simulator import MemoryOperation
+from repro.march.simulator import MemoryOperation, run_on_memory
 from repro.march.test import MarchItem, MarchTest
 from repro.memory.sram import Sram
 
@@ -89,6 +89,45 @@ def _final_write_polarity(items: List[MarchItem]) -> int:
     return polarity
 
 
+def transparent_stream(
+    test: MarchTest, initial: Sequence[int], width: int, ports: int
+) -> Iterator[Tuple[int, int, Optional[int], MemoryOperation]]:
+    """Expand a transparent test against the contents ``initial``.
+
+    Polarity 0 means a cell's content in ``initial``, polarity 1 its
+    complement; the full test repeats per port.  Yields ``(port, item
+    index, op index, operation)`` in controller order — port, march
+    item, address, op — with op index ``None`` for a pause.
+    """
+    mask = (1 << width) - 1
+    n_words = len(initial)
+    for port in range(ports):
+        for item_index, item in enumerate(test.items):
+            if isinstance(item, Pause):
+                yield port, item_index, None, MemoryOperation(
+                    port, 0, False, delay=item.duration
+                )
+                continue
+            addresses = (
+                range(n_words)
+                if not item.order.resolve().value == "down"
+                else range(n_words - 1, -1, -1)
+            )
+            for address in addresses:
+                base = initial[address]
+                for op_index, op in enumerate(item.ops):
+                    word = base ^ (mask if op.polarity else 0)
+                    if op.is_write:
+                        operation = MemoryOperation(
+                            port, address, True, value=word
+                        )
+                    else:
+                        operation = MemoryOperation(
+                            port, address, False, expected=word
+                        )
+                    yield port, item_index, op_index, operation
+
+
 @dataclass
 class TransparentBistRun:
     """Two-pass transparent BIST execution on a live memory.
@@ -109,40 +148,6 @@ class TransparentBistRun:
     test: MarchTest
     memory: Sram
 
-    def _operation_stream(
-        self, initial: Tuple[int, ...]
-    ) -> List[MemoryOperation]:
-        """Expand the transparent test against captured initial contents."""
-        mask = self.memory.word_mask
-        stream: List[MemoryOperation] = []
-        for port in range(self.memory.ports):
-            for item in self.test.items:
-                if isinstance(item, Pause):
-                    stream.append(
-                        MemoryOperation(port, 0, False, delay=item.duration)
-                    )
-                    continue
-                addresses = (
-                    range(self.memory.n_words)
-                    if not item.order.resolve().value == "down"
-                    else range(self.memory.n_words - 1, -1, -1)
-                )
-                for address in addresses:
-                    base = initial[address]
-                    for op in item.ops:
-                        word = base ^ (mask if op.polarity else 0)
-                        if op.is_write:
-                            stream.append(
-                                MemoryOperation(port, address, True, value=word)
-                            )
-                        else:
-                            stream.append(
-                                MemoryOperation(
-                                    port, address, False, expected=word
-                                )
-                            )
-        return stream
-
     @staticmethod
     def _signature(values: List[int], width: int) -> int:
         """XOR/rotate compaction (a behavioural MISR stand-in)."""
@@ -155,29 +160,31 @@ class TransparentBistRun:
     def run(self) -> "TransparentResult":
         """Execute both passes; see :class:`TransparentResult`."""
         initial = self.memory.snapshot()
-        stream = self._operation_stream(tuple(initial))
+        stream = [
+            op for *_, op in transparent_stream(
+                self.test, initial, self.memory.width, self.memory.ports
+            )
+        ]
         predicted = self._signature(
             [op.expected for op in stream if op.is_read], self.memory.width
         )
-        observed_reads: List[int] = []
-        failures = 0
-        for op in stream:
-            if op.is_delay:
-                self.memory.elapse(op.delay)
-            elif op.is_write:
-                self.memory.write(op.port, op.address, op.value)
-            else:
-                value = self.memory.read(op.port, op.address)
-                observed_reads.append(value)
-                if value != op.expected:
-                    failures += 1
-        observed = self._signature(observed_reads, self.memory.width)
+        failures = run_on_memory(stream, self.memory).failures
+        # The reads observed what was expected, except where they failed.
+        patched = {failure.op_index: failure.observed for failure in failures}
+        observed = self._signature(
+            [
+                patched.get(index, op.expected)
+                for index, op in enumerate(stream)
+                if op.is_read
+            ],
+            self.memory.width,
+        )
         final = self.memory.snapshot()
         return TransparentResult(
             passed=observed == predicted,
             predicted_signature=predicted,
             observed_signature=observed,
-            mismatch_count=failures,
+            mismatch_count=len(failures),
             contents_preserved=tuple(final) == tuple(initial),
         )
 

@@ -184,32 +184,27 @@ def cycle_count(
 def run_cycles_on_memory(
     cycles: Iterable[CycleOps],
     memory,
-    stop_at_first_failure: bool = False,
 ) -> RunResult:
     """Apply a concurrent cycle stream to a memory model.
 
-    The ``memory`` must provide ``cycle(ops) -> {port: observed}`` — the
-    interface of :class:`repro.memory.sram.Sram`.  Failures carry the
-    *cycle* index as ``op_index``; several reads of one cycle can fail,
-    yielding one failure per mismatching port in ascending port order.
+    The one loop that applies a cycle stream.  The ``memory`` must
+    provide ``cycle(ops) -> {port: observed}`` — the interface of
+    :class:`repro.memory.sram.Sram`.  Failures carry the *cycle* index
+    as ``op_index``; several reads of one cycle can fail, yielding one
+    failure per mismatching port in ascending port order.
     """
     failures: List[Failure] = []
+    apply = memory.cycle
     count = 0
-    for index, cycle in enumerate(cycles):
-        count += 1
-        observed_by_port = memory.cycle(cycle.ops)
-        stop = False
+    for count, cycle in enumerate(cycles, 1):
+        observed_by_port = apply(cycle.ops)
         for op in cycle.ops:
             if not op.is_read:
                 continue
             observed = observed_by_port[op.port]
             if observed != op.expected:
                 failures.append(
-                    Failure(index, op.port, op.address, op.expected, observed)
+                    Failure(count - 1, op.port, op.address, op.expected,
+                            observed)
                 )
-                if stop_at_first_failure:
-                    stop = True
-                    break
-        if stop:
-            break
     return RunResult(operations=count, failures=failures)

@@ -176,33 +176,34 @@ class RunResult:
 def run_on_memory(
     operations: Iterable[MemoryOperation],
     memory,
-    stop_at_first_failure: bool = False,
 ) -> RunResult:
     """Apply an operation stream to a memory model and record mismatches.
 
-    The ``memory`` object must provide ``read(port, address) -> int``,
+    The one loop that applies a sequential stream: BIST runs, response
+    captures, in-field sessions and transparent runs all call it.  The
+    ``memory`` object must provide ``read(port, address) -> int``,
     ``write(port, address, value)`` and ``elapse(duration)`` — the
-    interface of :class:`repro.memory.sram.Sram`.
+    interface of :class:`repro.memory.sram.Sram`.  Streams are open
+    loop, so the whole stream is applied; a go/no-go verdict is the
+    first failure of the run.
 
     Args:
         operations: stream from :func:`expand` or a BIST controller.
         memory: memory model under test.
-        stop_at_first_failure: stop early, as a go/no-go BIST run would.
     """
     failures: List[Failure] = []
+    read, write, elapse = memory.read, memory.write, memory.elapse
     count = 0
-    for index, op in enumerate(operations):
-        count += 1
-        if op.is_delay:
-            memory.elapse(op.delay)
+    for count, op in enumerate(operations, 1):
+        if op.delay > 0:
+            elapse(op.delay)
         elif op.is_write:
-            memory.write(op.port, op.address, op.value)
+            write(op.port, op.address, op.value)
         else:
-            observed = memory.read(op.port, op.address)
+            observed = read(op.port, op.address)
             if observed != op.expected:
                 failures.append(
-                    Failure(index, op.port, op.address, op.expected, observed)
+                    Failure(count - 1, op.port, op.address, op.expected,
+                            observed)
                 )
-                if stop_at_first_failure:
-                    break
     return RunResult(operations=count, failures=failures)

@@ -9,6 +9,8 @@ per-port expansion is *caught* by the concurrent one, with the exact
 fail-event sets pinned on (2,2,2) and (4,2,2).
 """
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.conformance import (
@@ -223,6 +225,25 @@ class TestExpandConcurrent:
         )
         assert result.failures == []
 
+    def test_run_applies_every_cycle(self):
+        # Cycle streams are open loop too: every cycle is applied, and
+        # every mismatching read of a cycle fails, in ascending port
+        # order.
+        def read(port, address, expected):
+            return MemoryOperation(port, address, False, expected=expected)
+
+        memory = Sram(2, width=1, ports=2)
+        cycles = [
+            CycleOps([read(1, 1, 1), read(0, 0, 1)]),
+            CycleOps([read(0, 1, 0), read(1, 0, 1)]),
+        ]
+        result = run_cycles_on_memory(cycles, memory)
+        assert result.operations == 2
+        assert [(f.op_index, f.port) for f in result.failures] == [
+            (0, 0), (0, 1), (1, 1)
+        ]
+        assert memory.clock.now == 2
+
     def test_companion_expects_pre_cycle_value_on_writes(self):
         # ^(w1) over a zeroed memory: the base port writes the solid-1
         # background while the companion reads the pre-cycle 0.
@@ -387,7 +408,7 @@ class TestPinnedEvents:
         memory = _memory(geometry)
         with FaultInjector(memory).injected(parse_fault(spec)):
             capture = capture_cycle_response(stream, memory)
-        assert [e.key for e in capture.events] == PINNED_EVENT_KEYS[
+        assert list(map(astuple, capture.events)) == PINNED_EVENT_KEYS[
             (geometry, spec)
         ]
 
@@ -405,9 +426,9 @@ class TestPinnedEvents:
             memory = _memory(geometry)
             with FaultInjector(memory).injected(parse_fault(spec)):
                 captures[spec] = capture_cycle_response(stream, memory)
-        assert [e.key for e in captures["paf:1:0:0"].events] == [
-            e.key for e in captures["pafc:1:0:0"].events
-        ]
+        assert captures["paf:1:0:0"].events == (
+            captures["pafc:1:0:0"].events
+        )
         # ...but only the classic PAF is sequentially detectable.
         words, width, ports = geometry
         for spec, detected in (("paf:1:0:0", True), ("pafc:1:0:0", False)):

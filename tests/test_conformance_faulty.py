@@ -26,15 +26,15 @@ from repro.conformance import (
 from repro.conformance.check import GoldenTraceCache
 from repro.conformance.faulty import check as faulty_check
 from repro.conformance.faulty.events import (
-    FailEvent,
     ResponseBudgetExceeded,
     ResponseCapture,
     capture_response,
 )
 from repro.conformance.faulty.sampling import random_fault, stratified_sample
 from repro.conformance.faulty.shrink import _spec_size, simpler_fault_specs
-from repro.conformance.trace import golden_trace
+from repro.conformance.trace import AttributedOp, golden_trace
 from repro.core.controller import ControllerCapabilities
+from repro.diagnostics.faillog import FailLog
 from repro.faults.spec import format_fault, parse_fault
 from repro.faults.universe import standard_universe
 from repro.march import library
@@ -85,7 +85,7 @@ class TestFailEvents:
         assert capture.ops_applied == len(stream)
         event = capture.events[0]
         assert event.address == 2
-        assert event.owner  # provenance attached
+        assert stream[event.op_index].owner  # provenance by op index
         assert stream[event.op_index].op.is_read
 
     def test_fault_free_memory_yields_no_events(self):
@@ -95,10 +95,16 @@ class TestFailEvents:
         assert not capture.detected
 
     def test_key_excludes_owner(self):
-        a = FailEvent(3, 0, 1, 0, 1, owner="item 2 ^(r0)")
-        b = FailEvent(3, 0, 1, 0, 1, owner="fsm row 2")
-        assert a.key == b.key
-        assert a.to_dict()["owner"] == "item 2 ^(r0)"
+        # Two streams that differ only in their owners log equal
+        # failures: the owner is the stream's, looked up by op index.
+        golden = golden_trace(library.get("March C"), CAPS)
+        renamed = [AttributedOp(entry.op, "fsm row") for entry in golden]
+        captures = [
+            capture_response(stream, _faulty_memory("saf:2:1:1"))
+            for stream in (golden, renamed)
+        ]
+        assert captures[0].events
+        assert captures[0].events == captures[1].events
 
     def test_budget_trips_as_classified_error(self):
         stream = golden_trace(library.get("MATS"), CAPS)
@@ -325,7 +331,18 @@ class TestSeededResponseDefect:
         assert divergence.candidate.op_index == (
             divergence.reference.op_index + 1
         )
-        assert divergence.reference.owner  # provenance survives
+        assert divergence.reference_owner  # provenance survives
+        # Each owner is looked up in its own stream, at the logged op
+        # index: the shifted one names the op after the failing read.
+        test = library.get("March C")
+        golden = golden_trace(test, CAPS)
+        fsm = faulty_check.STREAM_BUILDERS["progfsm"](test, CAPS, True)
+        assert divergence.reference_owner == (
+            golden[divergence.reference.op_index].owner
+        )
+        assert divergence.candidate_owner == (
+            fsm[divergence.candidate.op_index].owner
+        )
 
     def test_shrinks_to_single_cell_fault_on_minimal_memory(
         self, faillog_off_by_one
@@ -413,8 +430,8 @@ class _DefectiveAggregation(ResponseCapture):
         self._drop_address = drop_address
         self._shift = shift_log_index
 
-    def failures(self):
-        failures = super().failures()
+    def log(self, test_name):
+        failures = super().log(test_name).failures
         if self._drop_address is not None:
             failures = [
                 f for f in failures if f.address != self._drop_address
@@ -424,7 +441,7 @@ class _DefectiveAggregation(ResponseCapture):
                 dataclasses.replace(f, op_index=f.op_index + self._shift)
                 for f in failures
             ]
-        return failures
+        return FailLog(test_name=test_name, failures=failures)
 
 
 class TestCoarserLayers:

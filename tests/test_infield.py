@@ -125,7 +125,8 @@ class TestMidStreamInjection:
                 plan, memory, inject=(fault, checkpoint.start_index)
             )
             assert result.detected
-            assert result.events[0].owner.startswith(
+            first = result.events[0]
+            assert plan.stream[first.op_index].owner.startswith(
                 f"slot {checkpoint.slot} "
             )
 

@@ -126,13 +126,14 @@ class TestRunOnMemory:
         assert first.observed == 0
         assert first.failing_bits == 1
 
-    def test_stop_at_first_failure(self):
+    def test_applies_the_whole_stream(self):
+        # Streams are open loop: a failing read never stops the run, and
+        # a go/no-go verdict is the run's first failure.
         memory = Sram(4)
-        result = run_on_memory(
-            expand(parse_test("~(r1)"), 4), memory, stop_at_first_failure=True
-        )
-        assert result.failure_count == 1
-        assert result.operations == 1
+        result = run_on_memory(expand(parse_test("~(r1)"), 4), memory)
+        assert result.operations == 4
+        assert [f.op_index for f in result.failures] == [0, 1, 2, 3]
+        assert memory.clock.now == 4
 
     def test_delay_advances_memory_clock(self):
         memory = Sram(2)
