@@ -1,148 +1,185 @@
-"""Benchmark-regression gate: fresh throughput vs committed baseline.
+"""A/B benchmark gate: perfbench on a base checkout against this one.
 
-Compares a just-measured ``BENCH_fault_sweep.json`` record against the
-baseline committed at ``benchmarks/BENCH_fault_sweep.json`` and exits 1
-when any shared (engine, jobs) entry's ``runs_per_s`` fell more than
-``--tolerance`` (default 30%) below the baseline.  Faster-than-baseline
-is never an error — the baseline is refreshed by the nightly job, not
-by the gate.
+Run from anywhere, with a checkout of the base commit beside this one::
 
-The two records must describe the same workload (profile, geometry,
-algorithms, universe, run count) — a mismatch is a hard error rather
-than a meaningless ratio.  Both must also carry the current harness
-schema (see ``_harness.SCHEMA_VERSION``).
+    git worktree add ../base origin/main
+    python benchmarks/bench_gate.py --base ../base
 
-CI usage (the ``bench-gate`` job)::
+For each workload in this checkout's ``BENCHMARK.json`` the gate runs
+``PAIRS`` alternating pairs of untraced perfbench runs.  Pair *i* uses
+seed *i*; the base runs first on even pairs and this checkout (the
+head) first on odd ones, so a drift in host speed lands on both sides
+alike.  Each run is a side's own ``perfbench/run.py``, started from
+that side's root, with a ``SECONDS`` window.
 
-    PYTHONPATH=src python benchmarks/bench_fault_sweep.py --out current.json
-    PYTHONPATH=src python benchmarks/bench_gate.py --current current.json
+Every ``end_to_end`` metric is then compared as the median of each
+side's runs, in the metric's ``better`` direction, against the
+metric's own ``bound``: the head regresses when its median is worse
+than the base's by more than that fraction.  The gate prints every
+metric's medians and their ratio (head / base) and exits
 
-Dry-run proof that the gate trips — divide the fresh throughput by a
-synthetic factor before comparing::
+* 0 when no metric regressed;
+* 1 when any metric regressed;
+* 2 when a run cannot be compared: it exited non-zero, its last line
+  is not a result, it reports ``correct: false`` or lacks a metric, or
+  the head fails a larger share of its pairs than the base.
 
-    PYTHONPATH=src python benchmarks/bench_gate.py --current current.json \
-        --simulate-slowdown 2
+The bounds come from ``BENCHMARK.json`` only; there is no tolerance
+option.  Intentional slowdowns are let through by CI's
+``skip-bench-gate`` label, not by the gate.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import json
+import statistics
+import subprocess
 import sys
+from pathlib import Path
+from typing import Dict, List, NamedTuple, Sequence
 
-from _harness import load_record
+HEAD = Path(__file__).resolve().parent.parent
 
-#: Comparable-workload keys: a gate run only means something when both
-#: records measured the same thing.
-WORKLOAD_KEYS = ("profile", "geometry", "algorithms", "universe", "runs")
+#: Alternating (base, head) pairs per workload.
+PAIRS = 5
+
+#: Measuring window of one perfbench run, seconds.
+SECONDS = 3
+
+
+class GateError(Exception):
+    """A run that cannot be compared (exit 2)."""
+
+
+class Verdict(NamedTuple):
+    """One end-to-end metric of one workload: medians and bound."""
+
+    metric: str
+    better: str
+    bound: float
+    base: float
+    head: float
+
+    @property
+    def ratio(self) -> float:
+        return self.head / self.base
+
+    @property
+    def regressed(self) -> bool:
+        if self.better == "higher":
+            return self.head < self.base * (1 - self.bound)
+        return self.head > self.base * (1 + self.bound)
+
+
+def parse_result(line: str) -> dict:
+    """The result object of a run's last line, checked to be correct."""
+    try:
+        result = json.loads(line)
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict) or "metrics" not in result:
+        raise GateError(f"last line is not a result: {line[:200]!r}")
+    if result.get("correct") is not True:
+        raise GateError("run reports correct: false")
+    return result
+
+
+def failed_share(results: Sequence[dict]) -> float:
+    return sum(r["failed"] for r in results) / sum(
+        r["attempted"] for r in results
+    )
 
 
 def compare(
-    baseline: dict,
-    current: dict,
-    tolerance: float,
-    slowdown: float = 1.0,
-) -> list:
-    """Per-engine verdicts; raises ``ValueError`` on workload mismatch."""
-    for key in WORKLOAD_KEYS:
-        if baseline.get(key) != current.get(key):
-            raise ValueError(
-                f"workload mismatch on {key!r}: baseline "
-                f"{baseline.get(key)!r} vs current {current.get(key)!r} "
-                "(refresh the baseline or match its profile flags)"
-            )
-    verdicts = []
-    for key, base_entry in baseline.get("engines", {}).items():
-        cur_entry = current.get("engines", {}).get(key)
-        if cur_entry is None:
-            continue  # jobs>1 entries exist only in full-profile records
-        base_rps = base_entry.get("runs_per_s")
-        cur_rps = cur_entry.get("runs_per_s")
-        if not base_rps or not cur_rps:
-            continue
-        cur_rps = cur_rps / slowdown
-        ratio = cur_rps / base_rps
-        verdicts.append({
-            "engine": key,
-            "baseline_runs_per_s": base_rps,
-            "current_runs_per_s": round(cur_rps, 2),
-            "ratio": round(ratio, 3),
-            "ok": ratio >= 1.0 - tolerance,
-        })
-    if not verdicts:
-        raise ValueError(
-            "no comparable engine entries between baseline and current"
+    base_runs: Sequence[str],
+    head_runs: Sequence[str],
+    end_to_end: Sequence[dict],
+) -> List[Verdict]:
+    """Verdicts of one workload from each side's result lines.
+
+    ``end_to_end`` is ``BENCHMARK.json``'s list of ``{name, better,
+    bound}`` metrics.  Raises :class:`GateError` when a line is not a
+    correct result, lacks one of the metrics, or the head fails a
+    larger share of its pairs than the base.
+    """
+    sides = {}
+    for side, lines in (("base", base_runs), ("head", head_runs)):
+        results = [parse_result(line) for line in lines]
+        for metric in end_to_end:
+            if any(metric["name"] not in r["metrics"] for r in results):
+                raise GateError(f"{side} run lacks metric {metric['name']}")
+        sides[side] = results
+    base_failed, head_failed = (
+        failed_share(sides[side]) for side in ("base", "head")
+    )
+    if head_failed > base_failed:
+        raise GateError(
+            f"head fails {head_failed:.4%} of its pairs, base {base_failed:.4%}"
         )
-    return verdicts
+    return [
+        Verdict(
+            metric["name"], metric["better"], metric["bound"],
+            *(
+                statistics.median(
+                    r["metrics"][metric["name"]]["value"] for r in sides[side]
+                )
+                for side in ("base", "head")
+            ),
+        )
+        for metric in end_to_end
+    ]
+
+
+def run(command: Sequence[str], root: Path, workload: str, seed: int) -> str:
+    """One untraced perfbench run from ``root``; its last output line."""
+    done = subprocess.run(
+        [*command, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=root, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise GateError(
+            f"{workload} seed {seed} in {root} exited {done.returncode}:\n"
+            + "\n".join((done.stdout + done.stderr).splitlines()[-20:])
+        )
+    lines = done.stdout.splitlines()
+    return lines[-1] if lines else ""
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
-        "--baseline",
-        default=os.path.join(
-            os.path.dirname(os.path.abspath(__file__)),
-            "BENCH_fault_sweep.json",
-        ),
-        help="committed baseline record "
-        "(default: benchmarks/BENCH_fault_sweep.json)",
+        "--base", required=True, type=Path,
+        help="checkout of the base commit",
     )
-    parser.add_argument(
-        "--current", required=True,
-        help="freshly measured record (bench_fault_sweep.py --out ...)",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="allowed fractional throughput drop (default: 0.30)",
-    )
-    parser.add_argument(
-        "--simulate-slowdown", type=float, default=1.0, metavar="FACTOR",
-        help="divide current throughput by FACTOR before comparing — a "
-        "dry run proving the gate trips (2 must fail at the default "
-        "tolerance)",
-    )
-    args = parser.parse_args(argv)
-
+    roots = {"base": parser.parse_args(argv).base.resolve(), "head": HEAD}
+    spec = json.loads((HEAD / "BENCHMARK.json").read_text())
+    regressed = False
     try:
-        baseline = load_record(args.baseline, expect_benchmark="fault_sweep")
-        current = load_record(args.current, expect_benchmark="fault_sweep")
-        verdicts = compare(
-            baseline, current, args.tolerance, args.simulate_slowdown
-        )
-    except (OSError, ValueError) as error:
-        print(f"bench-gate error: {error}", file=sys.stderr)
+        for workload in spec["workloads"]:
+            name = workload["name"]
+            print(f"{name} ({PAIRS} pairs, medians):", flush=True)
+            lines: Dict[str, List[str]] = {"base": [], "head": []}
+            for seed in range(PAIRS):
+                order = ("base", "head") if seed % 2 == 0 else ("head", "base")
+                for side in order:
+                    lines[side].append(
+                        run(spec["command"], roots[side], name, seed)
+                    )
+            for v in compare(lines["base"], lines["head"], spec["end_to_end"]):
+                regressed = regressed or v.regressed
+                print(
+                    f"  {v.metric:<12} base {v.base:>14.4f}  head "
+                    f"{v.head:>14.4f}  ratio {v.ratio:6.3f}  "
+                    f"({v.better} is better, bound {v.bound:.2f})"
+                    + ("  REGRESSED" if v.regressed else ""),
+                    flush=True,
+                )
+    except GateError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-
-    slowdown = (
-        f" [simulated {args.simulate_slowdown}x slowdown]"
-        if args.simulate_slowdown != 1.0
-        else ""
-    )
-    print(
-        f"bench-gate: tolerance {args.tolerance:.0%}, workload "
-        f"{tuple(baseline['geometry'])} {baseline['universe']} "
-        f"({baseline['runs']} runs){slowdown}"
-    )
-    failed = False
-    for verdict in verdicts:
-        mark = "ok  " if verdict["ok"] else "FAIL"
-        print(
-            f"  {mark} {verdict['engine']}: "
-            f"{verdict['current_runs_per_s']} runs/s vs baseline "
-            f"{verdict['baseline_runs_per_s']} "
-            f"(x{verdict['ratio']})"
-        )
-        failed = failed or not verdict["ok"]
-    if failed:
-        print(
-            "bench-gate: throughput regression beyond tolerance; if "
-            "intended, apply the skip-bench-gate label or refresh the "
-            "baseline",
-            file=sys.stderr,
-        )
-        return 1
-    print("bench-gate: within tolerance")
-    return 0
+    return 1 if regressed else 0
 
 
 if __name__ == "__main__":

@@ -1258,8 +1258,6 @@ def _run_sharded(
             for outcome in interrupt.outcomes:
                 if outcome.ok:
                     complete(index_by_key[outcome.key], outcome.value)
-            if owns_engine:
-                engine.close()
             raise SweepInterrupted(partial(None)) from None
         finally:
             if owns_engine:

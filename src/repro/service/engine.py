@@ -32,13 +32,12 @@ always knows *which* job a dead worker was running:
   outcome, so callers can write a partial, resumable report instead of
   exiting empty-handed.
 
-The orchestrator itself is an asyncio coroutine: blocking waits on the
-worker pipes/sentinels run in the default executor, and the
-retry/requeue logic is plain coroutine code.  :meth:`JobEngine.run` is
-the synchronous facade.  One engine may be reused across several
-``run()`` calls (the multi-geometry sweep shares one pool across
-geometries) and must be :meth:`closed <JobEngine.close>` — or used as a
-context manager — when done.
+The orchestrator is a plain loop in :meth:`JobEngine.run`: it waits on
+the worker pipes and sentinels for at most one tick, then collects
+results, reaps dead and timed-out workers and requeues.  One engine
+may be reused across several ``run()`` calls (the multi-geometry sweep
+shares one pool across geometries) and must be :meth:`closed
+<JobEngine.close>` — or used as a context manager — when done.
 
 Jobs must be picklable: ``fn`` a module-level function, ``payload``
 plain data.  Workers are forked where available and ignore SIGINT, so
@@ -47,7 +46,6 @@ interrupting a sweep leaves shutdown coordination to the orchestrator.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import multiprocessing
 import pickle
@@ -57,9 +55,9 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-#: Upper bound on one blocking wait on the pool, so the event loop (and
-#: a pending SIGINT) is serviced regularly even while every worker is
-#: deep in a long shard.
+#: Upper bound on one blocking wait on the pool, so deadlines and
+#: backoffs are serviced regularly even while every worker is deep in a
+#: long shard.
 _WAIT_TICK_S = 0.25
 
 #: Job statuses.
@@ -364,8 +362,8 @@ class JobEngine:
         self._job_counter = 0
         self._closed = False
         self._pending_rebuilds = 0  # workers lost, replacements owed
-        # Per-run state, kept on the instance so an interrupt handler
-        # can harvest completed outcomes after the coroutine dies.
+        # Per-run state, shared by the helpers of run(); an interrupt
+        # harvests the completed outcomes from it.
         self._states: List[_JobState] = []
         self._outcomes: Dict[int, JobOutcome] = {}
         self._report = EngineReport()
@@ -394,15 +392,44 @@ class JobEngine:
     # -- entry points ------------------------------------------------------
 
     def run(self, jobs: Sequence[Job]) -> EngineReport:
-        """Run ``jobs`` to completion; the synchronous facade.
+        """Run ``jobs`` to completion.
 
         Raises:
             JobsInterrupted: on SIGINT, with the completed outcomes.
         """
         if self._closed:
             raise ServiceError("engine is closed")
+        started = time.perf_counter()
+        self._states = [
+            _JobState(index, job, self._next_job_id())
+            for index, job in enumerate(jobs)
+        ]
+        self._outcomes = {}
+        self._report = EngineReport(workers=self.workers)
         try:
-            return asyncio.run(self.run_async(jobs))
+            self._drain_stale()
+            pending = deque(self._states)
+            while len(self._outcomes) < len(self._states):
+                now = time.monotonic()
+                if not self._degraded:
+                    self._ensure_pool(len(self._states) - len(self._outcomes))
+                if self._degraded:
+                    self._run_inline(pending)
+                    break
+                self._dispatch(pending, now)
+                handles: List[Any] = []
+                for worker in self._pool:
+                    handles.append(worker.result_r)
+                    handles.append(worker.process.sentinel)
+                timeout = self._wait_timeout(pending, now)
+                if handles:
+                    _bounded_wait(handles, timeout)
+                else:  # no pool (all died, respawn pending) — just pace
+                    time.sleep(min(timeout, _WAIT_TICK_S))
+                now = time.monotonic()
+                self._collect(pending, now)
+                self._reap_dead(pending, now)
+                self._reap_timeouts(pending, now)
         except KeyboardInterrupt:
             completed = [
                 self._outcomes[state.job_id]
@@ -411,43 +438,6 @@ class JobEngine:
             ]
             self._nuke_pool()
             raise JobsInterrupted(completed) from None
-
-    async def run_async(self, jobs: Sequence[Job]) -> EngineReport:
-        """The asyncio orchestrator behind :meth:`run`."""
-        started = time.perf_counter()
-        self._states = [
-            _JobState(index, job, self._next_job_id())
-            for index, job in enumerate(jobs)
-        ]
-        self._outcomes = {}
-        self._report = EngineReport(workers=self.workers)
-        self._drain_stale()
-
-        pending = deque(self._states)
-        loop = asyncio.get_running_loop()
-        while len(self._outcomes) < len(self._states):
-            now = time.monotonic()
-            if not self._degraded:
-                self._ensure_pool(len(self._states) - len(self._outcomes))
-            if self._degraded:
-                self._run_inline(pending)
-                break
-            self._dispatch(pending, now)
-            handles: List[Any] = []
-            for worker in self._pool:
-                handles.append(worker.result_r)
-                handles.append(worker.process.sentinel)
-            timeout = self._wait_timeout(pending, now)
-            if handles:
-                await loop.run_in_executor(
-                    None, _bounded_wait, handles, timeout
-                )
-            else:  # no pool (all died, respawn pending) — just pace
-                await asyncio.sleep(min(timeout, _WAIT_TICK_S))
-            now = time.monotonic()
-            self._collect(pending, now)
-            self._reap_dead(pending, now)
-            self._reap_timeouts(pending, now)
 
         self._report.outcomes = [
             self._outcomes[state.job_id] for state in self._states

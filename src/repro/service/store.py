@@ -93,7 +93,7 @@ class ResultStore:
 
     Counters (``hits``/``misses``/``corruptions``/``puts``) accumulate
     over the instance's lifetime and feed the sweep reports' service
-    telemetry and ``bench_service``'s cache-hit-rate measurement.
+    telemetry.
     """
 
     def __init__(self, root) -> None:

@@ -299,3 +299,33 @@ class TestOrchestratorWaits:
             wall = time.perf_counter() - wall_started
         assert report.ok
         assert cpu < 0.25 * wall, (cpu, wall)
+
+
+class TestInterrupt:
+    def test_sigint_mid_run_raises_with_completed_outcomes(self, monkeypatch):
+        import repro.service.engine as engine_mod
+
+        real_wait = engine_mod._bounded_wait
+        workers_seen = []
+
+        def interrupt_after_first_outcome(handles, timeout):
+            workers_seen.extend(w.process for w in engine._pool)
+            if engine._outcomes:
+                raise KeyboardInterrupt
+            return real_wait(handles, timeout)
+
+        monkeypatch.setattr(
+            engine_mod, "_bounded_wait", interrupt_after_first_outcome
+        )
+        jobs = [
+            Job(key="fast", fn=_double, payload=21),
+            Job(key="slow", fn=_sleep, payload=30),
+        ]
+        with JobEngine(workers=2, policy=_quick_policy()) as engine:
+            with pytest.raises(JobsInterrupted) as caught:
+                engine.run(jobs)
+            assert engine._pool == []
+        [outcome] = caught.value.outcomes
+        assert (outcome.key, outcome.status, outcome.value) == ("fast", OK, 42)
+        assert workers_seen
+        assert not any(process.is_alive() for process in workers_seen)
