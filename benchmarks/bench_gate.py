@@ -16,7 +16,9 @@ Every ``end_to_end`` metric is then compared as the median of each
 side's runs, in the metric's ``better`` direction, against the
 metric's own ``bound``: the head regresses when its median is worse
 than the base's by more than that fraction.  The gate prints every
-metric's medians and their ratio (head / base) and exits
+metric's medians and their ratio (head / base), and beside it the
+min–max of the per-pair ratios: a wide spread around a ratio past the
+bound reads as host noise, a tight one as a real change.  It exits
 
 * 0 when no metric regressed;
 * 1 when any metric regressed;
@@ -37,7 +39,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Sequence
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 HEAD = Path(__file__).resolve().parent.parent
 
@@ -53,13 +55,15 @@ class GateError(Exception):
 
 
 class Verdict(NamedTuple):
-    """One end-to-end metric of one workload: medians and bound."""
+    """One end-to-end metric of one workload: medians and bound, and
+    the min–max of the per-pair head / base ratios (``spread``)."""
 
     metric: str
     better: str
     bound: float
     base: float
     head: float
+    spread: Tuple[float, float]
 
     @property
     def ratio(self) -> float:
@@ -96,7 +100,9 @@ def compare(
     head_runs: Sequence[str],
     end_to_end: Sequence[dict],
 ) -> List[Verdict]:
-    """Verdicts of one workload from each side's result lines.
+    """Verdicts of one workload from each side's result lines, which
+    arrive in pair order: ``base_runs[i]`` and ``head_runs[i]`` are
+    pair *i*.
 
     ``end_to_end`` is ``BENCHMARK.json``'s list of ``{name, better,
     bound}`` metrics.  Raises :class:`GateError` when a line is not a
@@ -117,18 +123,19 @@ def compare(
         raise GateError(
             f"head fails {head_failed:.4%} of its pairs, base {base_failed:.4%}"
         )
-    return [
-        Verdict(
-            metric["name"], metric["better"], metric["bound"],
-            *(
-                statistics.median(
-                    r["metrics"][metric["name"]]["value"] for r in sides[side]
-                )
-                for side in ("base", "head")
-            ),
+    verdicts = []
+    for metric in end_to_end:
+        base, head = (
+            [r["metrics"][metric["name"]]["value"] for r in sides[side]]
+            for side in ("base", "head")
         )
-        for metric in end_to_end
-    ]
+        ratios = [h / b for b, h in zip(base, head)]
+        verdicts.append(Verdict(
+            metric["name"], metric["better"], metric["bound"],
+            statistics.median(base), statistics.median(head),
+            (min(ratios), max(ratios)),
+        ))
+    return verdicts
 
 
 def run(command: Sequence[str], root: Path, workload: str, seed: int) -> str:
@@ -172,7 +179,8 @@ def main(argv=None) -> int:
                 print(
                     f"  {v.metric:<12} base {v.base:>14.4f}  head "
                     f"{v.head:>14.4f}  ratio {v.ratio:6.3f}  "
-                    f"({v.better} is better, bound {v.bound:.2f})"
+                    f"(pairs {v.spread[0]:.3f}..{v.spread[1]:.3f}; "
+                    f"{v.better} is better, bound {v.bound:.2f})"
                     + ("  REGRESSED" if v.regressed else ""),
                     flush=True,
                 )

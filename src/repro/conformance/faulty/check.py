@@ -8,8 +8,10 @@ across fabrication stages).  :func:`check_fault_conformance` runs every
 architecture's full BIST session against *the same* injected fault
 (fresh :meth:`~repro.faults.injector.FaultInjector.injected` context
 per run, so dynamic fault state and cell contents never leak between
-architectures) and differentially compares the responses on three
-layers, most precise first:
+architectures; an architecture that emits the golden stream through
+the golden capture path shares the golden run, see
+:func:`shares_golden_capture`) and differentially compares the
+responses on three layers, most precise first:
 
 1. **fail events** — the normalised event streams of
    :mod:`repro.conformance.faulty.events`, failure for failure, with a
@@ -458,8 +460,10 @@ class Stimulus:
     checked against it reuses their outcomes.  Likewise the fail-log
     aggregations are a function of the fail log alone: ``aggregations``
     memoises them per distinct log, so the classifier runs once per
-    distinct log however many captures produce it.  The captures
-    themselves stay per pair and per partner.
+    distinct log however many captures produce it.  Captures are per
+    pair, and a partner shares the golden capture exactly when
+    :func:`shares_golden_capture` holds; ``golden_matches`` memoises
+    the stream compare that rule rests on.
 
     Attributes:
         name: fail-log name (the algorithm or session name).
@@ -479,8 +483,11 @@ class Stimulus:
             from the notation without building the stream.
         aggregations: memo of :func:`_aggregate`, keyed by a fail
             log's failures, holding its ``(failing cells, diagnosis)``.
-            Not an ``__init__`` argument, so every :class:`Stimulus`,
-            including a :func:`dataclasses.replace` copy, starts empty.
+        golden_matches: memo of :func:`matches_golden`, keyed by
+            partner name.
+            Neither memo is an ``__init__`` argument, so every
+            :class:`Stimulus`, including a :func:`dataclasses.replace`
+            copy, starts empty.
     """
 
     name: str
@@ -494,6 +501,54 @@ class Stimulus:
     aggregations: Dict[
         Tuple[Failure, ...], Tuple[List[Tuple[int, int]], List[str]]
     ] = field(default_factory=dict, init=False, repr=False, compare=False)
+    golden_matches: Dict[str, bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+
+def matches_golden(stimulus: Stimulus, partner: Partner) -> bool:
+    """Whether ``partner`` builds the golden stream op for op.
+
+    Streams are compared by :attr:`~repro.conformance.trace.AttributedOp.key`,
+    the only part of an op a capture reads; a stream that was not built
+    (skipped, error) matches nothing.  Both streams are functions of
+    the stimulus, so the compare runs once per (stimulus, partner) and
+    is memoised on ``stimulus``.
+    """
+    matches = stimulus.golden_matches.get(partner.name)
+    if matches is None:
+        golden, built = stimulus.golden().stream, partner.build().stream
+        matches = (
+            golden is not None and built is not None
+            and len(golden) == len(built)
+            and all(a.key == b.key for a, b in zip(golden, built))
+        )
+        stimulus.golden_matches[partner.name] = matches
+    return matches
+
+
+def shares_golden_capture(
+    stimulus: Stimulus,
+    partner: Partner,
+    capture_golden: Callable[..., ResponseCapture],
+) -> bool:
+    """Whether ``partner``'s capture of a pair *is* the golden capture.
+
+    A fault's response is a function of the ops applied alone, not of
+    the controller that issued them, so a controller partner of a march
+    stimulus that captures through the golden path (identity, not
+    equality: a swapped :data:`RESPONSE_CAPTURES` entry never shares)
+    and builds the golden stream (:func:`matches_golden`) gets the
+    golden :class:`ResponseCapture` instead of a session of its own.
+    Replay and PRT-controller partners always capture on their own
+    memory: that second session is how they catch leaked fault state
+    or a non-deterministic stimulus.
+    """
+    return (
+        stimulus.march
+        and partner.capture is capture_golden
+        and matches_golden(stimulus, partner)
+    )
 
 
 def resolve_stimulus(
@@ -639,7 +694,8 @@ def check_fault_conformance(
 
     The stimulus is resolved (:func:`resolve_stimulus`), then checked
     against ``fault`` by :func:`_check_pair`: each partner's stream is
-    captured under a freshly injected ``fault`` and compared with the
+    captured under a freshly injected ``fault`` (or shares the golden
+    capture, :func:`shares_golden_capture`) and compared with the
     golden capture layer by layer — events, fail log and (where it
     applies) diagnosis.  Typed outcomes: a partner that is not
     realisable is ``skipped``; one that fails to build, trips the op
@@ -712,9 +768,10 @@ def _check_pair(
     The streams come from the stimulus's memoised builders (built on
     the first fault, replayed for the rest); everything fault-dependent
     happens here, per pair: a fresh :class:`FaultInjector` memory for
-    the golden capture and for each partner's own capture path, the op
-    budget, and the three-layer compare.  The fail-log layers come from
-    the stimulus's aggregation memo (:func:`_aggregate`).
+    the golden capture and for each partner that does not share it
+    (:func:`shares_golden_capture`), the op budget, and the three-layer
+    compare.  The fail-log layers come from the stimulus's aggregation
+    memo (:func:`_aggregate`).
     """
     result = FaultResponseResult(
         notation=stimulus.notation,
@@ -754,21 +811,24 @@ def _check_pair(
             response.status = built.status
             response.detail = built.detail
             continue
-        try:
-            with injector.injected(fault) as memory:
-                capture = partner.capture(
-                    built.stream, memory, max_ops=budget
+        if shares_golden_capture(stimulus, partner, capture_golden):
+            capture = golden
+        else:
+            try:
+                with injector.injected(fault) as memory:
+                    capture = partner.capture(
+                        built.stream, memory, max_ops=budget
+                    )
+            except ResponseBudgetExceeded as error:
+                response.status = "error"
+                response.detail = f"wedged BIST session: {error}"
+                continue
+            except Exception as error:
+                response.status = "error"
+                response.detail = (
+                    f"BIST session crashed: {type(error).__name__}: {error}"
                 )
-        except ResponseBudgetExceeded as error:
-            response.status = "error"
-            response.detail = f"wedged BIST session: {error}"
-            continue
-        except Exception as error:
-            response.status = "error"
-            response.detail = (
-                f"BIST session crashed: {type(error).__name__}: {error}"
-            )
-            continue
+                continue
         response.ops_applied = capture.ops_applied
         response.event_count = len(capture.events)
         response.failing_cells, response.diagnosis = _aggregate(
@@ -1032,9 +1092,11 @@ def _sweep_shard(
     same order the serial loop visits, so the merged failure list
     matches the serial one — and a shard's pairs come in runs of one
     test.  Each test is resolved once per shard: its controller streams
-    are built on its first pair and reused for the rest, and its
-    fail-log aggregations are memoised per distinct log, while capture
-    and compare stay per pair and per partner (:func:`_check_pair`).
+    are built, and compared with the golden stream, on its first pair
+    and reused for the rest, and its fail-log aggregations are
+    memoised per distinct log, while capture and compare stay per pair
+    (:func:`_check_pair`; a partner shares the golden capture by
+    :func:`shares_golden_capture`).
     :func:`_sharded_sweep` cuts shards on test boundaries whenever a
     shard holds a whole test, so each test is then resolved once per
     sweep.  Only the current test's :class:`Stimulus` is held.

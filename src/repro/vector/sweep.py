@@ -18,12 +18,16 @@ two structural savings:
   partner — an UNKNOWN or different summary, a replaced builder, the
   FSM controller and replay of a PRT session, the replay of an
   in-field session — is *simulated*: its stream is built once and
-  compared op for op.  The report counts both (``partners_proved``,
-  ``partners_simulated``, under ``timing``).  Response capture is a
-  deterministic function of the normalised ops alone, so identical
-  streams give identical captures for *every* fault — the per-partner
-  sessions per fault disappear entirely, and the pair's payload needs
-  only one detected / not-detected verdict;
+  compared op for op (:func:`~repro.conformance.faulty.check.matches_golden`).
+  The report counts both (``partners_proved``, ``partners_simulated``,
+  under ``timing``).  Response capture is a deterministic function of
+  the normalised ops alone, so identical streams give identical
+  captures for *every* fault.  The scalar oracle relies on that too,
+  but only for controller partners
+  (:func:`~repro.conformance.faulty.check.shares_golden_capture`) and
+  still captures golden per pair; here the per-partner sessions per
+  fault disappear entirely, replay and PRT partners included, and the
+  pair's payload needs only one detected / not-detected verdict;
 * **per stratum**: a fault's verdict is a *support projection* of the
   golden capture: only the golden ops on its support addresses
   (:func:`~repro.faults.support.support_of`) plus every pause, in
@@ -96,6 +100,7 @@ from repro.conformance.faulty.check import (
     _op_budget,
     _sharded_sweep,
     check_fault_conformance,  # noqa: F401  (perfbench/layers.py patches it)
+    matches_golden,
     resolve_stimulus,
 )
 from repro.conformance.check import PROGRAM_WALKS, proved_conformant
@@ -182,7 +187,6 @@ def _plan_test(
         length = len(golden_stream)
     if length > _op_budget(length, max_ops):
         return plan  # scalar reproduces the budget trip exactly
-    keys = None
     for partner in stimulus.partners:
         if partner.name in PROGRAM_WALKS:
             try:
@@ -204,9 +208,7 @@ def _plan_test(
         plan.simulated += 1
         if built.stream is None:
             return plan  # error statuses produce per-fault failure records
-        if keys is None:
-            keys = [entry.key for entry in stimulus.golden().stream]
-        if [entry.key for entry in built.stream] != keys:
+        if not matches_golden(stimulus, partner):
             return plan
     if notation is not None:
         if not notation.free_failures:

@@ -80,6 +80,16 @@ class TestCompare:
         ]
         assert verdict.ratio == 1.0
 
+    def test_spread_is_the_min_max_of_per_pair_ratios(self):
+        base = [line(pairs_per_s=f) for f in (1.0, 1.0, 2.0, 1.0, 0.5)]
+        head = [line(pairs_per_s=f) for f in (0.5, 1.0, 1.0, 1.5, 1.0)]
+        verdicts = {
+            v.metric: v for v in gate.compare(base, head, END_TO_END)
+        }
+        assert verdicts["pairs_per_s"].spread == (0.5, 2.0)
+        assert verdicts["pairs_per_s"].ratio == 1.0
+        assert verdicts["cpu_s"].spread == (1.0, 1.0)
+
     def test_correct_false_is_an_error(self):
         with pytest.raises(gate.GateError, match="correct"):
             regressed([line()] * 4 + [line(correct=False)])
@@ -133,6 +143,19 @@ class TestMain:
     def test_regression_exits_1(self, monkeypatch, tmp_path):
         code, _ = self.run_gate(monkeypatch, tmp_path, line(pairs_per_s=0.7))
         assert code == 1
+
+    def test_prints_the_per_pair_spread_beside_the_ratio(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        self.run_gate(monkeypatch, tmp_path, line(pairs_per_s=0.7))
+        rows = [
+            row for row in capsys.readouterr().out.splitlines()
+            if row.strip().startswith("pairs_per_s")
+        ]
+        assert rows
+        for row in rows:
+            assert "ratio  0.700  (pairs 0.700..0.700;" in row
+            assert row.endswith("REGRESSED")
 
     def test_uncomparable_run_exits_2(self, monkeypatch, tmp_path):
         code, _ = self.run_gate(monkeypatch, tmp_path, line(correct=False))

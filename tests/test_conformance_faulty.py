@@ -35,7 +35,13 @@ from repro.conformance.faulty.shrink import _spec_size, simpler_fault_specs
 from repro.conformance.trace import AttributedOp, golden_trace
 from repro.core.controller import ControllerCapabilities
 from repro.diagnostics.faillog import FailLog
+from repro.faults.concurrent import concurrent_fault_universe
+from repro.faults.injector import FaultInjector
+from repro.faults.kinds import KINDS
+from repro.faults.linked import linked_cfid_universe
+from repro.faults.port import PortRestrictedFault
 from repro.faults.spec import format_fault, parse_fault
+from repro.faults.stuck_at import StuckAtFault
 from repro.faults.universe import standard_universe
 from repro.march import library
 from repro.march.notation import format_test
@@ -1176,3 +1182,165 @@ class TestStreamsBuiltOncePerShard:
         assert report.detected > 0
         assert bool(report.failures) == defect
         assert _payload(report) == _payload(expected)
+
+
+#: The geometry the golden-capture sharing tests run on: every
+#: realisable controller stream equals golden there.
+SHARE_CAPS = ControllerCapabilities(n_words=4, width=2, ports=2)
+
+
+def _every_kind_population(caps):
+    """``sweep_faults(caps, full=True)`` plus one member of each
+    :data:`KINDS` row it lacks (no spec form or not sequential)."""
+    faults = list(sweep_faults(caps, full=True))
+    extra = [
+        *standard_universe(
+            caps.n_words, width=caps.width, ports=caps.ports
+        ).faults,
+        *linked_cfid_universe(caps.n_words),
+        *concurrent_fault_universe(caps.n_words, caps.width, caps.ports),
+        PortRestrictedFault(1, StuckAtFault(2, 1, 1)),
+    ]
+    for row in KINDS:
+        if not any(type(fault) is row.cls for fault in faults):
+            faults.append(next(f for f in extra if type(f) is row.cls))
+    return faults
+
+
+def _flipped_first_read(builder):
+    """``builder`` with its stream's first read expecting the other
+    value: a controller that is not stimulus-conformant."""
+    def flipped(test, caps, compress):
+        stream = list(builder(test, caps, compress))
+        index = next(i for i, e in enumerate(stream) if e.op.is_read)
+        entry = stream[index]
+        stream[index] = dataclasses.replace(entry, op=dataclasses.replace(
+            entry.op, expected=entry.op.expected ^ 1
+        ))
+        return stream
+
+    return flipped
+
+
+class TestGoldenCaptureSharing:
+    """A controller partner whose stream is the golden stream, captured
+    through the golden path, reuses the golden capture of the pair."""
+
+    def test_capture_is_a_function_of_the_ops_alone(self):
+        """The premise of sharing: one injector, one stream, one fault
+        give equal captures however often, and whatever fault was
+        injected in between."""
+        faults = _every_kind_population(SHARE_CAPS)
+        assert len(sweep_faults(SHARE_CAPS, full=True)) == 344
+        assert {type(fault) for fault in faults} == {
+            row.cls for row in KINDS
+        }
+        stream = GOLDEN_CACHE.get(library.get("March C+"), SHARE_CAPS)
+        assert any(entry.op.is_delay for entry in stream)
+        injector = FaultInjector(Sram(
+            SHARE_CAPS.n_words, width=SHARE_CAPS.width,
+            ports=SHARE_CAPS.ports,
+        ))
+
+        def capture(fault):
+            with injector.injected(fault) as memory:
+                return capture_response(stream, memory)
+
+        detected = 0
+        for index, fault in enumerate(faults):
+            first, again = capture(fault), capture(fault)
+            capture(faults[index - 1])
+            after_other = capture(fault)
+            assert first == again == after_other, fault.describe()
+            detected += first.detected
+        assert detected > 0
+
+    @pytest.fixture
+    def capture_calls(self, monkeypatch):
+        """Every capture the differential loop makes, counted through
+        one wrapper per capture function, installed the way a profiler
+        would: golden and controller paths stay identical."""
+        calls = []
+
+        def counted(capture_fn):
+            def count(stream, memory, max_ops=None):
+                calls.append(len(stream))
+                return capture_fn(stream, memory, max_ops=max_ops)
+
+            return count
+
+        shared = counted(faulty_check.capture_response)
+        monkeypatch.setattr(faulty_check, "capture_response", shared)
+        for architecture in list(faulty_check.RESPONSE_CAPTURES):
+            monkeypatch.setitem(
+                faulty_check.RESPONSE_CAPTURES, architecture, shared
+            )
+        monkeypatch.setattr(
+            faulty_check, "capture_cycle_response",
+            counted(faulty_check.capture_cycle_response),
+        )
+        return calls
+
+    LIBRARY = [library.get(name) for name in library.ALGORITHMS]
+
+    def test_library_sweep_captures_once_per_pair(
+        self, monkeypatch, capture_calls
+    ):
+        faults = sweep_faults(SHARE_CAPS, per_kind=1)
+        report = run_fault_sweep(self.LIBRARY, SHARE_CAPS, faults)
+        assert report.ok, report.format()
+        assert report.skipped_runs > 0  # progfsm outside SM0-SM7
+        assert len(capture_calls) == report.checked
+        # Distinct capture objects defeat the identity precondition:
+        # every realised partner captures on its own memory, and the
+        # report is the same byte for byte.
+        for architecture in list(faulty_check.RESPONSE_CAPTURES):
+            monkeypatch.setitem(
+                faulty_check.RESPONSE_CAPTURES, architecture,
+                lambda *args, **kwargs: capture_response(*args, **kwargs),
+            )
+        own = run_fault_sweep(self.LIBRARY, SHARE_CAPS, faults)
+        assert _payload(own) == _payload(report)
+
+    @pytest.mark.parametrize("stimulus, mode", [
+        (PRT_RING_UP, "sequential"),
+        (library.get("MATS+"), "infield"),
+        (library.get("MATS+"), "concurrent"),
+    ], ids=["prt", "infield", "concurrent"])
+    def test_replay_and_prt_partners_capture_on_their_own(
+        self, capture_calls, stimulus, mode
+    ):
+        faults = sweep_faults(PARTNER_CAPS, per_kind=1)
+        report = run_fault_sweep([stimulus], PARTNER_CAPS, faults, mode=mode)
+        assert report.ok, report.format()
+        partners = len(faulty_check.resolve_stimulus(
+            stimulus, PARTNER_CAPS, mode
+        ).partners)
+        assert len(capture_calls) == report.checked * (1 + partners)
+
+    def test_non_conformant_stream_still_diverges(
+        self, monkeypatch, capture_calls
+    ):
+        monkeypatch.setitem(
+            faulty_check.STREAM_BUILDERS, "hardwired",
+            _flipped_first_read(faulty_check.STREAM_BUILDERS["hardwired"]),
+        )
+        faults = sweep_faults(SHARE_CAPS, per_kind=1)
+        report = run_fault_sweep(self.LIBRARY, SHARE_CAPS, faults)
+        # One golden capture per pair, plus the hardwired partner's own.
+        assert len(capture_calls) == 2 * report.checked
+        assert len(report.failures) == report.checked
+        result = check_fault_conformance(
+            library.get("March C"), SHARE_CAPS, parse_fault("saf:2:1:1")
+        )
+        [hardwired] = result.failures
+        assert hardwired.status == "diverged"
+        assert hardwired.layer == "events"
+        assert hardwired.divergence.describe() == "\n".join([
+            "hardwired fail log diverges from the golden response at "
+            "event 0 (mismatch):",
+            "  expected op 8: p0 r@2 expected 0 observed 2  "
+            "<- item 1 ^(r0,w1) op 0",
+            "  got      op 4: p0 r@0 expected 1 observed 0  "
+            "<- hardwired state 2 (op r0)",
+        ])
