@@ -27,7 +27,7 @@ Normalisation rules (see ``docs/TESTING.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.controller import ControllerCapabilities
 from repro.march.backgrounds import data_backgrounds
@@ -216,18 +216,22 @@ def microcode_trace(controller) -> List[AttributedOp]:
 
     The owner names the storage row (the microcode instruction counter
     value) and its one-line disassembly, so a divergence report points
-    straight at the offending program word.
+    straight at the offending program word.  Each row's owner is
+    formatted once per run.
     """
     from repro.core.microcode.disassembler import disassemble_instruction
 
+    owners: Dict[int, str] = {}
     out: List[AttributedOp] = []
     for entry in controller.trace():
         if entry.operation is None:
             continue
-        owner = (
-            f"microcode row {entry.ic}: "
-            f"{disassemble_instruction(entry.instruction)}"
-        )
+        owner = owners.get(entry.ic)
+        if owner is None:
+            owner = owners[entry.ic] = (
+                f"microcode row {entry.ic}: "
+                f"{disassemble_instruction(entry.instruction)}"
+            )
         out.append(AttributedOp(entry.operation, owner))
     return out
 
@@ -236,32 +240,46 @@ def fsm_trace(controller) -> List[AttributedOp]:
     """Attributed stream of a :class:`ProgrammableFsmBistController`.
 
     The owner names the circular-buffer row and its decoded instruction
-    (SM mode, order, base polarities).
+    (SM mode, order, base polarities).  Each row's owner is formatted
+    once per run.
     """
+    owners: Dict[int, str] = {}
     out: List[AttributedOp] = []
     for entry in controller.trace():
         if entry.operation is None:
             continue
-        owner = f"fsm row {entry.row}: {entry.instruction}"
+        owner = owners.get(entry.row)
+        if owner is None:
+            owner = owners[entry.row] = (
+                f"fsm row {entry.row}: {entry.instruction}"
+            )
         out.append(AttributedOp(entry.operation, owner))
     return out
+
+
+def _hardwired_owner(state) -> str:
+    """Owner of the ops a synthesised FSM state issues."""
+    detail = state.kind
+    if state.kind == "op" and state.op_kind is not None:
+        detail = f"op {state.op_kind.value}{state.polarity}"
+    elif state.kind == "pause":
+        detail = f"pause({state.pause_duration})"
+    return f"hardwired state {state.index} ({detail})"
 
 
 def hardwired_trace(controller) -> List[AttributedOp]:
     """Attributed stream of a :class:`HardwiredBistController`.
 
     The owner names the synthesised FSM state (index, kind, operation).
+    Each state's owner is formatted once per run.
     """
+    owners: Dict[int, str] = {}
     out: List[AttributedOp] = []
     for entry in controller.trace():
         if entry.operation is None:
             continue
-        state = entry.state
-        detail = state.kind
-        if state.kind == "op" and state.op_kind is not None:
-            detail = f"op {state.op_kind.value}{state.polarity}"
-        elif state.kind == "pause":
-            detail = f"pause({state.pause_duration})"
-        owner = f"hardwired state {state.index} ({detail})"
+        owner = owners.get(entry.state.index)
+        if owner is None:
+            owner = owners[entry.state.index] = _hardwired_owner(entry.state)
         out.append(AttributedOp(entry.operation, owner))
     return out

@@ -1,8 +1,9 @@
 """Cycle-accurate executor and area model of hardwired controllers.
 
 The executor walks the synthesised :class:`~repro.core.hardwired.synthesis.StateGraph`
-one state per cycle, driving the shared datapath through the same
-``step_signals`` function the truth-table enumeration uses.  The area
+one state per cycle, driving the shared datapath through
+``step_signals``, evaluated once per distinct input per run, from the
+same function the area model enumerates into its truth table.  The area
 model is the state register plus the Quine–McCluskey-minimised
 next-state/output logic plus the shared datapath — nothing else, which
 is why the hardwired designs are the smallest entries of Table 1 for a
@@ -11,8 +12,7 @@ given algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from repro.area.components import Counter, HardwareSpec, LogicBlock, Register
 from repro.core.controller import (
@@ -40,8 +40,7 @@ def runtime_cycle_bound(states: int, capabilities: ControllerCapabilities) -> in
     return 1000 + 20 * per_pass * backgrounds * capabilities.ports
 
 
-@dataclass(frozen=True)
-class HardwiredTraceEntry:
+class HardwiredTraceEntry(NamedTuple):
     """One executed state, for inspection and the architecture benches."""
 
     cycle: int
@@ -84,22 +83,36 @@ class HardwiredBistController(BistController):
         return runtime_cycle_bound(self.graph.state_count, self.capabilities)
 
     def trace(self) -> Iterator[HardwiredTraceEntry]:
+        """Cycle-by-cycle trace of the synthesised states.
+
+        :func:`step_signals` is pure, so it runs once per distinct
+        (state code, last address, last data, last port) input.  The
+        memo is local to this run; the next run calls it afresh.
+        """
         caps = self.capabilities
         addr = AddressGenerator(caps.n_words)
         data = DataGenerator(caps.width)
         ports = PortSequencer(caps.ports)
+        states = self.graph.states
+        signals_of: Dict[Tuple, Dict[str, object]] = {}
         code = 0
         restart_pending = True
         bound = self.max_cycles or self._cycle_bound()
 
-        for cycle in range(bound):
-            state = self.graph.states[code]
-            signals = step_signals(
-                state,
-                last_address=addr.last_address,
-                last_data=data.last_background,
-                last_port=ports.last_port,
+        def signals_at(code: int) -> Dict[str, object]:
+            inputs = (
+                code, addr.last_address, data.last_background, ports.last_port
             )
+            signals = signals_of.get(inputs)
+            if signals is None:
+                signals = signals_of[inputs] = step_signals(
+                    states[code], *inputs[1:]
+                )
+            return signals
+
+        for cycle in range(bound):
+            state = states[code]
+            signals = signals_at(code)
             operation: Optional[MemoryOperation] = None
             if state.kind == "op":
                 if restart_pending:
@@ -109,12 +122,7 @@ class HardwiredBistController(BistController):
                     addr.start(direction)
                     restart_pending = False
                     # Re-sample the flag after the sweep reload.
-                    signals = step_signals(
-                        state,
-                        last_address=addr.last_address,
-                        last_data=data.last_background,
-                        last_port=ports.last_port,
-                    )
+                    signals = signals_at(code)
                 polarity = int(bool(signals["polarity"]))
                 if state.op_kind is OpKind.WRITE:
                     operation = MemoryOperation(
@@ -133,12 +141,8 @@ class HardwiredBistController(BistController):
                 )
 
             yield HardwiredTraceEntry(
-                cycle=cycle,
-                state=state,
-                port=ports.port,
-                address=addr.address,
-                background=data.background,
-                operation=operation,
+                cycle, state, ports.port, addr.address, data.background,
+                operation,
             )
 
             if signals["addr_inc"]:

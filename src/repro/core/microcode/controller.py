@@ -5,7 +5,8 @@ truth:
 
 * :func:`decoder_outputs` — the combinational instruction-decoder
   function, mapping (condition field, status signals) to control
-  strobes.  The simulator evaluates it every cycle *and* the area model
+  strobes.  The simulator evaluates it once per distinct input per run,
+  from the same function the area model enumerates: the area model
   synthesises its full truth table through Quine–McCluskey, so the
   "instruction decode module" area in Table 1 is genuinely derived from
   the same logic the simulation runs.
@@ -22,8 +23,7 @@ concrete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.area.components import (
     Counter,
@@ -178,8 +178,7 @@ def runtime_cycle_bound(rows: int, capabilities: ControllerCapabilities) -> int:
     return 1000 + 20 * per_pass * backgrounds * capabilities.ports
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One executed microcode cycle, for architecture-level inspection."""
 
     cycle: int
@@ -288,10 +287,20 @@ class MicrocodeBistController(BistController):
         return runtime_cycle_bound(len(self.program), self.capabilities)
 
     def trace(self) -> Iterator[TraceEntry]:
-        """Cycle-by-cycle execution trace (used by the Fig. 1/2 bench)."""
+        """Cycle-by-cycle execution trace (used by the Fig. 1/2 bench).
+
+        :meth:`MicroInstruction.decode` and :func:`decoder_outputs` are
+        pure, so each runs once per distinct input: per stored word and
+        per (condition, status flags, repeat bit).  The memos are local
+        to this run; the next run reads the storage and both functions
+        afresh.
+        """
         addr = AddressGenerator(self.capabilities.n_words)
         data = DataGenerator(self.capabilities.width)
         ports = PortSequencer(self.capabilities.ports)
+        storage_word = self.storage.word
+        decoded: Dict[int, MicroInstruction] = {}
+        strobes_of: Dict[Tuple, Dict[str, bool]] = {}
         rows = len(self.program.instructions)
         ic = 0
         branch_reg = 0
@@ -303,13 +312,19 @@ class MicrocodeBistController(BistController):
         for cycle in range(bound):
             if ic >= rows:
                 return  # instruction addresses exhausted: test end
-            instr = self.storage.fetch(ic)
+            word = storage_word(ic)
+            instr = decoded.get(word)
+            if instr is None:
+                instr = decoded[word] = MicroInstruction.decode(word)
 
-            direction = AddressOrder.DOWN if (instr.addr_down ^ ref_order) else AddressOrder.UP
             operation: Optional[MemoryOperation] = None
             if instr.is_memory_op:
                 if restart_pending:
-                    addr.start(direction)
+                    addr.start(
+                        AddressOrder.DOWN
+                        if instr.addr_down ^ ref_order
+                        else AddressOrder.UP
+                    )
                     restart_pending = False
                 if instr.write_en:
                     polarity = int(instr.data_inv) ^ int(ref_data)
@@ -327,23 +342,17 @@ class MicrocodeBistController(BistController):
                 )
 
             was_last = addr.last_address
-            strobes = decoder_outputs(
-                instr.cond,
-                last_address=was_last,
-                last_data=data.last_background,
-                last_port=ports.last_port,
-                repeat_bit=repeat_bit,
+            inputs = (
+                instr.cond, was_last, data.last_background, ports.last_port,
+                repeat_bit,
             )
+            strobes = strobes_of.get(inputs)
+            if strobes is None:
+                strobes = strobes_of[inputs] = decoder_outputs(*inputs)
 
             yield TraceEntry(
-                cycle=cycle,
-                ic=ic,
-                instruction=instr,
-                port=ports.port,
-                address=addr.address,
-                background=data.background,
-                repeat_bit=repeat_bit,
-                operation=operation,
+                cycle, ic, instr, ports.port, addr.address, data.background,
+                repeat_bit, operation,
             )
 
             # Address stepping: the ADDR_INC field, gated by !last_address.

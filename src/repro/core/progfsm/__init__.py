@@ -27,7 +27,7 @@ from repro.core.progfsm.march_elements import (
 from repro.core.progfsm.instruction import DataControl, FsmInstruction
 from repro.core.progfsm.compiler import CompileError, FsmProgram, compile_to_sm
 from repro.core.progfsm.upper_buffer import CircularBuffer
-from repro.core.progfsm.lower_fsm import LowerFsm, LowerFsmState
+from repro.core.progfsm.lower_fsm import LowerFsmState
 from repro.core.progfsm.controller import ProgrammableFsmBistController
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "DataControl",
     "FsmInstruction",
     "FsmProgram",
-    "LowerFsm",
     "LowerFsmState",
     "ProgrammableFsmBistController",
     "SM_PATTERNS",

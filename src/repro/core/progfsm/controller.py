@@ -3,14 +3,16 @@
 Composes the circular buffer (upper controller), the 7-state lower FSM
 and the shared datapath.  The execution trace records lower-FSM state
 transitions, which the Fig. 4 benchmark renders to show the state walk
-and the path-A/path-B loops.
+and the path-A/path-B loops.  The simulator decodes each buffer word
+and evaluates :func:`~repro.core.progfsm.lower_fsm.lower_fsm_step` once
+per distinct input per run, from the same function the area model
+enumerates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple, Union
 
 from repro.area.components import (
     Counter,
@@ -33,7 +35,7 @@ from repro.core.datapath import (
 from repro.core.progfsm.compiler import FsmProgram, compile_to_sm
 from repro.core.progfsm.instruction import DataControl, FsmInstruction
 from repro.core.progfsm.lower_fsm import (
-    LowerFsm,
+    LowerFsmOutputs,
     LowerFsmState,
     lower_fsm_step,
     lower_fsm_truth_table,
@@ -52,8 +54,7 @@ def runtime_cycle_bound(rows: int, capabilities: ControllerCapabilities) -> int:
     return 1000 + 20 * per_pass * backgrounds * capabilities.ports
 
 
-@dataclass(frozen=True)
-class FsmTraceEntry:
+class FsmTraceEntry(NamedTuple):
     """One lower-FSM cycle, for the Fig. 4 architecture benchmark."""
 
     cycle: int
@@ -147,23 +148,34 @@ class ProgrammableFsmBistController(BistController):
         return runtime_cycle_bound(len(self.program), self.capabilities)
 
     def trace(self) -> Iterator[FsmTraceEntry]:
-        """Cycle-by-cycle trace of upper-buffer rows and lower-FSM states."""
+        """Cycle-by-cycle trace of upper-buffer rows and lower-FSM states.
+
+        :meth:`FsmInstruction.decode` and :func:`lower_fsm_step` are
+        pure, so each runs once per distinct input: per buffer word and
+        per (state, mode, last address).  The memos are local to this
+        run; the next run reads the buffer and both functions afresh.
+        """
         caps = self.capabilities
         addr = AddressGenerator(caps.n_words)
         data = DataGenerator(caps.width)
         ports = PortSequencer(caps.ports)
-        fsm = LowerFsm()
         buffer = self.buffer
         buffer.reset()
         if not self.program.instructions:
             return
+        decoded: Dict[int, FsmInstruction] = {}
+        outputs_of: Dict[Tuple, LowerFsmOutputs] = {}
+        state = LowerFsmState.IDLE  # the lower FSM's state register
         bound = self.max_cycles or self._cycle_bound()
         hold_pending = False  # pause still owed before the current row
 
         cycle = 0
         while cycle < bound:
             row = buffer.pointer
-            instr = buffer.current()
+            word = buffer.word()
+            instr = decoded.get(word)
+            if instr is None:
+                instr = decoded[word] = FsmInstruction.decode(word)
 
             if not instr.is_element:
                 # Loop rows are handled by the upper controller directly.
@@ -181,7 +193,7 @@ class ProgrammableFsmBistController(BistController):
                         buffer.wrap()
                         path = "A"
                     yield FsmTraceEntry(
-                        cycle, row, instr, fsm.state, ports.port,
+                        cycle, row, instr, state, ports.port,
                         addr.address, data.background, None, path=path,
                     )
                     cycle += 1
@@ -189,7 +201,7 @@ class ProgrammableFsmBistController(BistController):
                 # LOOP_PORT row.
                 if ports.last_port:
                     yield FsmTraceEntry(
-                        cycle, row, instr, fsm.state, ports.port,
+                        cycle, row, instr, state, ports.port,
                         addr.address, data.background, None, path="",
                     )
                     return
@@ -197,7 +209,7 @@ class ProgrammableFsmBistController(BistController):
                 data.reset()
                 buffer.wrap()
                 yield FsmTraceEntry(
-                    cycle, row, instr, fsm.state, ports.port,
+                    cycle, row, instr, state, ports.port,
                     addr.address, data.background, None, path="B",
                 )
                 cycle += 1
@@ -206,31 +218,30 @@ class ProgrammableFsmBistController(BistController):
             # Element row: optional hold pause, then drive the lower FSM
             # through one full element.
             operation: Optional[MemoryOperation] = None
-            if instr.hold and not hold_pending and fsm.state is LowerFsmState.IDLE:
+            if instr.hold and not hold_pending and state is LowerFsmState.IDLE:
                 hold_pending = True
                 operation = MemoryOperation(
                     ports.port, 0, False, delay=self.program.pause_duration
                 )
                 yield FsmTraceEntry(
-                    cycle, row, instr, fsm.state, ports.port,
+                    cycle, row, instr, state, ports.port,
                     addr.address, data.background, operation,
                 )
                 cycle += 1
                 continue
 
-            direction = (
-                AddressOrder.DOWN if instr.addr_down else AddressOrder.UP
-            )
-            executing_state = fsm.state
-            outputs = fsm.step(
-                mode=instr.mode,
-                last_address=addr.last_address,
-                start=True,
-                hold=False,
-            )
-            operation = None
+            # start=True, hold=False: the upper controller always
+            # requests the element it points at.
+            inputs = (state, instr.mode, addr.last_address)
+            outputs = outputs_of.get(inputs)
+            if outputs is None:
+                outputs = outputs_of[inputs] = lower_fsm_step(
+                    *inputs, True, False
+                )
             if outputs.addr_start:
-                addr.start(direction)
+                addr.start(
+                    AddressOrder.DOWN if instr.addr_down else AddressOrder.UP
+                )
             if outputs.read:
                 polarity = outputs.rel_polarity ^ int(instr.compare)
                 operation = MemoryOperation(
@@ -243,14 +254,15 @@ class ProgrammableFsmBistController(BistController):
                     ports.port, addr.address, True, value=data.word(polarity)
                 )
             yield FsmTraceEntry(
-                cycle, row, instr, executing_state, ports.port,
+                cycle, row, instr, state, ports.port,
                 addr.address, data.background, operation,
             )
+            state = outputs.next_state
             if outputs.addr_inc:
                 addr.increment()
             if outputs.done:
                 hold_pending = False
-                fsm.reset()
+                state = LowerFsmState.IDLE
                 buffer.advance()
                 if buffer.pointer == 0:
                     # Wrapped past the last row with no loop rows: done.

@@ -9,10 +9,13 @@ otherwise it returns to IDLE, ready for the next upper-buffer
 instruction.
 
 The transition/output function :func:`lower_fsm_step` is the single
-source of truth: the cycle simulator executes it, and
-:func:`lower_fsm_truth_table` enumerates it into the truth table the
-area model synthesises (inputs: state[2:0], mode[2:0], last_address,
-start, hold — 9 variables).
+source of truth: the cycle simulator
+(:class:`~repro.core.progfsm.controller.ProgrammableFsmBistController`,
+which holds the 3-bit state register) evaluates it once per distinct
+input per run, from the same function the area model enumerates —
+:func:`lower_fsm_truth_table` turns it into the truth table the area
+model synthesises (inputs: state[2:0], mode[2:0], last_address, start,
+hold — 9 variables).
 """
 
 from __future__ import annotations
@@ -111,23 +114,6 @@ def lower_fsm_step(
         rel_polarity=rel,
         addr_inc=addr_inc,
     )
-
-
-class LowerFsm:
-    """Sequential wrapper holding the 3-bit state register."""
-
-    def __init__(self) -> None:
-        self.state = LowerFsmState.IDLE
-
-    def step(
-        self, mode: int, last_address: bool, start: bool, hold: bool
-    ) -> LowerFsmOutputs:
-        outputs = lower_fsm_step(self.state, mode, last_address, start, hold)
-        self.state = outputs.next_state
-        return outputs
-
-    def reset(self) -> None:
-        self.state = LowerFsmState.IDLE
 
 
 def lower_fsm_truth_table() -> TruthTable:

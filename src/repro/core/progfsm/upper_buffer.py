@@ -80,8 +80,12 @@ class CircularBuffer:
     def initialize_default(self) -> None:
         self.load(self.default_program)
 
+    def word(self) -> int:
+        """The stored word at the pointer."""
+        return self._words[self.pointer]
+
     def current(self) -> FsmInstruction:
-        return FsmInstruction.decode(self._words[self.pointer])
+        return FsmInstruction.decode(self.word())
 
     def advance(self) -> None:
         """Next Instruction: step the pointer within the used region."""

@@ -136,6 +136,67 @@ class TestTable3:
         assert adjusted_bit < row(t1, "Prog. FSM-Based").gate_equivalents
 
 
+#: The paper-table figures at the default 1K words, as
+#: ``python -m repro.eval table1|table2|table3`` prints them: GE and
+#: µm² rounded to integers, Table 3's reduction (%) to one decimal.  A
+#: change to the area model that moves any of them updates this pin
+#: and says so in CHANGES.md.
+TABLE1_FIGURES = {
+    "Microcode-Based": (2654, 143343),
+    "Prog. FSM-Based": (1570, 84753),
+    "March C": (268, 14445),
+    "March C+": (465, 25110),
+    "March C++": (560, 30213),
+    "March A": (326, 17604),
+    "March A+": (523, 28242),
+    "March A++": (624, 33669),
+}
+TABLE2_FIGURES = {
+    "Microcode-Based": (2756, 148797, 2663, 143802),
+    "Prog. FSM-Based": (1670, 90207, 1578, 85212),
+    "March C": (388, 20952, 296, 16011),
+    "March C+": (584, 31509, 492, 26568),
+    "March C++": (678, 36612, 586, 31671),
+    "March A": (436, 23517, 342, 18468),
+    "March A+": (658, 35559, 566, 30564),
+    "March A++": (751, 40554, 656, 35451),
+}
+TABLE3_FIGURES = {
+    "Bit-Oriented": (1410, 76143, 46.9),
+    "Word-Oriented": (1511, 81597, 45.2),
+    "Multiport": (1419, 76602, 46.7),
+}
+
+
+class TestPaperFigures:
+    """``round`` rounds half to even, as the renderers' ``.0f`` does
+    (Microcode-Based is 2654.5 GE, printed 2654)."""
+
+    def test_table1(self):
+        assert {
+            r.method: (round(r.gate_equivalents), round(r.area_um2))
+            for r in table1()
+        } == TABLE1_FIGURES
+
+    def test_table2(self):
+        assert {
+            r.method: (
+                round(r.word_ge), round(r.word_um2),
+                round(r.multiport_ge), round(r.multiport_um2),
+            )
+            for r in table2()
+        } == TABLE2_FIGURES
+
+    def test_table3(self):
+        assert {
+            r.configuration: (
+                round(r.gate_equivalents), round(r.area_um2),
+                round(r.reduction_percent, 1),
+            )
+            for r in table3()
+        } == TABLE3_FIGURES
+
+
 class TestFlexibility:
     def test_microcode_realises_everything(self):
         caps = ControllerCapabilities(n_words=64)

@@ -7,7 +7,6 @@ from repro.core.controller import ControllerCapabilities
 from repro.core.progfsm.compiler import CompileError, compile_to_sm, is_realizable
 from repro.core.progfsm.instruction import DataControl, FsmInstruction
 from repro.core.progfsm.lower_fsm import (
-    LowerFsm,
     LowerFsmState,
     lower_fsm_step,
     lower_fsm_truth_table,
@@ -252,13 +251,6 @@ class TestLowerFsm:
     def test_done_returns_to_idle(self):
         out = lower_fsm_step(LowerFsmState.DONE, 0, False, False, hold=False)
         assert out.next_state is LowerFsmState.IDLE
-
-    def test_sequential_wrapper(self):
-        fsm = LowerFsm()
-        fsm.step(mode=0, last_address=False, start=True, hold=False)
-        assert fsm.state is LowerFsmState.RESET
-        fsm.reset()
-        assert fsm.state is LowerFsmState.IDLE
 
     def test_truth_table_matches_function(self):
         table = lower_fsm_truth_table()
