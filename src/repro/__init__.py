@@ -23,18 +23,19 @@ Quickstart::
     assert not result.passed
 """
 
-from repro.core import (
-    BistController,
-    BistResult,
-    ControllerCapabilities,
-    Flexibility,
-    HardwiredBistController,
-    MemoryBistUnit,
-    MicrocodeBistController,
-    ProgrammableFsmBistController,
-)
-from repro.march import MarchTest, expand, format_test, library, parse_test
-from repro.memory import Sram
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.core": [
+        "BistController", "BistResult", "ControllerCapabilities",
+        "Flexibility", "HardwiredBistController", "MemoryBistUnit",
+        "MicrocodeBistController", "ProgrammableFsmBistController",
+    ],
+    "repro.march": [
+        "MarchTest", "expand", "format_test", "library", "parse_test",
+    ],
+    "repro.memory": ["Sram"],
+})
 
 __version__ = "1.0.0"
 

@@ -30,63 +30,43 @@ lose fault coverage.  This package rejects bad programs before they run:
   error-severity findings.
 """
 
-from repro.analysis.cfg import EXIT, ControlFlowGraph, Edge, EdgeKind, build_cfg
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    DiagnosticReport,
-    Location,
-    Severity,
-)
-from repro.analysis.coverage import (
-    CoverageCertificate,
-    FaultVerdict,
-    certify,
-    support_of,
-)
-from repro.analysis.coverage_rules import (
-    CoverageAnalysis,
-    LINT_GEOMETRY,
-    run_coverage_rules,
-)
-from repro.analysis.fixes import FixResult, apply_fixes
-from repro.analysis.fuzz import (
-    FuzzReport,
-    SampleResult,
-    check_sample,
-    random_geometry,
-    random_march,
-    run_fuzz,
-)
-from repro.analysis.interpreter import (
-    Interpretation,
-    Verdict,
-    cycle_bound,
-    interpret,
-)
-from repro.analysis.march_rules import run_march_rules
-from repro.analysis.progfsm_cfg import (
-    FsmControlFlowGraph,
-    FsmEdge,
-    FsmEdgeKind,
-    build_fsm_cfg,
-    fsm_cycle_bound,
-    interpret_fsm,
-)
-from repro.analysis.progfsm_rules import FsmProgramAnalysis, run_fsm_rules
-from repro.analysis.rules import (
-    ProgramAnalysis,
-    RuleSpec,
-    rule_catalogue,
-    run_program_rules,
-)
-from repro.analysis.verifier import (
-    VerificationError,
-    assert_verified,
-    verify_coverage,
-    verify_fsm_program,
-    verify_march,
-    verify_program,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.analysis.cfg": [
+        "EXIT", "ControlFlowGraph", "Edge", "EdgeKind", "build_cfg",
+    ],
+    "repro.analysis.diagnostics": [
+        "Diagnostic", "DiagnosticReport", "Location", "Severity",
+    ],
+    "repro.analysis.coverage": [
+        "CoverageCertificate", "FaultVerdict", "certify", "support_of",
+    ],
+    "repro.analysis.coverage_rules": [
+        "CoverageAnalysis", "LINT_GEOMETRY", "run_coverage_rules",
+    ],
+    "repro.analysis.fixes": ["FixResult", "apply_fixes"],
+    "repro.analysis.fuzz": [
+        "FuzzReport", "SampleResult", "check_sample", "random_geometry",
+        "random_march", "run_fuzz",
+    ],
+    "repro.analysis.interpreter": [
+        "Interpretation", "Verdict", "cycle_bound", "interpret",
+    ],
+    "repro.analysis.march_rules": ["run_march_rules"],
+    "repro.analysis.progfsm_cfg": [
+        "FsmControlFlowGraph", "FsmEdge", "FsmEdgeKind", "build_fsm_cfg",
+        "fsm_cycle_bound", "interpret_fsm",
+    ],
+    "repro.analysis.progfsm_rules": ["FsmProgramAnalysis", "run_fsm_rules"],
+    "repro.analysis.rules": [
+        "ProgramAnalysis", "RuleSpec", "rule_catalogue", "run_program_rules",
+    ],
+    "repro.analysis.verifier": [
+        "VerificationError", "assert_verified", "verify_coverage",
+        "verify_fsm_program", "verify_march", "verify_program",
+    ],
+})
 
 __all__ = [
     "ControlFlowGraph",

@@ -13,6 +13,9 @@ Public surface:
   :class:`ShadowMemory` it runs on in :mod:`repro.memory.shadow`).
 """
 
+# Imported eagerly, unlike the other packages' lazy maps: importing
+# this package is asking for the prover, and a lazy map would only move
+# its import into the first ``certify`` call.
 from repro.analysis.coverage.certificate import (
     COVERED,
     NOT_COVERED,

@@ -54,7 +54,14 @@ class FaultVerdict(NamedTuple):
     stratum: str = ""
 
     def to_json(self) -> Dict[str, Any]:
-        return self._asdict()
+        # A dict literal over the unpacked record: half the time of
+        # ``_asdict()``, and a certificate serialises every verdict.
+        index, kind, spec, description, verdict, witness, stratum = self
+        return {
+            "index": index, "kind": kind, "spec": spec,
+            "description": description, "verdict": verdict,
+            "witness": witness, "stratum": stratum,
+        }
 
 
 @dataclass

@@ -45,7 +45,7 @@ from typing import Optional, Sequence, Tuple, Union
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode.assembler import MicrocodeProgram
 from repro.core.microcode.instruction import MicroInstruction
-from repro.core.walk import MAX_STEPS, Verdict, walk_microcode  # noqa: F401
+from repro.core.walk import Verdict, walk_microcode
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,11 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.interpreter import Interpretation, MAX_STEPS
+from repro.analysis.interpreter import Interpretation
 from repro.core.controller import ControllerCapabilities
 from repro.core.progfsm.compiler import FsmProgram
 from repro.core.progfsm.instruction import DataControl, FsmInstruction
-from repro.core.walk import fsm_element_cycles, walk_fsm
+from repro.core.walk import MAX_STEPS, fsm_element_cycles, walk_fsm
 
 #: The virtual exit node (shared convention with the microcode CFG).
 EXIT = None

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph, loop_target
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    DiagnosticReport,
-    Location,
-    Severity,
-)
+from repro.analysis.diagnostics import Diagnostic, Location, Severity
 from repro.analysis.interpreter import Interpretation, Verdict
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode.assembler import MicrocodeProgram

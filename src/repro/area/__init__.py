@@ -14,20 +14,20 @@ controller area really does grow with algorithm complexity, exactly the
 trend Tables 1–3 demonstrate.
 """
 
-from repro.area.technology import IBM_CMOS5S, Technology
-from repro.area.components import (
-    Comparator,
-    Counter,
-    Decoder,
-    HardwareSpec,
-    LogicBlock,
-    Mux,
-    Register,
-    XorArray,
-)
-from repro.area.logic_min import TruthTable, minimize_sop, sop_gate_equivalents
-from repro.area.estimator import AreaReport, estimate
-from repro.area.report import format_breakdown
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.area.technology": ["IBM_CMOS5S", "Technology"],
+    "repro.area.components": [
+        "Comparator", "Counter", "Decoder", "HardwareSpec", "LogicBlock",
+        "Mux", "Register", "XorArray",
+    ],
+    "repro.area.logic_min": [
+        "TruthTable", "minimize_sop", "sop_gate_equivalents",
+    ],
+    "repro.area.estimator": ["AreaReport", "estimate"],
+    "repro.area.report": ["format_breakdown"],
+})
 
 __all__ = [
     "AreaReport",

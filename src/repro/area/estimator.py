@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.area.components import HardwareSpec
 from repro.area.technology import IBM_CMOS5S, Technology

@@ -17,7 +17,7 @@ full scan registers", so its default GE is ``scan_dff_ge / 4.5``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)

@@ -17,18 +17,23 @@ coverage/BIST machinery, so the historical trade-off is measurable:
   a behavioural MISR, with the escape probability march tests eliminate.
 """
 
-from repro.classic.walking import walking_ones, walking_zeros, walking_op_count
-from repro.classic.galpat import galpat, galpat_op_count
-from repro.classic.checkerboard import checkerboard, checkerboard_op_count
-from repro.classic.geometry import check_geometry
-from repro.classic.pseudorandom import (
-    MAX_LFSR_WIDTH,
-    Lfsr,
-    Misr,
-    lfsr_taps,
-    pseudorandom_test,
-    pseudorandom_signature,
-)
+# Named after their own submodules, so bound eagerly (see repro._lazy).
+from repro.classic.checkerboard import checkerboard
+from repro.classic.galpat import galpat
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.classic.walking": [
+        "walking_ones", "walking_zeros", "walking_op_count",
+    ],
+    "repro.classic.galpat": ["galpat_op_count"],
+    "repro.classic.checkerboard": ["checkerboard_op_count"],
+    "repro.classic.geometry": ["check_geometry"],
+    "repro.classic.pseudorandom": [
+        "MAX_LFSR_WIDTH", "Lfsr", "Misr", "lfsr_taps", "pseudorandom_test",
+        "pseudorandom_signature",
+    ],
+})
 
 __all__ = [
     "MAX_LFSR_WIDTH",

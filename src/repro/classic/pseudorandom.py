@@ -19,8 +19,7 @@ signature-prediction pass a real implementation computes in software).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.classic.geometry import check_geometry
 from repro.march.simulator import MemoryOperation

@@ -107,21 +107,17 @@ import sys
 from typing import List, Optional
 
 from repro.core.controller import ControllerCapabilities
-from repro.core.bist_unit import MemoryBistUnit
-from repro.core.hardwired import HardwiredBistController
-from repro.core.microcode import MicrocodeBistController, assemble as assemble_microcode
-from repro.core.microcode.disassembler import disassemble
-from repro.core.programming import dump_program
-from repro.core.progfsm import ProgrammableFsmBistController, compile_to_sm
 from repro.faults.spec import FaultSpecError, parse_fault
 from repro.march import library
 from repro.march.notation import format_test
-from repro.memory import Sram
 
+#: ``--architecture`` choice -> controller class in :mod:`repro.core`.
+#: Each command imports what it runs, so ``repro certify`` loads no
+#: controller.
 ARCHITECTURES = {
-    "microcode": MicrocodeBistController,
-    "progfsm": ProgrammableFsmBistController,
-    "hardwired": HardwiredBistController,
+    "microcode": "MicrocodeBistController",
+    "progfsm": "ProgrammableFsmBistController",
+    "hardwired": "HardwiredBistController",
 }
 
 
@@ -172,11 +168,17 @@ def _add_geometry_args(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    import repro.core
+    from repro.core.bist_unit import MemoryBistUnit
+    from repro.memory.sram import Sram
+
     test = library.get(args.algorithm)
     caps = ControllerCapabilities(
         n_words=args.words, width=args.width, ports=args.ports
     )
-    controller = ARCHITECTURES[args.architecture](test, caps)
+    controller = getattr(repro.core, ARCHITECTURES[args.architecture])(
+        test, caps
+    )
     memory = Sram(args.words, width=args.width, ports=args.ports)
     for spec in args.fault or []:
         memory.attach(parse_fault(spec))
@@ -206,6 +208,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
+    from repro.core.microcode.assembler import assemble as assemble_microcode
+    from repro.core.microcode.disassembler import disassemble
+    from repro.core.programming import dump_program
+    from repro.core.progfsm.compiler import compile_to_sm
+
     test = library.get(args.algorithm)
     caps = ControllerCapabilities(
         n_words=args.words, width=args.width, ports=args.ports
@@ -265,6 +272,8 @@ def _cmd_algorithms(_args: argparse.Namespace) -> int:
 def _lint_one(name: str, args: argparse.Namespace):
     """Build the diagnostic report for one algorithm (or program file)."""
     from repro.analysis import verify_fsm_program, verify_march, verify_program
+    from repro.core.microcode.assembler import assemble as assemble_microcode
+    from repro.core.progfsm.compiler import compile_to_sm, is_realizable
 
     caps = ControllerCapabilities(
         n_words=args.words, width=args.width, ports=args.ports
@@ -275,7 +284,6 @@ def _lint_one(name: str, args: argparse.Namespace):
             DiagnosticReport,
             Severity,
         )
-        from repro.core.progfsm.compiler import is_realizable
 
         test = library.get(name)
         if is_realizable(test):
@@ -414,7 +422,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     """``repro certify``: static coverage certificates, optionally
     cross-checked fault-for-fault against simulated sweeps."""
     from repro.analysis.coverage import certify
-    from repro.conformance import check_coverage_conformance
     from repro.faults.universe import standard_universe
 
     names = _algorithm_names(args)
@@ -428,6 +435,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     payload = []
     for geometry in geometries:
         if args.cross_check:
+            from repro.conformance import check_coverage_conformance
+
             result = check_coverage_conformance(tests=tests, geometry=geometry)
             ok = ok and result.ok
             payload.append(result.to_json())

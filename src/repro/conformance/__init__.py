@@ -15,78 +15,44 @@ Public surface:
   fail events / fail logs / diagnosis) plus the three-axis shrinker.
 """
 
-from repro.conformance.check import (
-    ARCHITECTURES,
-    ArchitectureResult,
-    CONCURRENT_CACHE,
-    ConformanceResult,
-    GOLDEN_CACHE,
-    GoldenTraceCache,
-    STREAM_BUILDERS,
-    check_conformance,
-)
-from repro.conformance.faulty import (
-    CoverageConformanceResult,
-    CoverageDisagreement,
-    CrossEngineResult,
-    FaultResponseResult,
-    FaultSweepReport,
-    FaultyShrinkResult,
-    MODES,
-    MultiGeometrySweepReport,
-    ResponseBudgetExceeded,
-    capture_cycle_response,
-    capture_response,
-    check_coverage_conformance,
-    check_fault_conformance,
-    coverage_disagreement_predicate,
-    fault_detection_predicate,
-    fault_response_predicate,
-    random_fault,
-    run_fault_sweep,
-    run_fault_sweeps,
-    shrink_faulty_sample,
-    sweep_faults,
-)
-from repro.conformance.infield import (
-    DEFAULT_INFIELD_TESTS,
-    Checkpoint,
-    CheckpointResult,
-    InFieldPlan,
-    InFieldResult,
-    build_infield_plan,
-    cached_infield_plan,
-    fault_free_session,
-    run_infield_session,
-)
-from repro.conformance.corpus import (
-    DEFAULT_CORPUS_DIR,
-    GOLDEN_GEOMETRIES,
-    CorpusReport,
-    check_corpus,
-    promote_from_report,
-    record_golden,
-    record_regression,
-)
-from repro.conformance.divergence import Divergence, first_divergence
-from repro.conformance.shrink import (
-    ShrinkResult,
-    conformance_predicate,
-    shrink_sample,
-)
-from repro.conformance.trace import (
-    AttributedCycle,
-    AttributedOp,
-    concurrent_trace,
-    format_cycle,
-    format_normalized,
-    fsm_trace,
-    golden_trace,
-    hardwired_trace,
-    microcode_trace,
-    normalize,
-    normalize_cycle,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.conformance.check": [
+        "ARCHITECTURES", "ArchitectureResult", "CONCURRENT_CACHE",
+        "ConformanceResult", "GOLDEN_CACHE", "GoldenTraceCache",
+        "STREAM_BUILDERS", "check_conformance",
+    ],
+    "repro.conformance.faulty": [
+        "CoverageConformanceResult", "CoverageDisagreement",
+        "CrossEngineResult", "FaultResponseResult", "FaultSweepReport",
+        "FaultyShrinkResult", "MODES", "MultiGeometrySweepReport",
+        "ResponseBudgetExceeded", "capture_cycle_response", "capture_response",
+        "check_coverage_conformance", "check_fault_conformance",
+        "coverage_disagreement_predicate", "fault_detection_predicate",
+        "fault_response_predicate", "random_fault", "run_fault_sweep",
+        "run_fault_sweeps", "shrink_faulty_sample", "sweep_faults",
+    ],
+    "repro.conformance.infield": [
+        "DEFAULT_INFIELD_TESTS", "Checkpoint", "CheckpointResult",
+        "InFieldPlan", "InFieldResult", "build_infield_plan",
+        "cached_infield_plan", "fault_free_session", "run_infield_session",
+    ],
+    "repro.conformance.corpus": [
+        "DEFAULT_CORPUS_DIR", "GOLDEN_GEOMETRIES", "CorpusReport",
+        "check_corpus", "promote_from_report", "record_golden",
+        "record_regression",
+    ],
+    "repro.conformance.divergence": ["Divergence", "first_divergence"],
+    "repro.conformance.shrink": [
+        "ShrinkResult", "conformance_predicate", "shrink_sample",
+    ],
+    "repro.conformance.trace": [
+        "AttributedCycle", "AttributedOp", "concurrent_trace", "format_cycle",
+        "format_normalized", "fsm_trace", "golden_trace", "hardwired_trace",
+        "microcode_trace", "normalize", "normalize_cycle",
+    ],
+})
 
 __all__ = [
     "ARCHITECTURES",

@@ -8,48 +8,34 @@ fail events, fail-log aggregations and diagnosis.  See
 ``docs/TESTING.md`` for the event normalisation and budget semantics.
 """
 
-from repro.conformance.faulty.check import (
-    ArchitectureResponse,
-    CrossEngineResult,
-    ENGINES,
-    FaultResponseResult,
-    FaultSweepReport,
-    MODES,
-    MultiGeometrySweepReport,
-    RESPONSE_CAPTURES,
-    ResponseDivergence,
-    check_fault_conformance,
-    first_fail_divergence,
-    run_fault_sweep,
-    run_fault_sweeps,
-)
-from repro.conformance.faulty.events import (
-    ResponseBudgetExceeded,
-    ResponseCapture,
-    capture_cycle_response,
-    capture_response,
-)
-from repro.conformance.faulty.coverage import (
-    CoverageConformanceResult,
-    CoverageDisagreement,
-    check_coverage_conformance,
-    coverage_disagreement_predicate,
-)
-from repro.conformance.faulty.sampling import (
-    random_fault,
-    spec_expressible,
-    stratified_sample,
-    sweep_faults,
-)
-from repro.conformance.faulty.shrink import (
-    CANONICAL_SPECS,
-    FaultyPredicate,
-    FaultyShrinkResult,
-    fault_detection_predicate,
-    fault_response_predicate,
-    shrink_faulty_sample,
-    simpler_fault_specs,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.conformance.faulty.check": [
+        "ArchitectureResponse", "CrossEngineResult", "ENGINES",
+        "FaultResponseResult", "FaultSweepReport", "MODES",
+        "MultiGeometrySweepReport", "RESPONSE_CAPTURES", "ResponseDivergence",
+        "check_fault_conformance", "first_fail_divergence", "run_fault_sweep",
+        "run_fault_sweeps",
+    ],
+    "repro.conformance.faulty.events": [
+        "ResponseBudgetExceeded", "ResponseCapture", "capture_cycle_response",
+        "capture_response",
+    ],
+    "repro.conformance.faulty.coverage": [
+        "CoverageConformanceResult", "CoverageDisagreement",
+        "check_coverage_conformance", "coverage_disagreement_predicate",
+    ],
+    "repro.conformance.faulty.sampling": [
+        "random_fault", "spec_expressible", "stratified_sample",
+        "sweep_faults",
+    ],
+    "repro.conformance.faulty.shrink": [
+        "CANONICAL_SPECS", "FaultyPredicate", "FaultyShrinkResult",
+        "fault_detection_predicate", "fault_response_predicate",
+        "shrink_faulty_sample", "simpler_fault_specs",
+    ],
+})
 
 __all__ = [
     "ArchitectureResponse",

@@ -18,7 +18,7 @@ a JSON round trip into a reproducer or a corpus regression entry.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.controller import ControllerCapabilities
 from repro.faults.base import CellFault

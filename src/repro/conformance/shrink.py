@@ -27,7 +27,7 @@ possible after another dimension shrank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.controller import ControllerCapabilities
 from repro.march.element import MarchElement

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.controller import ControllerCapabilities
+from repro.core.microcode.disassembler import disassemble_instruction
 from repro.march.backgrounds import data_backgrounds
 from repro.march.concurrent import CycleOps, expand_concurrent
-from repro.march.element import MarchElement, Pause
+from repro.march.element import Pause
 from repro.march.simulator import MemoryOperation, expand
 from repro.march.test import MarchTest
 
@@ -219,8 +220,6 @@ def microcode_trace(controller) -> List[AttributedOp]:
     straight at the offending program word.  Each row's owner is
     formatted once per run.
     """
-    from repro.core.microcode.disassembler import disassemble_instruction
-
     owners: Dict[int, str] = {}
     out: List[AttributedOp] = []
     for entry in controller.trace():

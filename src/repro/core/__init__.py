@@ -20,12 +20,20 @@ transparent-test transform for the on-line-testing extension mentioned
 in the paper's conclusion.
 """
 
-from repro.core.controller import BistController, ControllerCapabilities, Flexibility
-from repro.core.datapath import AddressGenerator, DataGenerator, PortSequencer
-from repro.core.bist_unit import BistResult, MemoryBistUnit
-from repro.core.microcode import MicrocodeBistController, assemble
-from repro.core.progfsm import ProgrammableFsmBistController, compile_to_sm
-from repro.core.hardwired import HardwiredBistController
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.core.controller": [
+        "BistController", "ControllerCapabilities", "Flexibility",
+    ],
+    "repro.core.datapath": [
+        "AddressGenerator", "DataGenerator", "PortSequencer",
+    ],
+    "repro.core.bist_unit": ["BistResult", "MemoryBistUnit"],
+    "repro.core.microcode": ["MicrocodeBistController", "assemble"],
+    "repro.core.progfsm": ["ProgrammableFsmBistController", "compile_to_sm"],
+    "repro.core.hardwired": ["HardwiredBistController"],
+})
 
 __all__ = [
     "AddressGenerator",

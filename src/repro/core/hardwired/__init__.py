@@ -12,7 +12,11 @@ which is exactly the trade-off the paper's Tables 1–2 quantify as the
 algorithms grow from March C to March A++.
 """
 
-from repro.core.hardwired.synthesis import StateGraph, synthesize
-from repro.core.hardwired.controller import HardwiredBistController
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.core.hardwired.synthesis": ["StateGraph", "synthesize"],
+    "repro.core.hardwired.controller": ["HardwiredBistController"],
+})
 
 __all__ = ["HardwiredBistController", "StateGraph", "synthesize"]

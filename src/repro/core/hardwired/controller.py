@@ -26,7 +26,7 @@ from repro.core.datapath import (
     PortSequencer,
     shared_datapath_hardware,
 )
-from repro.core.hardwired.synthesis import FsmState, StateGraph, step_signals, synthesize
+from repro.core.hardwired.synthesis import FsmState, step_signals, synthesize
 from repro.march.backgrounds import background_count
 from repro.march.element import AddressOrder, OpKind
 from repro.march.simulator import MemoryOperation

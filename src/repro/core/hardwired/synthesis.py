@@ -25,12 +25,12 @@ State graph layout for an algorithm with items I0..Ik:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.area.logic_min import TruthTable
 from repro.core.controller import ControllerCapabilities
-from repro.march.element import AddressOrder, MarchElement, OpKind, Pause
+from repro.march.element import AddressOrder, OpKind, Pause
 from repro.march.test import MarchTest
 
 

@@ -21,12 +21,16 @@ accurate model in :mod:`~repro.core.microcode.controller`, and the march
 :mod:`~repro.core.microcode.assembler`.
 """
 
-from repro.core.microcode.isa import ConditionOp, INSTRUCTION_BITS
-from repro.core.microcode.instruction import MicroInstruction
-from repro.core.microcode.storage import StorageUnit
-from repro.core.microcode.assembler import MicrocodeProgram, assemble
-from repro.core.microcode.disassembler import disassemble
-from repro.core.microcode.controller import MicrocodeBistController
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.core.microcode.isa": ["ConditionOp", "INSTRUCTION_BITS"],
+    "repro.core.microcode.instruction": ["MicroInstruction"],
+    "repro.core.microcode.storage": ["StorageUnit"],
+    "repro.core.microcode.assembler": ["MicrocodeProgram", "assemble"],
+    "repro.core.microcode.disassembler": ["disassemble"],
+    "repro.core.microcode.controller": ["MicrocodeBistController"],
+})
 
 __all__ = [
     "ConditionOp",

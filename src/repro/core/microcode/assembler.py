@@ -21,8 +21,8 @@ Translation scheme (one microcode row per march operation):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode.instruction import MicroInstruction

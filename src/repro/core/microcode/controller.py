@@ -23,7 +23,7 @@ concrete.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple, Union
 
 from repro.area.components import (
     Counter,
@@ -248,10 +248,6 @@ class MicrocodeBistController(BistController):
         )
         self.storage.initialize_default()
         self.max_cycles = max_cycles
-        # Datapath instances (rebuilt per run in operations()).
-        self._addr = AddressGenerator(capabilities.n_words)
-        self._data = DataGenerator(capabilities.width)
-        self._ports = PortSequencer(capabilities.ports)
 
     def loaded_test(self) -> MarchTest:
         return self.program.source

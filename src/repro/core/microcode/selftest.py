@@ -20,7 +20,7 @@ unit then exercises the rest of the BIST unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.core.microcode.assembler import MicrocodeProgram
 from repro.core.microcode.storage import StorageUnit

@@ -19,16 +19,20 @@ the '++' triple-read variants) are not — the boundary
 :mod:`repro.eval.flexibility` measures.
 """
 
-from repro.core.progfsm.march_elements import (
-    SM_PATTERNS,
-    match_element,
-    sm_element,
-)
-from repro.core.progfsm.instruction import DataControl, FsmInstruction
-from repro.core.progfsm.compiler import CompileError, FsmProgram, compile_to_sm
-from repro.core.progfsm.upper_buffer import CircularBuffer
-from repro.core.progfsm.lower_fsm import LowerFsmState
-from repro.core.progfsm.controller import ProgrammableFsmBistController
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.core.progfsm.march_elements": [
+        "SM_PATTERNS", "match_element", "sm_element",
+    ],
+    "repro.core.progfsm.instruction": ["DataControl", "FsmInstruction"],
+    "repro.core.progfsm.compiler": [
+        "CompileError", "FsmProgram", "compile_to_sm",
+    ],
+    "repro.core.progfsm.upper_buffer": ["CircularBuffer"],
+    "repro.core.progfsm.lower_fsm": ["LowerFsmState"],
+    "repro.core.progfsm.controller": ["ProgrammableFsmBistController"],
+})
 
 __all__ = [
     "CircularBuffer",

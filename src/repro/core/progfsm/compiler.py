@@ -13,13 +13,13 @@ boundary, measured by :mod:`repro.eval.flexibility`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.controller import ControllerCapabilities
 from repro.core.progfsm.instruction import DataControl, FsmInstruction
 from repro.core.progfsm.march_elements import match_element
-from repro.march.element import AddressOrder, MarchElement, Pause
+from repro.march.element import AddressOrder, Pause
 from repro.march.library import RETENTION_PAUSE
 from repro.march.test import MarchTest
 

@@ -11,7 +11,6 @@ enumerates.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple, Union
 
 from repro.area.components import (

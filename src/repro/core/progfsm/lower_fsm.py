@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.area.logic_min import TruthTable
 from repro.core.progfsm.march_elements import SM_PATTERNS

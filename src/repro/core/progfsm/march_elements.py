@@ -22,7 +22,7 @@ flexibility boundary.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.march.element import AddressOrder, MarchElement, OpKind, Operation
 

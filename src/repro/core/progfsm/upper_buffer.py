@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from repro.area.components import Component, Counter, Decoder, Mux, Register
+from repro.area.components import Component, Counter, Mux, Register
 from repro.core.progfsm.instruction import FsmInstruction, INSTRUCTION_BITS
 
 #: Default buffer depth: March C+ (8 element rows) + both loop rows,

@@ -17,10 +17,14 @@ those events:
   cannot).
 """
 
-from repro.diagnostics.faillog import FailLog
-from repro.diagnostics.bitmap import FailBitmap
-from repro.diagnostics.classifier import classify, diagnose
-from repro.diagnostics.address_probe import DecoderDiagnosis, decoder_probe
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.diagnostics.faillog": ["FailLog"],
+    "repro.diagnostics.bitmap": ["FailBitmap"],
+    "repro.diagnostics.classifier": ["classify", "diagnose"],
+    "repro.diagnostics.address_probe": ["DecoderDiagnosis", "decoder_probe"],
+})
 
 __all__ = [
     "DecoderDiagnosis",

@@ -15,15 +15,15 @@ Run from the command line::
     python -m repro.eval flexibility
 """
 
-from repro.eval.experiments import (
-    DEFAULT_GEOMETRY,
-    Table1Row,
-    table1,
-    table2,
-    table3,
-)
-from repro.eval.flexibility import flexibility_matrix
-from repro.eval.tables import render_table1, render_table2, render_table3
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.eval.experiments": [
+        "DEFAULT_GEOMETRY", "Table1Row", "table1", "table2", "table3",
+    ],
+    "repro.eval.flexibility": ["flexibility_matrix"],
+    "repro.eval.tables": ["render_table1", "render_table2", "render_table3"],
+})
 
 __all__ = [
     "DEFAULT_GEOMETRY",

@@ -17,7 +17,6 @@ from repro.conformance.faulty.coverage import CoverageReport, evaluate_coverage
 from repro.faults.conditions import CONDITIONS, condition_for
 from repro.faults.universe import standard_universe
 from repro.march import library
-from repro.march.test import MarchTest
 
 #: Fault-class columns, in report order: detection-condition keys of
 #: :data:`repro.faults.conditions.CONDITIONS`.

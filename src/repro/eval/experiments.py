@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.area.estimator import AreaReport, estimate
+from repro.area.estimator import estimate
 from repro.area.technology import IBM_CMOS5S, Technology
 from repro.core.controller import BistController, ControllerCapabilities
 from repro.core.hardwired import HardwiredBistController

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode.assembler import AssemblyError, assemble
-from repro.core.microcode.storage import DEFAULT_ROWS
 from repro.core.progfsm.compiler import CompileError, compile_to_sm
 from repro.march import library
 from repro.march.test import MarchTest

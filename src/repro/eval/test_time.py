@@ -16,7 +16,7 @@ suite hold the two equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.classic import galpat_op_count, walking_op_count
 from repro.march import library

@@ -29,36 +29,35 @@ for coverage experiments and :mod:`~repro.faults.injector` manages
 injecting one fault at a time into a memory.
 """
 
-from repro.faults.base import CellFault
-from repro.faults.concurrent import (
-    ConcurrentPortAccessFault,
-    CrossPortCouplingFault,
-    concurrent_fault_universe,
-)
-from repro.faults.stuck_at import StuckAtFault
-from repro.faults.transition import TransitionFault
-from repro.faults.coupling import (
-    IdempotentCouplingFault,
-    InversionCouplingFault,
-    StateCouplingFault,
-)
-from repro.faults.address_decoder import (
-    AddressMapsNowhere,
-    AddressMapsToMultiple,
-    AddressMapsToWrongCell,
-    TwoAddressesOneCell,
-)
-from repro.faults.stuck_open import StuckOpenFault
-from repro.faults.retention import DataRetentionFault
-from repro.faults.neighborhood import ActiveNpsf, PassiveNpsf
-from repro.faults.read_faults import (
-    DeceptiveReadDestructiveFault,
-    IncorrectReadFault,
-    ReadDestructiveFault,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.spec import FaultSpecError, format_fault, parse_fault
-from repro.faults.universe import FaultUniverse, standard_universe
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.faults.base": ["CellFault"],
+    "repro.faults.concurrent": [
+        "ConcurrentPortAccessFault", "CrossPortCouplingFault",
+        "concurrent_fault_universe",
+    ],
+    "repro.faults.stuck_at": ["StuckAtFault"],
+    "repro.faults.transition": ["TransitionFault"],
+    "repro.faults.coupling": [
+        "IdempotentCouplingFault", "InversionCouplingFault",
+        "StateCouplingFault",
+    ],
+    "repro.faults.address_decoder": [
+        "AddressMapsNowhere", "AddressMapsToMultiple",
+        "AddressMapsToWrongCell", "TwoAddressesOneCell",
+    ],
+    "repro.faults.stuck_open": ["StuckOpenFault"],
+    "repro.faults.retention": ["DataRetentionFault"],
+    "repro.faults.neighborhood": ["ActiveNpsf", "PassiveNpsf"],
+    "repro.faults.read_faults": [
+        "DeceptiveReadDestructiveFault", "IncorrectReadFault",
+        "ReadDestructiveFault",
+    ],
+    "repro.faults.injector": ["FaultInjector"],
+    "repro.faults.spec": ["FaultSpecError", "format_fault", "parse_fault"],
+    "repro.faults.universe": ["FaultUniverse", "standard_universe"],
+})
 
 __all__ = [
     "ActiveNpsf",

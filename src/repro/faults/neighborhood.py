@@ -17,7 +17,7 @@ assumption of the NPSF literature.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.faults.base import CellFault, bit_of
 

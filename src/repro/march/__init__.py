@@ -17,20 +17,22 @@ Semiconductor Memories", 1991) that the paper's BIST controllers execute:
   memory executor all BIST controllers are checked against.
 """
 
-from repro.march.element import AddressOrder, MarchElement, OpKind, Operation, Pause
-from repro.march.test import MarchTest
-from repro.march.notation import format_test, parse_test
-from repro.march import library
-from repro.march.simulator import MemoryOperation, expand, run_on_memory
-from repro.march.concurrent import (
-    CycleOps,
-    cycle_count,
-    expand_concurrent,
-    run_cycles_on_memory,
-)
-from repro.march.properties import is_symmetric, symmetric_split
-from repro.march.validate import check_consistency, is_consistent
-from repro.march.backgrounds import data_backgrounds
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.march.element": [
+        "AddressOrder", "MarchElement", "OpKind", "Operation", "Pause",
+    ],
+    "repro.march.test": ["MarchTest"],
+    "repro.march.notation": ["format_test", "parse_test"],
+    "repro.march.simulator": ["MemoryOperation", "expand", "run_on_memory"],
+    "repro.march.concurrent": [
+        "CycleOps", "cycle_count", "expand_concurrent", "run_cycles_on_memory",
+    ],
+    "repro.march.properties": ["is_symmetric", "symmetric_split"],
+    "repro.march.validate": ["check_consistency", "is_consistent"],
+    "repro.march.backgrounds": ["data_backgrounds"],
+}, submodules=["library"])
 
 __all__ = [
     "AddressOrder",

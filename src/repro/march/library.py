@@ -15,7 +15,7 @@ removed).  We follow the paper and call the 10N variant ``MARCH_C``;
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.march.element import (
     AddressOrder,

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.march.element import MarchElement, Operation, Pause
+from repro.march.element import MarchElement, Pause
 from repro.march.test import MarchTest
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.march.element import MarchElement, Pause
+from repro.march.element import Pause
 from repro.march.test import MarchTest
 
 

@@ -15,8 +15,12 @@ memory-under-test model:
   data-retention faults.
 """
 
-from repro.memory.sram import Sram
-from repro.memory.decoder import AddressDecoder
-from repro.memory.shadow import ShadowMemory
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.memory.sram": ["Sram"],
+    "repro.memory.decoder": ["AddressDecoder"],
+    "repro.memory.shadow": ["ShadowMemory"],
+})
 
 __all__ = ["AddressDecoder", "ShadowMemory", "Sram"]

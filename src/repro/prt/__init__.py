@@ -10,8 +10,13 @@ evaluation vs the march library (:mod:`repro.eval.prt_study`), the area
 model and fuzz identity (j).
 """
 
-from repro.prt.controller import PrtController, PrtTraceEntry
-from repro.prt.session import PrtConfig, PrtSession, ring_taps
+from repro.prt.session import PrtConfig, PrtSession
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.prt.controller": ["PrtController", "PrtTraceEntry"],
+    "repro.prt.session": ["ring_taps"],
+})
 
 #: The default session pair the corpus and CI sweeps pin: the tuned
 #: canonical up-ring and a shorter seeded down-ring (the address-order

@@ -14,8 +14,12 @@ the classical flow on top of the library's diagnostics:
   diagnose → allocate → apply → re-test.
 """
 
-from repro.repair.allocation import RepairPlan, allocate_repair
-from repro.repair.apply import RepairOutcome, apply_repair, repair_flow
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.repair.allocation": ["RepairPlan", "allocate_repair"],
+    "repro.repair.apply": ["RepairOutcome", "apply_repair", "repair_flow"],
+})
 
 __all__ = [
     "RepairOutcome",

@@ -18,8 +18,8 @@ the "unrepairable die" outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Optional, Set, Tuple
 
 from repro.diagnostics.bitmap import FailBitmap
 

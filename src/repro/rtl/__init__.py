@@ -22,17 +22,19 @@ Verilog-2001 so a downstream user can drop them into a DFT flow:
   the round trip is bit-exact (``repro lint --target rtl``).
 """
 
-from repro.rtl.readback import ReadbackError, rom_readback, verify_rom_image
-from repro.rtl.verilog import (
-    check_verilog_structure,
-    hardwired_controller_verilog,
-    lower_fsm_verilog,
-    microcode_decoder_verilog,
-    microcode_rom_verilog,
-    program_memh,
-    sop_module_verilog,
-)
-from repro.rtl.vcd import microcode_trace_vcd, samples_to_vcd
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.rtl.readback": [
+        "ReadbackError", "rom_readback", "verify_rom_image",
+    ],
+    "repro.rtl.verilog": [
+        "check_verilog_structure", "hardwired_controller_verilog",
+        "lower_fsm_verilog", "microcode_decoder_verilog",
+        "microcode_rom_verilog", "program_memh", "sop_module_verilog",
+    ],
+    "repro.rtl.vcd": ["microcode_trace_vcd", "samples_to_vcd"],
+})
 
 __all__ = [
     "ReadbackError",

@@ -9,7 +9,7 @@ the microcode controller trace.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Printable identifier characters per the VCD grammar.
 _ID_CHARS = "".join(chr(c) for c in range(33, 127))

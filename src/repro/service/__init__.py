@@ -12,36 +12,25 @@ file-backed configure→start→poll→collect sessions behind
 ``repro serve``.  See ``docs/SERVICE.md``.
 """
 
-from repro.service.chaos import (
-    BEHAVIOURS,
-    ChaosError,
-    ChaosPlan,
-    corrupt_store_entry,
-)
-from repro.service.engine import (
-    EngineReport,
-    Job,
-    JobEngine,
-    JobOutcome,
-    JobsInterrupted,
-    RetryPolicy,
-    ServiceError,
-)
-from repro.service.session import (
-    collect_session,
-    list_sessions,
-    run_session,
-    session_id,
-    session_status,
-    submit_session,
-)
-from repro.service.store import (
-    ResultStore,
-    StoreKey,
-    canonical_json,
-    code_version,
-    payload_digest,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.service.chaos": [
+        "BEHAVIOURS", "ChaosError", "ChaosPlan", "corrupt_store_entry",
+    ],
+    "repro.service.engine": [
+        "EngineReport", "Job", "JobEngine", "JobOutcome", "JobsInterrupted",
+        "RetryPolicy", "ServiceError",
+    ],
+    "repro.service.session": [
+        "collect_session", "list_sessions", "run_session", "session_id",
+        "session_status", "submit_session",
+    ],
+    "repro.service.store": [
+        "ResultStore", "StoreKey", "canonical_json", "code_version",
+        "payload_digest",
+    ],
+})
 
 __all__ = [
     "BEHAVIOURS",

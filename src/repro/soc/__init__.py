@@ -17,14 +17,15 @@ quantitative:
   and test time over a memory portfolio.
 """
 
-from repro.soc.plan import MemoryRequirement, SocBistStudy, StrategyResult
-from repro.soc.strategies import (
-    HardwiredPerTest,
-    HardwiredSuperset,
-    PerMemoryProgrammable,
-    SharedProgrammable,
-    Strategy,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.soc.plan": ["MemoryRequirement", "SocBistStudy", "StrategyResult"],
+    "repro.soc.strategies": [
+        "HardwiredPerTest", "HardwiredSuperset", "PerMemoryProgrammable",
+        "SharedProgrammable", "Strategy",
+    ],
+})
 
 __all__ = [
     "HardwiredPerTest",

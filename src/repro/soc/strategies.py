@@ -22,7 +22,7 @@ cost of avoiding per-test controllers without programmability.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.area.components import Mux
 from repro.area.estimator import estimate

@@ -79,8 +79,9 @@ class TestTable:
         assert all(prefix == prefix.lower() for prefix in prefixes)
 
     def test_one_row_per_concrete_class(self):
+        public = [getattr(repro.faults, name) for name in repro.faults.__all__]
         exported = {
-            obj for obj in map(vars(repro.faults).get, repro.faults.__all__)
+            obj for obj in public
             if inspect.isclass(obj) and issubclass(obj, CellFault)
             and not inspect.isabstract(obj)
         }
