@@ -17,10 +17,10 @@ coverage/BIST machinery, so the historical trade-off is measurable:
   a behavioural MISR, with the escape probability march tests eliminate.
 """
 
+from repro._lazy import attach
 # Named after their own submodules, so bound eagerly (see repro._lazy).
 from repro.classic.checkerboard import checkerboard
 from repro.classic.galpat import galpat
-from repro._lazy import attach
 
 __getattr__, __dir__ = attach(__name__, {
     "repro.classic.walking": [

@@ -10,8 +10,8 @@ evaluation vs the march library (:mod:`repro.eval.prt_study`), the area
 model and fuzz identity (j).
 """
 
-from repro.prt.session import PrtConfig, PrtSession
 from repro._lazy import attach
+from repro.prt.session import PrtConfig, PrtSession
 
 __getattr__, __dir__ = attach(__name__, {
     "repro.prt.controller": ["PrtController", "PrtTraceEntry"],
