@@ -23,15 +23,26 @@ A rule is a generator over findings.  It may yield
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.analysis.cfg import ControlFlowGraph, loop_target
 from repro.analysis.diagnostics import Diagnostic, Location, Severity
-from repro.analysis.interpreter import Interpretation, Verdict
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode.assembler import MicrocodeProgram
 from repro.core.microcode.isa import ConditionOp, PAUSE_TIMER_BITS
 from repro.core.microcode.storage import DEFAULT_ROWS
+
+if TYPE_CHECKING:  # the interpreter loads the controller walks
+    from repro.analysis.interpreter import Interpretation
 
 
 @dataclass
@@ -291,6 +302,8 @@ def _missing_capability_loop(analysis: ProgramAnalysis) -> Iterator[Tuple]:
 
 @rule("MC010", Severity.ERROR, "program provably never terminates")
 def _nonterminating(analysis: ProgramAnalysis) -> Iterator[Tuple]:
+    from repro.analysis.interpreter import Verdict
+
     interp = analysis.interpretation
     if interp is not None and interp.verdict is Verdict.DIVERGES:
         yield (
@@ -326,6 +339,8 @@ def _missed_compression(analysis: ProgramAnalysis) -> Iterator[Tuple]:
 
 @rule("MC011", Severity.WARNING, "control flow defeats static analysis")
 def _unanalyzable(analysis: ProgramAnalysis) -> Iterator[Tuple]:
+    from repro.analysis.interpreter import Verdict
+
     interp = analysis.interpretation
     if interp is not None and interp.verdict is Verdict.UNKNOWN:
         yield (

@@ -22,13 +22,8 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.analysis.cfg import build_cfg
 from repro.analysis.diagnostics import DiagnosticReport
-from repro.analysis.interpreter import interpret
 from repro.analysis.march_rules import run_march_rules
-from repro.analysis.progfsm_cfg import build_fsm_cfg, interpret_fsm
-from repro.analysis.progfsm_rules import FsmProgramAnalysis, run_fsm_rules
-from repro.analysis.rules import ProgramAnalysis, run_program_rules
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode.assembler import AssemblyError, MicrocodeProgram
 from repro.core.progfsm.compiler import FsmProgram
@@ -73,6 +68,13 @@ def verify_program(
         The diagnostic report (program rules plus march-level rules on
         the program's source algorithm, when it carries one).
     """
+    # The rule families import where they run: the abstract
+    # interpreters load the controller walks, which the coverage lint
+    # never needs.
+    from repro.analysis.cfg import build_cfg
+    from repro.analysis.interpreter import interpret
+    from repro.analysis.rules import ProgramAnalysis, run_program_rules
+
     cfg = build_cfg(program)
     interpretation = (
         interpret(program, capabilities, storage_rows=storage_rows)
@@ -114,6 +116,12 @@ def verify_fsm_program(
             against; ``None`` checks the default depth advisorily (the
             buffer never auto-grows, but a deeper one can be built).
     """
+    from repro.analysis.progfsm_cfg import build_fsm_cfg, interpret_fsm
+    from repro.analysis.progfsm_rules import (
+        FsmProgramAnalysis,
+        run_fsm_rules,
+    )
+
     cfg = build_fsm_cfg(program)
     interpretation = (
         interpret_fsm(program, capabilities)

@@ -271,19 +271,17 @@ def _cmd_algorithms(_args: argparse.Namespace) -> int:
 
 def _lint_one(name: str, args: argparse.Namespace):
     """Build the diagnostic report for one algorithm (or program file)."""
-    from repro.analysis import verify_fsm_program, verify_march, verify_program
-    from repro.core.microcode.assembler import assemble as assemble_microcode
-    from repro.core.progfsm.compiler import compile_to_sm, is_realizable
-
     caps = ControllerCapabilities(
         n_words=args.words, width=args.width, ports=args.ports
     )
     if args.target == "progfsm":
+        from repro.analysis import verify_fsm_program, verify_march
         from repro.analysis.diagnostics import (
             Diagnostic,
             DiagnosticReport,
             Severity,
         )
+        from repro.core.progfsm.compiler import compile_to_sm, is_realizable
 
         test = library.get(name)
         if is_realizable(test):
@@ -309,22 +307,24 @@ def _lint_one(name: str, args: argparse.Namespace):
             return report
         return verify_march(test, target="progfsm")
     if args.target == "march":
+        from repro.analysis import verify_march
+
         return verify_march(library.get(name), target=None)
     if args.target == "coverage":
         from repro.analysis import verify_coverage
 
         return verify_coverage(library.get(name))
+    from repro.core.microcode.assembler import assemble
+
+    program = assemble(
+        library.get(name), caps, compress=not args.no_compress, verify=False
+    )
     if args.target == "rtl":
         from repro.rtl.readback import verify_rom_image
 
-        program = assemble_microcode(
-            library.get(name), caps, compress=not args.no_compress,
-            verify=False,
-        )
         return verify_rom_image(program)
-    program = assemble_microcode(
-        library.get(name), caps, compress=not args.no_compress, verify=False
-    )
+    from repro.analysis import verify_program
+
     return verify_program(program, caps)
 
 

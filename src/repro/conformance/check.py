@@ -257,8 +257,9 @@ def _hardwired_stream(
 
 #: Attributed-stream builder per architecture, uniform signature
 #: ``(test, caps, compress)`` (only microcode honours ``compress``).
-#: Shared by the stimulus check below and the fault-response check in
-#: :mod:`repro.conformance.faulty`.
+#: Read by :func:`~repro.conformance.faulty.check.resolve_stimulus`,
+#: the one differential loop both the stimulus check below and the
+#: fault-response check run on.
 STREAM_BUILDERS = {
     "microcode": _microcode_stream,
     "progfsm": _fsm_stream,
@@ -364,6 +365,16 @@ def check_conformance(
 ) -> ConformanceResult:
     """Differentially test ``test`` across the controller architectures.
 
+    A view over the fault-response harness's differential loop: the
+    stimulus is resolved by
+    :func:`~repro.conformance.faulty.check.resolve_stimulus`, and each
+    partner's recorded build outcome becomes its verdict — ``skipped``
+    outside the SM0–SM7 boundary, ``error`` when the controller hangs
+    or crashes, otherwise the first divergence from the golden stream
+    (located only when
+    :func:`~repro.conformance.faulty.check.matches_golden` says there
+    is one).
+
     Args:
         test: the march algorithm.
         capabilities: memory geometry all controllers target.
@@ -373,38 +384,36 @@ def check_conformance(
 
     Returns:
         A :class:`ConformanceResult`; ``.ok`` is the op-for-op verdict.
+
+    Raises:
+        ValueError: unknown architecture.
     """
-    from repro.core.progfsm.compiler import CompileError
+    from repro.conformance.faulty.check import matches_golden, resolve_stimulus
 
     caps = capabilities
-    unknown = set(architectures) - set(ARCHITECTURES)
-    if unknown:
-        raise ValueError(
-            f"unknown architecture(s) {sorted(unknown)}; "
-            f"known: {list(ARCHITECTURES)}"
-        )
-    reference = GOLDEN_CACHE.get(test, caps)
+    stimulus = resolve_stimulus(
+        test, caps, "sequential",
+        architectures=architectures, compress=compress,
+    )
+    reference = stimulus.golden().stream
     result = ConformanceResult(
-        notation=format_test(test),
+        notation=stimulus.notation,
         geometry=(caps.n_words, caps.width, caps.ports),
         compress=compress,
         golden_ops=len(reference),
     )
-    for architecture in ARCHITECTURES:
-        if architecture not in architectures:
-            continue
-        arch_result = ArchitectureResult(architecture=architecture)
+    for partner in stimulus.partners:
+        built = partner.build()
+        arch_result = ArchitectureResult(architecture=partner.name)
         result.results.append(arch_result)
-        try:
-            stream = STREAM_BUILDERS[architecture](test, caps, compress)
-        except CompileError as error:
-            arch_result.skipped = f"outside the SM0-SM7 boundary: {error}"
-            continue
-        except RuntimeError as error:
-            arch_result.error = f"simulation did not terminate: {error}"
-            continue
-        arch_result.op_count = len(stream)
-        arch_result.divergence = first_divergence(
-            reference, stream, architecture
-        )
+        if built.status == "skipped":
+            arch_result.skipped = built.detail
+        elif built.status == "error":
+            arch_result.error = built.detail
+        else:
+            arch_result.op_count = len(built.stream)
+            if not matches_golden(stimulus, partner):
+                arch_result.divergence = first_divergence(
+                    reference, built.stream, partner.name
+                )
     return result

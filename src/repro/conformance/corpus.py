@@ -88,11 +88,6 @@ def encode_cycle(cycle: "CycleOps") -> str:
     return " | ".join(encode_op(op) for op in cycle)
 
 
-def decode_cycle(text: str) -> "CycleOps":
-    """Inverse of :func:`encode_cycle`."""
-    return CycleOps([decode_op(part) for part in text.split(" | ")])
-
-
 def encode_stream_item(item: Any) -> str:
     """Encode either a plain operation or a :class:`CycleOps` group."""
     if isinstance(item, CycleOps):
@@ -612,20 +607,7 @@ def check_entry(path: pathlib.Path) -> EntryResult:
     caps = ControllerCapabilities(n_words=words, width=width, ports=ports)
     fresh = [encode_op(e.op) for e in golden_trace(test, caps)]
     if fresh != stored_ops:
-        index = next(
-            (i for i, (a, b) in enumerate(zip(fresh, stored_ops)) if a != b),
-            min(len(fresh), len(stored_ops)),
-        )
-        got = fresh[index] if index < len(fresh) else "<end of stream>"
-        want = (
-            stored_ops[index] if index < len(stored_ops)
-            else "<end of stream>"
-        )
-        problem(
-            f"golden trace drifted at op {index}: corpus has {want!r}, "
-            f"expander now yields {got!r} "
-            f"({len(stored_ops)} stored vs {len(fresh)} fresh ops)"
-        )
+        problem(_drift("golden trace", "expander", fresh, stored_ops))
 
     # 3. Architecture conformance: every listed controller reproduces it.
     architectures = [
@@ -654,6 +636,29 @@ def check_entry(path: pathlib.Path) -> EntryResult:
     return result
 
 
+def _drift(
+    subject: str,
+    source: str,
+    fresh: Sequence[str],
+    stored: Sequence[str],
+) -> str:
+    """The problem text for a replay whose ops differ from the stored
+    ones, naming the first differing op of each side."""
+    index = next(
+        (i for i, (a, b) in enumerate(zip(fresh, stored)) if a != b),
+        min(len(fresh), len(stored)),
+    )
+
+    def at(ops: Sequence[str]) -> str:
+        return ops[index] if index < len(ops) else "<end of stream>"
+
+    return (
+        f"{subject} drifted at op {index}: corpus has {at(stored)!r}, "
+        f"{source} now yields {at(fresh)!r} "
+        f"({len(stored)} stored vs {len(fresh)} fresh ops)"
+    )
+
+
 def _check_stream_entry(
     entry: Dict[str, Any], stored_ops: Sequence[str], problem
 ) -> None:
@@ -676,19 +681,8 @@ def _check_stream_entry(
         problem(f"stream generator {generator!r} crashed: {error}")
         return
     if fresh != stored_ops:
-        index = next(
-            (i for i, (a, b) in enumerate(zip(fresh, stored_ops)) if a != b),
-            min(len(fresh), len(stored_ops)),
-        )
-        got = fresh[index] if index < len(fresh) else "<end of stream>"
-        want = (
-            stored_ops[index] if index < len(stored_ops)
-            else "<end of stream>"
-        )
         problem(
-            f"stream {generator!r} drifted at op {index}: corpus has "
-            f"{want!r}, generator now yields {got!r} "
-            f"({len(stored_ops)} stored vs {len(fresh)} fresh ops)"
+            _drift(f"stream {generator!r}", "generator", fresh, stored_ops)
         )
 
 

@@ -2,13 +2,14 @@
 
 A fault-response fuzz failure has one more degree of freedom than a
 stimulus failure: the injected fault.  :func:`shrink_faulty_sample`
-extends the PR 3 shrinker (whose march-item, operation and geometry
-passes it reuses verbatim) with a **fault axis** that simplifies the
-fault spec itself — first trying to swap the whole fault for a
-canonical single-cell stuck-at, then lowering its numeric coordinates
-(aggressor/victim cells, sensitising states, polarities) toward zero —
-so a nightly find reduces to a minimal *(march, geometry, single
-fault)* triple such as ``(r0, (1,1,1), saf:0:0:1)``.
+runs the stimulus shrinker's loop
+(:func:`~repro.conformance.shrink.shrink_to_fixpoint`, with its
+march-item, operation and geometry passes) and adds a **fault axis**
+that simplifies the fault spec itself — first trying to swap the whole
+fault for a canonical single-cell stuck-at, then lowering its numeric
+coordinates (aggressor/victim cells, sensitising states, polarities)
+toward zero — so a nightly find reduces to a minimal *(march,
+geometry, single fault)* triple such as ``(r0, (1,1,1), saf:0:0:1)``.
 
 Every accepted fault mutation strictly decreases :func:`_spec_size`,
 so the fault pass terminates without extra bookkeeping; the axis order
@@ -19,18 +20,12 @@ able to drop words/width the fault used to pin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from repro.conformance.shrink import (
-    _Budget,
-    _shrink_geometry,
-    _shrink_items,
-    _shrink_ops,
-)
+from repro.conformance.shrink import Holds, ShrinkResult, shrink_to_fixpoint
 from repro.core.controller import ControllerCapabilities
 from repro.faults.spec import FaultSpecError, parse_fault
-from repro.march.notation import format_test
 from repro.march.test import MarchTest
 
 #: A faulty-sample predicate: True when (test, caps, fault spec) still
@@ -44,32 +39,14 @@ CANONICAL_SPECS: Tuple[str, ...] = ("saf:0:0:0", "saf:0:0:1")
 
 
 @dataclass
-class FaultyShrinkResult:
+class FaultyShrinkResult(ShrinkResult):
     """A minimised (march, geometry, fault) reproducer."""
 
-    test: MarchTest
-    capabilities: ControllerCapabilities
-    fault_spec: str
-    checks: int
-    reduced: bool
-
-    @property
-    def notation(self) -> str:
-        return format_test(self.test)
-
-    @property
-    def geometry(self) -> Tuple[int, int, int]:
-        caps = self.capabilities
-        return (caps.n_words, caps.width, caps.ports)
+    fault_spec: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "notation": self.notation,
-            "geometry": list(self.geometry),
-            "fault": self.fault_spec,
-            "checks": self.checks,
-            "reduced": self.reduced,
-        }
+        notation, geometry, *rest = super().to_dict().items()
+        return dict([notation, geometry, ("fault", self.fault_spec), *rest])
 
 
 def fault_response_predicate(
@@ -206,36 +183,33 @@ def simpler_fault_specs(spec: str) -> Iterator[str]:
             )
 
 
+def _parses(spec: str) -> bool:
+    try:
+        parse_fault(spec)
+    except FaultSpecError:
+        return False
+    return True
+
+
 def _shrink_fault(
-    test: MarchTest,
-    caps: ControllerCapabilities,
-    spec: str,
-    budget: _Budget,
-    predicate: FaultyPredicate,
-) -> Tuple[str, bool]:
+    sample: FaultyShrinkResult, holds: Holds
+) -> Tuple[FaultyShrinkResult, bool]:
     """Greedy fault-spec simplification to a local fixpoint.
 
-    Uses ``budget`` only as the shared evaluation counter; candidates
-    are checked through the three-argument ``predicate`` directly.
+    A candidate spec that does not parse spends its evaluation without
+    reaching the predicate.
     """
     changed = False
     improving = True
     while improving:
         improving = False
-        for candidate in simpler_fault_specs(spec):
-            if budget.checks >= budget.max_checks:
-                return spec, changed
-            budget.checks += 1
-            try:
-                parse_fault(candidate)
-            except FaultSpecError:
-                continue
-            if predicate(test, caps, candidate):
-                spec = candidate
-                changed = True
-                improving = True
+        for spec in simpler_fault_specs(sample.fault_spec):
+            candidate = replace(sample, fault_spec=spec)
+            if holds(candidate, _parses(spec)):
+                sample = candidate
+                changed = improving = True
                 break
-    return spec, changed
+    return sample, changed
 
 
 def shrink_faulty_sample(
@@ -262,35 +236,12 @@ def shrink_faulty_sample(
         The smallest reproducing triple found, with the march renamed
         ``"shrunk"`` when any axis reduced.
     """
-    state = {"spec": fault_spec}
-
-    def two_arg(t: MarchTest, c: ControllerCapabilities) -> bool:
-        return predicate(t, c, state["spec"])
-
-    budget = _Budget(two_arg, max_checks)
-    if not budget.holds(test, capabilities):
-        return FaultyShrinkResult(
-            test, capabilities, fault_spec, budget.checks, reduced=False
-        )
-    caps = capabilities
-    reduced = False
-    for _round in range(max_rounds):
-        round_changed = False
-        test, changed = _shrink_items(test, caps, budget)
-        round_changed |= changed
-        test, changed = _shrink_ops(test, caps, budget)
-        round_changed |= changed
-        state["spec"], changed = _shrink_fault(
-            test, caps, state["spec"], budget, predicate
-        )
-        round_changed |= changed
-        caps, changed = _shrink_geometry(test, caps, budget)
-        round_changed |= changed
-        reduced |= round_changed
-        if not round_changed:
-            break
-    if reduced:
-        test = test.renamed("shrunk")
-    return FaultyShrinkResult(
-        test, caps, state["spec"], budget.checks, reduced=reduced
+    return shrink_to_fixpoint(
+        FaultyShrinkResult(test, capabilities, fault_spec=fault_spec),
+        lambda sample: predicate(
+            sample.test, sample.capabilities, sample.fault_spec
+        ),
+        max_checks,
+        max_rounds,
+        axes_before_geometry=(_shrink_fault,),
     )

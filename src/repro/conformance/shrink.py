@@ -16,6 +16,9 @@ The predicate is arbitrary, so the shrinker serves both the conformance
 harness (``repro conformance shrink``, the fuzz harness's automatic
 minimisation) and ad-hoc debugging; :func:`conformance_predicate` builds
 the standard "some architecture diverges from the golden stream" one.
+The loop itself, :func:`shrink_to_fixpoint`, is shared with the
+fault-response shrinker (:mod:`repro.conformance.faulty.shrink`),
+which adds its fault axis before the geometry pass.
 
 Greedy one-at-a-time removal (rather than full ddmin) is deliberate:
 fuzz samples have at most ~7 items of at most 4 operations over
@@ -26,7 +29,7 @@ possible after another dimension shrank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.controller import ControllerCapabilities
@@ -42,6 +45,11 @@ Predicate = Callable[[MarchTest, ControllerCapabilities], bool]
 class ShrinkResult:
     """A minimised reproducer.
 
+    The shrink loop also carries its candidates as instances of this
+    class (and of :class:`~repro.conformance.faulty.shrink.
+    FaultyShrinkResult`, which adds the fault), so one loop serves
+    every sample shape.
+
     Attributes:
         test: the shrunk march algorithm.
         capabilities: the shrunk geometry.
@@ -51,8 +59,8 @@ class ShrinkResult:
 
     test: MarchTest
     capabilities: ControllerCapabilities
-    checks: int
-    reduced: bool
+    checks: int = 0
+    reduced: bool = False
 
     @property
     def notation(self) -> str:
@@ -72,6 +80,15 @@ class ShrinkResult:
         }
 
 
+#: Counts one predicate evaluation of a candidate sample and returns
+#: its verdict; ``valid=False`` spends the evaluation without running
+#: the predicate (the candidate never reproduces).
+Holds = Callable[..., bool]
+
+#: One shrink axis: ``(sample, holds) -> (sample, changed)``.
+Axis = Callable[[ShrinkResult, Holds], Tuple[ShrinkResult, bool]]
+
+
 def conformance_predicate(
     architectures: Optional[Sequence[str]] = None,
     compress: bool = True,
@@ -79,10 +96,11 @@ def conformance_predicate(
     """The standard predicate: some architecture fails conformance.
 
     A candidate reproduces when :func:`~repro.conformance.check.
-    check_conformance` reports a divergence or a simulation error on at
-    least one of ``architectures``.  Exceptions out of the check itself
-    (e.g. the assembler rejecting a mutated pause) count as *not*
-    reproducing, so the shrinker never wanders into malformed inputs.
+    check_conformance` reports a divergence or an error (a hung or
+    crashed controller) on at least one of ``architectures``.
+    Exceptions out of the check itself (e.g. a golden expansion the
+    mutated march cannot have) count as *not* reproducing, so the
+    shrinker never wanders into malformed inputs.
     """
     from repro.conformance.check import ARCHITECTURES, check_conformance
 
@@ -100,47 +118,29 @@ def conformance_predicate(
     return predicate
 
 
-def _geometry(n_words: int, width: int, ports: int) -> ControllerCapabilities:
-    return ControllerCapabilities(n_words=n_words, width=width, ports=ports)
-
-
-class _Budget:
-    """Predicate-evaluation counter with a hard cap."""
-
-    def __init__(self, predicate: Predicate, max_checks: int) -> None:
-        self.predicate = predicate
-        self.max_checks = max_checks
-        self.checks = 0
-
-    def holds(self, test: MarchTest, caps: ControllerCapabilities) -> bool:
-        if self.checks >= self.max_checks:
-            return False
-        self.checks += 1
-        return self.predicate(test, caps)
-
-
 def _shrink_items(
-    test: MarchTest, caps: ControllerCapabilities, budget: _Budget
-) -> Tuple[MarchTest, bool]:
+    sample: ShrinkResult, holds: Holds
+) -> Tuple[ShrinkResult, bool]:
     """Greedy removal of whole march items (elements and pauses)."""
-    items = list(test.items)
+    name = sample.test.name
+    items = list(sample.test.items)
     changed = False
     index = len(items) - 1
     while index >= 0 and len(items) > 1:
         candidate_items = items[:index] + items[index + 1:]
-        candidate = MarchTest(test.name, candidate_items)
-        if budget.holds(candidate, caps):
+        if holds(replace(sample, test=MarchTest(name, candidate_items))):
             items = candidate_items
             changed = True
         index -= 1
-    return MarchTest(test.name, items), changed
+    return replace(sample, test=MarchTest(name, items)), changed
 
 
 def _shrink_ops(
-    test: MarchTest, caps: ControllerCapabilities, budget: _Budget
-) -> Tuple[MarchTest, bool]:
+    sample: ShrinkResult, holds: Holds
+) -> Tuple[ShrinkResult, bool]:
     """Removal of individual operations inside each element."""
-    items = list(test.items)
+    name = sample.test.name
+    items = list(sample.test.items)
     changed = False
     for item_index, item in enumerate(items):
         if not isinstance(item, MarchElement):
@@ -153,41 +153,82 @@ def _shrink_ops(
             candidate_items[item_index] = MarchElement(
                 item.order, candidate_ops
             )
-            candidate = MarchTest(test.name, candidate_items)
-            if budget.holds(candidate, caps):
+            candidate = MarchTest(name, candidate_items)
+            if holds(replace(sample, test=candidate)):
                 ops = candidate_ops
                 items = candidate_items
                 changed = True
             op_index -= 1
-    return MarchTest(test.name, items), changed
+    return replace(sample, test=MarchTest(name, items)), changed
 
 
 def _shrink_geometry(
-    test: MarchTest, caps: ControllerCapabilities, budget: _Budget
-) -> Tuple[ControllerCapabilities, bool]:
-    """Lower words, width and ports to the smallest reproducing values."""
+    sample: ShrinkResult, holds: Holds
+) -> Tuple[ShrinkResult, bool]:
+    """Lower words, width and ports to the smallest reproducing values
+    (widths stay powers of two)."""
     changed = False
-    for n_words in range(1, caps.n_words):
-        candidate = _geometry(n_words, caps.width, caps.ports)
-        if budget.holds(test, candidate):
-            caps = candidate
-            changed = True
+    for dimension in ("n_words", "width", "ports"):
+        current = getattr(sample.capabilities, dimension)
+        values = range(1, current)
+        if dimension == "width":
+            values = [1 << k for k in range(current.bit_length())
+                      if 1 << k < current]
+        for value in values:
+            candidate = replace(sample, capabilities=replace(
+                sample.capabilities, **{dimension: value}
+            ))
+            if holds(candidate):
+                sample, changed = candidate, True
+                break
+    return sample, changed
+
+
+def shrink_to_fixpoint(
+    sample: ShrinkResult,
+    reproduces: Callable[[ShrinkResult], bool],
+    max_checks: int,
+    max_rounds: int,
+    axes_before_geometry: Sequence[Axis] = (),
+) -> ShrinkResult:
+    """The delta-debugging loop every shrinker runs.
+
+    Checks that ``sample`` reproduces, then runs the axes in order —
+    march items, operations, ``axes_before_geometry``, geometry — until
+    a whole round changes nothing or ``max_rounds`` is reached.  Every
+    candidate an axis tries spends one of ``max_checks`` evaluations;
+    once they are spent no candidate holds.
+
+    Returns:
+        The smallest reproducing sample, its test renamed ``"shrunk"``
+        when any reduction happened, with ``checks`` and ``reduced``
+        filled in.
+    """
+    checks = 0
+
+    def holds(candidate: ShrinkResult, valid: bool = True) -> bool:
+        nonlocal checks
+        if checks >= max_checks:
+            return False
+        checks += 1
+        return valid and reproduces(candidate)
+
+    if not holds(sample):
+        return replace(sample, checks=checks)
+    axes = (_shrink_items, _shrink_ops, *axes_before_geometry,
+            _shrink_geometry)
+    reduced = False
+    for _round in range(max_rounds):
+        round_changed = False
+        for axis in axes:
+            sample, changed = axis(sample, holds)
+            round_changed |= changed
+        reduced |= round_changed
+        if not round_changed:
             break
-    width = 1
-    while width < caps.width:
-        candidate = _geometry(caps.n_words, width, caps.ports)
-        if budget.holds(test, candidate):
-            caps = candidate
-            changed = True
-            break
-        width *= 2
-    for ports in range(1, caps.ports):
-        candidate = _geometry(caps.n_words, caps.width, ports)
-        if budget.holds(test, candidate):
-            caps = candidate
-            changed = True
-            break
-    return caps, changed
+    if reduced:
+        sample = replace(sample, test=sample.test.renamed("shrunk"))
+    return replace(sample, checks=checks, reduced=reduced)
 
 
 def shrink_sample(
@@ -212,22 +253,9 @@ def shrink_sample(
         The smallest reproducer found, renamed ``"shrunk"`` when any
         reduction happened.
     """
-    budget = _Budget(predicate, max_checks)
-    if not budget.holds(test, capabilities):
-        return ShrinkResult(test, capabilities, budget.checks, reduced=False)
-    caps = capabilities
-    reduced = False
-    for _round in range(max_rounds):
-        round_changed = False
-        test, changed = _shrink_items(test, caps, budget)
-        round_changed |= changed
-        test, changed = _shrink_ops(test, caps, budget)
-        round_changed |= changed
-        caps, changed = _shrink_geometry(test, caps, budget)
-        round_changed |= changed
-        reduced |= round_changed
-        if not round_changed:
-            break
-    if reduced:
-        test = test.renamed("shrunk")
-    return ShrinkResult(test, caps, budget.checks, reduced=reduced)
+    return shrink_to_fixpoint(
+        ShrinkResult(test, capabilities),
+        lambda sample: predicate(sample.test, sample.capabilities),
+        max_checks,
+        max_rounds,
+    )

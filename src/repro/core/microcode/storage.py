@@ -114,10 +114,6 @@ class StorageUnit:
     def clear_storage_defects(self) -> None:
         self._stuck_bits.clear()
 
-    @property
-    def has_storage_defects(self) -> bool:
-        return bool(self._stuck_bits)
-
     def load(self, program: Sequence[MicroInstruction]) -> None:
         """Load a program into rows 0..len-1; remaining rows cleared."""
         if len(program) > self.rows:

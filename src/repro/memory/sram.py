@@ -27,7 +27,7 @@ contention PAF and cross-port coupling models of
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.memory.decoder import AddressDecoder
 from repro.memory.retention import RetentionClock
@@ -310,17 +310,6 @@ class Sram:
     def snapshot(self) -> Sequence[int]:
         """Immutable copy of the physical cell contents."""
         return tuple(map(self._cells.__getitem__, range(self.n_words)))
-
-    def bit_image(self) -> Tuple[Tuple[int, ...], ...]:
-        """Cell contents as a ``words × width`` bit matrix (LSB first).
-
-        The per-bit view makes word diffs readable for multi-bit
-        geometries.
-        """
-        return tuple(
-            tuple((word >> bit) & 1 for bit in range(self.width))
-            for word in self.snapshot()
-        )
 
     def __repr__(self) -> str:
         kind = "bit-oriented" if self.width == 1 else f"{self.width}-bit word"

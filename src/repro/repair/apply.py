@@ -31,13 +31,6 @@ class RepairError(RuntimeError):
     """Raised when a plan cannot be applied (not enough spare words)."""
 
 
-def spare_words_needed(plan: RepairPlan, bitmap_grid) -> int:
-    """Physical spare words a plan consumes (row length × rows + ...)."""
-    per_row = bitmap_grid.cols
-    per_col = bitmap_grid.rows
-    return len(plan.rows) * per_row + len(plan.columns) * per_col
-
-
 def make_repairable_memory(n_words: int, spare_words: int, **kwargs) -> Sram:
     """An SRAM with ``spare_words`` extra physical words for repair.
 

@@ -1,9 +1,13 @@
 """Unit tests for the differential conformance subsystem."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.conformance import (
     ARCHITECTURES,
+    GOLDEN_GEOMETRIES,
     check_conformance,
     conformance_predicate,
     first_divergence,
@@ -20,6 +24,29 @@ from repro.march.simulator import MemoryOperation, expand
 
 CAPS = ControllerCapabilities(n_words=4, width=1, ports=1)
 WORD_CAPS = ControllerCapabilities(n_words=3, width=2, ports=2)
+
+
+def _library_digest() -> str:
+    """sha256 (first 16 hex digits) of every ``check_conformance``
+    payload over the library × the corpus geometries × both
+    compression settings."""
+    payloads = [
+        check_conformance(
+            library.get(name), ControllerCapabilities(*geometry),
+            compress=compress,
+        ).to_dict()
+        for name in library.ALGORITHMS
+        for geometry in GOLDEN_GEOMETRIES
+        for compress in (True, False)
+    ]
+    text = json.dumps(payloads, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+#: ``_library_digest()`` on healthy controllers and under the seeded
+#: progfsm polarity defect of :class:`TestSeededDefect`.
+LIBRARY_DIGEST = "8ec7fde755ccd76c"
+INVERTED_POLARITY_DIGEST = "2e1504a677985249"
 
 
 class TestNormalize:
@@ -157,6 +184,9 @@ class TestCheckConformance:
         assert len(payload["architectures"]) == 3
         assert "op-for-op equal" in result.format()
 
+    def test_library_payloads_are_pinned(self):
+        assert _library_digest() == LIBRARY_DIGEST
+
 
 class TestSeededDefect:
     """Acceptance scenario: a deliberately seeded datapath defect must
@@ -192,6 +222,9 @@ class TestSeededDefect:
         assert div.reference_owner.startswith("item 0")
         assert div.candidate_owner.startswith("fsm row 0")
 
+    def test_defect_payloads_are_pinned(self, inverted_polarity):
+        assert _library_digest() == INVERTED_POLARITY_DIGEST
+
     def test_defect_shrinks_to_tiny_reproducer(self, inverted_polarity):
         shrunk = shrink_sample(
             library.get("March C"),
@@ -202,6 +235,10 @@ class TestSeededDefect:
         assert shrunk.reduced
         assert len(shrunk.test.items) <= 2
         assert shrunk.geometry == (1, 1, 1)
+        assert shrunk.to_dict() == {
+            "notation": "~(w0)", "geometry": [1, 1, 1], "checks": 8,
+            "reduced": True,
+        }
         # The reproducer still reproduces.
         result = check_conformance(shrunk.test, shrunk.capabilities)
         assert not result.ok

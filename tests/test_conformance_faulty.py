@@ -34,6 +34,7 @@ from repro.conformance.faulty.sampling import random_fault, stratified_sample
 from repro.conformance.faulty.shrink import _spec_size, simpler_fault_specs
 from repro.conformance.trace import AttributedOp, golden_trace
 from repro.core.controller import ControllerCapabilities
+from repro.core.progfsm.compiler import CompileError
 from repro.diagnostics.faillog import FailLog
 from repro.faults.concurrent import concurrent_fault_universe
 from repro.faults.injector import FaultInjector
@@ -44,7 +45,7 @@ from repro.faults.spec import format_fault, parse_fault
 from repro.faults.stuck_at import StuckAtFault
 from repro.faults.universe import standard_universe
 from repro.march import library
-from repro.march.notation import format_test
+from repro.march.notation import format_test, parse_test
 from repro.prt import PRT_RING_UP
 from repro.memory.sram import Sram
 
@@ -367,6 +368,11 @@ class TestSeededResponseDefect:
         assert shrunk.geometry == (1, 1, 1)
         assert shrunk.fault_spec == "saf:0:0:1"
         assert len(shrunk.test.items) == 1
+        # Key order too: fuzz reports embed this dict.
+        assert list(shrunk.to_dict().items()) == [
+            ("notation", "^(r0)"), ("geometry", [1, 1, 1]),
+            ("fault", "saf:0:0:1"), ("checks", 15), ("reduced", True),
+        ]
         # The minimal triple still reproduces.
         final = check_fault_conformance(
             shrunk.test,
@@ -1149,6 +1155,40 @@ class TestStreamsBuiltOncePerShard:
             assert microcode["status"] == progfsm["status"] == "ok"
             assert hardwired["status"] == "error"
             assert hardwired["detail"].startswith(detail)
+
+    @pytest.mark.parametrize("notation, caps, raised", [
+        ("~(w0); ^(r0)", CAPS, RuntimeError("cycle bound 100000 exceeded")),
+        ("~(w0); ^(r0)", CAPS, ValueError("bad opcode")),
+        ("~(w0); ^(r0)", CAPS, CompileError("no SM0-SM7 element")),
+        # The real assembler rejects a pause that is not a power of two.
+        ("~(w0); Del(3); ^(r0)", ControllerCapabilities(4, 1, 1), None),
+    ], ids=["hang", "crash", "not-realisable", "assembler-rejects-pause"])
+    def test_stimulus_and_response_checks_classify_builds_alike(
+        self, monkeypatch, notation, caps, raised
+    ):
+        """Both checks run on one differential loop, so a partner whose
+        build fails gets the same status and text from each."""
+        if raised is not None:
+            def broken(test, caps, compress):
+                raise raised
+
+            monkeypatch.setitem(faulty_check.STREAM_BUILDERS, "microcode",
+                                broken)
+        test = parse_test(notation, name="sample")
+        stimulus = check_conformance(test, caps)
+        response = check_fault_conformance(
+            test, caps, parse_fault("saf:0:0:1")
+        )
+        arch = stimulus.results[0]
+        status = (
+            "skipped" if arch.skipped is not None
+            else "error" if arch.error is not None
+            else "ok"
+        )
+        assert arch.architecture == response.responses[0].architecture
+        assert status == response.responses[0].status != "ok"
+        assert (arch.skipped or arch.error) == response.responses[0].detail
+        assert [r.ok for r in stimulus.results[1:]] == [True, True]
 
     def test_skip_is_replayed_to_every_pair(self, build_counts):
         report = run_fault_sweep(

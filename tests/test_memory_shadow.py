@@ -119,10 +119,9 @@ class TestSramHelpersOnSparseStorage:
             memory.write(0, 3, 1)
         return sram, shadow
 
-    def test_snapshot_and_bit_image(self):
+    def test_snapshot(self):
         sram, shadow = self._pair()
         assert shadow.snapshot() == sram.snapshot() == (0, 2, 0, 1)
-        assert shadow.bit_image() == sram.bit_image()
 
     def test_reset_state_fill(self):
         sram, shadow = self._pair()

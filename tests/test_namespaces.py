@@ -190,3 +190,20 @@ def test_cli_loads_no_controller(argv):
     )
     assert "repro.cli" in loaded
     assert [name for name in loaded if name.startswith(_CONTROLLERS)] == []
+
+
+def test_coverage_lint_loads_no_controller():
+    """The CV rules run only the prover: no controller, walk or FSM
+    synthesis is imported for them."""
+    loaded = _run(
+        "import contextlib, io, json, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['lint', '--algorithm', 'March C', '--target', 'coverage'])\n"
+        f"{_LOADED}"
+    )
+    assert "repro.analysis.coverage_rules" in loaded
+    assert [name for name in loaded if name in (
+        "repro.core.walk", "repro.core.microcode.controller",
+        "repro.core.hardwired.synthesis", "repro.core.progfsm.lower_fsm",
+    )] == []

@@ -905,18 +905,6 @@ class TestPartnerAccounting:
         assert vector.fallback_runs == 0
 
 
-class TestSramBitImage:
-    def test_bit_image_matches_snapshot(self):
-        memory = Sram(3, width=4)
-        memory.poke(0, 0b1010)
-        memory.poke(2, 0b0110)
-        image = memory.bit_image()
-        assert image[0] == (0, 1, 0, 1)  # LSB first
-        assert image[1] == (0, 0, 0, 0)
-        assert image[2] == (0, 1, 1, 0)
-        assert len(image) == 3 and all(len(row) == 4 for row in image)
-
-
 class TestFuzzVectorIdentity:
     def test_sample_reports_vector_checked(self):
         from repro.analysis.fuzz import check_sample
