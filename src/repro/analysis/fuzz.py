@@ -106,7 +106,6 @@ from typing import (
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -943,18 +942,6 @@ def _check_batch(
     return out
 
 
-def _lost_batch_entry(start: int, count: int, error: str) -> Dict[str, Any]:
-    """A synthetic mismatch entry for a batch the service lost."""
-    return {
-        "index": start,
-        "ok": False,
-        "sample_seed": f"<batch {start}..{start + count - 1}>",
-        "notation": "<service>",
-        "geometry": [0, 0, 0],
-        "mismatches": [f"service: batch lost: {error}"],
-    }
-
-
 def run_fuzz(
     samples: int,
     seed: int = 0,
@@ -969,10 +956,11 @@ def run_fuzz(
         seed: master seed; sample ``i`` derives its RNG from
             ``(seed, i)``, so the report is independent of ``jobs``.
         jobs: worker-process count; 1 runs inline (no pool), more run
-            batches on a :class:`~repro.service.engine.JobEngine` — a
-            crashed worker no longer discards the completed batches,
-            and batches that failed without crash/timeout history are
-            retried serially.
+            ``jobs`` batches through
+            :func:`~repro.service.engine.run_jobs` — a crashed worker
+            does not discard the completed batches, a batch that only
+            raised is retried serially, and a lost batch is one
+            ``<batch a..b>`` mismatch entry.
         skip: letters of the :data:`IDENTITIES` rows not to check (see
             :func:`resolve_skip`); every row runs by default.
         shard_timeout: per-batch wall-clock budget (seconds), enforced
@@ -986,12 +974,7 @@ def run_fuzz(
             every completed batch.
     """
     from repro.conformance.faulty.check import SweepInterrupted
-    from repro.service.engine import (
-        Job,
-        JobEngine,
-        JobsInterrupted,
-        RetryPolicy,
-    )
+    from repro.service.engine import run_jobs
 
     if samples <= 0:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -1000,77 +983,43 @@ def run_fuzz(
     skip = tuple(sorted(resolve_skip(skip)))
     report = FuzzReport(samples=samples, seed=seed)
 
-    def aggregate(batches: Sequence[List[Dict[str, Any]]]) -> FuzzReport:
-        for batch in batches:
-            for entry in batch:
-                report.checked += 1
-                report.fsm_compiled += entry.get("fsm_compiled", False)
-                for key in report.counts:
-                    report.counts[key] += entry.get(key, 0)
-                if not entry["ok"]:
-                    report.mismatch_count += 1
-                    report.mismatches.append(
-                        {k: v for k, v in entry.items() if k != "ok"}
-                    )
-        report.mismatches.sort(key=lambda entry: entry["index"])
-        return report
-
     jobs = min(jobs, samples)
-    if jobs == 1:
-        try:
-            batches = [_check_batch((seed, 0, samples, skip))]
-        except KeyboardInterrupt:
-            report.interrupted = True
-            raise SweepInterrupted(aggregate([])) from None
-        return aggregate(batches)
-
     chunk = (samples + jobs - 1) // jobs
     work = [
         (seed, start, min(chunk, samples - start), skip)
         for start in range(0, samples, chunk)
     ]
-    submissions = [
-        Job(key=f"fuzz:{seed}:{args[1]}:{args[2]}", fn=_check_batch,
-            payload=args)
-        for args in work
-    ]
-    engine = JobEngine(
-        workers=jobs, policy=RetryPolicy(timeout=shard_timeout)
+    batches: Dict[int, List[Dict[str, Any]]] = {}
+    run = run_jobs(
+        _check_batch,
+        [(i, f"fuzz:{seed}:{args[1]}:{args[2]}", args)
+         for i, args in enumerate(work)],
+        jobs, batches.__setitem__, timeout=shard_timeout,
     )
-    try:
-        engine_report = engine.run(submissions)
-    except JobsInterrupted as interrupt:
-        completed = {o.key: o.value for o in interrupt.outcomes if o.ok}
-        report.interrupted = True
-        raise SweepInterrupted(aggregate(
-            [completed[job.key] for job in submissions
-             if job.key in completed]
-        )) from None
-    finally:
-        engine.close()
-
-    batches: List[List[Dict[str, Any]]] = []
-    serial_retries = 0
-    for outcome, args in zip(engine_report.outcomes, work):
-        if outcome.ok:
-            batches.append(outcome.value)
-        elif outcome.safe_inline:
-            # The batch only raised — completed batches are safe, so
-            # rerun it serially rather than losing its samples.
-            try:
-                batches.append(_check_batch(args))
-                serial_retries += 1
-            except Exception as error:
-                batches.append([_lost_batch_entry(
-                    args[1], args[2],
-                    f"{outcome.error}; serial retry: "
-                    f"{type(error).__name__}: {error}",
-                )])
-        else:
-            batches.append([_lost_batch_entry(
-                args[1], args[2], f"{outcome.status}: {outcome.error}",
-            )])
-    stats = engine_report.stats()
-    stats["serial_retries"] = serial_retries
-    report.service_stats = stats
-    return aggregate(batches)
+    for i, error in run.lost.items():
+        _, start, count, _ = work[i]
+        batches[i] = [{
+            "index": start,
+            "ok": False,
+            "sample_seed": f"<batch {start}..{start + count - 1}>",
+            "notation": "<service>",
+            "geometry": [0, 0, 0],
+            "mismatches": [f"service: batch lost: {error}"],
+        }]
+    for i in sorted(batches):
+        for entry in batches[i]:
+            report.checked += 1
+            report.fsm_compiled += entry.get("fsm_compiled", False)
+            for key in report.counts:
+                report.counts[key] += entry.get(key, 0)
+            if not entry["ok"]:
+                report.mismatch_count += 1
+                report.mismatches.append(
+                    {k: v for k, v in entry.items() if k != "ok"}
+                )
+    report.mismatches.sort(key=lambda entry: entry["index"])
+    report.service_stats = run.stats
+    report.interrupted = run.interrupted
+    if run.interrupted:
+        raise SweepInterrupted(report)
+    return report

@@ -1097,7 +1097,7 @@ def _sweep_shard(
     memoised per distinct log, while capture and compare stay per pair
     (:func:`_check_pair`; a partner shares the golden capture by
     :func:`shares_golden_capture`).
-    :func:`_sharded_sweep` cuts shards on test boundaries whenever a
+    :func:`run_fault_sweep` cuts shards on test boundaries whenever a
     shard holds a whole test, so each test is then resolved once per
     sweep.  Only the current test's :class:`Stimulus` is held.
     """
@@ -1141,231 +1141,6 @@ def _fault_cache_key(fault: CellFault) -> str:
     return f"describe:{fault.describe()}"
 
 
-def _lost_shard_report(
-    geometry: Tuple[int, int, int],
-    mode: str,
-    shard_engine: str,
-    shard_index: int,
-    start: int,
-    count: int,
-    error: str,
-) -> FaultSweepReport:
-    """A mergeable stand-in for a shard the service could not finish.
-
-    A quarantined poison shard (or one that exhausted its retries on a
-    non-inlineable failure) is *reported*, not silently dropped and not
-    allowed to abort the sweep: the merged report carries a
-    ``shard-lost`` failure naming the run range and the service
-    incident, so it is visibly not-ok.
-    """
-    report = FaultSweepReport(
-        geometry=geometry, mode=mode, engine=shard_engine
-    )
-    report.failures.append({
-        "kind": "shard-lost",
-        "notation": f"<shard {shard_index}: {count} run(s) at {start}>",
-        "geometry": list(geometry),
-        "fault": "<service incident>",
-        "fault_spec": None,
-        "mode": mode,
-        "ok": False,
-        "error": error,
-        "architectures": [],
-    })
-    report.shards = [{
-        "shard": shard_index,
-        "runs": count,
-        "wall_time_s": 0.0,
-        "lost": True,
-    }]
-    return report
-
-
-def _run_sharded(
-    work: Sequence[Tuple[Any, ...]],
-    shard_fn: Callable[[Any], FaultSweepReport],
-    geometry: Tuple[int, int, int],
-    jobs: int,
-    mode: str,
-    shard_engine: str,
-    key_fields: Optional[Dict[str, Any]] = None,
-    service: Optional[Any] = None,
-    store: Optional[Any] = None,
-    resume: bool = False,
-    shard_timeout: Optional[float] = None,
-    chaos: Optional[Any] = None,
-) -> FaultSweepReport:
-    """Run shard work items through the service layer and merge.
-
-    The shared engine room of the scalar and vector sweeps.  ``work``
-    items are ``shard_fn`` argument tuples whose slots 0/4/5 are the
-    shard index, start offset and run count (the existing worker-entry
-    convention).  Behaviour by configuration:
-
-    * ``store`` set: each shard gets a content-hashed key; with
-      ``resume=True`` cached shard payloads are reused (cache hits),
-      and every freshly computed shard is checkpointed before the next
-      starts, so an interrupted sweep resumes instead of restarting.
-    * ``jobs == 1`` and no engine-requiring feature: shards run inline
-      in this process (checkpointed serial mode) — no subprocesses, but
-      still resumable and still interruptible with a partial report.
-    * otherwise: shards become :class:`~repro.service.engine.Job`s on a
-      :class:`~repro.service.engine.JobEngine` (the caller's shared
-      ``service`` engine, or a private one).  Shards that failed only
-      by raising (no crash/timeout history) are retried serially here —
-      completed shards are already safe — and shards the engine
-      quarantined become ``shard-lost`` failure records.
-
-    Raises:
-        SweepInterrupted: on SIGINT (or an injected interrupt), with
-            the merged partial report of every completed shard.
-    """
-    from repro.service.engine import Job, JobEngine, JobsInterrupted, RetryPolicy
-
-    reports: List[Optional[FaultSweepReport]] = [None] * len(work)
-    keys: List[Optional[Any]] = [None] * len(work)
-    store_before = store.stats() if store is not None else None
-    if store is not None:
-        if key_fields is None:
-            raise ValueError("a store needs key_fields to key shards by")
-        for i, args in enumerate(work):
-            keys[i] = store.key(
-                **key_fields, shard={"start": args[4], "count": args[5]}
-            )
-            if resume:
-                cached = store.get(keys[i])
-                if cached is not None:
-                    reports[i] = FaultSweepReport.from_json(cached)
-
-    def complete(i: int, report: FaultSweepReport) -> None:
-        reports[i] = report
-        if store is not None and keys[i] is not None:
-            store.put(keys[i], report.to_json())
-
-    def service_stats(engine_stats: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        stats: Dict[str, Any] = {}
-        if engine_stats is not None:
-            stats.update(engine_stats)
-        if store is not None and store_before is not None:
-            after = store.stats()
-            stats["store"] = {
-                name: after[name] - store_before[name] for name in after
-            }
-        return stats
-
-    def partial(engine_stats: Optional[Dict[str, Any]]) -> FaultSweepReport:
-        done = [report for report in reports if report is not None]
-        if done:
-            merged = FaultSweepReport.merge(done)
-        else:
-            merged = FaultSweepReport(
-                geometry=geometry, mode=mode, engine=shard_engine
-            )
-        merged.interrupted = True
-        merged.jobs = jobs
-        stats = service_stats(engine_stats)
-        merged.service_stats = stats or None
-        return merged
-
-    missing = [i for i in range(len(work)) if reports[i] is None]
-    engine_stats: Optional[Dict[str, Any]] = None
-    chaos_behaviors = bool(chaos is not None and chaos.behaviors)
-    use_engine = bool(missing) and (
-        service is not None or jobs > 1 or chaos_behaviors
-    )
-
-    if missing and not use_engine:
-        # Checkpointed serial mode: shards run inline, each persisted
-        # before the next starts.  An injected interrupt (chaos) and a
-        # real SIGINT take the same partial-report exit.
-        completed_since = 0
-        try:
-            for i in missing:
-                complete(i, shard_fn(work[i]))
-                completed_since += 1
-                if (
-                    chaos is not None
-                    and chaos.interrupt_after is not None
-                    and completed_since >= chaos.interrupt_after
-                    and i != missing[-1]
-                ):
-                    raise KeyboardInterrupt
-        except KeyboardInterrupt:
-            raise SweepInterrupted(partial(None)) from None
-    elif missing:
-        owns_engine = service is None
-        engine = service
-        if engine is None:
-            engine = JobEngine(
-                workers=max(1, min(jobs, len(missing))),
-                policy=RetryPolicy(timeout=shard_timeout),
-            )
-        submissions = []
-        index_by_key: Dict[str, int] = {}
-        for i in missing:
-            args = work[i]
-            key = (
-                keys[i].digest if keys[i] is not None
-                else f"shard:{args[0]}"
-            )
-            index_by_key[key] = i
-            fn: Callable[[Any], Any] = shard_fn
-            payload: Any = args
-            if chaos is not None:
-                fn, payload = chaos.wrap(args[0], shard_fn, args)
-            submissions.append(Job(key=key, fn=fn, payload=payload))
-        try:
-            engine_report = engine.run(submissions)
-        except JobsInterrupted as interrupt:
-            for outcome in interrupt.outcomes:
-                if outcome.ok:
-                    complete(index_by_key[outcome.key], outcome.value)
-            raise SweepInterrupted(partial(None)) from None
-        finally:
-            if owns_engine:
-                engine.close()
-        engine_stats = engine_report.stats()
-        serial_retries = 0
-        for outcome, i in zip(engine_report.outcomes, missing):
-            if outcome.ok:
-                complete(i, outcome.value)
-                continue
-            args = work[i]
-            if outcome.safe_inline:
-                # Failed only by raising: completed shards are safe in
-                # ``reports``, so a serial in-process retry is cheap
-                # insurance against transient worker trouble.
-                try:
-                    complete(i, shard_fn(args))
-                    serial_retries += 1
-                    continue
-                except KeyboardInterrupt:
-                    raise SweepInterrupted(partial(engine_stats)) from None
-                except Exception as error:
-                    incident = (
-                        f"{outcome.status}: {outcome.error}; serial retry: "
-                        f"{type(error).__name__}: {error}"
-                    )
-            else:
-                incident = f"{outcome.status}: {outcome.error}"
-            reports[i] = _lost_shard_report(
-                geometry, mode, shard_engine,
-                args[0], args[4], args[5], incident,
-            )
-        engine_stats["serial_retries"] = serial_retries
-
-    final = [report for report in reports if report is not None]
-    if not final:
-        merged = FaultSweepReport(
-            geometry=geometry, mode=mode, engine=shard_engine
-        )
-    else:
-        merged = FaultSweepReport.merge(final)
-    stats = service_stats(engine_stats)
-    merged.service_stats = stats or None
-    return merged
-
-
 def _shard_key_fields(
     axis: str,
     engine: str,
@@ -1397,83 +1172,6 @@ def _shard_key_fields(
     }
 
 
-def _sharded_sweep(
-    shard_fn: Callable[[Any], FaultSweepReport],
-    engine: str,
-    axis: str,
-    units: int,
-    shards_per_worker: int,
-    tests: Sequence[MarchTest],
-    caps: ControllerCapabilities,
-    faults: Sequence[CellFault],
-    compress: bool,
-    max_ops: Optional[int],
-    jobs: int,
-    mode: str,
-    service: Optional[Any],
-    store: Optional[Any],
-    resume: bool,
-    shard_timeout: Optional[float],
-    chaos: Optional[Any],
-) -> FaultSweepReport:
-    """The body both sweep engines share: shard, run, merge, time.
-
-    ``units`` is the length of the sharded ``axis`` (``product`` pairs
-    for the scalar engine, ``tests`` for the vector engine); shard work
-    items are ``shard_fn`` argument tuples ``(shard, tests, caps,
-    faults, start, count, compress, max_ops, mode)``.  Shards are finer
-    than the worker count (``shards_per_worker`` each): stimuli differ
-    widely in stream length, so equal ``jobs``-sized chunks leave
-    workers idle behind the chunk that drew the longest ones.  A
-    ``product`` chunk that holds at least one whole test is rounded
-    down to whole tests, so no test's streams are built in two shards;
-    only a chunk smaller than one test splits a test.  Merging by shard
-    index keeps the report order (and bytes) independent of the shard
-    count.
-    """
-    geometry = (caps.n_words, caps.width, caps.ports)
-    started = time.perf_counter()
-    serviced = (
-        service is not None or store is not None or chaos is not None
-    )
-    if units == 0 or not faults:
-        report = FaultSweepReport(geometry=geometry, engine=engine, mode=mode)
-    elif min(jobs, units) == 1 and not serviced:
-        report = shard_fn(
-            (0, tests, caps, faults, 0, units, compress, max_ops, mode)
-        )
-    else:
-        workers = min(jobs, units)
-        shards = min(units, max(workers, 2) * shards_per_worker)
-        chunk = (units + shards - 1) // shards
-        if axis == "product" and chunk > len(faults):
-            # Whole tests per shard: each test is resolved, and its
-            # streams built, in exactly one shard.
-            chunk -= chunk % len(faults)
-        work = [
-            (shard, tests, caps, faults, start,
-             min(chunk, units - start), compress, max_ops, mode)
-            for shard, start in enumerate(range(0, units, chunk))
-        ]
-        key_fields = None
-        if store is not None:
-            key_fields = _shard_key_fields(
-                axis, engine, mode, tests, caps, faults, compress, max_ops
-            )
-        try:
-            report = _run_sharded(
-                work, shard_fn, geometry, workers, mode, engine,
-                key_fields=key_fields, service=service, store=store,
-                resume=resume, shard_timeout=shard_timeout, chaos=chaos,
-            )
-        except SweepInterrupted as interrupt:
-            interrupt.report.wall_time_s = time.perf_counter() - started
-            raise
-    report.jobs = jobs
-    report.wall_time_s = time.perf_counter() - started
-    return report
-
-
 def run_fault_sweep(
     tests: Sequence[MarchTest],
     capabilities: ControllerCapabilities,
@@ -1491,6 +1189,19 @@ def run_fault_sweep(
 ) -> FaultSweepReport:
     """Check every (algorithm, fault) pair; used by CI and the CLI.
 
+    A sweep that shards (``jobs > 1``, or any service knob) cuts its
+    units into shards finer than the worker count, because stimuli
+    differ widely in stream length and ``jobs``-sized chunks would
+    leave workers idle behind the longest.  The scalar engine's units
+    are the flattened (algorithm, fault) pairs, four shards per worker;
+    a shard that holds at least one whole test is rounded down to whole
+    tests, so each test is resolved, and its streams built, in exactly
+    one shard.  The vector engine plans per test, so its units are
+    whole tests, two shards per worker.  Shards run through
+    :func:`~repro.service.engine.run_jobs`, each checkpointed in
+    ``store`` as it completes, and merge in shard order, so the report
+    (timing aside) is independent of the shard count.
+
     Args:
         tests: the stimuli to sweep — march algorithms and
             :class:`~repro.prt.session.PrtSession` objects, mixed.
@@ -1499,10 +1210,7 @@ def run_fault_sweep(
             algorithm).
         compress: microcode REPEAT compression.
         max_ops: per-run op budget override.
-        jobs: worker-process count; 1 runs inline (no pool).  The
-            (algorithm, fault) product is sharded into contiguous
-            chunks and the shard reports merged, so the report — timing
-            aside — is independent of ``jobs``.
+        jobs: worker-process count; 1 runs inline (no pool).
         engine: ``scalar`` (per-run :class:`~repro.memory.sram.Sram`
             simulation, the oracle) or ``vector`` (the projected engine
             of :mod:`repro.vector`: partners verified against the
@@ -1522,7 +1230,9 @@ def run_fault_sweep(
             configuration shards.
         store: a :class:`~repro.service.store.ResultStore`; completed
             shards are checkpointed into it, and with ``resume=True``
-            previously stored shards are cache hits.
+            previously stored shards are cache hits.  Keys carry the
+            engine and its shard axis, so the two engines never share
+            (or poison) each other's entries.
         resume: read matching shard results back from ``store``.
         shard_timeout: per-shard wall-clock budget (seconds) enforced
             by the engine (ignored when a shared ``service`` engine
@@ -1540,22 +1250,118 @@ def run_fault_sweep(
         raise ValueError(f"unknown engine {engine!r}; known: {list(ENGINES)}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {list(MODES)}")
-    if engine == "vector":
-        from repro.vector.sweep import run_vector_fault_sweep
-
-        return run_vector_fault_sweep(
-            tests, capabilities, faults, compress=compress,
-            max_ops=max_ops, jobs=jobs, mode=mode, service=service,
-            store=store, resume=resume, shard_timeout=shard_timeout,
-            chaos=chaos,
-        )
     tests = list(tests)
     faults = list(faults)
-    return _sharded_sweep(
-        _sweep_shard, "scalar", "product", len(tests) * len(faults), 4,
-        tests, capabilities, faults, compress, max_ops, jobs, mode,
-        service, store, resume, shard_timeout, chaos,
-    )
+    if engine == "vector":
+        # Looked up per call, so a patched shard function takes effect.
+        from repro.vector import sweep as vector_sweep
+
+        shard_fn, axis, units, per_worker, pairs_per_unit = (
+            vector_sweep._vector_shard, "tests", len(tests), 2, len(faults)
+        )
+    else:
+        shard_fn, axis, units, per_worker, pairs_per_unit = (
+            _sweep_shard, "product", len(tests) * len(faults), 4, 1
+        )
+    caps = capabilities
+    geometry = (caps.n_words, caps.width, caps.ports)
+    started = time.perf_counter()
+    workers = min(jobs, units)
+    serviced = service is not None or store is not None or chaos is not None
+    if units == 0 or not faults:
+        report = FaultSweepReport(geometry=geometry, engine=engine, mode=mode)
+    elif workers == 1 and not serviced:
+        report = shard_fn(
+            (0, tests, caps, faults, 0, units, compress, max_ops, mode)
+        )
+    else:
+        from repro.service.engine import run_jobs
+
+        shards = min(units, max(workers, 2) * per_worker)
+        chunk = (units + shards - 1) // shards
+        if axis == "product" and chunk > len(faults):
+            # Whole tests per shard: each test is resolved, and its
+            # streams built, in exactly one shard.
+            chunk -= chunk % len(faults)
+        work = [
+            (shard, tests, caps, faults, start,
+             min(chunk, units - start), compress, max_ops, mode)
+            for shard, start in enumerate(range(0, units, chunk))
+        ]
+        reports: List[Optional[FaultSweepReport]] = [None] * len(work)
+        keys: List[Any] = [None] * len(work)
+        if store is not None:
+            store_before = store.stats()
+            key_fields = _shard_key_fields(
+                axis, engine, mode, tests, caps, faults, compress, max_ops
+            )
+            for shard, args in enumerate(work):
+                keys[shard] = store.key(
+                    **key_fields, shard={"start": args[4], "count": args[5]}
+                )
+                cached = store.get(keys[shard]) if resume else None
+                if cached is not None:
+                    reports[shard] = FaultSweepReport.from_json(cached)
+
+        def complete(shard: int, shard_report: FaultSweepReport) -> None:
+            # Checkpointed as soon as it exists, so a killed sweep
+            # resumes from every shard that finished.
+            reports[shard] = shard_report
+            if keys[shard] is not None:
+                store.put(keys[shard], shard_report.to_json())
+
+        run = run_jobs(
+            shard_fn,
+            [
+                (shard,
+                 f"shard:{shard}" if keys[shard] is None
+                 else keys[shard].digest,
+                 work[shard])
+                for shard in range(len(work)) if reports[shard] is None
+            ],
+            workers, complete, service=service, timeout=shard_timeout,
+            chaos=chaos,
+        )
+        for shard, incident in run.lost.items():
+            # A shard the service could not finish is reported, not
+            # dropped: a ``shard-lost`` failure names its pairs and the
+            # incident, so checked plus lost runs is the whole product.
+            start, count = (n * pairs_per_unit for n in work[shard][4:6])
+            lost = FaultSweepReport(geometry=geometry, engine=engine, mode=mode)
+            lost.failures.append({
+                "kind": "shard-lost",
+                "notation": f"<shard {shard}: {count} run(s) at {start}>",
+                "geometry": list(geometry),
+                "fault": "<service incident>",
+                "fault_spec": None,
+                "mode": mode,
+                "ok": False,
+                "error": incident,
+                "architectures": [],
+            })
+            lost.shards = [{
+                "shard": shard, "runs": count, "wall_time_s": 0.0,
+                "lost": True,
+            }]
+            reports[shard] = lost
+        done = [r for r in reports if r is not None]
+        report = (
+            FaultSweepReport.merge(done) if done
+            else FaultSweepReport(geometry=geometry, engine=engine, mode=mode)
+        )
+        stats = dict(run.stats or {})
+        if store is not None:
+            after = store.stats()
+            stats["store"] = {
+                name: after[name] - store_before[name] for name in after
+            }
+        report.service_stats = stats or None
+        report.interrupted = run.interrupted
+    report.jobs = jobs
+    report.wall_time_s = time.perf_counter() - started
+    if report.interrupted:
+        raise SweepInterrupted(report)
+    return report
 
 
 def _first_difference(scalar: Any, vector: Any, path: str) -> Optional[str]:

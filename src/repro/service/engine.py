@@ -39,6 +39,12 @@ may be reused across several ``run()`` calls (the multi-geometry sweep
 shares one pool across geometries) and must be :meth:`closed
 <JobEngine.close>` — or used as a context manager — when done.
 
+Callers do not drive the engine themselves: :func:`run_jobs` is the
+one runner of sharded work (fault-sweep shards, fuzz batches).  It
+runs items inline or on an engine, applies a chaos plan, hands each
+result over as it completes, retries serially what only raised, and
+reports lost jobs and interrupts as data instead of exceptions.
+
 Jobs must be picklable: ``fn`` a module-level function, ``payload``
 plain data.  Workers are forked where available and ignore SIGINT, so
 interrupting a sweep leaves shutdown coordination to the orchestrator.
@@ -53,7 +59,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Upper bound on one blocking wait on the pool, so deadlines and
 #: backoffs are serviced regularly even while every worker is deep in a
@@ -367,6 +373,7 @@ class JobEngine:
         self._states: List[_JobState] = []
         self._outcomes: Dict[int, JobOutcome] = {}
         self._report = EngineReport()
+        self._on_complete: Optional[Callable[[int, Any], None]] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -391,8 +398,16 @@ class JobEngine:
 
     # -- entry points ------------------------------------------------------
 
-    def run(self, jobs: Sequence[Job]) -> EngineReport:
+    def run(
+        self,
+        jobs: Sequence[Job],
+        on_complete: Optional[Callable[[int, Any], None]] = None,
+    ) -> EngineReport:
         """Run ``jobs`` to completion.
+
+        ``on_complete(index, value)`` is called in this process as soon
+        as job ``jobs[index]`` succeeds, before the run goes on, so a
+        caller can checkpoint each result while the pool still works.
 
         Raises:
             JobsInterrupted: on SIGINT, with the completed outcomes.
@@ -406,6 +421,7 @@ class JobEngine:
         ]
         self._outcomes = {}
         self._report = EngineReport(workers=self.workers)
+        self._on_complete = on_complete
         try:
             self._drain_stale()
             pending = deque(self._states)
@@ -541,6 +557,8 @@ class JobEngine:
         error: Optional[str] = None,
         ran_inline: bool = False,
     ) -> None:
+        if status == OK and self._on_complete is not None:
+            self._on_complete(state.index, value)
         self._outcomes[state.job_id] = JobOutcome(
             key=state.job.key,
             status=status,
@@ -682,6 +700,116 @@ class JobEngine:
                 )
             else:
                 self._finish(state, OK, value=value, ran_inline=True)
+
+
+@dataclass
+class JobsRun:
+    """What :func:`run_jobs` leaves to its caller besides the results.
+
+    ``lost`` maps a job's index to its incident text; ``stats`` is the
+    engine's telemetry plus ``serial_retries`` (``None`` when the jobs
+    ran inline); ``interrupted`` says SIGINT stopped the run, after
+    every completed result was handed over.
+    """
+
+    lost: Dict[int, str] = field(default_factory=dict)
+    stats: Optional[Dict[str, Any]] = None
+    interrupted: bool = False
+
+
+def run_jobs(
+    fn: Callable[[Any], Any],
+    items: Sequence[Tuple[int, str, Any]],
+    workers: int,
+    on_result: Callable[[int, Any], None],
+    service: Optional[JobEngine] = None,
+    timeout: Optional[float] = None,
+    chaos: Optional[Any] = None,
+) -> JobsRun:
+    """Run ``fn(payload)`` for each ``(index, key, payload)`` item.
+
+    The one driver of sharded work (sweep shards, fuzz batches).  Each
+    result goes to ``on_result(index, value)`` as soon as it exists.
+
+    * Inline, one item after another in this process, when
+      ``workers == 1`` and neither a shared ``service`` engine nor a
+      chaos behaviour asks for a pool; ``chaos.interrupt_after``
+      stands in for SIGINT after that many items.
+    * Otherwise on a :class:`JobEngine` (``service``, or a private one
+      of at most ``workers`` workers with a ``timeout`` per job), the
+      payloads wrapped by the ``chaos`` plan under their index.  A job
+      that failed only by raising is retried once here, unwrapped;
+      one that crashed or hung is not, and its index is ``lost``.
+
+    Callers key ``index`` to their own item (shard or batch number),
+    and ``key`` names the job in the engine (its retry jitter).
+    """
+    run = JobsRun()
+    if not items:
+        return run
+    pooled = service is not None or workers > 1 or bool(
+        chaos is not None and chaos.behaviors
+    )
+    if not pooled:
+        try:
+            for done, (index, _key, payload) in enumerate(items, 1):
+                on_result(index, fn(payload))
+                if (
+                    chaos is not None
+                    and chaos.interrupt_after is not None
+                    and chaos.interrupt_after <= done < len(items)
+                ):
+                    raise KeyboardInterrupt
+        except KeyboardInterrupt:
+            run.interrupted = True
+        return run
+
+    engine = service if service is not None else JobEngine(
+        workers=min(workers, len(items)), policy=RetryPolicy(timeout=timeout)
+    )
+    submissions = []
+    for index, key, payload in items:
+        job_fn, job_payload = (
+            chaos.wrap(index, fn, payload) if chaos is not None
+            else (fn, payload)
+        )
+        submissions.append(Job(key=key, fn=job_fn, payload=job_payload))
+    try:
+        report = engine.run(
+            submissions,
+            on_complete=lambda position, value: on_result(
+                items[position][0], value
+            ),
+        )
+    except JobsInterrupted:
+        run.interrupted = True
+        return run
+    finally:
+        if service is None:
+            engine.close()
+    run.stats = report.stats()
+    run.stats["serial_retries"] = 0
+    for (index, _key, payload), outcome in zip(items, report.outcomes):
+        if outcome.ok:
+            continue
+        incident = f"{outcome.status}: {outcome.error}"
+        if outcome.safe_inline:
+            # Failed only by raising: the completed results are safe
+            # with the caller, so a serial retry in this process is
+            # cheap insurance against transient worker trouble.
+            try:
+                on_result(index, fn(payload))
+                run.stats["serial_retries"] += 1
+                continue
+            except KeyboardInterrupt:
+                run.interrupted = True
+                return run
+            except Exception as error:
+                incident += (
+                    f"; serial retry: {type(error).__name__}: {error}"
+                )
+        run.lost[index] = incident
+    return run
 
 
 def _bounded_wait(handles: List[Any], timeout: float) -> List[Any]:

@@ -90,7 +90,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.conformance.faulty import events as faulty_events
 from repro.conformance.faulty.check import (
@@ -98,7 +98,6 @@ from repro.conformance.faulty.check import (
     Stimulus,
     _check_pair,
     _op_budget,
-    _sharded_sweep,
     check_fault_conformance,  # noqa: F401  (perfbench/layers.py patches it)
     matches_golden,
     resolve_stimulus,
@@ -378,41 +377,3 @@ def _vector_shard(
         "wall_time_s": round(time.perf_counter() - started, 6),
     }]
     return report
-
-
-def run_vector_fault_sweep(
-    tests: Sequence[MarchTest],
-    capabilities: ControllerCapabilities,
-    faults: Sequence[CellFault],
-    compress: bool = True,
-    max_ops: Optional[int] = None,
-    jobs: int = 1,
-    mode: str = "sequential",
-    service: Optional[Any] = None,
-    store: Optional[Any] = None,
-    resume: bool = False,
-    shard_timeout: Optional[float] = None,
-    chaos: Optional[Any] = None,
-) -> FaultSweepReport:
-    """Vector-engine counterpart of ``run_fault_sweep`` (same report).
-
-    Sharding is by contiguous test chunks — each test is planned once
-    per shard, so splitting inside a test would only re-plan it.
-    Reports merge in shard order; the payload (timing aside) is
-    independent of ``jobs`` and equal to the scalar engine's.  The
-    service knobs (shared engine, result store, resume, per-shard
-    timeout, chaos plan) have ``run_fault_sweep``'s semantics; store
-    keys carry ``axis="tests"`` and ``engine="vector"``, so vector
-    shards never collide with the scalar engine's product shards.
-
-    Raises:
-        SweepInterrupted: SIGINT during a sharded run; carries the
-            partial report.
-    """
-    tests = list(tests)
-    faults = list(faults)
-    return _sharded_sweep(
-        _vector_shard, "vector", "tests", len(tests), 2,
-        tests, capabilities, faults, compress, max_ops, jobs, mode,
-        service, store, resume, shard_timeout, chaos,
-    )

@@ -9,9 +9,17 @@ failure is what makes the harness trustworthy as a conformance oracle.
 """
 
 import copy
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
+from repro.analysis import fuzz
+from repro.conformance import sweep_faults
 from repro.conformance.faulty.check import (
     FaultSweepReport,
     SweepInterrupted,
@@ -314,14 +322,12 @@ class TestFuzzServiceIdentity:
 
 class TestVectorEngineService:
     def test_vector_sweep_store_roundtrip(self, tmp_path):
-        from repro.vector.sweep import run_vector_fault_sweep
-
         store = ResultStore(tmp_path / "store")
-        first = run_vector_fault_sweep(
-            TESTS, CAPS, FAULTS, store=store
+        first = run_fault_sweep(
+            TESTS, CAPS, FAULTS, engine="vector", store=store
         )
-        rerun = run_vector_fault_sweep(
-            TESTS, CAPS, FAULTS, store=store, resume=True
+        rerun = run_fault_sweep(
+            TESTS, CAPS, FAULTS, engine="vector", store=store, resume=True
         )
         assert rerun.ok
         assert sans_timing(rerun.to_json()) == sans_timing(
@@ -330,19 +336,156 @@ class TestVectorEngineService:
         assert rerun.service_stats["store"]["hits"] >= 1
 
     def test_vector_kill_once_identical(self, tmp_path):
-        from repro.vector.sweep import run_vector_fault_sweep
-
-        serial = run_vector_fault_sweep(TESTS, CAPS, FAULTS)
+        serial = run_fault_sweep(TESTS, CAPS, FAULTS, engine="vector")
         chaos = ChaosPlan(
             behaviors={0: "kill-once"}, sentinel_dir=tmp_path
         )
-        chaotic = run_vector_fault_sweep(
-            TESTS, CAPS, FAULTS, jobs=2, chaos=chaos
+        chaotic = run_fault_sweep(
+            TESTS, CAPS, FAULTS, engine="vector", jobs=2, chaos=chaos
         )
         assert chaotic.ok
         assert sans_timing(chaotic.to_json()) == sans_timing(
             serial.to_json()
         )
+
+
+#: The sweep of the lost-shard and checkpoint tests: 4 library tests x
+#: 14 faults on 4x1x1, 8 scalar shards or 4 vector shards at jobs=2.
+SMALL_CAPS = ControllerCapabilities(n_words=4, width=1, ports=1)
+SMALL_TESTS = ["MATS", "MATS+", "MATS++", "March X"]
+
+#: Runs the small sweep with shard 7 hung (argv[1] is the store root).
+HUNG_SWEEP = """
+import sys
+from repro.conformance import run_fault_sweep, sweep_faults
+from repro.core.controller import ControllerCapabilities
+from repro.march import library
+from repro.service import ChaosPlan, ResultStore
+
+caps = ControllerCapabilities(n_words=4, width=1, ports=1)
+run_fault_sweep(
+    [library.get(name) for name in %r], caps,
+    sweep_faults(caps, per_kind=1, seed=0), jobs=2,
+    store=ResultStore(sys.argv[1]),
+    chaos=ChaosPlan({7: "hang"}, hang_s=30.0),
+)
+""" % (SMALL_TESTS,)
+
+
+def small_sweep(**options):
+    tests = [library.get(name) for name in SMALL_TESTS]
+    faults = sweep_faults(SMALL_CAPS, per_kind=1, seed=0)
+    assert len(faults) == 14
+    return run_fault_sweep(tests, SMALL_CAPS, faults, **options), (
+        len(tests) * len(faults)
+    )
+
+
+class TestShardCheckpoints:
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_lost_shard_counts_its_pairs(self, engine):
+        # A lost shard names its (algorithm, fault) pairs, whatever the
+        # engine shards by, so checked plus lost runs is the product.
+        report, pairs = small_sweep(
+            jobs=2, engine=engine, chaos=ChaosPlan({0: "kill"})
+        )
+        lost = [shard for shard in report.shards if shard.get("lost")]
+        assert len(lost) == 1
+        assert report.checked + lost[0]["runs"] == pairs
+        (failure,) = [
+            f for f in report.failures if f["kind"] == "shard-lost"
+        ]
+        assert failure["notation"] == (
+            f"<shard 0: {lost[0]['runs']} run(s) at 0>"
+        )
+
+    def test_pooled_shards_are_checkpointed_as_they_complete(
+        self, tmp_path
+    ):
+        # Shard 7 hangs; the seven others finish at once.  Each must be
+        # in the store before the sweep ends, so SIGKILLing the whole
+        # process group still leaves a resume something to hit.
+        store = ResultStore(tmp_path / "store")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        sweep = subprocess.Popen(
+            [sys.executable, "-c", HUNG_SWEEP, str(store.root)],
+            env=env, start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 20.0
+            while (
+                len(store) == 0
+                and sweep.poll() is None
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
+        finally:
+            os.killpg(sweep.pid, signal.SIGKILL)
+            sweep.wait(timeout=10)
+        resumed, pairs = small_sweep(jobs=2, store=store, resume=True)
+        assert resumed.ok
+        assert resumed.checked == pairs
+        assert resumed.service_stats["store"]["hits"] > 0
+
+
+def _raise_in_worker(args):
+    """``_check_batch`` whose first batch raises in a pool worker."""
+    if os.getpid() != _TEST_PID and args[1] == 0:
+        raise RuntimeError("injected worker failure")
+    return _CHECK_BATCH(args)
+
+
+def _crash_in_worker(args):
+    """``_check_batch`` whose first batch kills its pool worker."""
+    if os.getpid() != _TEST_PID and args[1] == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _CHECK_BATCH(args)
+
+
+def _always_raise(args):
+    """``_check_batch`` whose first batch raises in every process."""
+    if args[1] == 0:
+        raise RuntimeError("broken batch")
+    return _CHECK_BATCH(args)
+
+
+_TEST_PID = os.getpid()
+_CHECK_BATCH = fuzz._check_batch
+
+
+class TestFuzzPool:
+    def test_raising_batch_is_retried_serially(self, monkeypatch):
+        serial = fuzz.run_fuzz(4, seed=0, jobs=1)
+        monkeypatch.setattr(fuzz, "_check_batch", _raise_in_worker)
+        pooled = fuzz.run_fuzz(4, seed=0, jobs=2)
+        assert pooled.to_json() == serial.to_json()
+        assert pooled.service_stats["serial_retries"] == 1
+
+    def test_crashing_batch_is_one_lost_entry(self, monkeypatch):
+        monkeypatch.setattr(fuzz, "_check_batch", _crash_in_worker)
+        report = fuzz.run_fuzz(4, seed=0, jobs=2)
+        assert report.service_stats["quarantined"] == 1
+        assert report.mismatch_count == 1
+        (entry,) = report.mismatches
+        assert entry["sample_seed"] == "<batch 0..1>"
+        assert entry["mismatches"][0].startswith(
+            "service: batch lost: quarantined: "
+        )
+        assert report.checked == 3  # the lost entry plus batch 2..3
+
+    def test_failed_serial_retry_names_both_failures(self, monkeypatch):
+        monkeypatch.setattr(fuzz, "_check_batch", _always_raise)
+        report = fuzz.run_fuzz(4, seed=0, jobs=2)
+        assert report.service_stats["serial_retries"] == 0
+        (entry,) = report.mismatches
+        assert entry["mismatches"] == [
+            "service: batch lost: failed: RuntimeError: broken batch; "
+            "serial retry: RuntimeError: broken batch"
+        ]
 
 
 class TestSessions:

@@ -69,6 +69,20 @@ class TestRunBasics:
         assert first.outcomes[0].value == 2
         assert second.outcomes[0].value == 4
 
+    def test_on_complete_receives_each_success_by_index(self):
+        seen = {}
+        with JobEngine(
+            workers=2, policy=_quick_policy(max_attempts=1)
+        ) as engine:
+            report = engine.run(
+                [Job(key="a", fn=_double, payload=1),
+                 Job(key="b", fn=_raise_always, payload=0),
+                 Job(key="c", fn=_double, payload=3)],
+                on_complete=seen.__setitem__,
+            )
+        assert seen == {0: 2, 2: 6}
+        assert report.outcomes[1].status == FAILED
+
     def test_closed_engine_refuses_to_run(self):
         engine = JobEngine(workers=1)
         engine.close()
