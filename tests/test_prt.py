@@ -8,6 +8,10 @@ geometries, the coverage study, the area row, fuzz identity (j) and the
 CLI subcommands.
 """
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro.cli import main
@@ -206,6 +210,52 @@ class TestPrtDetection:
         assert predicted == observed
         assert not self._run(StuckAtFault(2, 0, 0)).passed
 
+
+def _signature_sessions():
+    """Both default rings plus random configurations (fixed RNG)."""
+    rng = random.Random(0)
+    sessions = [PRT_RING_UP, PRT_RING_DOWN]
+    for _ in range(4):
+        sessions.append(PrtSession(PrtConfig(
+            passes=rng.randint(1, 5),
+            seed=rng.randrange(1, 1 << 16),
+            order=rng.choice(("up", "down")),
+            misr_width=rng.choice((8, 16, 24)),
+        )))
+    return sessions
+
+
+def _signature_records():
+    """(notation, geometry, predicted, fault-free and stuck-at-1
+    signature pairs) per session and geometry."""
+    records = []
+    for session in _signature_sessions():
+        for geometry in ((4, 1, 1), (5, 2, 1), (3, 2, 2)):
+            caps = _caps(*geometry)
+            faulty = Sram(*geometry)
+            faulty.attach(StuckAtFault(1, 0, 1))
+            records.append([
+                session.notation, session.config.misr_width, list(geometry),
+                session.predicted_signature(caps),
+                list(session.signatures(Sram(*geometry), caps)),
+                list(session.signatures(faulty, caps)),
+            ])
+    return records
+
+
+class TestPrtSignatures:
+    #: sha256 (first 16 hex digits) of ``_signature_records()``.
+    PINNED = "2420156dd5f987d8"
+
+    def test_signatures_are_pinned(self):
+        text = json.dumps(_signature_records(), separators=(",", ":"))
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == self.PINNED
+
+    def test_fault_free_observed_equals_predicted(self):
+        for record in _signature_records():
+            predicted, (free_predicted, free_observed) = record[3], record[4]
+            assert predicted == free_predicted == free_observed
 
 class TestPrtController:
     @pytest.mark.parametrize(
