@@ -51,12 +51,12 @@ __getattr__, __dir__ = attach(__name__, {
         "random_march", "run_fuzz",
     ],
     "repro.analysis.interpreter": [
-        "Interpretation", "Verdict", "cycle_bound", "interpret",
+        "Interpretation", "Verdict", "interpret",
     ],
     "repro.analysis.march_rules": ["run_march_rules"],
     "repro.analysis.progfsm_cfg": [
         "FsmControlFlowGraph", "FsmEdge", "FsmEdgeKind", "build_fsm_cfg",
-        "fsm_cycle_bound", "interpret_fsm",
+        "interpret_fsm",
     ],
     "repro.analysis.progfsm_rules": ["FsmProgramAnalysis", "run_fsm_rules"],
     "repro.analysis.rules": [
@@ -99,8 +99,6 @@ __all__ = [
     "build_fsm_cfg",
     "certify",
     "check_sample",
-    "cycle_bound",
-    "fsm_cycle_bound",
     "interpret",
     "interpret_fsm",
     "random_geometry",

@@ -633,7 +633,7 @@ def _check_infield_identity(sample: _Sample, result: SampleResult) -> None:
             f"{checkpoint.slot} boundary (op {checkpoint.start_index})"
         )
     else:
-        owner = plan.stream[faulty.events[0].op_index].owner
+        owner = plan.stream.owner(faulty.events[0].op_index)
         if not owner.startswith(f"slot {checkpoint.slot} "):
             result.mismatches.append(
                 f"in-field detection of {spec} misattributed: expected "
@@ -725,6 +725,7 @@ def _check_prt_identity(sample: _Sample, result: SampleResult) -> None:
     session's predicted MISR signature.  The "{seed}:{index}" sample
     seed regenerates the configuration, so no shrink pass is needed.
     """
+    from repro.conformance.divergence import first_difference
     from repro.prt import PrtConfig, PrtController, PrtSession
 
     caps, rng = sample.caps, sample.derived_rng("prt")
@@ -736,7 +737,7 @@ def _check_prt_identity(sample: _Sample, result: SampleResult) -> None:
     session = PrtSession(config)
     first = session.attributed_stream(caps)
     second = session.attributed_stream(caps)
-    if [(a.op, a.owner) for a in first] != [(a.op, a.owner) for a in second]:
+    if first != second:
         result.mismatches.append(
             f"prt determinism: two expansions of {session.notation} "
             f"diverged on the same geometry"
@@ -747,14 +748,10 @@ def _check_prt_identity(sample: _Sample, result: SampleResult) -> None:
             f"ops, op_count predicts {session.op_count(caps)}"
         )
     controller = PrtController(config, caps)
-    engine_ops = [entry.op for entry in controller.attributed_stream()]
-    golden_ops = [attributed.op for attributed in first]
-    if engine_ops != golden_ops:
-        divergence = next(
-            (i for i, (a, b) in enumerate(zip(engine_ops, golden_ops))
-             if a != b),
-            min(len(engine_ops), len(golden_ops)),
-        )
+    engine_ops = controller.attributed_stream().ops
+    golden_ops = first.ops
+    divergence = first_difference(engine_ops, golden_ops)
+    if divergence is not None:
         result.mismatches.append(
             f"prt controller divergence: {session.notation} engine op "
             f"{divergence} ({engine_ops[divergence:divergence + 1]}) != "

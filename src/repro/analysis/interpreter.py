@@ -116,11 +116,3 @@ def interpret(
         limit = min(limit, storage_rows)
     return Interpretation.of(walk_microcode(instructions, capabilities, limit))
 
-
-def cycle_bound(
-    program: Union[MicrocodeProgram, Sequence[MicroInstruction]],
-    capabilities: ControllerCapabilities,
-    storage_rows: Optional[int] = None,
-) -> Optional[int]:
-    """Exact cycle count when provable, else ``None``."""
-    return interpret(program, capabilities, storage_rows=storage_rows).cycles

@@ -47,7 +47,7 @@ from repro.analysis.interpreter import Interpretation
 from repro.core.controller import ControllerCapabilities
 from repro.core.progfsm.compiler import FsmProgram
 from repro.core.progfsm.instruction import DataControl, FsmInstruction
-from repro.core.walk import MAX_STEPS, fsm_element_cycles, walk_fsm
+from repro.core.walk import MAX_STEPS, walk_fsm
 
 #: The virtual exit node (shared convention with the microcode CFG).
 EXIT = None
@@ -155,17 +155,6 @@ def build_fsm_cfg(
     return FsmControlFlowGraph(instructions=instructions, edges=tuple(edges))
 
 
-def element_cycles(instr: FsmInstruction, n_words: int) -> int:
-    """Exact trace cycles one element-row execution costs.
-
-    One optional hold (pause) cycle, one IDLE step, one RESET step, the
-    SM pattern's L operations on each of the N addresses, and one DONE
-    step: ``hold + 3 + N x L`` — read off the lower FSM's collapsed walk
-    (:func:`repro.core.walk.fsm_element_cycles`).
-    """
-    return fsm_element_cycles(instr, n_words)
-
-
 def interpret_fsm(
     program: Union[FsmProgram, Sequence[FsmInstruction]],
     capabilities: ControllerCapabilities,
@@ -193,10 +182,3 @@ def interpret_fsm(
         walk_fsm(_instructions(program), capabilities, max_steps=max_steps)
     )
 
-
-def fsm_cycle_bound(
-    program: Union[FsmProgram, Sequence[FsmInstruction]],
-    capabilities: ControllerCapabilities,
-) -> Optional[int]:
-    """Exact trace-cycle count when provable, else ``None``."""
-    return interpret_fsm(program, capabilities).cycles

@@ -48,17 +48,14 @@ __getattr__, __dir__ = attach(__name__, {
         "ShrinkResult", "conformance_predicate", "shrink_sample",
     ],
     "repro.conformance.trace": [
-        "AttributedCycle", "AttributedOp", "concurrent_trace", "format_cycle",
-        "format_normalized", "fsm_trace", "golden_trace", "hardwired_trace",
-        "microcode_trace", "normalize", "normalize_cycle",
+        "Stream", "concurrent_trace", "format_normalized", "fsm_trace",
+        "golden_trace", "hardwired_trace", "microcode_trace", "normalize",
     ],
 })
 
 __all__ = [
     "ARCHITECTURES",
     "ArchitectureResult",
-    "AttributedCycle",
-    "AttributedOp",
     "CONCURRENT_CACHE",
     "Checkpoint",
     "CheckpointResult",
@@ -83,6 +80,7 @@ __all__ = [
     "ResponseBudgetExceeded",
     "STREAM_BUILDERS",
     "ShrinkResult",
+    "Stream",
     "build_infield_plan",
     "cached_infield_plan",
     "capture_cycle_response",
@@ -98,14 +96,12 @@ __all__ = [
     "fault_free_session",
     "fault_response_predicate",
     "first_divergence",
-    "format_cycle",
     "format_normalized",
     "fsm_trace",
     "golden_trace",
     "hardwired_trace",
     "microcode_trace",
     "normalize",
-    "normalize_cycle",
     "promote_from_report",
     "random_fault",
     "record_golden",

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.conformance.divergence import Divergence, first_divergence
 from repro.conformance.trace import (
-    AttributedOp,
+    Stream,
     concurrent_trace,
     fsm_trace,
     golden_trace,
@@ -53,9 +53,9 @@ class GoldenTraceCache:
     The key is the *notation* rather than object identity: two
     ``MarchTest`` objects that format identically expand identically
     (owners embed item strings only, never the test name).  Entries are
-    immutable attributed streams shared between callers; nobody
-    mutates them.  ``hits``/``misses`` are exposed for the perf
-    regression test.
+    immutable :class:`~repro.conformance.trace.Stream` values shared
+    between callers; nobody mutates them.  ``hits``/``misses`` are
+    exposed for the perf regression test.
 
     ``builder`` is the trace expander the cache memoises — the
     sequential :func:`~repro.conformance.trace.golden_trace` by default;
@@ -68,13 +68,11 @@ class GoldenTraceCache:
         self.builder = builder
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[Tuple[str, int, int, int], List[AttributedOp]]" = (
+        self._entries: "OrderedDict[Tuple[str, int, int, int], Stream]" = (
             OrderedDict()
         )
 
-    def get(
-        self, test: MarchTest, caps: ControllerCapabilities
-    ) -> List[AttributedOp]:
+    def get(self, test: MarchTest, caps: ControllerCapabilities) -> Stream:
         key = (format_test(test), caps.n_words, caps.width, caps.ports)
         cached = self._entries.get(key)
         if cached is not None:
@@ -220,7 +218,7 @@ class ConformanceResult:
 
 def _microcode_stream(
     test: MarchTest, caps: ControllerCapabilities, compress: bool
-) -> List[AttributedOp]:
+) -> Stream:
     from repro.core.microcode.assembler import assemble
     from repro.core.microcode.controller import MicrocodeBistController
 
@@ -231,7 +229,7 @@ def _microcode_stream(
 
 def _fsm_stream(
     test: MarchTest, caps: ControllerCapabilities, compress: bool
-) -> List[AttributedOp]:
+) -> Stream:
     from repro.core.progfsm.compiler import compile_to_sm
     from repro.core.progfsm.controller import ProgrammableFsmBistController
     from repro.core.progfsm.upper_buffer import DEFAULT_ROWS
@@ -248,7 +246,7 @@ def _fsm_stream(
 
 def _hardwired_stream(
     test: MarchTest, caps: ControllerCapabilities, compress: bool
-) -> List[AttributedOp]:
+) -> Stream:
     from repro.core.hardwired.controller import HardwiredBistController
 
     controller = HardwiredBistController(test, caps)

@@ -156,8 +156,7 @@ def build_entry(
     """One corpus entry: notation + geometry + golden trace + hash."""
     words, width, ports = geometry
     caps = ControllerCapabilities(n_words=words, width=width, ports=ports)
-    ops = [entry.op for entry in golden_trace(test, caps)]
-    encoded = [encode_op(op) for op in ops]
+    encoded = [encode_op(op) for op in golden_trace(test, caps).ops]
     entry: Dict[str, Any] = {
         "schema": SCHEMA,
         "kind": kind,
@@ -328,8 +327,7 @@ def _infield_stream_builder():
     def build(caps: ControllerCapabilities) -> List[MemoryOperation]:
         from repro.conformance.infield import build_infield_plan
 
-        plan = build_infield_plan(caps, seed=0)
-        return [entry.op for entry in plan.stream]
+        return build_infield_plan(caps, seed=0).stream.ops
 
     return build
 
@@ -605,7 +603,7 @@ def check_entry(path: pathlib.Path) -> EntryResult:
         return result
     words, width, ports = entry["geometry"]
     caps = ControllerCapabilities(n_words=words, width=width, ports=ports)
-    fresh = [encode_op(e.op) for e in golden_trace(test, caps)]
+    fresh = [encode_op(op) for op in golden_trace(test, caps).ops]
     if fresh != stored_ops:
         problem(_drift("golden trace", "expander", fresh, stored_ops))
 

@@ -3,9 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from itertools import zip_longest
+from typing import Any, Dict, Iterable, Optional
 
-from repro.conformance.trace import AttributedOp, format_normalized
+from repro.conformance.trace import Stream, format_normalized, normalize
+
+_END = object()
+
+
+def first_difference(first: Iterable, second: Iterable) -> Optional[int]:
+    """Index of the first position where two sequences differ — where
+    one ends before the other counts — or ``None`` when they are equal."""
+    pairs = zip_longest(first, second, fillvalue=_END)
+    for index, (a, b) in enumerate(pairs):
+        if a != b:
+            return index
+    return None
 
 
 @dataclass(frozen=True)
@@ -66,28 +79,24 @@ class Divergence:
 
 
 def first_divergence(
-    reference: List[AttributedOp],
-    candidate: List[AttributedOp],
-    architecture: str,
+    reference: Stream, candidate: Stream, architecture: str
 ) -> Optional[Divergence]:
-    """Compare two attributed streams op-for-op.
+    """Compare two streams op-for-op.
 
     Returns ``None`` when the candidate reproduces the reference
     exactly (under the normalisation rules of
     :mod:`repro.conformance.trace`), else the first disagreement.
     """
-    for index in range(max(len(reference), len(candidate))):
-        ref = reference[index] if index < len(reference) else None
-        cand = candidate[index] if index < len(candidate) else None
-        ref_key = ref.key if ref is not None else None
-        cand_key = cand.key if cand is not None else None
-        if ref_key != cand_key:
-            return Divergence(
-                architecture=architecture,
-                index=index,
-                reference_op=ref_key,
-                reference_owner=ref.owner if ref is not None else "",
-                candidate_op=cand_key,
-                candidate_owner=cand.owner if cand is not None else "",
-            )
-    return None
+    index = first_difference(
+        map(normalize, reference.ops), map(normalize, candidate.ops)
+    )
+    if index is None:
+        return None
+    ref, cand = (
+        normalize(stream.ops[index]) if index < len(stream) else None
+        for stream in (reference, candidate)
+    )
+    return Divergence(
+        architecture, index,
+        ref, reference.owner(index), cand, candidate.owner(index),
+    )

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
+from operator import eq
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.conformance.check import (
@@ -44,7 +45,8 @@ from repro.conformance.check import (
     GOLDEN_CACHE,
     STREAM_BUILDERS,
 )
-from repro.conformance.trace import stimulus_notation
+from repro.conformance.divergence import first_difference
+from repro.conformance.trace import Stream, normalize, stimulus_notation
 from repro.conformance.faulty.events import (
     ResponseBudgetExceeded,
     ResponseCapture,
@@ -172,36 +174,28 @@ def _event_dict(
     }
 
 
-def _owner(stream: Sequence, failure: Optional[Failure]) -> str:
-    """The owner of the read that logged ``failure`` (``""`` when its
-    op index is outside ``stream``)."""
-    if failure is None or not 0 <= failure.op_index < len(stream):
-        return ""
-    return stream[failure.op_index].owner
-
-
 def first_fail_divergence(
     reference: Sequence[Failure],
     candidate: Sequence[Failure],
     architecture: str,
-    reference_stream: Sequence,
-    candidate_stream: Sequence,
+    reference_stream: Stream,
+    candidate_stream: Stream,
 ) -> Optional[ResponseDivergence]:
     """Compare two failure lists event for event; the streams that
     produced them name the owners of the first disagreement."""
-    for index in range(max(len(reference), len(candidate))):
-        ref = reference[index] if index < len(reference) else None
-        cand = candidate[index] if index < len(candidate) else None
-        if ref != cand:
-            return ResponseDivergence(
-                architecture=architecture,
-                index=index,
-                reference=ref,
-                candidate=cand,
-                reference_owner=_owner(reference_stream, ref),
-                candidate_owner=_owner(candidate_stream, cand),
-            )
-    return None
+    index = first_difference(reference, candidate)
+    if index is None:
+        return None
+    ref = reference[index] if index < len(reference) else None
+    cand = candidate[index] if index < len(candidate) else None
+    return ResponseDivergence(
+        architecture=architecture,
+        index=index,
+        reference=ref,
+        candidate=cand,
+        reference_owner=reference_stream.owner(ref.op_index) if ref else "",
+        candidate_owner=candidate_stream.owner(cand.op_index) if cand else "",
+    )
 
 
 @dataclass
@@ -393,13 +387,13 @@ class BuildOutcome:
     traceback on each pair.
     """
 
-    stream: Optional[Sequence[Any]] = None
+    stream: Optional[Stream] = None
     status: str = "ok"
     detail: Optional[str] = None
 
 
 def _build_outcome(
-    build: Callable[[], Sequence[Any]], partner: bool
+    build: Callable[[], Stream], partner: bool
 ) -> BuildOutcome:
     """Run ``build`` and classify how it ended.
 
@@ -422,7 +416,7 @@ def _build_outcome(
 
 
 def _once(
-    build: Callable[[], Sequence[Any]], partner: bool = True
+    build: Callable[[], Stream], partner: bool = True
 ) -> Callable[[], BuildOutcome]:
     """``build`` run on the first call only; later calls replay its
     recorded :class:`BuildOutcome`."""
@@ -509,11 +503,12 @@ class Stimulus:
 def matches_golden(stimulus: Stimulus, partner: Partner) -> bool:
     """Whether ``partner`` builds the golden stream op for op.
 
-    Streams are compared by :attr:`~repro.conformance.trace.AttributedOp.key`,
-    the only part of an op a capture reads; a stream that was not built
-    (skipped, error) matches nothing.  Both streams are functions of
-    the stimulus, so the compare runs once per (stimulus, partner) and
-    is memoised on ``stimulus``.
+    Streams are compared by normalised key
+    (:func:`~repro.conformance.trace.normalize`), the only part of an op
+    a capture reads; a stream that was not built (skipped, error)
+    matches nothing.  Both streams are functions of the stimulus, so the
+    compare runs once per (stimulus, partner) and is memoised on
+    ``stimulus``.
     """
     matches = stimulus.golden_matches.get(partner.name)
     if matches is None:
@@ -521,7 +516,8 @@ def matches_golden(stimulus: Stimulus, partner: Partner) -> bool:
         matches = (
             golden is not None and built is not None
             and len(golden) == len(built)
-            and all(a.key == b.key for a, b in zip(golden, built))
+            and all(map(eq, map(normalize, golden.ops),
+                         map(normalize, built.ops)))
         )
         stimulus.golden_matches[partner.name] = matches
     return matches

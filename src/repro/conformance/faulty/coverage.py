@@ -44,7 +44,7 @@ from repro.conformance.check import GOLDEN_CACHE
 from repro.conformance.faulty.check import Geometry, _as_capabilities
 from repro.conformance.faulty.events import capture_response
 from repro.conformance.faulty.shrink import FaultyPredicate
-from repro.conformance.trace import AttributedOp
+from repro.conformance.trace import Stream, op_trace
 from repro.core.controller import ControllerCapabilities
 from repro.faults.base import CellFault
 from repro.faults.injector import FaultInjector
@@ -172,7 +172,7 @@ class CoverageReport:
 
 
 def simulate_faults(
-    stream: Sequence[AttributedOp],
+    stream: Stream,
     memory: Sram,
     faults: Iterable[CellFault],
 ) -> Iterator[Tuple[CellFault, List[Failure]]]:
@@ -186,12 +186,12 @@ def simulate_faults(
 
 
 def evaluate_trace_coverage(
-    stream: Sequence[AttributedOp],
+    stream: Stream,
     memory: Sram,
     universe: FaultUniverse,
     test_name: str = "stream",
 ) -> CoverageReport:
-    """Measure the coverage of a materialised attributed stream.
+    """Measure the coverage of a materialised stream.
 
     Args:
         stream: the stimulus, e.g. a :mod:`repro.conformance.trace`
@@ -366,7 +366,7 @@ def check_coverage_conformance(
     )
     memory = Sram(caps.n_words, width=caps.width, ports=caps.ports)
 
-    def capture(stream: Sequence[AttributedOp], fault: CellFault):
+    def capture(stream: Stream, fault: CellFault):
         ((_, events),) = simulate_faults(stream, memory, (fault,))
         return events
 
@@ -401,7 +401,9 @@ def check_coverage_conformance(
                 0 <= witness < len(golden)
             ):
                 prefix = witness + 1
-            events = capture(golden[:prefix], fault) if prefix else []
+            events = (
+                capture(op_trace(golden.ops[:prefix]), fault) if prefix else []
+            )
             if not events or events[-1].op_index != witness:
                 events = capture(golden, fault)
             detected = bool(events)

@@ -2,8 +2,9 @@
 
 Where :mod:`repro.conformance.trace` normalises the *stimulus* a
 controller emits, this module normalises the *response* a memory gives
-back: :func:`capture_response` applies an attributed operation stream
-to a (typically faulty) memory through
+back: :func:`capture_response` applies the ops of a
+:class:`~repro.conformance.trace.Stream` to a (typically faulty) memory
+through
 :func:`~repro.march.simulator.run_on_memory` and records every read
 mismatch as a :class:`~repro.march.simulator.Failure` — the detecting
 op index within the stream (which, for a stimulus-conformant
@@ -11,7 +12,7 @@ architecture, *is* the index within the golden expansion), the port,
 the failing address and the expected versus observed data.  Two
 architectures respond identically to the same fault exactly when their
 failure lists are equal.  A failure carries no owner: the program
-location that issued the detecting read is ``stream[op_index].owner``,
+location that issued the detecting read is ``stream.owner(op_index)``,
 looked up where a report needs it.
 
 The capture carries a hard per-run op budget: a faulty memory cannot
@@ -26,16 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import attrgetter
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.conformance.trace import AttributedCycle, AttributedOp
+from repro.conformance.trace import Stream
 from repro.diagnostics.faillog import FailLog
 from repro.march.concurrent import run_cycles_on_memory
 from repro.march.simulator import Failure, run_on_memory
-
-_OP = attrgetter("op")
-_CYCLE = attrgetter("cycle")
 
 
 class ResponseBudgetExceeded(RuntimeError):
@@ -53,7 +50,7 @@ def budget_cut(length: int, max_ops: Optional[int]) -> Optional[int]:
 
 @dataclass
 class ResponseCapture:
-    """Outcome of applying one attributed stream to a memory.
+    """Outcome of applying one stream to a memory.
 
     Attributes:
         ops_applied: operations executed (the whole stream, unless the
@@ -75,15 +72,15 @@ class ResponseCapture:
 
 
 def capture_response(
-    stream: Sequence[AttributedOp],
+    stream: Stream,
     memory,
     max_ops: Optional[int] = None,
 ) -> ResponseCapture:
     """Apply ``stream`` to ``memory``, recording its mismatches.
 
     Args:
-        stream: an attributed operation stream (golden or from any of
-            the :data:`repro.conformance.check.STREAM_BUILDERS`).
+        stream: an operation stream (golden or from any of the
+            :data:`repro.conformance.check.STREAM_BUILDERS`).
         memory: the memory under test — typically an
             :class:`~repro.memory.sram.Sram` inside a
             :meth:`~repro.faults.injector.FaultInjector.injected`
@@ -96,7 +93,7 @@ def capture_response(
             first ``max_ops`` operations are applied before the raise.
     """
     cut = budget_cut(len(stream), max_ops)
-    run = run_on_memory(map(_OP, islice(stream, cut)), memory)
+    run = run_on_memory(islice(stream.ops, cut), memory)
     if cut is not None:
         raise ResponseBudgetExceeded(
             f"op budget of {max_ops} exceeded after {cut} operation(s)"
@@ -105,11 +102,11 @@ def capture_response(
 
 
 def capture_cycle_response(
-    stream: Sequence[AttributedCycle],
+    stream: Stream,
     memory,
     max_ops: Optional[int] = None,
 ) -> ResponseCapture:
-    """Apply an attributed *cycle* stream to ``memory``.
+    """Apply a *cycle* stream to ``memory``.
 
     The concurrent analogue of :func:`capture_response`: each
     :class:`~repro.march.concurrent.CycleOps` group is applied
@@ -119,7 +116,7 @@ def capture_cycle_response(
     cycle).  The budget counts cycles.
     """
     cut = budget_cut(len(stream), max_ops)
-    run = run_cycles_on_memory(map(_CYCLE, islice(stream, cut)), memory)
+    run = run_cycles_on_memory(islice(stream.ops, cut), memory)
     if cut is not None:
         raise ResponseBudgetExceeded(
             f"cycle budget of {max_ops} exceeded after {cut} cycle(s)"

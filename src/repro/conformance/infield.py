@@ -8,7 +8,9 @@ march variant (:func:`repro.core.transparent.transparent_version`) that
 tests the array while provably restoring the user's contents.
 
 :func:`build_infield_plan` compiles such a session into a fully
-deterministic, open-loop attributed operation stream:
+deterministic, open-loop :class:`~repro.conformance.trace.Stream`
+whose owners name the seed write, the traffic op or the transparent
+slot's march item behind every op:
 
 1. a **seed phase** writes every address with seeded pseudo-random user
    data;
@@ -31,7 +33,7 @@ determinism contract is documented in ``docs/TESTING.md``.
 :func:`run_infield_session` applies a plan to a memory through
 :func:`~repro.march.simulator.run_on_memory`, recording
 :class:`~repro.march.simulator.Failure` mismatches (the owner of one is
-``plan.stream[failure.op_index].owner``) and verifying every
+``plan.stream.owner(failure.op_index)``) and verifying every
 checkpoint, with optional mid-stream fault injection.  On a fault-free
 memory a session yields zero events and bit-identical checkpoints
 (fuzz identity (h)); the default slot trio (transparent MATS+/March
@@ -45,14 +47,13 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.conformance.faulty.events import (
     ResponseBudgetExceeded,
     budget_cut,
 )
-from repro.conformance.trace import AttributedOp
+from repro.conformance.trace import Stream, item_owner, tabulate
 from repro.core.controller import ControllerCapabilities
 from repro.core.transparent import transparent_stream, transparent_version
 from repro.march import library
@@ -101,20 +102,33 @@ class InFieldPlan:
         capabilities: memory geometry the plan was compiled for.
         seed: session seed (traffic and user data derive from it).
         test_names: transparent slot algorithms, in slot order.
-        stream: the full attributed operation stream.
+        stream: the full operation stream, owners attributed by
+            :func:`_infield_owner`.
         checkpoints: one per slot, in slot order.
     """
 
     capabilities: ControllerCapabilities
     seed: int
     test_names: Tuple[str, ...]
-    stream: Tuple[AttributedOp, ...]
+    stream: Stream
     checkpoints: Tuple[Checkpoint, ...]
 
     @property
     def geometry(self) -> Tuple[int, int, int]:
         caps = self.capabilities
         return (caps.n_words, caps.width, caps.ports)
+
+
+def _infield_owner(entry: Tuple, op: MemoryOperation) -> str:
+    """Owner text of an in-field plan's owner entry: ``("seed",)`` (the
+    address is the op's), ``("traffic", slot, j)`` or ``("slot", slot,
+    test name, port, item index, item, op index)``."""
+    if entry[0] == "seed":
+        return f"seed addr {op.address}"
+    if entry[0] == "traffic":
+        return f"traffic {entry[1]} op {entry[2]}"
+    _, slot, name, port, *item = entry
+    return item_owner((f"slot {slot} ({name}) port {port} ", *item), op)
 
 
 def build_infield_plan(
@@ -144,18 +158,15 @@ def build_infield_plan(
     )
     mask = (1 << caps.width) - 1
     shadow: List[int] = [0] * caps.n_words
-    stream: List[AttributedOp] = []
+    issued: List[Tuple[MemoryOperation, Tuple]] = []
     checkpoints: List[Checkpoint] = []
 
     # Seed phase: establish pseudo-random user data on every address.
     for address in range(caps.n_words):
         value = rng.randrange(mask + 1)
         shadow[address] = value
-        stream.append(
-            AttributedOp(
-                MemoryOperation(0, address, True, value=value),
-                f"seed addr {address}",
-            )
+        issued.append(
+            (MemoryOperation(0, address, True, value=value), ("seed",))
         )
 
     for slot, test in enumerate(slot_tests):
@@ -164,46 +175,33 @@ def build_infield_plan(
         for j in range(traffic_ops):
             port = rng.randrange(caps.ports)
             address = rng.randrange(caps.n_words)
-            owner = f"traffic {slot} op {j}"
             if rng.random() < 0.5:
-                stream.append(
-                    AttributedOp(
-                        MemoryOperation(
-                            port, address, False, expected=shadow[address]
-                        ),
-                        owner,
-                    )
+                op = MemoryOperation(
+                    port, address, False, expected=shadow[address]
                 )
             else:
                 value = rng.randrange(mask + 1)
                 shadow[address] = value
-                stream.append(
-                    AttributedOp(
-                        MemoryOperation(port, address, True, value=value),
-                        owner,
-                    )
-                )
+                op = MemoryOperation(port, address, True, value=value)
+            issued.append((op, ("traffic", slot, j)))
         # Transparent slot, expanded against the slot-start shadow by
         # the expansion TransparentBistRun runs: polarity 0 means the
         # cell's slot-start content, polarity 1 its complement.
-        start_index = len(stream)
+        start_index = len(issued)
         initial = tuple(shadow)
         for port, item_index, op_index, op in transparent_stream(
             test, initial, caps.width, caps.ports
         ):
-            owner = (
-                f"slot {slot} ({test.name}) port {port} "
-                f"item {item_index} {test.items[item_index]}"
-            )
-            if op_index is not None:
-                owner += f" op {op_index}"
-            stream.append(AttributedOp(op, owner))
+            issued.append((op, (
+                "slot", slot, test.name, port,
+                item_index, test.items[item_index], op_index,
+            )))
         # Transparency: the slot restores the slot-start contents, so
         # the fault-free shadow is unchanged — the checkpoint pins that.
         checkpoints.append(
             Checkpoint(
                 slot=slot,
-                op_index=len(stream),
+                op_index=len(issued),
                 start_index=start_index,
                 expected=initial,
             )
@@ -213,7 +211,7 @@ def build_infield_plan(
         capabilities=caps,
         seed=seed,
         test_names=tuple(test.name for test in slot_tests),
-        stream=tuple(stream),
+        stream=tabulate(issued, _infield_owner),
         checkpoints=tuple(checkpoints),
     )
 
@@ -338,9 +336,7 @@ def run_infield_session(
             fault, _ = inject
             fault.reset()
             memory.attach(fault)
-        run = run_on_memory(
-            map(attrgetter("op"), stream[start:end]), memory
-        )
+        run = run_on_memory(stream.ops[start:end], memory)
         result.events.extend(
             dataclasses.replace(failure, op_index=failure.op_index + start)
             for failure in run.failures

@@ -1,11 +1,11 @@
-"""Normalised, provenance-attributed operation traces.
+"""Normalised, provenance-attributed operation streams.
 
 Every controller in :mod:`repro.core` and the golden expander in
 :mod:`repro.march.simulator` emit the same
 :class:`~repro.march.simulator.MemoryOperation` type; this module turns
-each of those streams into a list of :class:`AttributedOp` — the
-operation in canonical (normalised) form plus a human-readable *owner*
-naming the program location that issued it:
+each of those streams into one :class:`Stream` value — the operations
+as emitted, plus an owner per op naming the program location that
+issued it:
 
 * golden stream — the owning march item and operation index;
 * microcode controller — the storage row and its disassembly;
@@ -13,26 +13,35 @@ naming the program location that issued it:
   instruction;
 * hardwired controller — the FSM state index and kind.
 
+A stream stores each owner once, in a small per-stream owner table,
+plus one table index per op, and formats owner text only when a report
+looks it up (:meth:`Stream.owner`).  A concurrent cycle stream is the
+same value over :class:`~repro.march.concurrent.CycleOps` groups.
+
 Normalisation rules (see ``docs/TESTING.md``):
 
 * a write is ``("w", port, address, value)``;
 * a read is ``("r", port, address, expected)``;
 * a pause is ``("d", port, delay)`` — the placeholder address and the
   unused value/expected fields of delay operations are *not* compared;
-* nothing else (cycle timing, controller state) participates: op-for-op
-  equivalence is about the memory-facing behaviour only.  Temporal
-  equivalence is the fuzz harness's separate assertion (a)/(b).
+* nothing else (cycle timing, controller state, owners) participates:
+  op-for-op equivalence is about the memory-facing behaviour only.
+  Temporal equivalence is the fuzz harness's separate assertion (a)/(b).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from operator import attrgetter, itemgetter
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode.disassembler import disassemble_instruction
 from repro.march.backgrounds import data_backgrounds
-from repro.march.concurrent import CycleOps, expand_concurrent
+from repro.march.concurrent import expand_concurrent
 from repro.march.element import Pause
 from repro.march.simulator import MemoryOperation, expand
 from repro.march.test import MarchTest
@@ -84,76 +93,80 @@ def format_normalized(key: Optional[NormalizedOp]) -> str:
     return f"p{key[1]} r@{key[2]}?{key[3]:x}"
 
 
-@dataclass(frozen=True)
-class AttributedOp:
-    """One traced operation plus the program location that issued it.
+@dataclass(frozen=True, repr=False)
+class Stream:
+    """An operation stream plus the program location that issued each op.
 
     Attributes:
-        op: the raw operation, exactly as the source emitted it.
-        owner: human-readable owning location — march item, microcode
-            row, upper-buffer row or hardwired state.
+        ops: the operations exactly as the source emitted them —
+            :class:`~repro.march.simulator.MemoryOperation` values, or
+            :class:`~repro.march.concurrent.CycleOps` groups for a cycle
+            stream.
+        owners: per op, the index of its owner entry in ``table``.
+        table: the stream's distinct owner entries.
+        describe: ``describe(entry, op)`` formats an owner entry as the
+            owner text of ``op``.
     """
 
-    op: MemoryOperation
-    owner: str
+    ops: Sequence[Any]
+    owners: Sequence[int]
+    table: Sequence[Any]
+    describe: Callable[[Any, Any], str]
 
-    @property
-    def key(self) -> NormalizedOp:
-        return normalize(self.op)
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def owner(self, index: int) -> str:
+        """The owner text of op ``index`` (``""`` outside the stream)."""
+        if not 0 <= index < len(self.ops):
+            return ""
+        return self.describe(self.table[self.owners[index]], self.ops[index])
 
 
-def normalize_cycle(cycle: CycleOps) -> Tuple[NormalizedOp, ...]:
-    """Canonical comparison key of one same-cycle op group.
+def item_owner(entry: Tuple[str, int, Any, Optional[int]], op) -> str:
+    """Owner text of a march-item entry ``(prefix, item index, item, op
+    index)``; the op index is None for a pause."""
+    prefix, item_index, item, op_index = entry
+    head = f"{prefix}item {item_index} {item}"
+    return head if op_index is None else f"{head} op {op_index}"
 
-    The per-op normalisation of :func:`normalize`, tupled in the group's
-    (ascending-port) order — two cycles are equivalent iff every port
-    issues the same access.
+
+def _pass_owners(
+    test: MarchTest, n_words: int, table: List[Any], prefix: str = ""
+) -> array:
+    """Owner indices of one (port, background) pass, in ``expand`` order.
+
+    Appends each item's entries to ``table`` (one per pause, one per
+    element operation); an element's indices repeat per address.
     """
-    return tuple(normalize(op) for op in cycle.ops)
-
-
-def format_cycle(key: Optional[Tuple[NormalizedOp, ...]]) -> str:
-    """Render a normalised cycle for divergence reports."""
-    if key is None:
-        return "<end of stream>"
-    return " | ".join(format_normalized(op) for op in key)
-
-
-@dataclass(frozen=True)
-class AttributedCycle:
-    """One traced same-cycle op group plus its owning program location."""
-
-    cycle: CycleOps
-    owner: str
-
-    @property
-    def key(self) -> Tuple[NormalizedOp, ...]:
-        return normalize_cycle(self.cycle)
-
-
-def _pass_owners(test: MarchTest, n_words: int, prefix: str = "") -> List[str]:
-    """Owners of one (port, background) pass, in ``expand`` order.
-
-    Each item's owner strings are formatted once and repeated per
-    address: ``item I <item>`` for a pause, ``item I <item> op K`` for
-    an element's K-th operation.
-    """
-    owners: List[str] = []
+    owners = array("I")
     for item_index, item in enumerate(test.items):
-        head = f"{prefix}item {item_index} {item}"
+        first = len(table)
         if isinstance(item, Pause):
-            owners.append(head)
+            table.append((prefix, item_index, item, None))
+            owners.append(first)
         else:
-            owners.extend(
-                [f"{head} op {op_index}" for op_index in range(item.op_count)]
-                * n_words
+            table.extend(
+                (prefix, item_index, item, op_index)
+                for op_index in range(item.op_count)
             )
+            owners.extend(array("I", range(first, len(table))) * n_words)
     return owners
+
+
+def _march_stream(ops: List[Any], owners: array, table, what: str):
+    """The march-item-attributed stream, its pairing checked."""
+    if len(owners) != len(ops):  # pragma: no cover - structural invariant
+        raise AssertionError(
+            f"{what} attribution out of sync: {len(owners)} owners for "
+            f"{len(ops)} operations"
+        )
+    return Stream(ops, owners, tuple(table), item_owner)
 
 
 def concurrent_trace(
     test: MarchTest, capabilities: ControllerCapabilities
-) -> List[AttributedCycle]:
+) -> Stream:
     """The concurrent golden cycle stream, attributed to march items.
 
     Owners follow the rotation structure of
@@ -168,95 +181,106 @@ def concurrent_trace(
             test, caps.n_words, width=caps.width, ports=caps.ports
         )
     )
-    owners: List[str] = []
+    table: List[Any] = []
+    owners = array("I")
     backgrounds = len(data_backgrounds(caps.width))
     for rotation in range(caps.ports):
-        rotation_pass = _pass_owners(test, caps.n_words, f"rotation {rotation} ")
-        owners.extend(rotation_pass * backgrounds)
-    if len(owners) != len(cycles):  # pragma: no cover - structural invariant
-        raise AssertionError(
-            f"concurrent attribution out of sync: {len(owners)} owners for "
-            f"{len(cycles)} cycles"
+        owners.extend(
+            _pass_owners(test, caps.n_words, table, f"rotation {rotation} ")
+            * backgrounds
         )
-    return [AttributedCycle(cycle, owner) for cycle, owner in zip(cycles, owners)]
+    return _march_stream(cycles, owners, table, "concurrent")
 
 
 def golden_trace(
     test: MarchTest, capabilities: ControllerCapabilities
-) -> List[AttributedOp]:
+) -> Stream:
     """The golden reference stream, attributed to march items.
 
-    Owners are generated from the march structure in the exact loop
-    order of :func:`repro.march.simulator.expand` (ports outermost,
-    backgrounds, items, addresses); the pairing is asserted against the
+    An op's owner follows from its index alone: owners are generated
+    from the march structure in the exact loop order of
+    :func:`repro.march.simulator.expand` (ports outermost, backgrounds,
+    items, addresses), and the pairing is asserted against the
     expander's actual output length so the attribution can never drift
     silently from the executable semantics.
     """
     caps = capabilities
     ops = list(expand(test, caps.n_words, width=caps.width, ports=caps.ports))
+    table: List[Any] = []
     passes = caps.ports * len(data_backgrounds(caps.width))
-    owners = _pass_owners(test, caps.n_words) * passes
-    if len(owners) != len(ops):  # pragma: no cover - structural invariant
-        raise AssertionError(
-            f"golden attribution out of sync: {len(owners)} owners for "
-            f"{len(ops)} operations"
-        )
-    return [AttributedOp(op, owner) for op, owner in zip(ops, owners)]
+    owners = _pass_owners(test, caps.n_words, table) * passes
+    return _march_stream(ops, owners, table, "golden")
 
 
-def op_trace(operations: Iterable[MemoryOperation]) -> List[AttributedOp]:
+def _index_owner(index: int, op) -> str:
+    return f"op {index}"
+
+
+def op_trace(operations: Iterable[MemoryOperation]) -> Stream:
     """Any plain operation stream (a classical algorithm, a controller's
     ``operations()``), each op owned by its stream index ``op I``."""
-    return [
-        AttributedOp(op, f"op {index}") for index, op in enumerate(operations)
-    ]
+    ops = list(operations)
+    return Stream(ops, range(len(ops)), range(len(ops)), _index_owner)
 
 
-def microcode_trace(controller) -> List[AttributedOp]:
+def tabulate(issued, describe, key=None) -> Stream:
+    """The stream of ``(op, owner entry)`` pairs, skipping cycles that
+    issue no op (``op`` is None).  Entries with equal ``key(entry)`` (by
+    default, equal entries) share one table slot holding the first of
+    them; slots are in first-issue order."""
+    ops: List[Any] = []
+    owners = array("I")
+    table: List[Any] = []
+    slots: Dict[Any, int] = {}
+    for op, entry in issued:
+        if op is None:
+            continue
+        where = entry if key is None else key(entry)
+        slot = slots.get(where)
+        if slot is None:
+            slot = slots[where] = len(table)
+            table.append(entry)
+        ops.append(op)
+        owners.append(slot)
+    return Stream(ops, owners, tuple(table), describe)
+
+
+def _microcode_owner(entry, op) -> str:
+    ic, instruction = entry
+    return f"microcode row {ic}: {disassemble_instruction(instruction)}"
+
+
+def microcode_trace(controller) -> Stream:
     """Attributed stream of a :class:`MicrocodeBistController`.
 
     The owner names the storage row (the microcode instruction counter
     value) and its one-line disassembly, so a divergence report points
-    straight at the offending program word.  Each row's owner is
-    formatted once per run.
+    straight at the offending program word.
     """
-    owners: Dict[int, str] = {}
-    out: List[AttributedOp] = []
-    for entry in controller.trace():
-        if entry.operation is None:
-            continue
-        owner = owners.get(entry.ic)
-        if owner is None:
-            owner = owners[entry.ic] = (
-                f"microcode row {entry.ic}: "
-                f"{disassemble_instruction(entry.instruction)}"
-            )
-        out.append(AttributedOp(entry.operation, owner))
-    return out
+    return tabulate(
+        ((e.operation, (e.ic, e.instruction)) for e in controller.trace()),
+        _microcode_owner, itemgetter(0),
+    )
 
 
-def fsm_trace(controller) -> List[AttributedOp]:
+def _fsm_owner(entry, op) -> str:
+    row, instruction = entry
+    return f"fsm row {row}: {instruction}"
+
+
+def fsm_trace(controller) -> Stream:
     """Attributed stream of a :class:`ProgrammableFsmBistController`.
 
     The owner names the circular-buffer row and its decoded instruction
-    (SM mode, order, base polarities).  Each row's owner is formatted
-    once per run.
+    (SM mode, order, base polarities).
     """
-    owners: Dict[int, str] = {}
-    out: List[AttributedOp] = []
-    for entry in controller.trace():
-        if entry.operation is None:
-            continue
-        owner = owners.get(entry.row)
-        if owner is None:
-            owner = owners[entry.row] = (
-                f"fsm row {entry.row}: {entry.instruction}"
-            )
-        out.append(AttributedOp(entry.operation, owner))
-    return out
+    return tabulate(
+        ((e.operation, (e.row, e.instruction)) for e in controller.trace()),
+        _fsm_owner, itemgetter(0),
+    )
 
 
-def _hardwired_owner(state) -> str:
+def _hardwired_owner(state, op) -> str:
     """Owner of the ops a synthesised FSM state issues."""
     detail = state.kind
     if state.kind == "op" and state.op_kind is not None:
@@ -266,19 +290,12 @@ def _hardwired_owner(state) -> str:
     return f"hardwired state {state.index} ({detail})"
 
 
-def hardwired_trace(controller) -> List[AttributedOp]:
+def hardwired_trace(controller) -> Stream:
     """Attributed stream of a :class:`HardwiredBistController`.
 
     The owner names the synthesised FSM state (index, kind, operation).
-    Each state's owner is formatted once per run.
     """
-    owners: Dict[int, str] = {}
-    out: List[AttributedOp] = []
-    for entry in controller.trace():
-        if entry.operation is None:
-            continue
-        owner = owners.get(entry.state.index)
-        if owner is None:
-            owner = owners[entry.state.index] = _hardwired_owner(entry.state)
-        out.append(AttributedOp(entry.operation, owner))
-    return out
+    return tabulate(
+        ((e.operation, e.state) for e in controller.trace()),
+        _hardwired_owner, attrgetter("index"),
+    )

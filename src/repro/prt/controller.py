@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional, Tuple
 
 from repro.area.components import (
     Counter,
@@ -34,11 +34,13 @@ from repro.area.components import (
 )
 from repro.classic.geometry import check_geometry
 from repro.classic.pseudorandom import Lfsr, Misr, lfsr_taps
-from repro.conformance.trace import AttributedOp
+from repro.conformance.trace import Stream, tabulate
 from repro.core.controller import ControllerCapabilities, Flexibility
 from repro.core.datapath import PortSequencer, response_comparator_hardware
 from repro.march.simulator import MemoryOperation
-from repro.prt.session import SEED_LFSR_WIDTH, PrtConfig, ring_taps
+from repro.prt.session import (
+    SEED_LFSR_WIDTH, PrtConfig, ring_address, ring_taps,
+)
 
 #: Documented fixed estimate for the phase FSM's next-state/output
 #: glue (6 phases, a handful of counter-terminal conditions) — the same
@@ -47,6 +49,14 @@ PHASE_FSM_GE = 30.0
 
 #: FSM phases, in session order.
 PHASES = ("seed", "tap", "shift-read", "shift-write", "readout", "done")
+
+
+def _controller_owner(entry: Tuple, op: MemoryOperation) -> str:
+    """Owner text of a controller owner entry ``(port, phase, words,
+    order)``; the ring position is read off the op's address."""
+    port, phase, n_words, order = entry
+    position = ring_address(n_words, order, op.address)
+    return f"prt-ctl port {port} {phase} pos {position}"
 
 
 @dataclass(frozen=True)
@@ -169,16 +179,15 @@ class PrtController:
             port += 1
         self.signature = misr.signature
 
-    def attributed_stream(self) -> List[AttributedOp]:
-        """The controller's stream, attributed to FSM phase and cycle."""
-        out: List[AttributedOp] = []
-        for entry in self.trace():
-            out.append(AttributedOp(
-                entry.op,
-                f"prt-ctl port {entry.port} {entry.phase} "
-                f"pos {entry.position}",
-            ))
-        return out
+    def attributed_stream(self) -> Stream:
+        """The controller's stream, attributed to port and FSM phase: one
+        ``(port, phase, words, order)`` owner entry per port and phase
+        (:func:`_controller_owner`)."""
+        n, order = self.capabilities.n_words, self.config.order
+        return tabulate(
+            ((e.op, (e.port, e.phase, n, order)) for e in self.trace()),
+            _controller_owner,
+        )
 
     def hardware(self) -> HardwareSpec:
         """Structural inventory of the pseudo-ring engine.

@@ -31,11 +31,11 @@ identity (j) in ``docs/TESTING.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.classic.geometry import check_geometry
 from repro.classic.pseudorandom import MAX_LFSR_WIDTH, Lfsr, Misr, lfsr_taps
-from repro.conformance.trace import AttributedOp
+from repro.conformance.trace import Stream, tabulate
 from repro.core.controller import ControllerCapabilities
 from repro.march.simulator import MemoryOperation
 
@@ -59,6 +59,28 @@ def ring_taps(n_words: int) -> Tuple[int, ...]:
         mask = lfsr_taps(n_words)
         return tuple(b for b in range(n_words) if (mask >> b) & 1)
     return (0, n_words - 1)
+
+
+def ring_address(n_words: int, order: str, position: int) -> int:
+    """The address of ring ``position`` — and, the map being its own
+    inverse, the ring position of address ``position``."""
+    return position if order == "up" else n_words - 1 - position
+
+
+def _session_owner(entry: Tuple, op: MemoryOperation) -> str:
+    """Owner text of a session owner entry ``(port, phase, pass, words,
+    order)``; the ring position is read off the op's address."""
+    port, phase, ring_pass, n_words, order = entry
+    pos = ring_address(n_words, order, op.address)
+    where = phase if ring_pass is None else f"pass {ring_pass} {phase}"
+    head, _, access = where.partition("-")  # "shift-read": "shift", "read"
+    return f"port {port} {head} pos {pos} {access}".rstrip()
+
+
+def _readout_flags(stream: Stream) -> Iterator[bool]:
+    """Per op of a PRT stream, whether the readout phase issued it."""
+    readout = [entry[1] == "readout" for entry in stream.table]
+    return map(readout.__getitem__, stream.owners)
 
 
 @dataclass(frozen=True)
@@ -127,11 +149,6 @@ class PrtSession:
     def __repr__(self) -> str:
         return f"PrtSession({self.notation})"
 
-    def _address(self, n_words: int, position: int) -> int:
-        if self.config.order == "up":
-            return position
-        return n_words - 1 - position
-
     def op_count(self, capabilities: ControllerCapabilities) -> int:
         """Session length: ``P·(N + passes·(T + 2N) + N)`` operations."""
         caps = capabilities
@@ -145,81 +162,76 @@ class PrtSession:
 
     def attributed_stream(
         self, capabilities: ControllerCapabilities
-    ) -> List[AttributedOp]:
-        """The golden session stream with per-phase owner attribution."""
+    ) -> Stream:
+        """The golden session stream, attributed to port, phase and pass.
+
+        One ``(port, phase, pass, words, order)`` owner entry per phase
+        run (:func:`_session_owner`); the phases are those of
+        :data:`repro.prt.controller.PHASES`.
+        """
         caps = capabilities
         check_geometry(caps.n_words, caps.width, caps.ports)
+        return tabulate(self._issue(caps), _session_owner)
+
+    def _issue(self, caps: ControllerCapabilities) -> Iterator[Tuple]:
+        """The session's ``(op, owner entry)`` pairs, in stream order."""
         cfg = self.config
         n = caps.n_words
         mask = (1 << caps.width) - 1
         taps = ring_taps(n)
-        out: List[AttributedOp] = []
+
+        def address(position: int) -> int:
+            return ring_address(n, cfg.order, position)
+
+        def owner(port: int, phase: str, ring_pass: Optional[int] = None):
+            return (port, phase, ring_pass, n, cfg.order)
+
         for port in range(caps.ports):
             fill = Lfsr(SEED_LFSR_WIDTH, cfg.seed)
             shadow = [0] * n
             for pos in range(n):
                 value = fill.value(caps.width) & mask
                 shadow[pos] = value
-                out.append(AttributedOp(
-                    MemoryOperation(
-                        port, self._address(n, pos), True, value=value
-                    ),
-                    f"port {port} seed pos {pos}",
-                ))
+                yield MemoryOperation(
+                    port, address(pos), True, value=value
+                ), owner(port, "seed")
             for ring_pass in range(cfg.passes):
                 feedback = 0
                 for tap in taps:
-                    out.append(AttributedOp(
-                        MemoryOperation(
-                            port, self._address(n, tap), False,
-                            expected=shadow[tap],
-                        ),
-                        f"port {port} pass {ring_pass} tap pos {tap}",
-                    ))
+                    yield MemoryOperation(
+                        port, address(tap), False, expected=shadow[tap]
+                    ), owner(port, "tap", ring_pass)
                     feedback ^= shadow[tap]
                 carry = feedback
                 for pos in range(n):
                     value = shadow[pos]
-                    out.append(AttributedOp(
-                        MemoryOperation(
-                            port, self._address(n, pos), False,
-                            expected=value,
-                        ),
-                        f"port {port} pass {ring_pass} shift pos {pos} read",
-                    ))
-                    out.append(AttributedOp(
-                        MemoryOperation(
-                            port, self._address(n, pos), True, value=carry
-                        ),
-                        f"port {port} pass {ring_pass} shift pos {pos} write",
-                    ))
+                    yield MemoryOperation(
+                        port, address(pos), False, expected=value
+                    ), owner(port, "shift-read", ring_pass)
+                    yield MemoryOperation(
+                        port, address(pos), True, value=carry
+                    ), owner(port, "shift-write", ring_pass)
                     shadow[pos] = carry
                     carry = value
             for pos in range(n):
-                out.append(AttributedOp(
-                    MemoryOperation(
-                        port, self._address(n, pos), False,
-                        expected=shadow[pos],
-                    ),
-                    f"port {port} readout pos {pos}",
-                ))
-        return out
+                yield MemoryOperation(
+                    port, address(pos), False, expected=shadow[pos]
+                ), owner(port, "readout")
 
     def operations(
         self, capabilities: ControllerCapabilities
     ) -> Iterator[MemoryOperation]:
         """The raw operation stream (owner attribution stripped)."""
-        for attributed in self.attributed_stream(capabilities):
-            yield attributed.op
+        yield from self.attributed_stream(capabilities).ops
 
     def predicted_signature(
         self, capabilities: ControllerCapabilities
     ) -> int:
         """The fault-free MISR signature of the readout phase(s)."""
         misr = Misr(self.config.misr_width)
-        for attributed in self.attributed_stream(capabilities):
-            op = attributed.op
-            if not op.is_write and "readout" in attributed.owner:
+        stream = self.attributed_stream(capabilities)
+        for op, readout in zip(stream.ops, _readout_flags(stream)):
+            if readout:
                 misr.absorb(op.expected)
         return misr.signature
 
@@ -234,13 +246,13 @@ class PrtSession:
         """
         predicted = Misr(self.config.misr_width)
         observed = Misr(self.config.misr_width)
-        for attributed in self.attributed_stream(capabilities):
-            op = attributed.op
+        stream = self.attributed_stream(capabilities)
+        for op, readout in zip(stream.ops, _readout_flags(stream)):
             if op.is_write:
                 memory.write(op.port, op.address, op.value)
                 continue
             response = memory.read(op.port, op.address)
-            if "readout" in attributed.owner:
+            if readout:
                 predicted.absorb(op.expected)
                 observed.absorb(response)
         return predicted.signature, observed.signature

@@ -103,7 +103,7 @@ from repro.conformance.faulty.check import (
     resolve_stimulus,
 )
 from repro.conformance.check import PROGRAM_WALKS, proved_conformant
-from repro.conformance.trace import AttributedOp
+from repro.conformance.trace import Stream
 from repro.core.controller import ControllerCapabilities
 from repro.core.progfsm.compiler import CompileError
 from repro.faults.base import CellFault
@@ -229,14 +229,11 @@ class _GoldenIndex:
     """A verified PRT or in-field golden stream, indexed for
     support-projected replays."""
 
-    def __init__(
-        self, stream: Sequence[AttributedOp], caps: ControllerCapabilities
-    ) -> None:
+    def __init__(self, stream: Stream, caps: ControllerCapabilities) -> None:
         self.caps = caps
         self.by_address: Dict[int, List[Tuple[int, MemoryOperation]]] = {}
         self.delays: List[Tuple[int, MemoryOperation]] = []
-        for index, entry in enumerate(stream):
-            op = entry.op
+        for index, op in enumerate(stream.ops):
             if op.is_delay:
                 self.delays.append((index, op))
             else:

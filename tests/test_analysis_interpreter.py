@@ -8,7 +8,7 @@ acceptance benchmark) and across the whole library on mixed geometries.
 
 import pytest
 
-from repro.analysis import Verdict, cycle_bound, interpret
+from repro.analysis import Verdict, interpret
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode import MicrocodeBistController, assemble
 from repro.core.microcode.assembler import MicrocodeProgram
@@ -45,8 +45,8 @@ class TestMarchC64Exact:
         plain = assemble(library.MARCH_C, self.CAPS, compress=False)
         # The REPEAT row executes twice (arm + clear); everything else
         # is the same 10N operation stream.
-        assert cycle_bound(compressed, self.CAPS) == \
-            cycle_bound(plain, self.CAPS) + 2
+        assert interpret(compressed, self.CAPS).cycles == \
+            interpret(plain, self.CAPS).cycles + 2
 
 
 class TestExactnessAcrossLibrary:

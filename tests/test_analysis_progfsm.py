@@ -12,17 +12,17 @@ import pytest
 from repro.analysis import (
     Verdict,
     build_fsm_cfg,
-    fsm_cycle_bound,
     interpret_fsm,
     verify_fsm_program,
 )
-from repro.analysis.progfsm_cfg import EXIT, FsmEdgeKind, element_cycles
+from repro.analysis.progfsm_cfg import EXIT, FsmEdgeKind
 from repro.analysis.verifier import VerificationError, assert_verified
 from repro.core.controller import ControllerCapabilities
 from repro.core.progfsm.compiler import FsmProgram, compile_to_sm, is_realizable
 from repro.core.progfsm.controller import ProgrammableFsmBistController
 from repro.core.progfsm.instruction import DataControl, FsmInstruction
 from repro.core.progfsm.march_elements import SM_PATTERNS
+from repro.core.walk import fsm_element_cycles
 from repro.march import library
 
 GEOMETRIES = [
@@ -89,7 +89,7 @@ class TestElementCycles:
     def test_formula_matches_one_element_trace(self, mode):
         caps = ControllerCapabilities(n_words=7)
         program = program_of(element(mode=mode))
-        assert element_cycles(program.instructions[0], 7) == \
+        assert fsm_element_cycles(program.instructions[0], 7) == \
             traced_cycles(program, caps)
 
 
@@ -124,7 +124,9 @@ class TestExactness:
     def test_fsm_cycle_bound_is_the_interpretation_cycles(self):
         caps = ControllerCapabilities(n_words=4, width=2)
         program = compile_to_sm(library.MARCH_C, caps, verify=False)
-        assert fsm_cycle_bound(program, caps) == traced_cycles(program, caps)
+        assert interpret_fsm(program, caps).cycles == traced_cycles(
+            program, caps
+        )
 
 
 class TestVerdicts:

@@ -451,7 +451,7 @@ class TestModeThreading:
         caps = _caps((2, 2, 2))
         stream = CONCURRENT_CACHE.get(library.MATS_PLUS, caps)
         assert stream is CONCURRENT_CACHE.get(library.MATS_PLUS, caps)
-        assert all(hasattr(entry, "cycle") for entry in stream)
+        assert all(isinstance(cycle, CycleOps) for cycle in stream.ops)
 
     def test_rejects_unknown_mode(self):
         caps = _caps((2, 1, 1))

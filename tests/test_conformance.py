@@ -80,20 +80,20 @@ class TestGoldenTrace:
         test = library.get("March C")
         trace = golden_trace(test, WORD_CAPS)
         ops = list(expand(test, 3, width=2, ports=2))
-        assert [entry.op for entry in trace] == ops
+        assert trace.ops == ops
 
     def test_owner_names_march_item(self):
         trace = golden_trace(parse_test("~(w0); ^(r0,w1)"), CAPS)
-        assert trace[0].owner == "item 0 ~(w0) op 0"
+        assert trace.owner(0) == "item 0 ~(w0) op 0"
         # element 1 starts after the 4 ops of element 0
-        assert trace[4].owner == "item 1 ^(r0,w1) op 0"
-        assert trace[5].owner == "item 1 ^(r0,w1) op 1"
+        assert trace.owner(4) == "item 1 ^(r0,w1) op 0"
+        assert trace.owner(5) == "item 1 ^(r0,w1) op 1"
 
     def test_pause_owner(self):
         trace = golden_trace(parse_test("~(w0); Del(512); ~(r0)"), CAPS)
-        delays = [e for e in trace if e.op.is_delay]
+        delays = [i for i, op in enumerate(trace.ops) if op.is_delay]
         assert len(delays) == 1
-        assert delays[0].owner == "item 1 Del(512)"
+        assert trace.owner(delays[0]) == "item 1 Del(512)"
 
 
 class TestFirstDivergence:
@@ -119,13 +119,13 @@ class TestFirstDivergence:
 
     def test_short_candidate_is_missing(self):
         ref = op_trace([MemoryOperation(0, 0, True, value=0)] * 2)
-        cand = ref[:1]
+        cand = op_trace(ref.ops[:1])
         div = first_divergence(ref, cand, "x")
         assert div.kind == "missing" and div.index == 1
 
     def test_long_candidate_is_extra(self):
         ref = op_trace([MemoryOperation(0, 0, True, value=0)])
-        cand = ref + op_trace([MemoryOperation(0, 1, True, value=0)])
+        cand = op_trace(ref.ops + [MemoryOperation(0, 1, True, value=0)])
         div = first_divergence(ref, cand, "x")
         assert div.kind == "extra" and div.index == 1
 

@@ -32,7 +32,7 @@ from repro.conformance.faulty.events import (
 )
 from repro.conformance.faulty.sampling import random_fault, stratified_sample
 from repro.conformance.faulty.shrink import _spec_size, simpler_fault_specs
-from repro.conformance.trace import AttributedOp, golden_trace
+from repro.conformance.trace import golden_trace, op_trace
 from repro.core.controller import ControllerCapabilities
 from repro.core.progfsm.compiler import CompileError
 from repro.diagnostics.faillog import FailLog
@@ -92,8 +92,8 @@ class TestFailEvents:
         assert capture.ops_applied == len(stream)
         event = capture.events[0]
         assert event.address == 2
-        assert stream[event.op_index].owner  # provenance by op index
-        assert stream[event.op_index].op.is_read
+        assert stream.owner(event.op_index)  # provenance by op index
+        assert stream.ops[event.op_index].is_read
 
     def test_fault_free_memory_yields_no_events(self):
         stream = golden_trace(library.get("March C"), CAPS)
@@ -105,7 +105,7 @@ class TestFailEvents:
         # Two streams that differ only in their owners log equal
         # failures: the owner is the stream's, looked up by op index.
         golden = golden_trace(library.get("March C"), CAPS)
-        renamed = [AttributedOp(entry.op, "fsm row") for entry in golden]
+        renamed = op_trace(golden.ops)
         captures = [
             capture_response(stream, _faulty_memory("saf:2:1:1"))
             for stream in (golden, renamed)
@@ -125,7 +125,7 @@ class TestFailEvents:
         # fits is applied whole, and one op too many still applies
         # exactly ``max_ops`` ops before the raise.
         stream = golden_trace(library.get("MATS"), CAPS)
-        assert all(entry.op.delay == 0 for entry in stream)
+        assert all(op.delay == 0 for op in stream.ops)
         fits = capture_response(
             stream, _faulty_memory("saf:0:0:1"), max_ops=len(stream)
         )
@@ -345,10 +345,10 @@ class TestSeededResponseDefect:
         golden = golden_trace(test, CAPS)
         fsm = faulty_check.STREAM_BUILDERS["progfsm"](test, CAPS, True)
         assert divergence.reference_owner == (
-            golden[divergence.reference.op_index].owner
+            golden.owner(divergence.reference.op_index)
         )
         assert divergence.candidate_owner == (
-            fsm[divergence.candidate.op_index].owner
+            fsm.owner(divergence.candidate.op_index)
         )
 
     def test_shrinks_to_single_cell_fault_on_minimal_memory(
@@ -1251,13 +1251,13 @@ def _flipped_first_read(builder):
     """``builder`` with its stream's first read expecting the other
     value: a controller that is not stimulus-conformant."""
     def flipped(test, caps, compress):
-        stream = list(builder(test, caps, compress))
-        index = next(i for i, e in enumerate(stream) if e.op.is_read)
-        entry = stream[index]
-        stream[index] = dataclasses.replace(entry, op=dataclasses.replace(
-            entry.op, expected=entry.op.expected ^ 1
-        ))
-        return stream
+        stream = builder(test, caps, compress)
+        ops = list(stream.ops)
+        index = next(i for i, op in enumerate(ops) if op.is_read)
+        ops[index] = dataclasses.replace(
+            ops[index], expected=ops[index].expected ^ 1
+        )
+        return dataclasses.replace(stream, ops=ops)
 
     return flipped
 
@@ -1276,7 +1276,7 @@ class TestGoldenCaptureSharing:
             row.cls for row in KINDS
         }
         stream = GOLDEN_CACHE.get(library.get("March C+"), SHARE_CAPS)
-        assert any(entry.op.is_delay for entry in stream)
+        assert any(op.is_delay for op in stream.ops)
         injector = FaultInjector(Sram(
             SHARE_CAPS.n_words, width=SHARE_CAPS.width,
             ports=SHARE_CAPS.ports,

@@ -202,8 +202,8 @@ def test_attributed_stream_digests(architecture):
                 stream = build(library.get(name), _caps(geometry), True)
             except CompileError:
                 continue
-            for attributed in stream:
-                line = f"{name} {geometry} {attributed.owner} {attributed.op}"
+            for index, op in enumerate(stream.ops):
+                line = f"{name} {geometry} {stream.owner(index)} {op}"
                 digest.update(line.encode("utf-8") + b"\n")
     assert digest.hexdigest()[:16] == PINNED_OWNERS[architecture]
 

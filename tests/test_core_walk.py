@@ -267,7 +267,7 @@ class TestSoundness:
                 false_equal.append(label)
 
         for test in LIBRARY:
-            golden = [entry.op for entry in GOLDEN_CACHE.get(test, caps)]
+            golden = GOLDEN_CACHE.get(test, caps).ops
             golden_summary = march_summary(test, caps)
             for compress in (True, False):
                 program = assemble(test, caps, compress=compress, verify=False)

@@ -67,7 +67,10 @@ class TestPlan:
 
     def test_every_op_is_attributed(self):
         plan = build_infield_plan(_caps((3, 2, 2)), seed=0)
-        owners = {entry.owner.split()[0] for entry in plan.stream}
+        owners = {
+            plan.stream.owner(index).split()[0]
+            for index in range(len(plan.stream))
+        }
         assert owners == {"seed", "traffic", "slot"}
 
     def test_cache_returns_identical_plan(self):
@@ -126,7 +129,7 @@ class TestMidStreamInjection:
             )
             assert result.detected
             first = result.events[0]
-            assert plan.stream[first.op_index].owner.startswith(
+            assert plan.stream.owner(first.op_index).startswith(
                 f"slot {checkpoint.slot} "
             )
 

@@ -83,7 +83,7 @@ def infield_records(geometry):
                 result = run_infield_session(plan, memory, inject=(fault, at))
             records.append([
                 fault.describe(), at, result.ops_applied,
-                [_failure(e) + [plan.stream[e.op_index].owner]
+                [_failure(e) + [plan.stream.owner(e.op_index)]
                  for e in result.events],
                 [[c.checkpoint.slot, [list(m) for m in c.mismatches]]
                  for c in result.checkpoints],

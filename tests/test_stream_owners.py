@@ -28,10 +28,9 @@ def _caps(geometry):
 
 
 def _lines(stream):
-    """One ``owner, op`` line per op of an attributed stream."""
-    for attributed in stream:
-        op = getattr(attributed, "op", None) or attributed.cycle
-        yield f"{attributed.owner}, {op}"
+    """One ``owner, op`` line per op of a stream."""
+    for index, op in enumerate(stream.ops):
+        yield f"{stream.owner(index)}, {op}"
 
 
 def _digest(streams):

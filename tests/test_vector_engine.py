@@ -17,6 +17,7 @@ performance change:
   path, be *counted*, and still match the scalar report byte for byte.
 """
 
+import dataclasses
 import os
 import pathlib
 import random
@@ -580,9 +581,14 @@ class TestStimulusFamiliesOnTheKernel:
         from repro.prt.controller import PrtController
 
         build = PrtController.attributed_stream
-        monkeypatch.setattr(
-            PrtController, "attributed_stream", lambda self: build(self)[1:]
-        )
+
+        def lost_first_op(self):
+            stream = build(self)
+            return dataclasses.replace(
+                stream, ops=stream.ops[1:], owners=stream.owners[1:]
+            )
+
+        monkeypatch.setattr(PrtController, "attributed_stream", lost_first_op)
         caps = _caps(4)
         faults = [StuckAtFault(2, 0, 1), StuckAtFault(1, 0, 0)]
         scalar = run_fault_sweep([PRT_RING_UP], caps, faults)
