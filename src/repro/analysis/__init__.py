@@ -5,17 +5,19 @@ instructions are loaded at test time, so — unlike the hardwired
 baselines — a malformed program can hang the controller or silently
 lose fault coverage.  This package rejects bad programs before they run:
 
-* :mod:`~repro.analysis.cfg` — control-flow graph over microcode
-  programs, edges derived from the instruction-decoder semantics;
+* :mod:`~repro.analysis.cfg` — one control-flow graph for both
+  programmable controllers, with a builder each: microcode edges from
+  the instruction-decoder semantics, upper-buffer edges from the
+  programmable FSM's loop rows and buffer wrap;
 * :mod:`~repro.analysis.interpreter` — abstract interpretation over the
   collapsed controller state, *deciding* termination and computing the
-  exact cycle count without running the simulator;
-* :mod:`~repro.analysis.progfsm_cfg` — the same two layers for the
-  programmable FSM's circular upper buffer (loop rows, buffer wrap);
+  exact cycle count without running the simulator; the result is the
+  :class:`~repro.core.walk.Walk` itself;
 * :mod:`~repro.analysis.rules` / :mod:`~repro.analysis.march_rules` /
   :mod:`~repro.analysis.progfsm_rules` — the rule catalogue (``MC…``
   program rules, ``MA…`` algorithm rules, ``PF…`` upper-buffer rules;
-  see ``docs/ANALYSIS.md``);
+  see ``docs/ANALYSIS.md``), one analysis record for both program kinds
+  and one rule runner for every family;
 * :mod:`~repro.analysis.coverage` — the static fault-coverage prover
   (per-fault certificates with failing-read witnesses) and
   :mod:`~repro.analysis.coverage_rules`, the ``CV…`` coverage lint
@@ -24,10 +26,11 @@ lose fault coverage.  This package rejects bad programs before they run:
   ``repro lint --fix``;
 * :mod:`~repro.analysis.fuzz` — the verifier-vs-simulator fuzz harness
   behind ``repro fuzz``;
-* :mod:`~repro.analysis.verifier` — orchestration plus
-  :class:`~repro.analysis.verifier.VerificationError`, raised by the
-  assemblers, the controllers' program loads and ``repro lint`` on
-  error-severity findings.
+* :mod:`~repro.analysis.verifier` — orchestration (one
+  :func:`~repro.analysis.verifier.verify_program` for both program
+  kinds) plus :class:`~repro.analysis.verifier.VerificationError`,
+  raised by the assembler, the progfsm compiler, the controllers'
+  program loads and ``repro lint`` on error-severity findings.
 """
 
 from repro._lazy import attach
@@ -35,6 +38,7 @@ from repro._lazy import attach
 __getattr__, __dir__ = attach(__name__, {
     "repro.analysis.cfg": [
         "EXIT", "ControlFlowGraph", "Edge", "EdgeKind", "build_cfg",
+        "build_fsm_cfg",
     ],
     "repro.analysis.diagnostics": [
         "Diagnostic", "DiagnosticReport", "Location", "Severity",
@@ -50,22 +54,15 @@ __getattr__, __dir__ = attach(__name__, {
         "FuzzReport", "SampleResult", "check_sample", "random_geometry",
         "random_march", "run_fuzz",
     ],
-    "repro.analysis.interpreter": [
-        "Interpretation", "Verdict", "interpret",
-    ],
-    "repro.analysis.march_rules": ["run_march_rules"],
-    "repro.analysis.progfsm_cfg": [
-        "FsmControlFlowGraph", "FsmEdge", "FsmEdgeKind", "build_fsm_cfg",
-        "interpret_fsm",
-    ],
-    "repro.analysis.progfsm_rules": ["FsmProgramAnalysis", "run_fsm_rules"],
+    "repro.analysis.interpreter": ["interpret", "interpret_fsm"],
     "repro.analysis.rules": [
-        "ProgramAnalysis", "RuleSpec", "rule_catalogue", "run_program_rules",
+        "ProgramAnalysis", "RuleSpec", "rule_catalogue", "run_rules",
     ],
     "repro.analysis.verifier": [
         "VerificationError", "assert_verified", "verify_coverage",
-        "verify_fsm_program", "verify_march", "verify_program",
+        "verify_march", "verify_program",
     ],
+    "repro.core.walk": ["Verdict"],
 })
 
 __all__ = [
@@ -78,13 +75,8 @@ __all__ = [
     "EdgeKind",
     "EXIT",
     "FixResult",
-    "FsmControlFlowGraph",
-    "FsmEdge",
-    "FsmEdgeKind",
     "FaultVerdict",
-    "FsmProgramAnalysis",
     "FuzzReport",
-    "Interpretation",
     "LINT_GEOMETRY",
     "Location",
     "ProgramAnalysis",
@@ -105,13 +97,10 @@ __all__ = [
     "random_march",
     "rule_catalogue",
     "run_coverage_rules",
-    "run_fsm_rules",
     "run_fuzz",
-    "run_march_rules",
-    "run_program_rules",
+    "run_rules",
     "support_of",
     "verify_coverage",
-    "verify_fsm_program",
     "verify_march",
     "verify_program",
 ]

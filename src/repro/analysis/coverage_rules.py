@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Location, Severity
-from repro.analysis.rules import REGISTRY, rule
+from repro.analysis.rules import rule, run_rules
 from repro.faults.conditions import condition_for
 from repro.march.element import MarchElement
 from repro.march.test import MarchTest
@@ -64,13 +64,7 @@ def run_coverage_rules(
     test: MarchTest, target: Optional[str] = None
 ) -> List[Diagnostic]:
     """Run every coverage-level rule over one algorithm."""
-    analysis = CoverageAnalysis(test)
-    diagnostics: List[Diagnostic] = []
-    for spec in sorted(REGISTRY.values(), key=lambda s: s.rule_id):
-        if spec.scope != "coverage":
-            continue
-        diagnostics.extend(spec.build(f) for f in spec.check(analysis, target))
-    return diagnostics
+    return run_rules("coverage", CoverageAnalysis(test), target)
 
 
 def _hint(kind: str) -> Optional[str]:

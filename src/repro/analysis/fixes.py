@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.analysis.cfg import build_cfg
+from repro.analysis.cfg import build_cfg, exits_explicitly
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode.assembler import MicrocodeProgram, assemble
 from repro.core.microcode.instruction import MicroInstruction
@@ -116,7 +116,7 @@ def _append_terminator(
     program: MicrocodeProgram, applied: List[str]
 ) -> MicrocodeProgram:
     """MC001: make the fall-off termination explicit."""
-    if not program.instructions or build_cfg(program).exits_explicitly():
+    if not program.instructions or exits_explicitly(build_cfg(program)):
         return program
     instructions = list(program.instructions)
     instructions.append(MicroInstruction(cond=ConditionOp.TERMINATE))

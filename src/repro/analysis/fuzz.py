@@ -315,9 +315,9 @@ def check_sample(
     verifier-vs-simulator identities on it: (a)–(c) always, then every
     row of :data:`IDENTITIES` in table order, except the letters in
     ``skip`` (and the rows that need them, see :func:`resolve_skip`)."""
-    from repro.analysis.interpreter import Verdict, interpret
-    from repro.analysis.progfsm_cfg import interpret_fsm
-    from repro.analysis.verifier import verify_fsm_program, verify_program
+    from repro.analysis.interpreter import interpret, interpret_fsm
+    from repro.core.walk import Verdict
+    from repro.analysis.verifier import verify_program
 
     skipped = resolve_skip(skip)
     sample_seed = f"{seed}:{index}"
@@ -373,7 +373,7 @@ def check_sample(
         fsm_program = None  # outside the SM0-SM7 flexibility boundary
     if fsm_program is not None:
         result.fsm_compiled = True
-        fsm_report = verify_fsm_program(fsm_program, caps)
+        fsm_report = verify_program(fsm_program, caps)
         fsm_interp = interpret_fsm(fsm_program, caps)
         if fsm_interp.verdict is not interp.verdict:
             result.mismatches.append(
@@ -757,7 +757,7 @@ def _check_prt_identity(sample: _Sample, result: SampleResult) -> None:
             f"{divergence} ({engine_ops[divergence:divergence + 1]}) != "
             f"golden ({golden_ops[divergence:divergence + 1]})"
         )
-    predicted = session.predicted_signature(caps)
+    predicted = session.readout_signature(first)
     if controller.signature != predicted:
         result.mismatches.append(
             f"prt signature mismatch: controller latched "

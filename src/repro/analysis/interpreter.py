@@ -1,4 +1,4 @@
-"""Abstract interpretation of microcode programs.
+"""Abstract interpretation of both programmable controllers' programs.
 
 Proves termination and computes the **exact** cycle count of a program
 without running the simulator.  The concrete controller state is
@@ -34,64 +34,45 @@ sweep cost precisely ``span × N``: the walker already counted the body
 rows once (the first address iteration), so the ``LOOP`` step adds
 ``span × (N-1) + 1``.  The walk lives in
 :func:`repro.core.walk.walk_microcode`, which also reads the program's
-op summary off the same steps; this module reports its termination half.
+op summary off the same steps.
+
+The upper-buffer interpreter collapses the same N-dependent part — the
+lower FSM's per-address element walk.  An element row whose SM pattern
+has L operations costs exactly ``hold + 3 + N x L`` trace cycles: one
+optional pause cycle, the IDLE and RESET steps, L operation cycles per
+address, and the DONE step.  What remains is a finite deterministic
+transition system over ``(row pointer, background, port)`` with at most
+``rows x B x P`` states, walked by :func:`repro.core.walk.walk_fsm`.
+
+Two asymmetries against the microcode trace semantics, both faithful to
+the controller model: a *Last Data* ``LOOP_BG`` that advances past the
+program end returns **without** emitting a trace entry (0 cycles), while
+a *Last Port* ``LOOP_PORT`` emits its entry first (1 cycle).
+
+Both interpreters return the :class:`~repro.core.walk.Walk` itself:
+verdict, exact cycle count, reason, location and explored state count,
+plus the op summary the vector sweep reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
+from repro.analysis.cfg import program_rows
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode.assembler import MicrocodeProgram
 from repro.core.microcode.instruction import MicroInstruction
-from repro.core.walk import Verdict, walk_microcode
-
-
-@dataclass(frozen=True)
-class Interpretation:
-    """Result of :func:`interpret`.
-
-    Attributes:
-        verdict: termination verdict.
-        cycles: exact executed-instruction count (TERMINATES only).
-        reason: explanation for DIVERGES / UNKNOWN verdicts.
-        location: instruction index the reason points at, if any.
-        states_visited: size of the explored abstract state space.
-    """
-
-    verdict: Verdict
-    cycles: Optional[int] = None
-    reason: str = ""
-    location: Optional[int] = None
-    states_visited: int = 0
-
-    @property
-    def terminates(self) -> Optional[bool]:
-        if self.verdict is Verdict.TERMINATES:
-            return True
-        if self.verdict is Verdict.DIVERGES:
-            return False
-        return None
-
-    @classmethod
-    def of(cls, walk) -> "Interpretation":
-        """The termination half of a :class:`~repro.core.walk.Walk`."""
-        return cls(
-            walk.verdict, cycles=walk.cycles, reason=walk.reason,
-            location=walk.location, states_visited=walk.states_visited,
-        )
+from repro.core.progfsm.compiler import FsmProgram
+from repro.core.progfsm.instruction import FsmInstruction
+from repro.core.walk import MAX_STEPS, Walk, walk_fsm, walk_microcode
 
 
 def interpret(
     program: Union[MicrocodeProgram, Sequence[MicroInstruction]],
     capabilities: ControllerCapabilities,
     storage_rows: Optional[int] = None,
-) -> Interpretation:
-    """Abstractly execute ``program`` against a memory geometry.
-
-    The walk itself is :func:`repro.core.walk.walk_microcode`, which
-    also yields the program's op summary for the vector sweep.
+) -> Walk:
+    """Abstractly execute a microcode program against a memory geometry.
 
     Args:
         program: the microcode program (or raw instruction list).
@@ -103,16 +84,36 @@ def interpret(
             the program — the faithful model of an overflowing load.
 
     Returns:
-        An :class:`Interpretation`; when the verdict is ``TERMINATES``
-        the ``cycles`` field equals the simulator's executed-instruction
-        count exactly (the test suite checks this identity property).
+        The :class:`~repro.core.walk.Walk`; when the verdict is
+        ``TERMINATES`` its ``cycles`` equal the simulator's
+        executed-instruction count exactly (the test suite checks this
+        identity property).
     """
-    if isinstance(program, MicrocodeProgram):
-        instructions: Tuple[MicroInstruction, ...] = tuple(program.instructions)
-    else:
-        instructions = tuple(program)
+    instructions = program_rows(program)
     limit = len(instructions)
     if storage_rows is not None:
         limit = min(limit, storage_rows)
-    return Interpretation.of(walk_microcode(instructions, capabilities, limit))
+    return walk_microcode(instructions, capabilities, limit)
 
+
+def interpret_fsm(
+    program: Union[FsmProgram, Sequence[FsmInstruction]],
+    capabilities: ControllerCapabilities,
+    max_steps: int = MAX_STEPS,
+) -> Walk:
+    """Abstractly execute an upper-buffer program against a geometry.
+
+    Args:
+        program: compiled :class:`FsmProgram` or raw instruction rows.
+        capabilities: geometry the controller targets; supplies the
+            address-space size, background count and port count.
+        max_steps: abstract-step safety valve (the ``rows x B x P``
+            state space bounds the walk anyway).
+
+    Returns:
+        The :class:`~repro.core.walk.Walk`; when the verdict is
+        ``TERMINATES`` its ``cycles`` equal the controller's trace
+        length exactly (the test suite checks this identity, and
+        ``repro fuzz`` re-checks it at corpus scale).
+    """
+    return walk_fsm(program_rows(program), capabilities, max_steps=max_steps)

@@ -16,27 +16,15 @@ target architecture.  Some severities depend on the ``target``:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Location, Severity
-from repro.analysis.rules import REGISTRY, rule
+from repro.analysis.rules import rule
 from repro.core.microcode.isa import PAUSE_TIMER_BITS
 from repro.core.progfsm.march_elements import match_element
 from repro.march.element import MarchElement, Pause
 from repro.march.test import MarchTest
 from repro.march.validate import check_consistency
-
-
-def run_march_rules(
-    test: MarchTest, target: Optional[str] = None
-) -> List[Diagnostic]:
-    """Run every march-level rule over one algorithm."""
-    diagnostics: List[Diagnostic] = []
-    for spec in sorted(REGISTRY.values(), key=lambda s: s.rule_id):
-        if spec.scope != "march":
-            continue
-        diagnostics.extend(spec.build(f) for f in spec.check(test, target))
-    return diagnostics
 
 
 @rule("MA001", Severity.ERROR, "empty march element", scope="march")

@@ -1,8 +1,9 @@
 """Upper-buffer-program lint rules (``PF…``).
 
 These run on compiled :class:`~repro.core.progfsm.compiler.FsmProgram`
-rows, mirroring the microcode ``MC…`` catalogue where the architectures
-share a failure mode:
+rows, through the same :class:`~repro.analysis.rules.ProgramAnalysis`
+as the microcode ``MC…`` catalogue, which they mirror where the
+architectures share a failure mode:
 
 * ``PF003`` is the buffer-overflow analogue of ``MC007`` — with the
   difference that the circular buffer never auto-grows, so overflowing
@@ -20,42 +21,17 @@ defect per rule to prove each fires with the right id and location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Location, Severity
-from repro.analysis.interpreter import Interpretation, Verdict
-from repro.analysis.progfsm_cfg import FsmControlFlowGraph
-from repro.analysis.rules import REGISTRY, rule
-from repro.core.controller import ControllerCapabilities
-from repro.core.progfsm.compiler import FsmProgram
+from repro.analysis.rules import ProgramAnalysis, rule
 from repro.core.progfsm.instruction import DataControl
 from repro.core.progfsm.upper_buffer import DEFAULT_ROWS
-
-
-@dataclass
-class FsmProgramAnalysis:
-    """Everything an upper-buffer-level rule may inspect."""
-
-    program: FsmProgram
-    cfg: FsmControlFlowGraph
-    interpretation: Optional[Interpretation]
-    capabilities: Optional[ControllerCapabilities] = None
-    buffer_rows: Optional[int] = None
-
-
-def run_fsm_rules(analysis: FsmProgramAnalysis) -> List[Diagnostic]:
-    """Run every upper-buffer-level rule over one analysed program."""
-    diagnostics: List[Diagnostic] = []
-    for spec in sorted(REGISTRY.values(), key=lambda s: s.rule_id):
-        if spec.scope != "fsm":
-            continue
-        diagnostics.extend(spec.build(f) for f in spec.check(analysis))
-    return diagnostics
+from repro.core.walk import Verdict
 
 
 @rule("PF001", Severity.WARNING, "unreachable buffer row", scope="fsm")
-def _unreachable_row(analysis: FsmProgramAnalysis) -> Iterator[Tuple]:
+def _unreachable_row(analysis: ProgramAnalysis) -> Iterator[Tuple]:
     """Rows the pointer can never reach — e.g. anything after a
     ``LOOP_PORT`` row, which either wraps to row 0 or ends the test."""
     for index in analysis.cfg.unreachable():
@@ -69,31 +45,31 @@ def _unreachable_row(analysis: FsmProgramAnalysis) -> Iterator[Tuple]:
 
 @rule("PF002", Severity.ERROR, "program provably never terminates",
       scope="fsm")
-def _nonterminating(analysis: FsmProgramAnalysis) -> Iterator[Tuple]:
-    interp = analysis.interpretation
-    if interp is not None and interp.verdict is Verdict.DIVERGES:
+def _nonterminating(analysis: ProgramAnalysis) -> Iterator[Tuple]:
+    walk = analysis.walk
+    if walk is not None and walk.verdict is Verdict.DIVERGES:
         yield (
-            Location(instruction=interp.location),
-            f"abstract interpretation proves divergence: {interp.reason}",
+            Location(instruction=walk.location),
+            f"abstract interpretation proves divergence: {walk.reason}",
             "keep at most one LOOP_BG row, placed after the element rows",
         )
 
 
 @rule("PF003", Severity.ERROR, "program exceeds the circular buffer",
       scope="fsm")
-def _buffer_overflow(analysis: FsmProgramAnalysis) -> Iterator:
+def _buffer_overflow(analysis: ProgramAnalysis) -> Iterator:
     """The MC007 analogue.  Unlike the microcode storage unit the
     circular buffer never auto-grows — ``CircularBuffer.load`` rejects
     an oversized program outright — so an explicit buffer depth makes
     this fatal, while the default depth only warns (a controller with a
     deeper buffer could still run the program)."""
     rows = len(analysis.program.instructions)
-    if analysis.buffer_rows is not None:
-        if rows > analysis.buffer_rows:
+    if analysis.rows is not None:
+        if rows > analysis.rows:
             yield (
-                Location(instruction=analysis.buffer_rows),
+                Location(instruction=analysis.rows),
                 f"program needs {rows} rows but the circular buffer holds "
-                f"{analysis.buffer_rows}",
+                f"{analysis.rows}",
                 "enlarge the buffer or shorten the algorithm",
             )
     elif rows > DEFAULT_ROWS:
@@ -110,7 +86,7 @@ def _buffer_overflow(analysis: FsmProgramAnalysis) -> Iterator:
 
 @rule("PF004", Severity.WARNING, "capability loop row missing from the tail",
       scope="fsm")
-def _missing_capability_loop(analysis: FsmProgramAnalysis) -> Iterator[Tuple]:
+def _missing_capability_loop(analysis: ProgramAnalysis) -> Iterator[Tuple]:
     caps = analysis.capabilities
     if caps is None:
         return
@@ -136,7 +112,7 @@ def _missing_capability_loop(analysis: FsmProgramAnalysis) -> Iterator[Tuple]:
 
 @rule("PF005", Severity.WARNING, "loop row without matching capability",
       scope="fsm")
-def _pointless_loop_row(analysis: FsmProgramAnalysis) -> Iterator:
+def _pointless_loop_row(analysis: ProgramAnalysis) -> Iterator:
     """The MC008 analogue, softened: the shared datapath always exists,
     so a mismatched loop row degrades instead of failing.  A ``LOOP_BG``
     on a bit-oriented target never takes path A (one background, *Last
@@ -168,7 +144,7 @@ def _pointless_loop_row(analysis: FsmProgramAnalysis) -> Iterator:
 
 @rule("PF006", Severity.INFO, "hold bit on a loop row is ignored",
       scope="fsm")
-def _hold_on_loop_row(analysis: FsmProgramAnalysis) -> Iterator[Tuple]:
+def _hold_on_loop_row(analysis: ProgramAnalysis) -> Iterator[Tuple]:
     """Loop rows are handled by the upper controller directly; the lower
     FSM — and with it the hold-in-DONE pause — never runs for them."""
     for index, instr in enumerate(analysis.program.instructions):
@@ -183,12 +159,12 @@ def _hold_on_loop_row(analysis: FsmProgramAnalysis) -> Iterator[Tuple]:
 
 @rule("PF007", Severity.WARNING, "control flow defeats static analysis",
       scope="fsm")
-def _unanalyzable(analysis: FsmProgramAnalysis) -> Iterator[Tuple]:
-    interp = analysis.interpretation
-    if interp is not None and interp.verdict is Verdict.UNKNOWN:
+def _unanalyzable(analysis: ProgramAnalysis) -> Iterator[Tuple]:
+    walk = analysis.walk
+    if walk is not None and walk.verdict is Verdict.UNKNOWN:
         yield (
-            Location(instruction=interp.location),
-            f"cannot bound the cycle count: {interp.reason}",
+            Location(instruction=walk.location),
+            f"cannot bound the cycle count: {walk.reason}",
             "shorten the program so the row x background x port state "
             "space fits the abstract-step budget",
         )

@@ -1,4 +1,4 @@
-"""Rule-based lint engine: registry plus the microcode-level rules.
+"""Rule-based lint engine: registry, runner and the microcode-level rules.
 
 Every rule has a stable identifier (``MC…`` for microcode-program rules,
 ``MA…`` for march-algorithm rules — those live in
@@ -18,10 +18,14 @@ A rule is a generator over findings.  It may yield
 * a complete :class:`~repro.analysis.diagnostics.Diagnostic` — for rules
   whose severity depends on context (e.g. the SM-mappability rule is
   advisory for the microcode target but fatal for the progfsm compiler).
+
+:func:`run_rules` runs one family (its *scope*) in id order; the
+``MC`` and ``PF`` families both inspect a :class:`ProgramAnalysis`.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -32,28 +36,38 @@ from typing import (
     List,
     Optional,
     Tuple,
+    Union,
 )
 
-from repro.analysis.cfg import ControlFlowGraph, loop_target
+from repro.analysis.cfg import ControlFlowGraph, exits_explicitly, loop_target
 from repro.analysis.diagnostics import Diagnostic, Location, Severity
 from repro.core.controller import ControllerCapabilities
-from repro.core.microcode.assembler import MicrocodeProgram
 from repro.core.microcode.isa import ConditionOp, PAUSE_TIMER_BITS
 from repro.core.microcode.storage import DEFAULT_ROWS
 
-if TYPE_CHECKING:  # the interpreter loads the controller walks
-    from repro.analysis.interpreter import Interpretation
+if TYPE_CHECKING:  # the walk loads the controller models
+    from repro.core.microcode.assembler import MicrocodeProgram
+    from repro.core.progfsm.compiler import FsmProgram
+    from repro.core.walk import Walk
 
 
 @dataclass
 class ProgramAnalysis:
-    """Everything a microcode-level rule may inspect."""
+    """Everything a program-level rule (``MC…`` or ``PF…``) may inspect.
 
-    program: MicrocodeProgram
+    Attributes:
+        program: the microcode or upper-buffer program.
+        cfg: its control-flow graph.
+        walk: the collapsed walk, or ``None`` without capabilities.
+        capabilities: target geometry, if any.
+        rows: explicit storage/buffer depth, or ``None`` for the default.
+    """
+
+    program: Union[MicrocodeProgram, FsmProgram]
     cfg: ControlFlowGraph
-    interpretation: Optional[Interpretation]
+    walk: Optional[Walk]
     capabilities: Optional[ControllerCapabilities] = None
-    storage_rows: Optional[int] = None
+    rows: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -63,7 +77,7 @@ class RuleSpec:
     rule_id: str
     severity: Severity
     title: str
-    scope: str                # "program", "march", "fsm" or "coverage"
+    scope: str                # "program", "march", "fsm", "coverage" or "rtl"
     check: Callable[..., Iterable]
 
     def build(self, finding) -> Diagnostic:
@@ -79,8 +93,17 @@ class RuleSpec:
         )
 
 
-#: All registered rules, by id (march rules register here too on import).
+#: All registered rules, by id (each family registers on import).
 REGISTRY: Dict[str, RuleSpec] = {}
+
+#: The module that registers each scope's rules.
+_FAMILIES: Dict[str, str] = {
+    "program": "repro.analysis.rules",
+    "march": "repro.analysis.march_rules",
+    "fsm": "repro.analysis.progfsm_rules",
+    "coverage": "repro.analysis.coverage_rules",
+    "rtl": "repro.rtl.readback",
+}
 
 
 def rule(rule_id: str, severity: Severity, title: str, scope: str = "program"):
@@ -97,21 +120,20 @@ def rule(rule_id: str, severity: Severity, title: str, scope: str = "program"):
 
 def rule_catalogue() -> List[RuleSpec]:
     """All rules, ordered by id (for docs and the test suite)."""
-    import repro.analysis.coverage_rules  # noqa: F401 — CV family registration
-    import repro.analysis.march_rules  # noqa: F401 — ensure registration
-    import repro.analysis.progfsm_rules  # noqa: F401 — ensure registration
-    import repro.rtl.readback  # noqa: F401 — RT family registration
-
+    for module in _FAMILIES.values():
+        importlib.import_module(module)
     return [REGISTRY[rule_id] for rule_id in sorted(REGISTRY)]
 
 
-def run_program_rules(analysis: ProgramAnalysis) -> List[Diagnostic]:
-    """Run every microcode-level rule over one analysed program."""
+def run_rules(scope: str, *args) -> List[Diagnostic]:
+    """Run every rule of ``scope``, in id order, over ``args`` (the
+    analysed artifact, plus the target for the march and coverage
+    families)."""
+    importlib.import_module(_FAMILIES[scope])
     diagnostics: List[Diagnostic] = []
     for spec in sorted(REGISTRY.values(), key=lambda s: s.rule_id):
-        if spec.scope != "program":
-            continue
-        diagnostics.extend(spec.build(f) for f in spec.check(analysis))
+        if spec.scope == scope:
+            diagnostics.extend(spec.build(f) for f in spec.check(*args))
     return diagnostics
 
 
@@ -127,7 +149,7 @@ def _missing_terminator(analysis: ProgramAnalysis) -> Iterator[Tuple]:
     That is legal (the paper's fall-off termination) but fragile: the
     intent is invisible, and appending rows silently extends the test.
     """
-    if analysis.program.instructions and not analysis.cfg.exits_explicitly():
+    if analysis.program.instructions and not exits_explicitly(analysis.cfg):
         yield (
             Location(instruction=len(analysis.program.instructions) - 1),
             "no reachable TERMINATE or INC_PORT: the test only ends by "
@@ -234,12 +256,12 @@ def _hold_exponent(analysis: ProgramAnalysis) -> Iterator[Tuple]:
 @rule("MC007", Severity.ERROR, "program exceeds the storage unit")
 def _storage_overflow(analysis: ProgramAnalysis) -> Iterator:
     rows = len(analysis.program.instructions)
-    if analysis.storage_rows is not None:
-        if rows > analysis.storage_rows:
+    if analysis.rows is not None:
+        if rows > analysis.rows:
             yield (
-                Location(instruction=analysis.storage_rows),
+                Location(instruction=analysis.rows),
                 f"program needs {rows} rows but the storage unit holds "
-                f"Z={analysis.storage_rows}",
+                f"Z={analysis.rows}",
                 "enlarge the storage or compress the program",
             )
     elif rows > DEFAULT_ROWS:
@@ -302,13 +324,13 @@ def _missing_capability_loop(analysis: ProgramAnalysis) -> Iterator[Tuple]:
 
 @rule("MC010", Severity.ERROR, "program provably never terminates")
 def _nonterminating(analysis: ProgramAnalysis) -> Iterator[Tuple]:
-    from repro.analysis.interpreter import Verdict
+    from repro.core.walk import Verdict
 
-    interp = analysis.interpretation
-    if interp is not None and interp.verdict is Verdict.DIVERGES:
+    walk = analysis.walk
+    if walk is not None and walk.verdict is Verdict.DIVERGES:
         yield (
-            Location(instruction=interp.location),
-            f"abstract interpretation proves divergence: {interp.reason}",
+            Location(instruction=walk.location),
+            f"abstract interpretation proves divergence: {walk.reason}",
             "fix the control flow so every loop has an exit condition",
         )
 
@@ -339,13 +361,13 @@ def _missed_compression(analysis: ProgramAnalysis) -> Iterator[Tuple]:
 
 @rule("MC011", Severity.WARNING, "control flow defeats static analysis")
 def _unanalyzable(analysis: ProgramAnalysis) -> Iterator[Tuple]:
-    from repro.analysis.interpreter import Verdict
+    from repro.core.walk import Verdict
 
-    interp = analysis.interpretation
-    if interp is not None and interp.verdict is Verdict.UNKNOWN:
+    walk = analysis.walk
+    if walk is not None and walk.verdict is Verdict.UNKNOWN:
         yield (
-            Location(instruction=interp.location),
-            f"cannot bound the cycle count: {interp.reason}",
+            Location(instruction=walk.location),
+            f"cannot bound the cycle count: {walk.reason}",
             "restructure element bodies as straight NOP runs ending in "
             "one LOOP row",
         )

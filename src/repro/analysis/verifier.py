@@ -4,17 +4,17 @@ The programmable architectures accept arbitrary user-supplied programs
 at test time, so a malformed program can hang the controller or
 silently lose coverage — failure modes the hardwired baselines cannot
 have.  :func:`verify_program` rejects such programs *before* anything
-runs: it builds the control-flow graph, abstractly interprets the
-controller (proving termination and an exact cycle bound), and applies
-the rule catalogue; :func:`verify_march` lints an algorithm before it
-is even assembled.
+runs, microcode and upper-buffer programs alike: it builds the
+control-flow graph, abstractly interprets the controller (proving
+termination and an exact cycle bound), and applies the rule catalogue;
+:func:`verify_march` lints an algorithm before it is even assembled.
 
 Wired in at three layers:
 
-* :func:`repro.core.microcode.assembler.assemble` verifies by default
-  and raises :class:`VerificationError` on error-severity findings;
-* :class:`repro.core.microcode.controller.MicrocodeBistController`
-  verifies every program load;
+* :func:`repro.core.microcode.assembler.assemble` and
+  :func:`repro.core.progfsm.compiler.compile_to_sm` verify by default
+  and raise :class:`VerificationError` on error-severity findings;
+* both programmable controllers verify every program load;
 * the ``repro lint`` CLI subcommand prints the full report.
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.analysis.diagnostics import DiagnosticReport
-from repro.analysis.march_rules import run_march_rules
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode.assembler import AssemblyError, MicrocodeProgram
 from repro.core.progfsm.compiler import FsmProgram
@@ -50,95 +49,51 @@ class VerificationError(AssemblyError):
 
 
 def verify_program(
-    program: MicrocodeProgram,
+    program: Union[MicrocodeProgram, FsmProgram],
     capabilities: Optional[ControllerCapabilities] = None,
-    storage_rows: Optional[int] = None,
+    rows: Optional[int] = None,
 ) -> DiagnosticReport:
-    """Statically verify a microcode program.
+    """Statically verify a microcode or upper-buffer program.
+
+    Builds the program's control-flow graph, walks the collapsed
+    controller (termination + exact cycle proof) and applies the
+    program rules — ``MC…`` for microcode, ``PF…`` for the programmable
+    FSM — plus the march-level rules on the program's source algorithm.
 
     Args:
-        program: the program to analyse.
+        program: a :class:`MicrocodeProgram` or an :class:`FsmProgram`.
         capabilities: target controller geometry; enables the
-            capability-mismatch rules and the termination/cycle-bound
-            proof (which needs the background and port counts).
-        storage_rows: explicit storage depth Z to check the program
-            against; ``None`` assumes the controller's auto-sizing.
+            capability rules and the termination/cycle-bound proof
+            (which needs the background and port counts).
+        rows: explicit storage (microcode) or circular-buffer (progfsm)
+            depth to check the program against; ``None`` assumes the
+            default — the microcode storage auto-grows, the buffer does
+            not, so an oversized upper-buffer program only warns.
 
     Returns:
-        The diagnostic report (program rules plus march-level rules on
-        the program's source algorithm, when it carries one).
+        The diagnostic report.
     """
     # The rule families import where they run: the abstract
     # interpreters load the controller walks, which the coverage lint
     # never needs.
-    from repro.analysis.cfg import build_cfg
-    from repro.analysis.interpreter import interpret
-    from repro.analysis.rules import ProgramAnalysis, run_program_rules
+    from repro.analysis.cfg import build_cfg, build_fsm_cfg
+    from repro.analysis.interpreter import interpret, interpret_fsm
+    from repro.analysis.rules import ProgramAnalysis, run_rules
 
-    cfg = build_cfg(program)
-    interpretation = (
-        interpret(program, capabilities, storage_rows=storage_rows)
-        if capabilities is not None
-        else None
-    )
-    analysis = ProgramAnalysis(
-        program=program,
-        cfg=cfg,
-        interpretation=interpretation,
-        capabilities=capabilities,
-        storage_rows=storage_rows,
-    )
+    walk = None
+    if isinstance(program, FsmProgram):
+        scope, target, cfg = "fsm", "progfsm", build_fsm_cfg(program)
+        if capabilities is not None:
+            walk = interpret_fsm(program, capabilities)
+    else:
+        scope, target, cfg = "program", "microcode", build_cfg(program)
+        if capabilities is not None:
+            walk = interpret(program, capabilities, storage_rows=rows)
+    analysis = ProgramAnalysis(program, cfg, walk, capabilities, rows)
     report = DiagnosticReport(name=program.name)
-    report.extend(run_program_rules(analysis))
+    report.extend(run_rules(scope, analysis))
     if program.source is not None:
-        report.extend(run_march_rules(program.source, target="microcode"))
-    return report
-
-
-def verify_fsm_program(
-    program: FsmProgram,
-    capabilities: Optional[ControllerCapabilities] = None,
-    buffer_rows: Optional[int] = None,
-) -> DiagnosticReport:
-    """Statically verify an upper-buffer (programmable FSM) program.
-
-    The progfsm mirror of :func:`verify_program`: builds the row-level
-    control-flow graph, abstractly interprets the upper controller
-    (termination + exact trace-cycle proof), and applies the ``PF``
-    rule catalogue plus the march-level rules on the program's source
-    algorithm.
-
-    Args:
-        program: the compiled upper-buffer program.
-        capabilities: target controller geometry; enables the
-            capability/loop-row rules and the termination proof.
-        buffer_rows: explicit circular-buffer depth to check the program
-            against; ``None`` checks the default depth advisorily (the
-            buffer never auto-grows, but a deeper one can be built).
-    """
-    from repro.analysis.progfsm_cfg import build_fsm_cfg, interpret_fsm
-    from repro.analysis.progfsm_rules import (
-        FsmProgramAnalysis,
-        run_fsm_rules,
-    )
-
-    cfg = build_fsm_cfg(program)
-    interpretation = (
-        interpret_fsm(program, capabilities)
-        if capabilities is not None
-        else None
-    )
-    analysis = FsmProgramAnalysis(
-        program=program,
-        cfg=cfg,
-        interpretation=interpretation,
-        capabilities=capabilities,
-        buffer_rows=buffer_rows,
-    )
-    report = DiagnosticReport(name=program.name)
-    report.extend(run_fsm_rules(analysis))
-    if program.source is not None:
-        report.extend(run_march_rules(program.source, target="progfsm"))
+        report.extend(run_rules("march", program.source, target))
     return report
 
 
@@ -153,8 +108,10 @@ def verify_march(
             target-dependent severities (see
             :mod:`repro.analysis.march_rules`).
     """
+    from repro.analysis.rules import run_rules
+
     report = DiagnosticReport(name=test.name)
-    report.extend(run_march_rules(test, target=target))
+    report.extend(run_rules("march", test, target))
     return report
 
 
@@ -175,18 +132,12 @@ def verify_coverage(test: MarchTest) -> DiagnosticReport:
 def assert_verified(
     program_or_test: Union[MicrocodeProgram, FsmProgram, MarchTest],
     capabilities: Optional[ControllerCapabilities] = None,
-    storage_rows: Optional[int] = None,
+    rows: Optional[int] = None,
 ) -> DiagnosticReport:
     """Verify and raise :class:`VerificationError` on errors."""
     if isinstance(program_or_test, MarchTest):
         report = verify_march(program_or_test)
-    elif isinstance(program_or_test, FsmProgram):
-        report = verify_fsm_program(
-            program_or_test, capabilities, buffer_rows=storage_rows
-        )
     else:
-        report = verify_program(
-            program_or_test, capabilities, storage_rows=storage_rows
-        )
+        report = verify_program(program_or_test, capabilities, rows)
     report.raise_on_errors()
     return report

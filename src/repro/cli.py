@@ -275,7 +275,7 @@ def _lint_one(name: str, args: argparse.Namespace):
         n_words=args.words, width=args.width, ports=args.ports
     )
     if args.target == "progfsm":
-        from repro.analysis import verify_fsm_program, verify_march
+        from repro.analysis import verify_march, verify_program
         from repro.analysis.diagnostics import (
             Diagnostic,
             DiagnosticReport,
@@ -288,7 +288,7 @@ def _lint_one(name: str, args: argparse.Namespace):
             # Compile (unverified) and run the full upper-buffer
             # analysis: PF rules + termination proof + march rules.
             program = compile_to_sm(test, caps, verify=False)
-            return verify_fsm_program(program, caps)
+            return verify_program(program, caps)
         if args.all:
             # Outside the SM0-SM7 library — the architecture's
             # flexibility boundary, by design (measured by
@@ -987,8 +987,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--target",
         choices=["microcode", "progfsm", "march", "rtl", "coverage"],
         default="microcode",
-        help="microcode: assemble and verify the program; progfsm: check "
-        "SM0-SM7 realisability; march: architecture-neutral checks only; "
+        help="microcode: assemble and verify the program; progfsm: compile "
+        "and verify the upper-buffer program (PF rules and termination "
+        "proof; an algorithm outside SM0-SM7 gets MA004); march: "
+        "architecture-neutral checks only; "
         "rtl: check the exported ROM image decodes back bit-exactly; "
         "coverage: statically prove per-fault coverage and report escapes",
     )

@@ -259,7 +259,7 @@ class MicrocodeBistController(BistController):
         from repro.analysis.verifier import verify_program
 
         verify_program(
-            program, self.capabilities, storage_rows=storage_rows
+            program, self.capabilities, rows=storage_rows
         ).raise_on_errors()
 
     def load(self, test: Union[MarchTest, MicrocodeProgram], compress: bool = True) -> None:

@@ -128,9 +128,9 @@ def compile_to_sm(
         # just emitted are proved terminating against the target
         # geometry (PF rules + abstract interpretation) before anyone
         # can load them.
-        from repro.analysis.verifier import verify_fsm_program
+        from repro.analysis.verifier import verify_program
 
-        verify_fsm_program(program, capabilities).raise_on_errors()
+        verify_program(program, capabilities).raise_on_errors()
     return program
 
 

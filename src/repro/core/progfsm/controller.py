@@ -120,10 +120,10 @@ class ProgrammableFsmBistController(BistController):
         Knows this controller's actual buffer depth, so the advisory
         PF003 default-depth warning becomes a hard error here.
         """
-        from repro.analysis.verifier import verify_fsm_program
+        from repro.analysis.verifier import verify_program
 
-        verify_fsm_program(
-            program, self.capabilities, buffer_rows=buffer_rows
+        verify_program(
+            program, self.capabilities, rows=buffer_rows
         ).raise_on_errors()
 
     def load(self, test: Union[MarchTest, FsmProgram]) -> None:

@@ -145,25 +145,18 @@ def controller_cycles(
     from repro.core.controller import ControllerCapabilities
 
     caps = ControllerCapabilities(n_words=n_words, width=width, ports=ports)
+    from repro.analysis.interpreter import interpret, interpret_fsm
+    from repro.core.walk import Verdict
+
     if architecture == "microcode":
-        from repro.analysis.interpreter import Verdict, interpret
         from repro.core.microcode.assembler import assemble
         from repro.core.microcode.controller import MicrocodeBistController
 
         program = assemble(test, caps, verify=False)
-        if analytic:
-            interp = interpret(program, caps)
-            if interp.verdict is not Verdict.TERMINATES:
-                raise ValueError(
-                    f"{test.name}: no analytic cycle count — "
-                    f"{interp.verdict.value} ({interp.reason})"
-                )
-            return interp.cycles
-        controller = MicrocodeBistController(program, caps, verify=False)
-        return sum(1 for _ in controller.trace())
-    if architecture == "progfsm":
-        from repro.analysis.interpreter import Verdict
-        from repro.analysis.progfsm_cfg import interpret_fsm
+        walk, controller_class, options = (
+            interpret, MicrocodeBistController, {}
+        )
+    elif architecture == "progfsm":
         from repro.core.progfsm.compiler import compile_to_sm
         from repro.core.progfsm.controller import (
             ProgrammableFsmBistController,
@@ -171,20 +164,22 @@ def controller_cycles(
         from repro.core.progfsm.upper_buffer import DEFAULT_ROWS
 
         program = compile_to_sm(test, caps, verify=False)
-        if analytic:
-            interp = interpret_fsm(program, caps)
-            if interp.verdict is not Verdict.TERMINATES:
-                raise ValueError(
-                    f"{test.name}: no analytic cycle count — "
-                    f"{interp.verdict.value} ({interp.reason})"
-                )
-            return interp.cycles
-        controller = ProgrammableFsmBistController(
-            program, caps,
-            buffer_rows=max(DEFAULT_ROWS, len(program)), verify=False,
+        walk, controller_class, options = (
+            interpret_fsm, ProgrammableFsmBistController,
+            {"buffer_rows": max(DEFAULT_ROWS, len(program))},
         )
+    else:
+        raise ValueError(f"unknown architecture {architecture!r}")
+    if not analytic:
+        controller = controller_class(program, caps, verify=False, **options)
         return sum(1 for _ in controller.trace())
-    raise ValueError(f"unknown architecture {architecture!r}")
+    result = walk(program, caps)
+    if result.verdict is not Verdict.TERMINATES:
+        raise ValueError(
+            f"{test.name}: no analytic cycle count — "
+            f"{result.verdict.value} ({result.reason})"
+        )
+    return result.cycles
 
 
 def controller_cycle_table(

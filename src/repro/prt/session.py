@@ -228,8 +228,12 @@ class PrtSession:
         self, capabilities: ControllerCapabilities
     ) -> int:
         """The fault-free MISR signature of the readout phase(s)."""
+        return self.readout_signature(self.attributed_stream(capabilities))
+
+    def readout_signature(self, stream: Stream) -> int:
+        """The MISR signature of ``stream``'s readout expectations — the
+        fault-free signature of a stream this session already built."""
         misr = Misr(self.config.misr_width)
-        stream = self.attributed_stream(capabilities)
         for op, readout in zip(stream.ops, _readout_flags(stream)):
             if readout:
                 misr.absorb(op.expected)

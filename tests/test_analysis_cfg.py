@@ -1,7 +1,7 @@
 """Control-flow-graph construction over microcode programs."""
 
 from repro.analysis import EXIT, EdgeKind, build_cfg
-from repro.analysis.cfg import loop_target
+from repro.analysis.cfg import exits_explicitly, loop_target
 from repro.core.controller import ControllerCapabilities
 from repro.core.microcode import assemble
 from repro.core.microcode.instruction import MicroInstruction
@@ -83,19 +83,19 @@ class TestReachability:
         assert cfg.unreachable() == []
 
     def test_exits_explicitly_true_for_terminate(self):
-        assert build_cfg([W_LOOP, TERM]).exits_explicitly()
+        assert exits_explicitly(build_cfg([W_LOOP, TERM]))
 
     def test_exits_explicitly_false_for_fall_off(self):
-        assert not build_cfg([W_LOOP]).exits_explicitly()
+        assert not exits_explicitly(build_cfg([W_LOOP]))
 
     def test_exits_explicitly_false_for_dead_terminate(self):
         # TERMINATE exists but sits behind an earlier TERMINATE's exit.
         cfg = build_cfg([TERM, TERM])
-        assert cfg.exits_explicitly()
+        assert exits_explicitly(cfg)
         # ... whereas an unreachable one after a fall-off end does not
         # count (the END edge of row 0 is the real exit).
         stuck = build_cfg([W_LOOP, TERM, TERM])
-        assert stuck.exits_explicitly()
+        assert exits_explicitly(stuck)
 
 
 class TestAssembledShapes:
@@ -121,5 +121,5 @@ class TestAssembledShapes:
         cfg = build_cfg(program)
         conds = [instr.cond for instr in program.instructions]
         assert conds[-2:] == [ConditionOp.NEXT_BG, ConditionOp.INC_PORT]
-        assert cfg.exits_explicitly()
+        assert exits_explicitly(cfg)
         assert cfg.terminating_edges()[-1].src == len(conds) - 1

@@ -91,6 +91,22 @@ class TestRunFuzz:
         assert 0.0 <= payload["fsm_compiled_fraction"] <= 1.0
         assert payload["mismatches"] == []
 
+    def test_prt_identity_expands_each_session_twice(self, monkeypatch):
+        """Identity (j) expands its session twice (the determinism
+        compare) and reads the predicted signature off the first."""
+        from repro.prt import PrtSession
+
+        calls = []
+        expand = PrtSession.attributed_stream
+
+        def counted(session, capabilities):
+            calls.append(session)
+            return expand(session, capabilities)
+
+        monkeypatch.setattr(PrtSession, "attributed_stream", counted)
+        assert run_fuzz(samples=3, seed=0, jobs=1).ok
+        assert len(calls) == 6
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             run_fuzz(0)

@@ -19,7 +19,6 @@ from repro.analysis import (
     build_fsm_cfg,
     interpret,
     interpret_fsm,
-    verify_fsm_program,
     verify_march,
     verify_program,
 )
@@ -120,7 +119,7 @@ def _lines(kind):
     if kind == "microcode-verify":
         return _reports(_microcode(), verify_program)
     if kind == "progfsm-verify":
-        return _reports(_progfsm(), verify_fsm_program)
+        return _reports(_progfsm(), verify_program)
     return _march_reports(
         {"march-microcode": "microcode", "march-progfsm": "progfsm",
          "march-none": None}[kind]

@@ -10,12 +10,13 @@ location — on one seeded defect.
 import pytest
 
 from repro.analysis import (
+    EXIT,
+    EdgeKind,
     Verdict,
     build_fsm_cfg,
     interpret_fsm,
-    verify_fsm_program,
+    verify_program,
 )
-from repro.analysis.progfsm_cfg import EXIT, FsmEdgeKind
 from repro.analysis.verifier import VerificationError, assert_verified
 from repro.core.controller import ControllerCapabilities
 from repro.core.progfsm.compiler import FsmProgram, compile_to_sm, is_realizable
@@ -69,10 +70,10 @@ class TestCfg:
     def test_loop_bg_forks_to_row_zero_and_fallthrough(self):
         cfg = build_fsm_cfg(program_of(element(), LOOP_BG, LOOP_PORT))
         kinds = {(e.src, e.dst): e.kind for e in cfg.edges}
-        assert kinds[(1, 0)] is FsmEdgeKind.PATH_A
-        assert kinds[(1, 2)] is FsmEdgeKind.LAST_DATA
-        assert kinds[(2, 0)] is FsmEdgeKind.PATH_B
-        assert kinds[(2, EXIT)] is FsmEdgeKind.END
+        assert kinds[(1, 0)] is EdgeKind.PATH_A
+        assert kinds[(1, 2)] is EdgeKind.LAST_DATA
+        assert kinds[(2, 0)] is EdgeKind.PATH_B
+        assert kinds[(2, EXIT)] is EdgeKind.END
 
     def test_rows_after_loop_port_are_unreachable(self):
         cfg = build_fsm_cfg(program_of(element(), LOOP_PORT, element()))
@@ -159,35 +160,35 @@ class TestRules:
 
     def test_pf001_unreachable_row(self):
         program = program_of(element(), LOOP_BG, LOOP_PORT, element())
-        report = verify_fsm_program(program, self.CAPS)
+        report = verify_program(program, self.CAPS)
         found = report.by_rule("PF001")
         assert [d.location.instruction for d in found] == [3]
         assert not report.has_errors  # a warning, not an error
 
     def test_pf002_divergence_is_an_error(self):
         program = program_of(LOOP_BG, LOOP_BG)
-        report = verify_fsm_program(program, self.CAPS)
+        report = verify_program(program, self.CAPS)
         (finding,) = report.by_rule("PF002")
         assert finding in report.errors
         assert finding.location.instruction == 0
 
     def test_pf003_explicit_buffer_overflow_is_an_error(self):
         program = program_of(*[element() for _ in range(5)])
-        report = verify_fsm_program(program, self.CAPS, buffer_rows=4)
+        report = verify_program(program, self.CAPS, rows=4)
         (finding,) = report.by_rule("PF003")
         assert finding in report.errors
         assert finding.location.instruction == 4
 
     def test_pf003_default_depth_overflow_only_warns(self):
         program = program_of(*[element() for _ in range(13)])
-        report = verify_fsm_program(program, self.CAPS)
+        report = verify_program(program, self.CAPS)
         (finding,) = report.by_rule("PF003")
         assert finding not in report.errors
         assert "buffer_rows >= 13" in finding.hint
 
     def test_pf004_missing_capability_loop_rows(self):
         program = program_of(element(), element())
-        report = verify_fsm_program(program, self.CAPS)
+        report = verify_program(program, self.CAPS)
         found = report.by_rule("PF004")
         assert len(found) == 2  # no LOOP_BG *and* no LOOP_PORT
         assert {d.location.instruction for d in found} == {1}
@@ -195,36 +196,35 @@ class TestRules:
     def test_pf005_loop_bg_without_backgrounds_warns(self):
         caps = ControllerCapabilities(n_words=4, width=1)
         program = program_of(element(), LOOP_BG)
-        (finding,) = verify_fsm_program(program, caps).by_rule("PF005")
+        (finding,) = verify_program(program, caps).by_rule("PF005")
         assert finding.location.instruction == 1
         assert finding.severity.value == "warning"
 
     def test_pf005_loop_port_without_ports_is_advisory(self):
         caps = ControllerCapabilities(n_words=4, width=1)
         program = program_of(element(), LOOP_PORT)
-        (finding,) = verify_fsm_program(program, caps).by_rule("PF005")
+        (finding,) = verify_program(program, caps).by_rule("PF005")
         assert finding.severity.value == "info"
 
     def test_pf006_hold_bit_on_loop_row(self):
         hold_loop = FsmInstruction(hold=True, data_ctrl=DataControl.LOOP_BG)
         program = program_of(element(), hold_loop)
-        (finding,) = verify_fsm_program(program, self.CAPS).by_rule("PF006")
+        (finding,) = verify_program(program, self.CAPS).by_rule("PF006")
         assert finding.location.instruction == 1
 
     def test_pf007_unknown_verdict_warns(self):
-        # No public knob reaches max_steps through verify_fsm_program,
-        # so drive the rule directly with an UNKNOWN interpretation.
-        from repro.analysis import FsmProgramAnalysis, run_fsm_rules
-        from repro.analysis.progfsm_cfg import build_fsm_cfg
+        # No public knob reaches max_steps through verify_program,
+        # so drive the rule directly with an UNKNOWN walk.
+        from repro.analysis import ProgramAnalysis, run_rules
 
         program = program_of(element())
-        analysis = FsmProgramAnalysis(
+        analysis = ProgramAnalysis(
             program=program,
             cfg=build_fsm_cfg(program),
-            interpretation=interpret_fsm(program, self.CAPS, max_steps=0),
+            walk=interpret_fsm(program, self.CAPS, max_steps=0),
             capabilities=self.CAPS,
         )
-        assert any(d.rule == "PF007" for d in run_fsm_rules(analysis))
+        assert any(d.rule == "PF007" for d in run_rules("fsm", analysis))
 
 
 class TestSelfLint:
@@ -235,7 +235,7 @@ class TestSelfLint:
     @pytest.mark.parametrize("caps", GEOMETRIES, ids=str)
     def test_library_compiles_and_lints_clean(self, name, caps):
         program = compile_to_sm(library.get(name), caps, verify=False)
-        report = verify_fsm_program(program, caps)
+        report = verify_program(program, caps)
         assert not report.has_errors, report.format()
 
 

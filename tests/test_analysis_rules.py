@@ -103,7 +103,7 @@ class TestProgramRules:
 
     def test_mc007_storage_overflow(self):
         rows = [W_LOOP] + [MicroInstruction() for _ in range(4)] + [TERM]
-        report = verify_program(program_of(*rows), storage_rows=4)
+        report = verify_program(program_of(*rows), rows=4)
         finding = only(report, "MC007")[0]
         assert finding.severity is Severity.ERROR
         assert finding.location.instruction == 4  # first row past Z
