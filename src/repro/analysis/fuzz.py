@@ -316,8 +316,8 @@ def check_sample(
     row of :data:`IDENTITIES` in table order, except the letters in
     ``skip`` (and the rows that need them, see :func:`resolve_skip`)."""
     from repro.analysis.interpreter import interpret, interpret_fsm
-    from repro.core.walk import Verdict
     from repro.analysis.verifier import verify_program
+    from repro.core.walk import Verdict
 
     skipped = resolve_skip(skip)
     sample_seed = f"{seed}:{index}"
