@@ -18,7 +18,10 @@ metric's own ``bound``: the head regresses when its median is worse
 than the base's by more than that fraction.  The gate prints every
 metric's medians and their ratio (head / base), and beside it the
 min–max of the per-pair ratios: a wide spread around a ratio past the
-bound reads as host noise, a tight one as a real change.  It exits
+bound reads as host noise, a tight one as a real change.  It also
+prints how many pairs the head won, in the metric's ``better``
+direction (a tie counts for neither side): a claimed gain should win
+at least nine pairs in ten.  It exits
 
 * 0 when no metric regressed;
 * 1 when any metric regressed;
@@ -55,8 +58,9 @@ class GateError(Exception):
 
 
 class Verdict(NamedTuple):
-    """One end-to-end metric of one workload: medians and bound, and
-    the min–max of the per-pair head / base ratios (``spread``)."""
+    """One end-to-end metric of one workload: medians and bound, the
+    min–max of the per-pair head / base ratios (``spread``) and the
+    number of pairs the head won (``wins``)."""
 
     metric: str
     better: str
@@ -64,6 +68,7 @@ class Verdict(NamedTuple):
     base: float
     head: float
     spread: Tuple[float, float]
+    wins: int
 
     @property
     def ratio(self) -> float:
@@ -130,10 +135,12 @@ def compare(
             for side in ("base", "head")
         )
         ratios = [h / b for b, h in zip(base, head)]
+        sign = 1 if metric["better"] == "higher" else -1
         verdicts.append(Verdict(
             metric["name"], metric["better"], metric["bound"],
             statistics.median(base), statistics.median(head),
             (min(ratios), max(ratios)),
+            sum(sign * (h - b) > 0 for b, h in zip(base, head)),
         ))
     return verdicts
 
@@ -180,6 +187,7 @@ def main(argv=None) -> int:
                     f"  {v.metric:<12} base {v.base:>14.4f}  head "
                     f"{v.head:>14.4f}  ratio {v.ratio:6.3f}  "
                     f"(pairs {v.spread[0]:.3f}..{v.spread[1]:.3f}; "
+                    f"head won {v.wins}/{PAIRS}; "
                     f"{v.better} is better, bound {v.bound:.2f})"
                     + ("  REGRESSED" if v.regressed else ""),
                     flush=True,

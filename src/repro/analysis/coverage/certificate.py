@@ -156,10 +156,18 @@ class CoverageCertificate:
     def geometry(self) -> Tuple[int, int, int]:
         return (self.n_words, self.width, self.ports)
 
-    def to_json(self) -> Dict[str, Any]:
+    def _totals(
+        self,
+    ) -> Tuple[Dict[str, Dict[str, int]], Dict[str, int], float]:
+        """Per-kind counts, per-verdict totals and the unknown rate, all
+        from one :meth:`by_kind` pass over the verdicts."""
         by_kind = self.by_kind()
         totals = {v: sum(c[v] for c in by_kind.values()) for v in VERDICTS}
         rate = totals[UNKNOWN] / len(self.verdicts) if self.verdicts else 0.0
+        return by_kind, totals, rate
+
+    def to_json(self) -> Dict[str, Any]:
+        by_kind, totals, rate = self._totals()
         return {
             "test": self.test_name,
             "universe": self.universe_name,
@@ -175,16 +183,16 @@ class CoverageCertificate:
         }
 
     def format(self) -> str:
-        total = len(self.verdicts)
+        by_kind, totals, rate = self._totals()
         lines = [
             f"certificate: {self.test_name} over {self.universe_name} "
             f"on {self.n_words}x{self.width}x{self.ports}: "
-            f"{self.covered_count}/{total} covered, "
-            f"{self.not_covered_count} not covered, "
-            f"{self.unknown_count} unknown "
-            f"({100.0 * self.unknown_rate:.1f}%)"
+            f"{totals[COVERED]}/{len(self.verdicts)} covered, "
+            f"{totals[NOT_COVERED]} not covered, "
+            f"{totals[UNKNOWN]} unknown "
+            f"({100.0 * rate:.1f}%)"
         ]
-        for kind, counts in sorted(self.by_kind().items()):
+        for kind, counts in sorted(by_kind.items()):
             total_kind = sum(counts.values())
             lines.append(
                 f"  {kind:12s} {counts[COVERED]:4d}/{total_kind:<4d} covered"

@@ -23,7 +23,12 @@ detects each fault of a universe — without ever simulating the full
     stratum — verdict, label, strata entry and the witness line
     (:meth:`~repro.march.projection.MarchProjection.witness_line`) — is
     settled with it, and each member is only stamped: its witness is
-    ``base + stride·address`` at the support slot that failed.
+    ``base + stride·address`` at the support slot that failed.  A
+    member's own facts — support, spec string, description — depend on
+    the fault alone, so they are computed once per fault instance and
+    kept on it (:attr:`~repro.faults.base.CellFault._prover_facts`):
+    certifying a library over one population extracts each fault once,
+    not once per test.
 
 For covered faults the certificate carries a *witness*: the index in the
 golden expansion (:func:`repro.march.simulator.expand`) of an operation
@@ -112,7 +117,12 @@ def certify(
     settled: Dict[Optional[tuple], tuple] = {}
 
     for index, fault in enumerate(population):
-        support = support_of(fault)
+        facts = fault._prover_facts
+        if facts is None:
+            facts = fault._prover_facts = (
+                support_of(fault), format_fault(fault), fault.describe()
+            )
+        support, spec, description = facts
         if support is None:
             visited, covers_all, key = (), False, None
         else:
@@ -165,8 +175,7 @@ def certify(
             witness = base + stride * visited[slot]
         certificate.verdicts.append(
             FaultVerdict(
-                index, fault.kind, format_fault(fault), fault.describe(),
-                verdict, witness, label,
+                index, fault.kind, spec, description, verdict, witness, label
             )
         )
     return certificate

@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.core.walk import Walk
 
 
 class Severity(enum.Enum):
@@ -111,10 +114,13 @@ class DiagnosticReport:
     Attributes:
         name: program / algorithm name the findings refer to.
         diagnostics: the findings.
+        walk: the :class:`~repro.core.walk.Walk` that proved the
+            program, when the verifier was given a geometry.
     """
 
     name: str
     diagnostics: List[Diagnostic] = field(default_factory=list)
+    walk: Optional[Walk] = field(default=None, repr=False, compare=False)
 
     def add(self, diagnostic: Diagnostic) -> None:
         self.diagnostics.append(diagnostic)

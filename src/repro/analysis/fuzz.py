@@ -315,7 +315,6 @@ def check_sample(
     verifier-vs-simulator identities on it: (a)–(c) always, then every
     row of :data:`IDENTITIES` in table order, except the letters in
     ``skip`` (and the rows that need them, see :func:`resolve_skip`)."""
-    from repro.analysis.interpreter import interpret, interpret_fsm
     from repro.analysis.verifier import verify_program
     from repro.core.walk import Verdict
 
@@ -335,7 +334,7 @@ def check_sample(
     # -- (a)+(c), microcode ------------------------------------------------
     program = assemble(test, caps, compress=compress, verify=False)
     report = verify_program(program, caps)
-    interp = interpret(program, caps)
+    interp = report.walk
     if report.has_errors:
         # The generator only emits well-formed algorithms, so an error
         # here is a verifier false positive.
@@ -374,7 +373,7 @@ def check_sample(
     if fsm_program is not None:
         result.fsm_compiled = True
         fsm_report = verify_program(fsm_program, caps)
-        fsm_interp = interpret_fsm(fsm_program, caps)
+        fsm_interp = fsm_report.walk
         if fsm_interp.verdict is not interp.verdict:
             result.mismatches.append(
                 f"verdict disagreement: microcode {interp.verdict.value}, "

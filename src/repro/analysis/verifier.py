@@ -71,7 +71,8 @@ def verify_program(
             not, so an oversized upper-buffer program only warns.
 
     Returns:
-        The diagnostic report.
+        The diagnostic report; with ``capabilities`` it carries the
+        walk of the proof as ``report.walk``.
     """
     # The rule families import where they run: the abstract
     # interpreters load the controller walks, which the coverage lint
@@ -90,7 +91,7 @@ def verify_program(
         if capabilities is not None:
             walk = interpret(program, capabilities, storage_rows=rows)
     analysis = ProgramAnalysis(program, cfg, walk, capabilities, rows)
-    report = DiagnosticReport(name=program.name)
+    report = DiagnosticReport(name=program.name, walk=walk)
     report.extend(run_rules(scope, analysis))
     if program.source is not None:
         report.extend(run_rules("march", program.source, target))

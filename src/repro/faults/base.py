@@ -42,11 +42,23 @@ class CellFault(abc.ABC):
 
     Subclasses override only the hooks relevant to their mechanism; the
     defaults are transparent (no behavioural change).
+
+    A fault's parameters (cells, polarities, delays) are fixed at
+    construction: no code assigns them afterwards, and :meth:`reset`
+    clears only dynamic state.  So everything derived from them alone —
+    the support and stratum signature, the spec string, the description
+    — is a fact of the instance, and the coverage prover computes it
+    once per instance (:attr:`_prover_facts`), however many tests it
+    certifies over one population.
     """
 
     #: Short taxonomy tag ("SAF", "TF", "CFin", ...) used by coverage
     #: reports and the diagnostics classifier.
     kind: str = "?"
+
+    #: ``(support, spec, description)``, set on the instance by the
+    #: coverage prover the first time it certifies the fault.
+    _prover_facts = None
 
     def install(self, memory) -> None:
         """One-time installation side effects (decoder rewrites etc.)."""

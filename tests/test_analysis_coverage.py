@@ -1,6 +1,8 @@
 """Tests for the static fault-coverage prover, its certificates, the
 certificate-vs-sweep differential cross-check and the ``CV`` lint rules."""
 
+import collections
+import hashlib
 import json
 import pathlib
 
@@ -16,6 +18,7 @@ from repro.analysis.coverage import (
     certify,
     support_of,
 )
+from repro.analysis.coverage import prover
 from repro.analysis.coverage_rules import LINT_GEOMETRY, run_coverage_rules
 from repro.conformance import (
     check_coverage_conformance,
@@ -392,6 +395,92 @@ class TestStampedVerdicts:
                             assert projection.locate(index) == place
                             op = golden[index]
                             assert (op.port, op.address) == (port, address)
+
+
+#: The library's certificates per geometry: SHA-256 (first 16 hex
+#: digits) of one ``json.dumps(certificate.to_json())`` line per test,
+#: in name order, over the geometry's standard universe.  Measured
+#: before the prover kept per-fault facts on the fault, so a change to
+#: how certify shares work between tests must reproduce every payload.
+CERTIFICATE_DIGESTS = {
+    (4, 2, 1): "e7c06a8b7f06ce87",
+    (8, 1, 1): "4e7bef6d9c5fb10a",
+    (4, 2, 2): "2fa021802d9bddb9",
+    (3, 2, 3): "c0e72b9463dd5453",
+    (5, 4, 2): "9137051c2bf17b8c",
+    (32, 4, 1): "97f8ee3e85718bfc",
+}
+
+
+@pytest.mark.parametrize("geometry", list(CERTIFICATE_DIGESTS))
+def test_library_certificates_are_pinned(geometry):
+    n_words, width, ports = geometry
+    universe = standard_universe(n_words, width, ports=ports)
+    digest = hashlib.sha256()
+    for name in sorted(library.ALGORITHMS):
+        certificate = certify(
+            library.get(name), n_words, width, ports, universe=universe
+        )
+        digest.update(f"{json.dumps(certificate.to_json())}\n".encode())
+    assert digest.hexdigest()[:16] == CERTIFICATE_DIGESTS[geometry]
+
+
+class TestPerFaultFacts:
+    """A fault's support, spec and description depend on the fault
+    alone, so certify computes them once per fault instance."""
+
+    @staticmethod
+    def _counted(monkeypatch, faults):
+        calls = collections.Counter()
+
+        def counting(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            prover, "support_of", counting("support", prover.support_of)
+        )
+        monkeypatch.setattr(
+            prover, "format_fault", counting("spec", prover.format_fault)
+        )
+        for fault in faults:
+            fault.describe = counting("describe", fault.describe)
+        return calls
+
+    def test_library_over_one_population_extracts_once_per_fault(
+        self, monkeypatch
+    ):
+        faults = standard_universe(4, 2).faults
+        calls = self._counted(monkeypatch, faults)
+        for name in sorted(library.ALGORITHMS):
+            certify(library.get(name), 4, width=2, faults=faults)
+        assert calls == dict.fromkeys(
+            ("support", "spec", "describe"), len(faults)
+        )
+
+    def test_fresh_population_extracts_again(self, monkeypatch):
+        first = standard_universe(4, 1).faults
+        second = standard_universe(4, 1).faults
+        calls = self._counted(monkeypatch, first + second)
+        for faults in (first, second, first):
+            certify(library.get("March C"), 4, faults=faults)
+        assert calls["support"] == len(first) + len(second)
+
+    def test_unsupported_fault_stays_unknown_when_certified_again(
+        self, monkeypatch
+    ):
+        faults = [_SubclassedSaf(1, 0, 1), StuckAtFault(1, 0, 1)]
+        calls = self._counted(monkeypatch, faults)
+        for _ in range(2):
+            certificate = certify(library.get("March C"), 4, faults=faults)
+            verdicts = [(v.verdict, v.stratum) for v in certificate.verdicts]
+            assert verdicts[0] == (UNKNOWN, "?")
+            assert verdicts[1][0] == COVERED
+        # The cached ``None`` support is honoured, not extracted again.
+        assert calls["support"] == 2
 
 
 class TestFaultVerdictRecord:

@@ -67,6 +67,24 @@ class TestCheckSample:
         assert payload["index"] == 1
         assert payload["mismatches"] == []
 
+    def test_identities_a_to_c_walk_each_program_once(self, monkeypatch):
+        # The verifier's walk is the cycle proof the identities compare.
+        from repro.analysis import interpreter
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return walk_microcode(*args, **kwargs)
+
+        walk_microcode = interpreter.walk_microcode
+        monkeypatch.setattr(interpreter, "walk_microcode", counting)
+        skip = {row.letter for row in fuzz.IDENTITIES}
+        result = check_sample(0, 0, skip=skip)
+        assert result.ok, result.mismatches
+        assert result.microcode_cycles is not None
+        assert len(calls) == 1
+
 
 class TestRunFuzz:
     def test_small_corpus_has_zero_mismatches(self):

@@ -90,6 +90,21 @@ class TestCompare:
         assert verdicts["pairs_per_s"].ratio == 1.0
         assert verdicts["cpu_s"].spread == (1.0, 1.0)
 
+    def test_wins_count_pairs_the_head_won_in_the_better_direction(self):
+        base = [line() for _ in range(5)]
+        head = [
+            line(pairs_per_s=f, cpu_s=f)
+            for f in (1.2, 1.1, 1.0, 0.9, 1.3)
+        ]
+        verdicts = {
+            v.metric: v for v in gate.compare(base, head, END_TO_END)
+        }
+        # Higher throughput wins 3 pairs; lower CPU time wins the
+        # one slower pair; the tie counts for neither side.
+        assert verdicts["pairs_per_s"].wins == 3
+        assert verdicts["cpu_s"].wins == 1
+        assert verdicts["setup_s"].wins == 0
+
     def test_correct_false_is_an_error(self):
         with pytest.raises(gate.GateError, match="correct"):
             regressed([line()] * 4 + [line(correct=False)])
@@ -155,6 +170,7 @@ class TestMain:
         assert rows
         for row in rows:
             assert "ratio  0.700  (pairs 0.700..0.700;" in row
+            assert f"head won 0/{gate.PAIRS};" in row
             assert row.endswith("REGRESSED")
 
     def test_uncomparable_run_exits_2(self, monkeypatch, tmp_path):
