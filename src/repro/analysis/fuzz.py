@@ -109,13 +109,10 @@ from typing import (
     Tuple,
 )
 
-from repro.core.controller import ControllerCapabilities
-from repro.core.microcode.assembler import assemble
-from repro.core.microcode.controller import MicrocodeBistController
-from repro.core.progfsm.compiler import CompileError, compile_to_sm
-from repro.core.progfsm.controller import ProgrammableFsmBistController
+import repro.core
+from repro.core.controller import CONTROLLER_CLASSES, ControllerCapabilities
+from repro.core.progfsm.compiler import CompileError
 from repro.core.progfsm.march_elements import SM_PATTERNS, sm_element
-from repro.core.progfsm.upper_buffer import DEFAULT_ROWS as FSM_BUFFER_ROWS
 from repro.march.element import (
     AddressOrder,
     MarchElement,
@@ -331,78 +328,54 @@ def check_sample(
         geometry=(caps.n_words, caps.width, caps.ports),
         compress=compress,
     )
-    # -- (a)+(c), microcode ------------------------------------------------
-    program = assemble(test, caps, compress=compress, verify=False)
-    report = verify_program(program, caps)
-    interp = report.walk
-    if report.has_errors:
-        # The generator only emits well-formed algorithms, so an error
-        # here is a verifier false positive.
-        result.mismatches.append(
-            "microcode verifier rejected a well-formed algorithm: "
-            + "; ".join(str(d) for d in report.errors)
-        )
-    elif interp.verdict is not Verdict.TERMINATES:
-        result.mismatches.append(
-            f"microcode interpreter verdict {interp.verdict.value} "
-            f"({interp.reason}) on a verifier-passed program"
-        )
-    else:
-        result.microcode_cycles = interp.cycles
-        controller = MicrocodeBistController(
-            program, caps, verify=False
+    # -- (a)-(c), each programmable controller ----------------------------
+    microcode_verdict = None
+    for architecture, cycles_field in (
+        ("microcode", "microcode_cycles"), ("progfsm", "fsm_cycles"),
+    ):
+        controller_class = getattr(
+            repro.core, CONTROLLER_CLASSES[architecture]
         )
         try:
-            traced = sum(1 for _ in controller.trace())
-        except RuntimeError as error:  # runtime cycle bound hit
+            controller = controller_class.realise(test, caps, compress)
+        except CompileError:
+            continue  # progfsm outside the SM0-SM7 flexibility boundary
+        if architecture == "progfsm":
+            result.fsm_compiled = True
+        report = verify_program(controller.program, caps)
+        walk = report.walk
+        microcode_verdict = microcode_verdict or walk.verdict
+        if walk.verdict is not microcode_verdict:
             result.mismatches.append(
-                f"verifier-passed program did not terminate: {error}"
+                f"verdict disagreement: microcode {microcode_verdict.value}, "
+                f"{architecture} {walk.verdict.value}"
+            )
+        if report.has_errors:
+            # The generator only emits well-formed algorithms, so an
+            # error here is a verifier false positive.
+            result.mismatches.append(
+                f"{architecture} verifier rejected a well-formed "
+                "algorithm: " + "; ".join(str(d) for d in report.errors)
+            )
+        elif walk.verdict is not Verdict.TERMINATES:
+            result.mismatches.append(
+                f"{architecture} interpreter verdict {walk.verdict.value} "
+                f"({walk.reason}) on a verifier-passed program"
             )
         else:
-            if traced != interp.cycles:
-                result.mismatches.append(
-                    f"microcode cycle mismatch: proved {interp.cycles}, "
-                    f"simulated {traced}"
-                )
-
-    # -- (b)+(c), progfsm --------------------------------------------------
-    try:
-        fsm_program = compile_to_sm(test, caps, verify=False)
-    except CompileError:
-        fsm_program = None  # outside the SM0-SM7 flexibility boundary
-    if fsm_program is not None:
-        result.fsm_compiled = True
-        fsm_report = verify_program(fsm_program, caps)
-        fsm_interp = fsm_report.walk
-        if fsm_interp.verdict is not interp.verdict:
-            result.mismatches.append(
-                f"verdict disagreement: microcode {interp.verdict.value}, "
-                f"progfsm {fsm_interp.verdict.value}"
-            )
-        if fsm_report.has_errors:
-            result.mismatches.append(
-                "progfsm verifier rejected a compiler-produced program: "
-                + "; ".join(str(d) for d in fsm_report.errors)
-            )
-        elif fsm_interp.verdict is Verdict.TERMINATES:
-            result.fsm_cycles = fsm_interp.cycles
-            controller = ProgrammableFsmBistController(
-                fsm_program,
-                caps,
-                buffer_rows=max(FSM_BUFFER_ROWS, len(fsm_program)),
-                verify=False,
-            )
+            setattr(result, cycles_field, walk.cycles)
             try:
                 traced = sum(1 for _ in controller.trace())
-            except RuntimeError as error:
+            except RuntimeError as error:  # runtime cycle bound hit
                 result.mismatches.append(
-                    f"verifier-passed FSM program did not terminate: {error}"
+                    f"verifier-passed {architecture} program did not "
+                    f"terminate: {error}"
                 )
             else:
-                if traced != fsm_interp.cycles:
+                if traced != walk.cycles:
                     result.mismatches.append(
-                        f"progfsm cycle mismatch: proved "
-                        f"{fsm_interp.cycles}, simulated {traced}"
+                        f"{architecture} cycle mismatch: proved "
+                        f"{walk.cycles}, simulated {traced}"
                     )
 
     # -- (d)-(j), the identity table -------------------------------------

@@ -114,6 +114,11 @@ def interpret_fsm(
         The :class:`~repro.core.walk.Walk`; when the verdict is
         ``TERMINATES`` its ``cycles`` equal the controller's trace
         length exactly (the test suite checks this identity, and
-        ``repro fuzz`` re-checks it at corpus scale).
+        ``repro fuzz`` re-checks it at corpus scale).  A compiled
+        program's pauses carry its ``pause_duration`` in the op
+        summary; raw rows pause for 0.
     """
-    return walk_fsm(program_rows(program), capabilities, max_steps=max_steps)
+    pause = program.pause_duration if isinstance(program, FsmProgram) else 0
+    return walk_fsm(
+        program_rows(program), capabilities, pause, max_steps=max_steps
+    )

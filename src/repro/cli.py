@@ -106,20 +106,10 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.core.controller import ControllerCapabilities
+from repro.core.controller import CONTROLLER_CLASSES, ControllerCapabilities
 from repro.faults.spec import FaultSpecError, parse_fault
 from repro.march import library
 from repro.march.notation import format_test
-
-#: ``--architecture`` choice -> controller class in :mod:`repro.core`.
-#: Each command imports what it runs, so ``repro certify`` loads no
-#: controller.
-ARCHITECTURES = {
-    "microcode": "MicrocodeBistController",
-    "progfsm": "ProgrammableFsmBistController",
-    "hardwired": "HardwiredBistController",
-}
-
 
 class _Once(argparse.Action):
     """``store``, but a repeated option is an error (plain ``store``
@@ -167,16 +157,21 @@ def _add_geometry_args(
     _add_algorithm_args(parser, every)
 
 
+def _caps(args: argparse.Namespace) -> ControllerCapabilities:
+    """The geometry a command's ``--words/--width/--ports`` select."""
+    return ControllerCapabilities(
+        n_words=args.words, width=args.width, ports=args.ports
+    )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     import repro.core
     from repro.core.bist_unit import MemoryBistUnit
     from repro.memory.sram import Sram
 
     test = library.get(args.algorithm)
-    caps = ControllerCapabilities(
-        n_words=args.words, width=args.width, ports=args.ports
-    )
-    controller = getattr(repro.core, ARCHITECTURES[args.architecture])(
+    caps = _caps(args)
+    controller = getattr(repro.core, CONTROLLER_CLASSES[args.architecture])(
         test, caps
     )
     memory = Sram(args.words, width=args.width, ports=args.ports)
@@ -214,9 +209,7 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
     from repro.core.progfsm.compiler import compile_to_sm
 
     test = library.get(args.algorithm)
-    caps = ControllerCapabilities(
-        n_words=args.words, width=args.width, ports=args.ports
-    )
+    caps = _caps(args)
     if args.format == "microcode":
         print(disassemble(assemble_microcode(test, caps)))
     elif args.format == "fsm":
@@ -248,9 +241,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.reporting import build_controller, datasheet
 
     test = library.get(args.algorithm)
-    caps = ControllerCapabilities(
-        n_words=args.words, width=args.width, ports=args.ports
-    )
+    caps = _caps(args)
     controller = build_controller(args.architecture, test, caps)
     text = datasheet(controller)
     if args.output:
@@ -271,9 +262,7 @@ def _cmd_algorithms(_args: argparse.Namespace) -> int:
 
 def _lint_one(name: str, args: argparse.Namespace):
     """Build the diagnostic report for one algorithm (or program file)."""
-    caps = ControllerCapabilities(
-        n_words=args.words, width=args.width, ports=args.ports
-    )
+    caps = _caps(args)
     if args.target == "progfsm":
         from repro.analysis import verify_march, verify_program
         from repro.analysis.diagnostics import (
@@ -281,14 +270,19 @@ def _lint_one(name: str, args: argparse.Namespace):
             DiagnosticReport,
             Severity,
         )
-        from repro.core.progfsm.compiler import compile_to_sm, is_realizable
+        from repro.core.progfsm.compiler import CompileError, compile_to_sm
 
         test = library.get(name)
-        if is_realizable(test):
+        report = verify_march(test, target="progfsm")
+        if not report.has_errors:
             # Compile (unverified) and run the full upper-buffer
             # analysis: PF rules + termination proof + march rules.
-            program = compile_to_sm(test, caps, verify=False)
-            return verify_program(program, caps)
+            try:
+                program = compile_to_sm(test, caps, verify=False)
+            except CompileError:
+                pass
+            else:
+                return verify_program(program, caps)
         if args.all:
             # Outside the SM0-SM7 library — the architecture's
             # flexibility boundary, by design (measured by
@@ -304,8 +298,7 @@ def _lint_one(name: str, args: argparse.Namespace):
                         "FSM architecture by design)",
                 hint="lint this algorithm alone for the full report",
             ))
-            return report
-        return verify_march(test, target="progfsm")
+        return report
     if args.target == "march":
         from repro.analysis import verify_march
 
@@ -339,9 +332,7 @@ def _cmd_lint_fix(args: argparse.Namespace) -> int:
         return 2
     with open(args.program) as handle:
         program = load_program(handle.read())
-    caps = ControllerCapabilities(
-        n_words=args.words, width=args.width, ports=args.ports
-    )
+    caps = _caps(args)
     result = apply_fixes(program, caps)
     if result.changed:
         with open(args.program, "w") as handle:
@@ -377,9 +368,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
         with open(args.program) as handle:
             program = load_program(handle.read())
-        caps = ControllerCapabilities(
-            n_words=args.words, width=args.width, ports=args.ports
-        )
+        caps = _caps(args)
         reports = [verify_program(program, caps)]
     else:
         names = _algorithm_names(args)
@@ -486,17 +475,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _conformance_caps(args: argparse.Namespace) -> ControllerCapabilities:
-    return ControllerCapabilities(
-        n_words=args.words, width=args.width, ports=args.ports
-    )
-
-
 def _cmd_conformance_run(args: argparse.Namespace) -> int:
     from repro.conformance import check_conformance
 
     names = _algorithm_names(args)
-    caps = _conformance_caps(args)
+    caps = _caps(args)
     results = [
         check_conformance(
             library.get(name), caps, compress=not args.no_compress
@@ -774,7 +757,7 @@ def _cmd_conformance_shrink(args: argparse.Namespace) -> int:
         from repro.march.notation import parse_test
 
         test = parse_test(args.notation, name="sample")
-        caps = _conformance_caps(args)
+        caps = _caps(args)
         compress = not args.no_compress
     if args.fault:
         return _shrink_faulty(args, test, caps, compress)
@@ -925,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="run a BIST self-test")
     _add_geometry_args(run)
     run.add_argument(
-        "--architecture", choices=sorted(ARCHITECTURES), default="microcode"
+        "--architecture", choices=sorted(CONTROLLER_CLASSES), default="microcode"
     )
     run.add_argument(
         "--fault", action="append",
@@ -974,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_geometry_args(report)
     report.add_argument(
-        "--architecture", choices=sorted(ARCHITECTURES), default="microcode"
+        "--architecture", choices=sorted(CONTROLLER_CLASSES), default="microcode"
     )
     report.add_argument("--output", help="write to a file instead of stdout")
     report.set_defaults(handler=_cmd_report)

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import repro.core
 from repro.conformance.divergence import Divergence, first_divergence
 from repro.conformance.trace import (
     Stream,
@@ -31,12 +33,16 @@ from repro.conformance.trace import (
     hardwired_trace,
     microcode_trace,
 )
-from repro.core.controller import ControllerCapabilities
+from repro.core.controller import (
+    CONTROLLER_CLASSES,
+    BistController,
+    ControllerCapabilities,
+)
 from repro.march.notation import format_test
 from repro.march.test import MarchTest
 
 #: All differentially-tested architectures, in report order.
-ARCHITECTURES: Tuple[str, ...] = ("microcode", "progfsm", "hardwired")
+ARCHITECTURES: Tuple[str, ...] = tuple(CONTROLLER_CLASSES)
 
 
 class GoldenTraceCache:
@@ -216,111 +222,29 @@ class ConformanceResult:
         }
 
 
-def _microcode_stream(
-    test: MarchTest, caps: ControllerCapabilities, compress: bool
-) -> Stream:
-    from repro.core.microcode.assembler import assemble
-    from repro.core.microcode.controller import MicrocodeBistController
-
-    program = assemble(test, caps, compress=compress, verify=False)
-    controller = MicrocodeBistController(program, caps, verify=False)
-    return microcode_trace(controller)
+def _realise(architecture, test, caps, compress) -> BistController:
+    controller_class = getattr(repro.core, CONTROLLER_CLASSES[architecture])
+    return controller_class.realise(test, caps, compress)
 
 
-def _fsm_stream(
-    test: MarchTest, caps: ControllerCapabilities, compress: bool
-) -> Stream:
-    from repro.core.progfsm.compiler import compile_to_sm
-    from repro.core.progfsm.controller import ProgrammableFsmBistController
-    from repro.core.progfsm.upper_buffer import DEFAULT_ROWS
-
-    program = compile_to_sm(test, caps, verify=False)
-    controller = ProgrammableFsmBistController(
-        program,
-        caps,
-        buffer_rows=max(DEFAULT_ROWS, len(program)),
-        verify=False,
-    )
-    return fsm_trace(controller)
+def _stock_stream(architecture, tabulate, test, caps, compress) -> Stream:
+    return tabulate(_realise(architecture, test, caps, compress))
 
 
-def _hardwired_stream(
-    test: MarchTest, caps: ControllerCapabilities, compress: bool
-) -> Stream:
-    from repro.core.hardwired.controller import HardwiredBistController
-
-    controller = HardwiredBistController(test, caps)
-    return hardwired_trace(controller)
-
+#: The stock builder per architecture: its trace tabulator applied to
+#: the controller ``realise`` builds.
+_STOCK_BUILDERS = {
+    "microcode": partial(_stock_stream, "microcode", microcode_trace),
+    "progfsm": partial(_stock_stream, "progfsm", fsm_trace),
+    "hardwired": partial(_stock_stream, "hardwired", hardwired_trace),
+}
 
 #: Attributed-stream builder per architecture, uniform signature
 #: ``(test, caps, compress)`` (only microcode honours ``compress``).
 #: Read by :func:`~repro.conformance.faulty.check.resolve_stimulus`,
 #: the one differential loop both the stimulus check below and the
 #: fault-response check run on.
-STREAM_BUILDERS = {
-    "microcode": _microcode_stream,
-    "progfsm": _fsm_stream,
-    "hardwired": _hardwired_stream,
-}
-
-
-def _microcode_walk(
-    test: MarchTest, caps: ControllerCapabilities, compress: bool
-):
-    from repro.core.microcode.assembler import assemble
-    from repro.core.microcode.controller import runtime_cycle_bound
-    from repro.core.microcode.instruction import MicroInstruction
-    from repro.core.walk import walk_microcode
-
-    program = assemble(test, caps, compress=compress, verify=False)
-    fetched = [  # the rows the storage unit hands the controller
-        MicroInstruction.decode(row.encode()) for row in program.instructions
-    ]
-    return (
-        walk_microcode(fetched, caps),
-        runtime_cycle_bound(len(program), caps),
-    )
-
-
-def _fsm_walk(test: MarchTest, caps: ControllerCapabilities, compress: bool):
-    from repro.core.progfsm.compiler import compile_to_sm
-    from repro.core.progfsm.controller import runtime_cycle_bound
-    from repro.core.progfsm.instruction import FsmInstruction
-    from repro.core.walk import walk_fsm
-
-    program = compile_to_sm(test, caps, verify=False)
-    fetched = [  # the rows the circular buffer hands the controller
-        FsmInstruction.decode(row.encode()) for row in program.instructions
-    ]
-    return (
-        walk_fsm(fetched, caps, program.pause_duration),
-        runtime_cycle_bound(len(program), caps),
-    )
-
-
-def _hardwired_walk(
-    test: MarchTest, caps: ControllerCapabilities, compress: bool
-):
-    from repro.core.hardwired.controller import runtime_cycle_bound
-    from repro.core.hardwired.synthesis import synthesize
-    from repro.core.walk import walk_hardwired
-
-    graph = synthesize(test, caps)
-    return (
-        walk_hardwired(graph, caps),
-        runtime_cycle_bound(graph.state_count, caps),
-    )
-
-
-#: Per architecture: the stock :data:`STREAM_BUILDERS` entry and the
-#: collapsed walk (:mod:`repro.core.walk`) of the program it would
-#: simulate, ``(test, caps, compress) -> (walk, default cycle bound)``.
-PROGRAM_WALKS = {
-    "microcode": (_microcode_stream, _microcode_walk),
-    "progfsm": (_fsm_stream, _fsm_walk),
-    "hardwired": (_hardwired_stream, _hardwired_walk),
-}
+STREAM_BUILDERS = dict(_STOCK_BUILDERS)
 
 
 def proved_conformant(
@@ -332,9 +256,10 @@ def proved_conformant(
     """Whether ``architecture`` emits the golden stream, without running it.
 
     ``True`` when the architecture's :data:`STREAM_BUILDERS` entry is
-    the stock builder, the collapsed walk of its program terminates
-    within the controller's default cycle bound, the walk's op summary
-    equals :func:`~repro.core.walk.march_summary`, and the datapath
+    the stock builder, the collapsed walk of the realised controller
+    (:meth:`~repro.core.controller.BistController.walk`) terminates
+    within its cycle bound, the walk's op summary equals
+    :func:`~repro.core.walk.march_summary`, and the datapath
     enumerates what ``expand`` uses on this geometry
     (:func:`~repro.core.walk.datapath_enumerates_expand`): the built
     stream would then equal the golden stream op for op.  ``False``
@@ -346,13 +271,14 @@ def proved_conformant(
     """
     from repro.core.walk import datapath_enumerates_expand, march_summary
 
-    stock, walk = PROGRAM_WALKS[architecture]
-    if STREAM_BUILDERS[architecture] is not stock:
+    if STREAM_BUILDERS[architecture] is not _STOCK_BUILDERS[architecture]:
         return None
-    walked, bound = walk(test, capabilities, compress)
+    controller = _realise(architecture, test, capabilities, compress)
     if not datapath_enumerates_expand(capabilities):
         return None
-    return walked.matches(march_summary(test, capabilities), bound)
+    return controller.walk().matches(
+        march_summary(test, capabilities), controller.cycle_bound()
+    )
 
 
 def check_conformance(

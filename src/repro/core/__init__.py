@@ -13,6 +13,12 @@ memory operations and all verified against the golden stream of
 * :mod:`repro.core.hardwired` — the non-programmable baselines: a march
   algorithm synthesised directly into a dedicated FSM.
 
+Each controller class realises a march test itself (``realise``), walks
+the rows it fetches (``walk``, :mod:`repro.core.walk`) and states its
+cycle bound (``cycle_bound``);
+:data:`~repro.core.controller.CONTROLLER_CLASSES` maps each
+architecture's name to its class.
+
 :mod:`repro.core.bist_unit` composes any controller with the shared
 datapath (:mod:`repro.core.datapath`) and a memory under test into a
 runnable BIST unit; :mod:`repro.core.transparent` adds the

@@ -11,7 +11,12 @@ implements :class:`BistController`:
 * ``hardware()`` returns the structural inventory the area model costs;
 * ``capabilities`` declares what the *hardware* supports, independent of
   the currently loaded program — the basis of the paper's flexibility
-  grading (Table 1, column 2).
+  grading (Table 1, column 2);
+* ``realise()`` builds the controller a march test runs on, and
+  ``walk()`` and ``cycle_bound()`` prove its stream golden without
+  simulating it (:func:`repro.conformance.check.proved_conformant`).
+
+:data:`CONTROLLER_CLASSES` names each architecture's class.
 """
 
 from __future__ import annotations
@@ -19,11 +24,20 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.area.components import HardwareSpec
 from repro.march.simulator import MemoryOperation
 from repro.march.test import MarchTest
+
+#: Architecture name -> its controller class in :mod:`repro.core`, in
+#: report order.  Read a class as ``getattr(repro.core, name)``: the
+#: package imports a controller on first use, so this map loads none.
+CONTROLLER_CLASSES = {
+    "microcode": "MicrocodeBistController",
+    "progfsm": "ProgrammableFsmBistController",
+    "hardwired": "HardwiredBistController",
+}
 
 
 class Flexibility(enum.Enum):
@@ -71,7 +85,21 @@ class ControllerCapabilities:
 
 
 class BistController(abc.ABC):
-    """Abstract memory BIST controller."""
+    """Abstract memory BIST controller.
+
+    Each architecture states its own realisation beside the ``trace()``
+    it owns:
+
+    * the classmethod ``realise(test, capabilities, compress=True)``
+      returns the unverified controller the differential harnesses run
+      (only microcode honours ``compress``; progfsm raises
+      ``CompileError`` outside SM0–SM7);
+    * ``walk()`` is the collapsed :mod:`repro.core.walk` walk of the
+      decoded rows the controller fetches (the hardwired one: of its
+      state graph);
+    * ``cycle_bound()`` is the cycle count ``trace()`` stops at as a hang:
+      ``max_cycles``, or a default sized to the program and geometry.
+    """
 
     #: architecture family name used in reports ("Microcode-Based", ...).
     architecture: str = "?"
@@ -82,8 +110,23 @@ class BistController(abc.ABC):
         self.capabilities = capabilities
 
     @abc.abstractmethod
+    def trace(self) -> Iterator:
+        """Cycle-accurate run: one entry per cycle, whose ``operation``
+        is the memory operation issued, or ``None``."""
+
     def operations(self) -> Iterator[MemoryOperation]:
         """Cycle-ordered memory operations of one full test run."""
+        for entry in self.trace():
+            if entry.operation is not None:
+                yield entry.operation
+
+    def _verify_program(self, program, rows: Optional[int]) -> None:
+        """Static pre-load verification (the in-field safety gate)
+        against this controller's geometry and program-store depth, so
+        the advisory default-depth warnings become errors here."""
+        from repro.analysis.verifier import verify_program
+
+        verify_program(program, self.capabilities, rows=rows).raise_on_errors()
 
     @abc.abstractmethod
     def hardware(self) -> HardwareSpec:

@@ -77,10 +77,27 @@ class HardwiredBistController(BistController):
     def loaded_test(self) -> MarchTest:
         return self.graph.source
 
+    @classmethod
+    def realise(
+        cls,
+        test: MarchTest,
+        capabilities: ControllerCapabilities,
+        compress: bool = True,
+    ) -> "HardwiredBistController":
+        """``test`` synthesised (``compress`` is a microcode option)."""
+        return cls(test, capabilities)
+
     # -- execution ------------------------------------------------------------
 
-    def _cycle_bound(self) -> int:
-        return runtime_cycle_bound(self.graph.state_count, self.capabilities)
+    def cycle_bound(self) -> int:
+        return self.max_cycles or runtime_cycle_bound(
+            self.graph.state_count, self.capabilities
+        )
+
+    def walk(self):
+        from repro.core.walk import walk_hardwired
+
+        return walk_hardwired(self.graph, self.capabilities)
 
     def trace(self) -> Iterator[HardwiredTraceEntry]:
         """Cycle-by-cycle trace of the synthesised states.
@@ -97,7 +114,7 @@ class HardwiredBistController(BistController):
         signals_of: Dict[Tuple, Dict[str, object]] = {}
         code = 0
         restart_pending = True
-        bound = self.max_cycles or self._cycle_bound()
+        bound = self.cycle_bound()
 
         def signals_at(code: int) -> Dict[str, object]:
             inputs = (
@@ -165,11 +182,6 @@ class HardwiredBistController(BistController):
             f"hardwired controller {self.graph.name!r} did not terminate "
             f"within {bound} cycles"
         )
-
-    def operations(self) -> Iterator[MemoryOperation]:
-        for entry in self.trace():
-            if entry.operation is not None:
-                yield entry.operation
 
     # -- area model -------------------------------------------------------------
 

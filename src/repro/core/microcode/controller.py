@@ -198,9 +198,9 @@ class MicrocodeBistController(BistController):
         test: a march algorithm (assembled on construction) or a
             pre-assembled :class:`MicrocodeProgram`.
         capabilities: memory geometry the controller hardware targets.
-        storage_rows: storage-unit depth Z; ``None`` auto-sizes to
-            ``max(DEFAULT_ROWS, len(program))`` so long programs (the
-            '++' variants) grow the storage instead of failing.
+        storage_rows: storage-unit depth Z; ``None`` grows the default
+            depth to the program's length, so long programs (the '++'
+            variants) fit instead of failing.
         storage_cell: storage cell kind; ``'scan_dff'`` reproduces the
             Table 1/2 configuration, ``'scan_only'`` the Table 3
             redesign.
@@ -234,10 +234,9 @@ class MicrocodeBistController(BistController):
             self.program = assemble(
                 test, capabilities, compress=compress, verify=verify
             )
-        elif verify:
-            self._verify_program(test, storage_rows)
-            self.program = test
         else:
+            if verify:
+                self._verify_program(test, storage_rows)
             self.program = test
         if storage_rows is None:
             storage_rows = max(DEFAULT_ROWS, len(self.program.instructions))
@@ -251,16 +250,6 @@ class MicrocodeBistController(BistController):
 
     def loaded_test(self) -> MarchTest:
         return self.program.source
-
-    def _verify_program(
-        self, program: MicrocodeProgram, storage_rows: Optional[int]
-    ) -> None:
-        """Static pre-load verification (the in-field safety gate)."""
-        from repro.analysis.verifier import verify_program
-
-        verify_program(
-            program, self.capabilities, rows=storage_rows
-        ).raise_on_errors()
 
     def load(self, test: Union[MarchTest, MicrocodeProgram], compress: bool = True) -> None:
         """Load a different algorithm — no hardware change, the paper's
@@ -277,10 +266,29 @@ class MicrocodeBistController(BistController):
             self.program = test
         self.storage.load(self.program.instructions)
 
+    @classmethod
+    def realise(
+        cls,
+        test: MarchTest,
+        capabilities: ControllerCapabilities,
+        compress: bool = True,
+    ) -> "MicrocodeBistController":
+        """``test`` assembled with ``compress``, unverified, in storage
+        sized to the program."""
+        return cls(test, capabilities, compress=compress, verify=False)
+
     # -- execution -----------------------------------------------------------
 
-    def _cycle_bound(self) -> int:
-        return runtime_cycle_bound(len(self.program), self.capabilities)
+    def cycle_bound(self) -> int:
+        return self.max_cycles or runtime_cycle_bound(
+            len(self.program), self.capabilities
+        )
+
+    def walk(self):
+        from repro.core.walk import walk_microcode
+
+        fetched = map(self.storage.fetch, range(len(self.program)))
+        return walk_microcode(fetched, self.capabilities)
 
     def trace(self) -> Iterator[TraceEntry]:
         """Cycle-by-cycle execution trace (used by the Fig. 1/2 bench).
@@ -303,7 +311,7 @@ class MicrocodeBistController(BistController):
         repeat_bit = False
         ref_order = ref_data = ref_compare = False
         restart_pending = True
-        bound = self.max_cycles or self._cycle_bound()
+        bound = self.cycle_bound()
 
         for cycle in range(bound):
             if ic >= rows:
@@ -394,11 +402,6 @@ class MicrocodeBistController(BistController):
             f"microcode program {self.program.name!r} did not terminate within "
             f"{bound} cycles — malformed control flow?"
         )
-
-    def operations(self) -> Iterator[MemoryOperation]:
-        for entry in self.trace():
-            if entry.operation is not None:
-                yield entry.operation
 
     # -- area model ------------------------------------------------------------
 

@@ -135,9 +135,14 @@ def compile_to_sm(
 
 
 def is_realizable(test: MarchTest) -> bool:
-    """Whether the SM architecture can run ``test`` at all."""
+    """Whether the SM architecture can run ``test`` at all: exactly when
+    the march rules pass and the unverified translation succeeds."""
+    from repro.analysis.verifier import verify_march
+
+    if verify_march(test, target="progfsm").has_errors:
+        return False
     try:
-        compile_to_sm(test, ControllerCapabilities(n_words=2))
-        return True
+        compile_to_sm(test, ControllerCapabilities(n_words=2), verify=False)
     except CompileError:
         return False
+    return True

@@ -112,20 +112,6 @@ class ProgrammableFsmBistController(BistController):
     def loaded_test(self) -> MarchTest:
         return self.program.source
 
-    def _verify_program(
-        self, program: FsmProgram, buffer_rows: int
-    ) -> None:
-        """Static pre-load verification (the in-field safety gate).
-
-        Knows this controller's actual buffer depth, so the advisory
-        PF003 default-depth warning becomes a hard error here.
-        """
-        from repro.analysis.verifier import verify_program
-
-        verify_program(
-            program, self.capabilities, rows=buffer_rows
-        ).raise_on_errors()
-
     def load(self, test: Union[MarchTest, FsmProgram]) -> None:
         """Load a different SM-composed algorithm; no hardware change.
 
@@ -141,10 +127,34 @@ class ProgrammableFsmBistController(BistController):
             self.program = test
         self.buffer.load(self.program.instructions)
 
+    @classmethod
+    def realise(
+        cls,
+        test: MarchTest,
+        capabilities: ControllerCapabilities,
+        compress: bool = True,
+    ) -> "ProgrammableFsmBistController":
+        """``test`` compiled unverified, in a buffer deep enough for the
+        program (``compress`` is a microcode option)."""
+        program = compile_to_sm(test, capabilities, verify=False)
+        return cls(
+            program, capabilities,
+            buffer_rows=max(DEFAULT_ROWS, len(program)), verify=False,
+        )
+
     # -- execution ---------------------------------------------------------
 
-    def _cycle_bound(self) -> int:
-        return runtime_cycle_bound(len(self.program), self.capabilities)
+    def cycle_bound(self) -> int:
+        return self.max_cycles or runtime_cycle_bound(
+            len(self.program), self.capabilities
+        )
+
+    def walk(self):
+        from repro.core.walk import walk_fsm
+
+        rows = self.program.instructions
+        fetched = [FsmInstruction.decode(row.encode()) for row in rows]
+        return walk_fsm(fetched, self.capabilities, self.program.pause_duration)
 
     def trace(self) -> Iterator[FsmTraceEntry]:
         """Cycle-by-cycle trace of upper-buffer rows and lower-FSM states.
@@ -165,7 +175,7 @@ class ProgrammableFsmBistController(BistController):
         decoded: Dict[int, FsmInstruction] = {}
         outputs_of: Dict[Tuple, LowerFsmOutputs] = {}
         state = LowerFsmState.IDLE  # the lower FSM's state register
-        bound = self.max_cycles or self._cycle_bound()
+        bound = self.cycle_bound()
         hold_pending = False  # pause still owed before the current row
 
         cycle = 0
@@ -271,11 +281,6 @@ class ProgrammableFsmBistController(BistController):
             f"FSM program {self.program.name!r} did not terminate within "
             f"{bound} cycles — malformed control flow?"
         )
-
-    def operations(self) -> Iterator[MemoryOperation]:
-        for entry in self.trace():
-            if entry.operation is not None:
-                yield entry.operation
 
     # -- area model ----------------------------------------------------------
 

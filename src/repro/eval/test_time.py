@@ -142,38 +142,18 @@ def controller_cycles(
             ``architecture`` is unknown.
         CompileError: progfsm architecture, algorithm outside SM0-SM7.
     """
-    from repro.core.controller import ControllerCapabilities
-
-    caps = ControllerCapabilities(n_words=n_words, width=width, ports=ports)
-    from repro.analysis.interpreter import interpret, interpret_fsm
+    import repro.core
+    from repro.core.controller import CONTROLLER_CLASSES, ControllerCapabilities
     from repro.core.walk import Verdict
 
-    if architecture == "microcode":
-        from repro.core.microcode.assembler import assemble
-        from repro.core.microcode.controller import MicrocodeBistController
-
-        program = assemble(test, caps, verify=False)
-        walk, controller_class, options = (
-            interpret, MicrocodeBistController, {}
-        )
-    elif architecture == "progfsm":
-        from repro.core.progfsm.compiler import compile_to_sm
-        from repro.core.progfsm.controller import (
-            ProgrammableFsmBistController,
-        )
-        from repro.core.progfsm.upper_buffer import DEFAULT_ROWS
-
-        program = compile_to_sm(test, caps, verify=False)
-        walk, controller_class, options = (
-            interpret_fsm, ProgrammableFsmBistController,
-            {"buffer_rows": max(DEFAULT_ROWS, len(program))},
-        )
-    else:
+    if architecture not in CONTROLLER_CLASSES:
         raise ValueError(f"unknown architecture {architecture!r}")
+    caps = ControllerCapabilities(n_words=n_words, width=width, ports=ports)
+    controller_class = getattr(repro.core, CONTROLLER_CLASSES[architecture])
+    controller = controller_class.realise(test, caps)
     if not analytic:
-        controller = controller_class(program, caps, verify=False, **options)
         return sum(1 for _ in controller.trace())
-    result = walk(program, caps)
+    result = controller.walk()
     if result.verdict is not Verdict.TERMINATES:
         raise ValueError(
             f"{test.name}: no analytic cycle count — "
@@ -223,6 +203,14 @@ def controller_cycle_table(
     return rows
 
 
+def _time_text(milliseconds: float) -> str:
+    if milliseconds >= 1000:
+        return f"{milliseconds / 1000:.2f} s"
+    if milliseconds >= 1:
+        return f"{milliseconds:.2f} ms"
+    return f"{milliseconds * 1000:.1f} us"
+
+
 def render_controller_cycles(
     rows: List[ControllerCycleRow], n_words: int, analytic: bool = True
 ) -> str:
@@ -235,15 +223,9 @@ def render_controller_cycles(
         f"{'time':>12}",
     ]
     for row in rows:
-        if row.milliseconds >= 1000:
-            time_text = f"{row.milliseconds / 1000:.2f} s"
-        elif row.milliseconds >= 1:
-            time_text = f"{row.milliseconds:.2f} ms"
-        else:
-            time_text = f"{row.milliseconds * 1000:.1f} us"
         lines.append(
             f"{row.algorithm:<12} {row.architecture:<12} "
-            f"{row.cycles:>12} {time_text:>12}"
+            f"{row.cycles:>12} {_time_text(row.milliseconds):>12}"
         )
     return "\n".join(lines)
 
@@ -257,14 +239,8 @@ def render_test_time(rows: List[TestTimeRow], n_words: int) -> str:
         f"{'time':>12}",
     ]
     for row in rows:
-        if row.milliseconds >= 1000:
-            time_text = f"{row.milliseconds / 1000:.2f} s"
-        elif row.milliseconds >= 1:
-            time_text = f"{row.milliseconds:.2f} ms"
-        else:
-            time_text = f"{row.milliseconds * 1000:.1f} us"
         lines.append(
             f"{row.algorithm:<12} {row.operations:>12} "
-            f"{row.pause_time_units:>12} {time_text:>12}"
+            f"{row.pause_time_units:>12} {_time_text(row.milliseconds):>12}"
         )
     return "\n".join(lines)

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import repro.core
 from repro.area.estimator import estimate
-from repro.core.controller import BistController, ControllerCapabilities
-from repro.core.hardwired import HardwiredBistController
+from repro.core.controller import (
+    CONTROLLER_CLASSES,
+    BistController,
+    ControllerCapabilities,
+)
 from repro.core.microcode import MicrocodeBistController
 from repro.core.microcode.disassembler import disassemble
 from repro.core.progfsm import ProgrammableFsmBistController
@@ -108,17 +112,11 @@ def build_controller(
     test: MarchTest,
     capabilities: ControllerCapabilities,
 ) -> BistController:
-    """Controller factory shared by the CLI and the datasheet command."""
-    factories = {
-        "microcode": MicrocodeBistController,
-        "progfsm": ProgrammableFsmBistController,
-        "hardwired": HardwiredBistController,
-    }
-    try:
-        factory = factories[architecture]
-    except KeyError:
+    """Controller factory of the datasheet command."""
+    if architecture not in CONTROLLER_CLASSES:
         raise ValueError(
             f"unknown architecture {architecture!r}; "
-            f"known: {sorted(factories)}"
-        ) from None
-    return factory(test, capabilities)
+            f"known: {sorted(CONTROLLER_CLASSES)}"
+        )
+    controller_class = getattr(repro.core, CONTROLLER_CLASSES[architecture])
+    return controller_class(test, capabilities)

@@ -102,7 +102,7 @@ from repro.conformance.faulty.check import (
     matches_golden,
     resolve_stimulus,
 )
-from repro.conformance.check import PROGRAM_WALKS, proved_conformant
+from repro.conformance.check import ARCHITECTURES, proved_conformant
 from repro.conformance.trace import Stream
 from repro.core.controller import ControllerCapabilities
 from repro.core.progfsm.compiler import CompileError
@@ -187,7 +187,7 @@ def _plan_test(
     if length > _op_budget(length, max_ops):
         return plan  # scalar reproduces the budget trip exactly
     for partner in stimulus.partners:
-        if partner.name in PROGRAM_WALKS:
+        if partner.name in ARCHITECTURES:
             try:
                 proved = proved_conformant(
                     partner.name, test, caps, stimulus.compress

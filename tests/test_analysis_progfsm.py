@@ -23,7 +23,7 @@ from repro.core.progfsm.compiler import FsmProgram, compile_to_sm, is_realizable
 from repro.core.progfsm.controller import ProgrammableFsmBistController
 from repro.core.progfsm.instruction import DataControl, FsmInstruction
 from repro.core.progfsm.march_elements import SM_PATTERNS
-from repro.core.walk import fsm_element_cycles
+from repro.core.walk import fsm_element_cycles, march_summary
 from repro.march import library
 
 GEOMETRIES = [
@@ -128,6 +128,19 @@ class TestExactness:
         assert interpret_fsm(program, caps).cycles == traced_cycles(
             program, caps
         )
+
+    @pytest.mark.parametrize("name", ["March C+", "March A+"])
+    def test_verified_walk_pauses_for_the_program_hold_time(self, name):
+        """The verifier's walk of a paused program carries the
+        program's pause duration, so its op summary is the notation's."""
+        caps = ControllerCapabilities(n_words=8)
+        test = library.get(name)
+        program = compile_to_sm(test, caps, verify=False)
+        walk = verify_program(program, caps).walk
+        assert ("pause", program.pause_duration) in {
+            item for _, _, item in walk.summary
+        }
+        assert walk.matches(march_summary(test, caps), walk.cycles + 1)
 
 
 class TestVerdicts:

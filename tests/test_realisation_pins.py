@@ -14,8 +14,9 @@ import hashlib
 
 import pytest
 
-from repro.conformance.check import PROGRAM_WALKS, proved_conformant
-from repro.core.controller import ControllerCapabilities
+import repro.core
+from repro.conformance.check import proved_conformant
+from repro.core.controller import CONTROLLER_CLASSES, ControllerCapabilities
 from repro.core.progfsm.compiler import CompileError
 from repro.eval.test_time import controller_cycle_table
 from repro.march import library
@@ -27,7 +28,9 @@ NAMES = sorted(library.ALGORITHMS)
 
 def _stock_walk(architecture, test, caps, compress):
     """The walk and cycle bound of the controller the stock builder runs."""
-    return PROGRAM_WALKS[architecture][1](test, caps, compress)
+    controller_class = getattr(repro.core, CONTROLLER_CLASSES[architecture])
+    controller = controller_class.realise(test, caps, compress)
+    return controller.walk(), controller.cycle_bound()
 
 
 def _grid():
