@@ -12,11 +12,8 @@ implements :class:`BistController`:
 * ``capabilities`` declares what the *hardware* supports, independent of
   the currently loaded program — the basis of the paper's flexibility
   grading (Table 1, column 2);
-* ``realise()`` builds the controller a march test runs on, and
-  ``walk()`` and ``cycle_bound()`` prove its stream golden without
-  simulating it (:func:`repro.conformance.check.proved_conformant`).
-
-:data:`CONTROLLER_CLASSES` names each architecture's class.
+* ``realise()``, ``walk()`` and ``cycle_bound()`` state how the
+  architecture realises a march test (see :class:`BistController`).
 """
 
 from __future__ import annotations

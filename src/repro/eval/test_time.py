@@ -131,14 +131,14 @@ def controller_cycles(
     """Exact controller cycle count for one algorithm/geometry pair.
 
     Args:
-        analytic: ``True`` asks the abstract interpreter for its proved
-            cycle count — O(program rows), independent of memory size;
-            ``False`` counts the cycle-accurate trace — O(N·ops).  The
-            two are equal (asserted by the test suite and fuzzed by
-            ``repro fuzz``).
+        analytic: ``True`` reads the proved cycle count of the
+            controller's collapsed walk — O(program rows), independent
+            of memory size; ``False`` counts the cycle-accurate trace —
+            O(N·ops).  The two are equal (asserted by the test suite and
+            fuzzed by ``repro fuzz``).
 
     Raises:
-        ValueError: when the interpreter cannot prove termination, or
+        ValueError: when the walk cannot prove termination, or
             ``architecture`` is unknown.
         CompileError: progfsm architecture, algorithm outside SM0-SM7.
     """
