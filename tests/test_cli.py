@@ -698,3 +698,156 @@ class TestFuzzCommand:
         assert payload["checked"] == 6
         assert payload["fault_detected"] == 0
         assert payload["vector_checked"] == 0  # (g) needs (e)
+
+
+def _namespace(argv):
+    """The parsed flags of ``argv``, its handler aside."""
+    from repro.cli import build_parser
+
+    namespace = vars(build_parser().parse_args(argv))
+    namespace.pop("handler")
+    return namespace
+
+
+class TestSweepFlagPins:
+    """The flags that configure a sweep, pinned per command: names,
+    defaults and the values every flag stores."""
+
+    SWEEP_EVERY = [
+        "sweep", "--words", "5", "--width", "2", "--ports", "2",
+        "--algorithm", "MATS+", "--all", "--fault", "saf:0:0:1",
+        "--fault", "tf:1:0:up", "--per-kind", "4", "--full-universe",
+        "--seed", "7", "--max-ops", "99", "--jobs", "3",
+        "--geometry", "4x2x1", "--geometry", "3x2x2", "--no-compress",
+        "--mode", "concurrent", "--engine", "vector", "--cross-engine",
+        "--store", "S", "--resume", "--shard-timeout", "2.5", "--json",
+        "--report", "R",
+    ]
+    SUBMIT_EVERY = [
+        "serve", "submit", "--root", "ROOT", "--json",
+        "--algorithm", "MATS+", "--all", "--geometry", "4x2x1",
+        "--geometry", "3x2x2", "--per-kind", "4", "--seed", "7",
+        "--full-universe", "--no-compress", "--max-ops", "99",
+        "--engine", "vector", "--mode", "infield",
+    ]
+    PRT_EVERY = [
+        "prt", "conformance", "--geometry", "4x2x1", "--per-kind", "4",
+        "--full-universe", "--seed", "7", "--max-ops", "99",
+        "--jobs", "3", "--json", "--report", "R",
+    ]
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["sweep"], {
+            "command": "sweep", "words": 64, "width": 1, "ports": 1,
+            "algorithm": "March C", "all": False, "fault": None,
+            "per_kind": 3, "full_universe": False, "seed": 0,
+            "max_ops": None, "jobs": 1, "geometry": None,
+            "no_compress": False, "mode": "sequential", "engine": "scalar",
+            "cross_engine": False, "store": None, "resume": False,
+            "shard_timeout": None, "json": False, "report": None,
+        }),
+        (SWEEP_EVERY, {
+            "command": "sweep", "words": 5, "width": 2, "ports": 2,
+            "algorithm": "MATS+", "all": True,
+            "fault": ["saf:0:0:1", "tf:1:0:up"], "per_kind": 4,
+            "full_universe": True, "seed": 7, "max_ops": 99, "jobs": 3,
+            "geometry": ["4x2x1", "3x2x2"], "no_compress": True,
+            "mode": "concurrent", "engine": "vector", "cross_engine": True,
+            "store": "S", "resume": True, "shard_timeout": 2.5,
+            "json": True, "report": "R", "_algorithm_given": True,
+        }),
+        (["serve", "submit"], {
+            "command": "serve", "serve_command": "submit",
+            "root": ".repro-service", "json": False, "algorithm": "March C",
+            "all": False, "geometry": None, "per_kind": 2, "seed": 0,
+            "full_universe": False, "no_compress": False, "max_ops": None,
+            "engine": "scalar", "mode": "sequential",
+        }),
+        (SUBMIT_EVERY, {
+            "command": "serve", "serve_command": "submit", "root": "ROOT",
+            "json": True, "algorithm": "MATS+", "all": True,
+            "geometry": ["4x2x1", "3x2x2"], "per_kind": 4, "seed": 7,
+            "full_universe": True, "no_compress": True, "max_ops": 99,
+            "engine": "vector", "mode": "infield", "_algorithm_given": True,
+        }),
+        (["prt", "conformance"], {
+            "command": "prt", "prt_command": "conformance",
+            "geometry": None, "per_kind": 3, "full_universe": False,
+            "seed": 0, "max_ops": None, "jobs": 1, "json": False,
+            "report": None,
+        }),
+        (PRT_EVERY, {
+            "command": "prt", "prt_command": "conformance",
+            "geometry": ["4x2x1"], "per_kind": 4, "full_universe": True,
+            "seed": 7, "max_ops": 99, "jobs": 3, "json": True,
+            "report": "R",
+        }),
+        (["serve", "run", "SID"], {
+            "command": "serve", "serve_command": "run",
+            "root": ".repro-service", "json": False, "session": "SID",
+            "jobs": 1, "shard_timeout": None,
+        }),
+        (["fuzz"], {
+            "command": "fuzz", "samples": 500, "seed": 0, "jobs": 0,
+            "json": False, "report": None, "skip": "",
+        }),
+    ], ids=["sweep", "sweep-every", "submit", "submit-every", "prt",
+            "prt-every", "serve-run", "fuzz"])
+    def test_parsed_namespace(self, argv, expected):
+        assert _namespace(argv) == expected
+
+    @pytest.mark.parametrize("flags, sid", [
+        ([], "c9147ebdba81"),
+        (["--all", "--geometry", "8x2x1", "--geometry", "4x2x2",
+          "--per-kind", "2"], "0899b53d2442"),
+        (["--algorithm", "MATS+", "--geometry", "4x2x1",
+          "--geometry", "3x2x2", "--per-kind", "4", "--seed", "7",
+          "--full-universe", "--no-compress", "--max-ops", "99",
+          "--engine", "vector", "--mode", "infield"], "b55cf5ed880f"),
+    ], ids=["defaults", "library", "every"])
+    def test_submitted_session_id(self, flags, sid, capsys, tmp_path):
+        assert main(["serve", "submit", "--root", str(tmp_path)]
+                    + flags) == 0
+        assert capsys.readouterr().out.strip() == sid
+
+
+def _sans_timing(node):
+    """A report payload without its ``timing`` blocks, at every level."""
+    if isinstance(node, dict):
+        return {key: _sans_timing(value) for key, value in node.items()
+                if key != "timing"}
+    if isinstance(node, list):
+        return [_sans_timing(value) for value in node]
+    return node
+
+
+class TestServeLifecycle:
+    """``serve submit → run → status → collect`` through :func:`main`:
+    the collected report is the one ``sweep --json`` prints."""
+
+    FLAGS = ["--all", "--geometry", "8x2x1", "--geometry", "4x2x2",
+             "--per-kind", "2"]
+
+    def test_collected_report_equals_the_sweep(self, capsys, tmp_path):
+        import json as json_module
+
+        root = ["--root", str(tmp_path)]
+        assert main(["sweep", *self.FLAGS, "--jobs", "2", "--json"]) == 0
+        swept = json_module.loads(capsys.readouterr().out)
+        assert main(["serve", "submit", *root, *self.FLAGS]) == 0
+        sid = capsys.readouterr().out.strip()
+        assert main(["serve", "status", *root, sid, "--json"]) == 0
+        [status] = json_module.loads(capsys.readouterr().out)
+        assert status["state"] == "submitted"
+        assert main(["serve", "run", *root, sid, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == (
+            f"session {sid}: complete (986 runs, 0 failure(s))\n"
+        )
+        assert main(["serve", "status", *root]) == 0
+        assert capsys.readouterr().out == (
+            f"{sid}  complete     986 runs, 0 failure(s)\n"
+        )
+        assert main(["serve", "collect", *root, sid]) == 0
+        collected = json_module.loads(capsys.readouterr().out)
+        assert swept["checked"] == 986
+        assert _sans_timing(collected) == _sans_timing(swept)
