@@ -916,7 +916,6 @@ def run_fuzz(
     seed: int = 0,
     jobs: int = 1,
     skip: Iterable[str] = (),
-    shard_timeout: Optional[float] = None,
 ) -> FuzzReport:
     """Run the corpus and aggregate a :class:`FuzzReport`.
 
@@ -932,8 +931,6 @@ def run_fuzz(
             ``<batch a..b>`` mismatch entry.
         skip: letters of the :data:`IDENTITIES` rows not to check (see
             :func:`resolve_skip`); every row runs by default.
-        shard_timeout: per-batch wall-clock budget (seconds), enforced
-            by the engine when ``jobs > 1``.
 
     Raises:
         ValueError: a bad sample or job count, or an unknown letter in
@@ -963,7 +960,7 @@ def run_fuzz(
         _check_batch,
         [(i, f"fuzz:{seed}:{args[1]}:{args[2]}", args)
          for i, args in enumerate(work)],
-        jobs, batches.__setitem__, timeout=shard_timeout,
+        jobs, batches.__setitem__,
     )
     for i, error in run.lost.items():
         _, start, count, _ = work[i]

@@ -103,6 +103,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -110,6 +111,8 @@ from repro.core.controller import CONTROLLER_CLASSES, ControllerCapabilities
 from repro.faults.spec import FaultSpecError, parse_fault
 from repro.march import library
 from repro.march.notation import format_test
+from repro.service.store import write_json
+from repro.sweep_options import ENGINES, MODES
 
 class _Once(argparse.Action):
     """``store``, but a repeated option is an error (plain ``store``
@@ -162,6 +165,121 @@ def _caps(args: argparse.Namespace) -> ControllerCapabilities:
     return ControllerCapabilities(
         n_words=args.words, width=args.width, ports=args.ports
     )
+
+
+def _add_population_args(
+    parser: argparse.ArgumentParser, per_kind: int, geometry: str
+) -> None:
+    """The flags that pick a sweep's geometries and fault population;
+    ``geometry`` describes the command's default geometries."""
+    parser.add_argument(
+        "--geometry", action="append", metavar="WxBxP",
+        help="memory geometry WORDSxWIDTH[xPORTS] to sweep (repeatable; "
+        f"e.g. --geometry 4x2x1 --geometry 8x1x1; default: {geometry}); "
+        "the report has one section per geometry",
+    )
+    parser.add_argument(
+        "--per-kind", type=int, default=per_kind,
+        help=f"stratified-sample size per fault kind (default: {per_kind})",
+    )
+    parser.add_argument(
+        "--full-universe", action="store_true",
+        help="sweep the whole spec-expressible standard universe "
+        "(nightly mode) instead of a stratified sample",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="stratified-sample seed (default: 0)",
+    )
+    parser.add_argument(
+        "--max-ops", type=int, default=None,
+        help="per-run op budget (default: 4x the golden stream length)",
+    )
+
+
+def _add_regime_args(parser: argparse.ArgumentParser) -> None:
+    """The flags that pick a sweep's stimulus regime and engine."""
+    parser.add_argument(
+        "--no-compress", action="store_true",
+        help="assemble the microcode without REPEAT compression",
+    )
+    parser.add_argument(
+        "--mode", choices=MODES, default="sequential",
+        help="stimulus regime: 'sequential' is the architecture "
+        "differential on the golden expansion; 'concurrent' replays "
+        "the same-cycle dual-port expansion (multi-port geometries "
+        "additionally sweep the PAFc/CFxp concurrency stratum); "
+        "'infield' replays a deterministic in-field transparent "
+        "session built from the algorithm's transparent variant",
+    )
+    parser.add_argument(
+        "--engine", choices=ENGINES, default="scalar",
+        help="sweep engine: 'scalar' simulates every run on the Sram "
+        "model (the oracle); 'vector' verifies each stimulus's streams "
+        "once, then decides each fault by a replay of only the ops on "
+        "its support cells (identical report payload; faults or tests "
+        "outside the projection fall back to scalar and are counted in "
+        "timing.fallback_runs)",
+    )
+
+
+def _population_options(args: argparse.Namespace) -> dict:
+    """The population options of ``run_fault_sweeps`` that
+    :func:`_add_population_args`' flags select."""
+    return {
+        "per_kind": args.per_kind, "seed": args.seed,
+        "full": args.full_universe, "max_ops": args.max_ops,
+    }
+
+
+def _sweep_options(args: argparse.Namespace) -> dict:
+    """The :data:`~repro.conformance.faulty.check.SWEEP_OPTIONS` that
+    the population and regime flags select."""
+    return {
+        **_population_options(args), "compress": not args.no_compress,
+        "engine": args.engine, "mode": args.mode,
+    }
+
+
+def _add_jobs_arg(parser: argparse.ArgumentParser, default: int) -> None:
+    parser.add_argument(
+        "--jobs", type=int, default=default,
+        help="worker processes (0 = one per CPU); the report is "
+        f"identical regardless, timing aside (default: {default})",
+    )
+
+
+def _jobs(args: argparse.Namespace) -> int:
+    """``--jobs``, where 0 (or less) means one worker per CPU."""
+    return args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+
+
+def _parse_geometry(token: str) -> tuple:
+    """Parse a ``WORDSxWIDTH[xPORTS]`` geometry flag, e.g. ``8x1x1``."""
+    parts = token.lower().split("x")
+    if len(parts) not in (2, 3):
+        raise ValueError(
+            f"bad geometry {token!r} (expected WORDSxWIDTH or "
+            f"WORDSxWIDTHxPORTS, e.g. 4x2x1)"
+        )
+    try:
+        numbers = [int(part) for part in parts]
+    except ValueError:
+        raise ValueError(
+            f"bad geometry {token!r}: every component must be an integer"
+        ) from None
+    if any(number <= 0 for number in numbers):
+        raise ValueError(f"bad geometry {token!r}: components must be >= 1")
+    if len(numbers) == 2:
+        numbers.append(1)
+    return tuple(numbers)
+
+
+def _geometries(args: argparse.Namespace, *default: tuple) -> List[tuple]:
+    """The geometries ``--geometry`` names, else ``default``."""
+    if not args.geometry:
+        return list(default)
+    return [_parse_geometry(token) for token in args.geometry]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -415,11 +533,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
     names = _algorithm_names(args)
     tests = [library.get(name) for name in names]
-    geometries = (
-        [_parse_geometry(token) for token in args.geometry]
-        if args.geometry
-        else [(args.words, args.width, args.ports)]
-    )
+    geometries = _geometries(args, (args.words, args.width, args.ports))
     ok = True
     payload = []
     for geometry in geometries:
@@ -442,22 +556,19 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 if not args.json:
                     print(certificate.format())
     if args.report:
-        _write_report(args.report, {"results": payload})
+        write_json(args.report, {"results": payload})
     if args.json:
         print(json.dumps(payload, indent=2))
     return 0 if ok else 1
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    import os
-
     from repro.analysis.fuzz import run_fuzz
     from repro.conformance.faulty.check import SweepInterrupted
 
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     try:
         report = run_fuzz(
-            args.samples, seed=args.seed, jobs=jobs,
+            args.samples, seed=args.seed, jobs=_jobs(args),
             skip=[letter.strip() for letter in args.skip.split(",")
                   if letter.strip()],
         )
@@ -465,9 +576,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         # Partial corpus, marked "interrupted": still a valid artifact.
         return _handle_interrupt(args, interrupt)
     if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(report.to_json(), handle, indent=2)
-            handle.write("\n")
+        write_json(args.report, report.to_json())
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -492,33 +601,6 @@ def _cmd_conformance_run(args: argparse.Namespace) -> int:
         for result in results:
             print(result.format())
     return 0 if all(r.ok for r in results) else 1
-
-
-def _parse_geometry(token: str) -> tuple:
-    """Parse a ``WORDSxWIDTH[xPORTS]`` geometry flag, e.g. ``8x1x1``."""
-    parts = token.lower().split("x")
-    if len(parts) not in (2, 3):
-        raise ValueError(
-            f"bad geometry {token!r} (expected WORDSxWIDTH or "
-            f"WORDSxWIDTHxPORTS, e.g. 4x2x1)"
-        )
-    try:
-        numbers = [int(part) for part in parts]
-    except ValueError:
-        raise ValueError(
-            f"bad geometry {token!r}: every component must be an integer"
-        ) from None
-    if any(number <= 0 for number in numbers):
-        raise ValueError(f"bad geometry {token!r}: components must be >= 1")
-    if len(numbers) == 2:
-        numbers.append(1)
-    return tuple(numbers)
-
-
-def _write_report(path: str, payload: dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
 
 
 #: Fault coordinate attributes, each with the geometry axis it must stay
@@ -559,10 +641,8 @@ def _run_sweep(
     args: argparse.Namespace,
     tests: list,
     geometries: List[tuple],
+    options: dict,
     faults=None,
-    compress: bool = True,
-    engine: str = "scalar",
-    mode: str = "sequential",
     cross_engine: bool = False,
     store=None,
     resume: bool = False,
@@ -571,38 +651,34 @@ def _run_sweep(
     """Sweep ``tests`` over ``geometries``, print and write the report.
 
     The one sweep runner behind ``sweep`` and ``prt conformance``:
-    ``args`` supplies the population (``per_kind``, ``seed``,
-    ``full_universe``), ``max_ops``, ``jobs`` and the output flags
-    (``json``, ``report``); the keywords are what only ``sweep``
-    exposes.  ``cross_engine`` runs both engines into a
+    ``options`` are the ``SWEEP_OPTIONS`` the command's flags select,
+    ``args`` supplies ``jobs`` and the output flags (``json``,
+    ``report``); the keywords are what only ``sweep`` exposes.
+    ``cross_engine`` runs both engines into a
     :class:`~repro.conformance.CrossEngineResult`; the store keys the
     two engines apart, so one store never mixes their shards.
     """
-    import os
-
     from repro.conformance import CrossEngineResult, run_fault_sweeps
 
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-
-    def sweep(engine_name: str):
+    def sweep(**engine):
         return run_fault_sweeps(
-            geometries, tests, faults=faults, per_kind=args.per_kind,
-            seed=args.seed, full=args.full_universe, compress=compress,
-            max_ops=args.max_ops, jobs=jobs, engine=engine_name,
-            mode=mode, store=store, resume=resume,
-            shard_timeout=shard_timeout,
+            geometries, tests, faults=faults, jobs=_jobs(args),
+            store=store, resume=resume, shard_timeout=shard_timeout,
+            **{**options, **engine},
         )
 
     result = (
-        CrossEngineResult(scalar=sweep("scalar"), vector=sweep("vector"))
+        CrossEngineResult(
+            scalar=sweep(engine="scalar"), vector=sweep(engine="vector")
+        )
         if cross_engine
-        else sweep(engine)
+        else sweep()
     )
     payload = result.to_json()
     if store is not None:
         payload["store"] = store.stats()
     if args.report:
-        _write_report(args.report, payload)
+        write_json(args.report, payload)
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -624,20 +700,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.resume and not args.store:
         print("error: --resume requires --store", file=sys.stderr)
         return 2
-    geometries = (
-        [_parse_geometry(token) for token in args.geometry]
-        if args.geometry
-        else [(args.words, args.width, args.ports)]
-    )
+    geometries = _geometries(args, (args.words, args.width, args.ports))
     names = _algorithm_names(args)
     return _run_sweep(
         args,
         [library.get(name) for name in names],
         geometries,
+        _sweep_options(args),
         faults=_explicit_faults(args.fault, geometries),
-        compress=not args.no_compress,
-        engine=args.engine,
-        mode=args.mode,
         cross_engine=args.cross_engine,
         store=ResultStore(args.store) if args.store else None,
         resume=args.resume,
@@ -659,17 +729,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         names = _algorithm_names(args)
         spec = {
             "algorithms": "all" if args.all else names,
-            "geometries": [
-                list(_parse_geometry(token))
-                for token in (args.geometry or ["8x2x1"])
-            ],
-            "per_kind": args.per_kind,
-            "seed": args.seed,
-            "full": args.full_universe,
-            "compress": not args.no_compress,
-            "max_ops": args.max_ops,
-            "engine": args.engine,
-            "mode": args.mode,
+            "geometries": _geometries(args),
+            **_sweep_options(args),
         }
         sid = submit_session(args.root, spec)
         print(json.dumps({"session": sid, "state": "submitted"}, indent=2)
@@ -677,7 +738,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
     if args.serve_command == "run":
         payload = run_session(
-            args.root, args.session, jobs=args.jobs,
+            args.root, args.session, jobs=_jobs(args),
             shard_timeout=args.shard_timeout,
         )
         if args.json:
@@ -859,9 +920,7 @@ def _cmd_prt_coverage(args: argparse.Namespace) -> int:
     from repro.eval.prt_study import prt_vs_march
 
     session = _prt_session(args)
-    geometries = [
-        _parse_geometry(token) for token in (args.geometry or ["8x1x1"])
-    ]
+    geometries = _geometries(args, (8, 1, 1))
     payload = []
     ok = True
     for n_words, width, ports in geometries:
@@ -882,7 +941,7 @@ def _cmd_prt_coverage(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     if args.report:
-        _write_report(args.report, {"results": payload})
+        write_json(args.report, {"results": payload})
     if args.json:
         print(json.dumps(payload, indent=2))
     return 0 if ok else 1
@@ -891,11 +950,10 @@ def _cmd_prt_coverage(args: argparse.Namespace) -> int:
 def _cmd_prt_conformance(args: argparse.Namespace) -> int:
     from repro.prt import PRT_RING_DOWN, PRT_RING_UP
 
-    geometries = [
-        _parse_geometry(token)
-        for token in (args.geometry or ["4x1x1", "3x2x2"])
-    ]
-    return _run_sweep(args, [PRT_RING_UP, PRT_RING_DOWN], geometries)
+    return _run_sweep(
+        args, [PRT_RING_UP, PRT_RING_DOWN],
+        _geometries(args, (4, 1, 1), (3, 2, 2)), _population_options(args),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1011,10 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0,
         help="master seed; reports are deterministic per (seed, samples)",
     )
-    fuzz.add_argument(
-        "--jobs", type=int, default=0,
-        help="worker processes (0 = one per CPU)",
-    )
+    _add_jobs_arg(fuzz, default=0)
     fuzz.add_argument(
         "--json", action="store_true", help="machine-readable report"
     )
@@ -1045,58 +1100,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault spec(s) to inject (e.g. saf:3:0:1; repeatable); "
         "default: a stratified sample of the standard universe",
     )
-    sweep_cmd.add_argument(
-        "--per-kind", type=int, default=3,
-        help="stratified-sample size per fault kind (default: 3)",
+    _add_population_args(
+        sweep_cmd, per_kind=3, geometry="--words/--width/--ports"
     )
-    sweep_cmd.add_argument(
-        "--full-universe", action="store_true",
-        help="sweep the whole spec-expressible standard universe "
-        "(nightly mode) instead of a stratified sample",
-    )
-    sweep_cmd.add_argument(
-        "--seed", type=int, default=0,
-        help="stratified-sample seed (default: 0)",
-    )
-    sweep_cmd.add_argument(
-        "--max-ops", type=int, default=None,
-        help="per-run op budget (default: 4x the golden stream length)",
-    )
-    sweep_cmd.add_argument(
-        "--jobs", type=int, default=1,
-        help="engine worker processes (0 = one per CPU); the report is "
-        "identical regardless, timing aside (default: 1)",
-    )
-    sweep_cmd.add_argument(
-        "--geometry", action="append", metavar="WxBxP",
-        help="memory geometry WORDSxWIDTH[xPORTS] to sweep "
-        "(repeatable; e.g. --geometry 4x2x1 --geometry 8x1x1); "
-        "overrides --words/--width/--ports; the report has one "
-        "section per geometry",
-    )
-    sweep_cmd.add_argument(
-        "--no-compress", action="store_true",
-        help="assemble the microcode without REPEAT compression",
-    )
-    sweep_cmd.add_argument(
-        "--mode", choices=("sequential", "concurrent", "infield"),
-        default="sequential",
-        help="stimulus regime: 'sequential' is the architecture "
-        "differential on the golden expansion; 'concurrent' replays "
-        "the same-cycle dual-port expansion (multi-port geometries "
-        "additionally sweep the PAFc/CFxp concurrency stratum); "
-        "'infield' replays a deterministic in-field transparent "
-        "session built from the algorithm's transparent variant",
-    )
-    sweep_cmd.add_argument(
-        "--engine", choices=("scalar", "vector"), default="scalar",
-        help="sweep engine: 'scalar' simulates every run on the Sram "
-        "model (the oracle); 'vector' verifies each stimulus's streams "
-        "once, then decides each fault by a replay of only the ops on "
-        "its support cells (identical report payload; faults or tests "
-        "outside the projection fall back to scalar and are counted in "
-        "timing.fallback_runs)",
-    )
+    _add_regime_args(sweep_cmd)
+    _add_jobs_arg(sweep_cmd, default=1)
     sweep_cmd.add_argument(
         "--cross-engine", action="store_true",
         help="run the sweep through BOTH engines and fail unless the "
@@ -1154,22 +1162,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _serve_common(serve_submit)
     _add_algorithm_args(serve_submit, every="sweep")
-    serve_submit.add_argument(
-        "--geometry", action="append", metavar="WxBxP",
-        help="memory geometry (repeatable; default: 8x2x1)",
-    )
-    serve_submit.add_argument("--per-kind", type=int, default=2)
-    serve_submit.add_argument("--seed", type=int, default=0)
-    serve_submit.add_argument("--full-universe", action="store_true")
-    serve_submit.add_argument("--no-compress", action="store_true")
-    serve_submit.add_argument("--max-ops", type=int, default=None)
-    serve_submit.add_argument(
-        "--engine", choices=("scalar", "vector"), default="scalar"
-    )
-    serve_submit.add_argument(
-        "--mode", choices=("sequential", "concurrent", "infield"),
-        default="sequential",
-    )
+    _add_population_args(serve_submit, per_kind=2, geometry="8x2x1")
+    _add_regime_args(serve_submit)
     serve_submit.set_defaults(handler=_cmd_serve)
 
     serve_run = serve_commands.add_parser(
@@ -1177,9 +1171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _serve_common(serve_run)
     serve_run.add_argument("session", help="session id from submit")
-    serve_run.add_argument(
-        "--jobs", type=int, default=1, help="engine worker processes"
-    )
+    _add_jobs_arg(serve_run, default=1)
     serve_run.add_argument(
         "--shard-timeout", type=float, default=None, metavar="S",
         help="per-shard wall-clock budget in seconds",
@@ -1305,8 +1297,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(march, geometry, fault spec) over all three axes",
     )
     conf_shrink.add_argument(
-        "--mode", choices=("sequential", "concurrent", "infield"),
-        default="sequential",
+        "--mode", choices=MODES, default="sequential",
         help="stimulus regime the --fault predicate re-checks under "
         "(see 'sweep --mode')",
     )
@@ -1391,33 +1382,8 @@ def build_parser() -> argparse.ArgumentParser:
         "cycle-stepped PRT controller against the golden session "
         "expansion (the pinned session pair, per geometry)",
     )
-    prt_conf.add_argument(
-        "--geometry", action="append", metavar="WxBxP",
-        help="memory geometry WORDSxWIDTH[xPORTS] to sweep "
-        "(repeatable; default: 4x1x1 and 3x2x2)",
-    )
-    prt_conf.add_argument(
-        "--per-kind", type=int, default=3,
-        help="stratified-sample size per fault kind (default: 3)",
-    )
-    prt_conf.add_argument(
-        "--full-universe", action="store_true",
-        help="sweep the whole spec-expressible standard universe "
-        "(nightly mode) instead of a stratified sample",
-    )
-    prt_conf.add_argument(
-        "--seed", type=int, default=0,
-        help="stratified-sample seed (default: 0)",
-    )
-    prt_conf.add_argument(
-        "--max-ops", type=int, default=None,
-        help="per-run op budget (default: 4x the golden stream length)",
-    )
-    prt_conf.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes sharding the (session, fault) product "
-        "(0 = one per CPU; default: 1)",
-    )
+    _add_population_args(prt_conf, per_kind=3, geometry="4x1x1 and 3x2x2")
+    _add_jobs_arg(prt_conf, default=1)
     prt_conf.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
@@ -1469,7 +1435,7 @@ def _handle_interrupt(args: argparse.Namespace, interrupt) -> int:
     report = interrupt.report
     payload = report.to_json()
     if getattr(args, "report", None):
-        _write_report(args.report, payload)
+        write_json(args.report, payload)
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2), flush=True)
     else:

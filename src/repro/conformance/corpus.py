@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.conformance.check import ARCHITECTURES, check_conformance
+from repro.conformance.divergence import first_difference
 from repro.conformance.trace import golden_trace
 from repro.core.controller import ControllerCapabilities
 from repro.march.concurrent import CycleOps, expand_concurrent
@@ -642,10 +643,7 @@ def _drift(
 ) -> str:
     """The problem text for a replay whose ops differ from the stored
     ones, naming the first differing op of each side."""
-    index = next(
-        (i for i, (a, b) in enumerate(zip(fresh, stored)) if a != b),
-        min(len(fresh), len(stored)),
-    )
+    index = first_difference(fresh, stored)
 
     def at(ops: Sequence[str]) -> str:
         return ops[index] if index < len(ops) else "<end of stream>"

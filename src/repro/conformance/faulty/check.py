@@ -62,6 +62,7 @@ from repro.march.notation import format_test
 from repro.march.simulator import Failure
 from repro.march.test import MarchTest
 from repro.memory.sram import Sram
+from repro.sweep_options import ENGINES, MODES
 
 #: Default per-run op budget, as a multiple of the golden stream length
 #: (every conformant run applies exactly the golden length; the slack
@@ -80,21 +81,6 @@ RESPONSE_CAPTURES = {architecture: capture_response
 
 #: The comparison layers, most precise first.
 LAYERS: Tuple[str, ...] = ("events", "faillog", "diagnosis")
-
-#: Stimulus regimes the fault-response harness can drive.
-#:
-#: * ``sequential`` — the classic one-port-at-a-time golden expansion,
-#:   differentially compared across the three controller architectures.
-#: * ``concurrent`` — the same-cycle dual-port cycle stream of
-#:   :func:`repro.march.concurrent.expand_concurrent`.  None of the
-#:   paper's controllers realises it (their port loops are sequential by
-#:   construction), so the differential partner is a *replay*: a second
-#:   independent capture on a freshly injected memory, proving the
-#:   response is a deterministic function of (stimulus, fault).
-#: * ``infield`` — the deterministic in-field transparent session of
-#:   :mod:`repro.conformance.infield`, with the given algorithm's
-#:   transparent variant as the test slot; compared replay-style too.
-MODES: Tuple[str, ...] = ("sequential", "concurrent", "infield")
 
 
 def _regime_tag(mode: str) -> str:
@@ -1118,12 +1104,6 @@ def _sweep_shard(
     return report
 
 
-#: Sweep engines: the scalar oracle and the projected engine of
-#: :mod:`repro.vector` (support-projected replays of the verified
-#: golden stream).
-ENGINES: Tuple[str, ...] = ("scalar", "vector")
-
-
 def _fault_cache_key(fault: CellFault) -> str:
     """A stable string identity for ``fault`` in store keys.
 
@@ -1517,6 +1497,14 @@ class MultiGeometrySweepReport:
         return payload
 
 
+#: The keyword options of :func:`run_fault_sweeps` that configure a
+#: sweep's fault population and stimulus regime — the keys of a
+#: ``repro serve`` session spec besides its algorithms and geometries.
+SWEEP_OPTIONS: Tuple[str, ...] = (
+    "per_kind", "seed", "full", "compress", "max_ops", "engine", "mode",
+)
+
+
 def run_fault_sweeps(
     geometries: Sequence[Geometry],
     tests: Sequence[MarchTest],
@@ -1529,7 +1517,6 @@ def run_fault_sweeps(
     jobs: int = 1,
     engine: str = "scalar",
     mode: str = "sequential",
-    service: Optional[Any] = None,
     store: Optional[Any] = None,
     resume: bool = False,
     shard_timeout: Optional[float] = None,
@@ -1556,9 +1543,8 @@ def run_fault_sweeps(
         raise ValueError("need at least one geometry to sweep")
     started = time.perf_counter()
     report = MultiGeometrySweepReport(jobs=jobs)
-    shared = service
-    owns_engine = service is None and jobs > 1
-    if owns_engine:
+    shared = None
+    if jobs > 1:
         from repro.service.engine import JobEngine, RetryPolicy
 
         shared = JobEngine(
@@ -1590,7 +1576,7 @@ def run_fault_sweeps(
                 report.wall_time_s = time.perf_counter() - started
                 raise SweepInterrupted(report) from None
     finally:
-        if owns_engine and shared is not None:
+        if shared is not None:
             shared.close()
     report.wall_time_s = time.perf_counter() - started
     return report

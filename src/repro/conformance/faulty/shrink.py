@@ -218,7 +218,6 @@ def shrink_faulty_sample(
     fault_spec: str,
     predicate: FaultyPredicate,
     max_checks: int = 2000,
-    max_rounds: int = 10,
 ) -> FaultyShrinkResult:
     """Minimise a failing (march, geometry, fault) triple.
 
@@ -230,7 +229,6 @@ def shrink_faulty_sample(
         predicate: three-argument failure predicate, e.g.
             :func:`fault_response_predicate`.
         max_checks: hard cap on predicate evaluations across all axes.
-        max_rounds: fixpoint-iteration cap.
 
     Returns:
         The smallest reproducing triple found, with the march renamed
@@ -242,6 +240,5 @@ def shrink_faulty_sample(
             sample.test, sample.capabilities, sample.fault_spec
         ),
         max_checks,
-        max_rounds,
         axes_before_geometry=(_shrink_fault,),
     )

@@ -40,6 +40,10 @@ from repro.march.test import MarchTest
 #: A failure predicate: True when (test, caps) still reproduces.
 Predicate = Callable[[MarchTest, ControllerCapabilities], bool]
 
+#: Fixpoint-iteration cap of :func:`shrink_to_fixpoint`: each round
+#: re-tries every shrink axis.
+MAX_ROUNDS = 10
+
 
 @dataclass
 class ShrinkResult:
@@ -188,14 +192,13 @@ def shrink_to_fixpoint(
     sample: ShrinkResult,
     reproduces: Callable[[ShrinkResult], bool],
     max_checks: int,
-    max_rounds: int,
     axes_before_geometry: Sequence[Axis] = (),
 ) -> ShrinkResult:
     """The delta-debugging loop every shrinker runs.
 
     Checks that ``sample`` reproduces, then runs the axes in order —
     march items, operations, ``axes_before_geometry``, geometry — until
-    a whole round changes nothing or ``max_rounds`` is reached.  Every
+    a whole round changes nothing or :data:`MAX_ROUNDS` rounds ran.  Every
     candidate an axis tries spends one of ``max_checks`` evaluations;
     once they are spent no candidate holds.
 
@@ -218,7 +221,7 @@ def shrink_to_fixpoint(
     axes = (_shrink_items, _shrink_ops, *axes_before_geometry,
             _shrink_geometry)
     reduced = False
-    for _round in range(max_rounds):
+    for _round in range(MAX_ROUNDS):
         round_changed = False
         for axis in axes:
             sample, changed = axis(sample, holds)
@@ -236,7 +239,6 @@ def shrink_sample(
     capabilities: ControllerCapabilities,
     predicate: Predicate,
     max_checks: int = 2000,
-    max_rounds: int = 10,
 ) -> ShrinkResult:
     """Minimise a failing (march, geometry) sample under ``predicate``.
 
@@ -246,8 +248,6 @@ def shrink_sample(
         capabilities: the failing geometry.
         predicate: failure predicate, e.g. :func:`conformance_predicate`.
         max_checks: hard cap on predicate evaluations.
-        max_rounds: fixpoint-iteration cap (each round re-tries all
-            three shrink dimensions).
 
     Returns:
         The smallest reproducer found, renamed ``"shrunk"`` when any
@@ -257,5 +257,4 @@ def shrink_sample(
         ShrinkResult(test, capabilities),
         lambda sample: predicate(sample.test, sample.capabilities),
         max_checks,
-        max_rounds,
     )

@@ -28,7 +28,7 @@ __getattr__, __dir__ = attach(__name__, {
     ],
     "repro.service.store": [
         "ResultStore", "StoreKey", "canonical_json", "code_version",
-        "payload_digest",
+        "payload_digest", "write_json",
     ],
 })
 
@@ -55,4 +55,5 @@ __all__ = [
     "session_id",
     "session_status",
     "submit_session",
+    "write_json",
 ]

@@ -28,7 +28,7 @@ import json
 import pathlib
 from typing import Any, Dict, List, Optional
 
-from repro.service.store import ResultStore, canonical_json
+from repro.service.store import ResultStore, canonical_json, write_json
 
 #: Session lifecycle states, derived purely from which files exist and
 #: what the report says — no daemon, no lock, crash-safe by layout.
@@ -70,9 +70,7 @@ def submit_session(root, spec: Dict[str, Any]) -> str:
     sid = session_id(spec)
     directory = _sessions_dir(root) / sid
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "spec.json", "w") as handle:
-        json.dump(spec, handle, indent=2)
-        handle.write("\n")
+    write_json(directory / "spec.json", spec)
     return sid
 
 
@@ -128,13 +126,16 @@ def run_session(root, sid: str, jobs: int = 1,
                 shard_timeout: Optional[float] = None) -> Dict[str, Any]:
     """Start (or resume): run the session's sweep and persist the report.
 
-    Always runs with the service root's :class:`ResultStore` and
-    ``resume=True``, so a rerun after a crash or interrupt only
-    computes the missing shards.  An interrupt still writes the partial
-    report (marked ``interrupted``) before re-raising
+    The spec's :data:`~repro.conformance.faulty.check.SWEEP_OPTIONS`
+    are passed to :func:`~repro.conformance.faulty.check.run_fault_sweeps`
+    as they are.  Always runs with the service root's
+    :class:`ResultStore` and ``resume=True``, so a rerun after a crash
+    or interrupt only computes the missing shards.  An interrupt still
+    writes the partial report (marked ``interrupted``) before re-raising
     :class:`~repro.conformance.faulty.check.SweepInterrupted`.
     """
     from repro.conformance.faulty.check import (
+        SWEEP_OPTIONS,
         SweepInterrupted,
         run_fault_sweeps,
     )
@@ -146,29 +147,20 @@ def run_session(root, sid: str, jobs: int = 1,
         if spec["algorithms"] == "all"
         else list(spec["algorithms"])
     )
-    tests = [library.get(name) for name in names]
-    store = ResultStore(root)
+    path = _sessions_dir(root) / sid / "report.json"
     try:
         report = run_fault_sweeps(
             [tuple(g) for g in spec["geometries"]],
-            tests,
-            per_kind=spec["per_kind"],
-            seed=spec["seed"],
-            full=spec["full"],
-            compress=spec["compress"],
-            max_ops=spec["max_ops"],
-            jobs=jobs,
-            engine=spec["engine"],
-            mode=spec["mode"],
-            store=store,
-            resume=True,
+            [library.get(name) for name in names],
+            jobs=jobs, store=ResultStore(root), resume=True,
             shard_timeout=shard_timeout,
+            **{key: spec[key] for key in SWEEP_OPTIONS},
         )
     except SweepInterrupted as interrupt:
-        _write_report(root, sid, interrupt.report.to_json())
+        write_json(path, interrupt.report.to_json())
         raise
     payload = report.to_json()
-    _write_report(root, sid, payload)
+    write_json(path, payload)
     return payload
 
 
@@ -180,11 +172,3 @@ def collect_session(root, sid: str) -> Dict[str, Any]:
             f"session {sid!r} has no report yet; run it first"
         )
     return report
-
-
-def _write_report(root, sid: str, payload: Dict[str, Any]) -> None:
-    directory = _sessions_dir(root) / sid
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "report.json", "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")

@@ -48,6 +48,14 @@ def canonical_json(value: Any) -> str:
     )
 
 
+def write_json(path, payload: Any) -> None:
+    """Write ``payload`` to ``path`` as indented JSON plus a newline:
+    the format of store entries, session files and CLI reports."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
 def payload_digest(payload: Any) -> str:
     """SHA-256 over the canonical encoding of ``payload``."""
     return hashlib.sha256(
@@ -172,9 +180,7 @@ class ResultStore:
             "payload": payload,
         }
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w") as handle:
-            json.dump(entry, handle, indent=2)
-            handle.write("\n")
+        write_json(tmp, entry)
         os.replace(tmp, path)
         self.puts += 1
         return path

@@ -851,3 +851,40 @@ class TestServeLifecycle:
         collected = json_module.loads(capsys.readouterr().out)
         assert swept["checked"] == 986
         assert _sans_timing(collected) == _sans_timing(swept)
+
+    def test_run_jobs_zero_is_one_worker_per_cpu(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import json as json_module
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        root = ["--root", str(tmp_path)]
+        assert main(["serve", "submit", *root, "--algorithm", "MATS+",
+                     "--geometry", "4x1x1", "--per-kind", "1"]) == 0
+        sid = capsys.readouterr().out.strip()
+        assert main(["serve", "run", *root, sid, "--jobs", "0",
+                     "--json"]) == 0
+        payload = json_module.loads(capsys.readouterr().out)
+        assert payload["ok"]
+        assert payload["timing"]["jobs"] == 2
+
+    def test_spec_options_are_the_sweep_keywords(self):
+        import inspect
+
+        from repro.cli import _sweep_options, build_parser
+        from repro.conformance.faulty.check import (
+            SWEEP_OPTIONS,
+            run_fault_sweeps,
+        )
+        from repro.service.session import normalise_spec
+
+        options = _sweep_options(
+            build_parser().parse_args(["serve", "submit"])
+        )
+        assert sorted(options) == sorted(SWEEP_OPTIONS)
+        assert set(SWEEP_OPTIONS) <= set(
+            inspect.signature(run_fault_sweeps).parameters
+        )
+        spec_keys = set(normalise_spec({})) - {"algorithms", "geometries"}
+        assert spec_keys == set(SWEEP_OPTIONS)

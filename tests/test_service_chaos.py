@@ -8,6 +8,7 @@ serial baseline, or visibly marked as partial/lost.  Determinism under
 failure is what makes the harness trustworthy as a conformance oracle.
 """
 
+import contextlib
 import copy
 import os
 import signal
@@ -32,6 +33,7 @@ from repro.march import library
 from repro.service import (
     ChaosPlan,
     ResultStore,
+    code_version,
     collect_session,
     corrupt_store_entry,
     list_sessions,
@@ -357,11 +359,16 @@ SMALL_TESTS = ["MATS", "MATS+", "MATS++", "March X"]
 #: Runs the small sweep with shard 7 hung (argv[1] is the store root).
 HUNG_SWEEP = """
 import sys
+import repro.service.store as store_module
 from repro.conformance import run_fault_sweep, sweep_faults
 from repro.core.controller import ControllerCapabilities
 from repro.march import library
 from repro.service import ChaosPlan, ResultStore
 
+# The store keys fold in the code version.  The resume runs in the
+# test process, which may have cached its version before a source edit,
+# so the sweep keys its checkpoints by that same version.
+store_module._CODE_VERSION = sys.argv[2]
 caps = ControllerCapabilities(n_words=4, width=1, ports=1)
 run_fault_sweep(
     [library.get(name) for name in %r], caps,
@@ -411,10 +418,14 @@ class TestShardCheckpoints:
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p]
         )
-        sweep = subprocess.Popen(
-            [sys.executable, "-c", HUNG_SWEEP, str(store.root)],
-            env=env, start_new_session=True,
-        )
+        log = tmp_path / "sweep.log"
+        with open(log, "w") as output:
+            sweep = subprocess.Popen(
+                [sys.executable, "-c", HUNG_SWEEP, str(store.root),
+                 code_version()],
+                env=env, start_new_session=True, stdout=output,
+                stderr=subprocess.STDOUT,
+            )
         try:
             deadline = time.monotonic() + 20.0
             while (
@@ -423,9 +434,23 @@ class TestShardCheckpoints:
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.05)
+            landed, state = len(store), sweep.poll()
         finally:
-            os.killpg(sweep.pid, signal.SIGKILL)
+            with contextlib.suppress(ProcessLookupError):  # group gone
+                os.killpg(sweep.pid, signal.SIGKILL)
             sweep.wait(timeout=10)
+        if not landed:
+            files = sorted(
+                str(path.relative_to(store.root))
+                for path in store.root.rglob("*")
+            )
+            pytest.fail(
+                "no shard was checkpointed: the sweep "
+                + ("was still running after 20 s" if state is None
+                   else f"exited with {state}")
+                + f"; store files {files}; sweep output:\n"
+                + log.read_text()
+            )
         resumed, pairs = small_sweep(jobs=2, store=store, resume=True)
         assert resumed.ok
         assert resumed.checked == pairs
