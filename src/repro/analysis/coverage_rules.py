@@ -21,6 +21,7 @@ but the CFid condition is unsatisfied").
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Location, Severity
@@ -75,7 +76,10 @@ def _hint(kind: str) -> Optional[str]:
 
 
 def _gap_finding(
-    analysis: CoverageAnalysis, label: str, *kinds: str
+    label: str,
+    kinds: Tuple[str, ...],
+    analysis: CoverageAnalysis,
+    target: Optional[str],
 ) -> Iterator[Tuple]:
     gaps = analysis.gap(*kinds)
     if not gaps:
@@ -113,56 +117,33 @@ def _no_reads(analysis: CoverageAnalysis, target: Optional[str]) -> Iterator:
         )
 
 
-@rule("CV002", Severity.WARNING, "stuck-at faults escape", scope="coverage")
-def _saf_gap(analysis: CoverageAnalysis, target: Optional[str]) -> Iterator:
-    yield from _gap_finding(analysis, "stuck-at", "SAF")
+#: The per-kind gap rules: ``(id, severity, title, label, kinds)``.
+#: Each reports the kinds of its row that the test provably misses.
+_GAP_RULES = (
+    ("CV002", Severity.WARNING, "stuck-at faults escape", "stuck-at",
+     ("SAF",)),
+    ("CV003", Severity.WARNING, "transition faults escape", "transition",
+     ("TF",)),
+    ("CV004", Severity.INFO, "stuck-open faults escape", "stuck-open",
+     ("SOF",)),
+    ("CV005", Severity.INFO, "data-retention faults escape",
+     "data-retention", ("DRF",)),
+    ("CV006", Severity.INFO, "read faults escape", "read",
+     ("IRF", "RDF", "DRDF")),
+    ("CV007", Severity.INFO, "coupling faults escape", "coupling",
+     ("CFin", "CFid", "CFst")),
+    ("CV008", Severity.INFO, "address-decoder faults escape",
+     "address-decoder", ("AF1", "AF2", "AF3", "AF4")),
+    ("CV009", Severity.INFO, "neighbourhood pattern sensitive faults escape",
+     "pattern-sensitive", ("PNPSF", "ANPSF")),
+    ("CV010", Severity.INFO, "port-access faults escape", "port-access",
+     ("PAF",)),
+)
 
-
-@rule("CV003", Severity.WARNING, "transition faults escape", scope="coverage")
-def _tf_gap(analysis: CoverageAnalysis, target: Optional[str]) -> Iterator:
-    yield from _gap_finding(analysis, "transition", "TF")
-
-
-@rule("CV004", Severity.INFO, "stuck-open faults escape", scope="coverage")
-def _sof_gap(analysis: CoverageAnalysis, target: Optional[str]) -> Iterator:
-    yield from _gap_finding(analysis, "stuck-open", "SOF")
-
-
-@rule("CV005", Severity.INFO, "data-retention faults escape",
-      scope="coverage")
-def _drf_gap(analysis: CoverageAnalysis, target: Optional[str]) -> Iterator:
-    yield from _gap_finding(analysis, "data-retention", "DRF")
-
-
-@rule("CV006", Severity.INFO, "read faults escape", scope="coverage")
-def _read_gap(analysis: CoverageAnalysis, target: Optional[str]) -> Iterator:
-    yield from _gap_finding(analysis, "read", "IRF", "RDF", "DRDF")
-
-
-@rule("CV007", Severity.INFO, "coupling faults escape", scope="coverage")
-def _coupling_gap(
-    analysis: CoverageAnalysis, target: Optional[str]
-) -> Iterator:
-    yield from _gap_finding(analysis, "coupling", "CFin", "CFid", "CFst")
-
-
-@rule("CV008", Severity.INFO, "address-decoder faults escape",
-      scope="coverage")
-def _af_gap(analysis: CoverageAnalysis, target: Optional[str]) -> Iterator:
-    yield from _gap_finding(
-        analysis, "address-decoder", "AF1", "AF2", "AF3", "AF4"
+for _rule_id, _severity, _title, _label, _kinds in _GAP_RULES:
+    rule(_rule_id, _severity, _title, scope="coverage")(
+        partial(_gap_finding, _label, _kinds)
     )
-
-
-@rule("CV009", Severity.INFO, "neighbourhood pattern sensitive faults escape",
-      scope="coverage")
-def _npsf_gap(analysis: CoverageAnalysis, target: Optional[str]) -> Iterator:
-    yield from _gap_finding(analysis, "pattern-sensitive", "PNPSF", "ANPSF")
-
-
-@rule("CV010", Severity.INFO, "port-access faults escape", scope="coverage")
-def _paf_gap(analysis: CoverageAnalysis, target: Optional[str]) -> Iterator:
-    yield from _gap_finding(analysis, "port-access", "PAF")
 
 
 @rule("CV011", Severity.ERROR, "claimed library coverage violated",

@@ -52,6 +52,8 @@ def verify_program(
     program: Union[MicrocodeProgram, FsmProgram],
     capabilities: Optional[ControllerCapabilities] = None,
     rows: Optional[int] = None,
+    *,
+    lint_source: bool = True,
 ) -> DiagnosticReport:
     """Statically verify a microcode or upper-buffer program.
 
@@ -69,6 +71,8 @@ def verify_program(
             depth to check the program against; ``None`` assumes the
             default — the microcode storage auto-grows, the buffer does
             not, so an oversized upper-buffer program only warns.
+        lint_source: also run the march rules on ``program.source``; a
+            caller that has just linted the source passes ``False``.
 
     Returns:
         The diagnostic report; with ``capabilities`` it carries the
@@ -93,7 +97,7 @@ def verify_program(
     analysis = ProgramAnalysis(program, cfg, walk, capabilities, rows)
     report = DiagnosticReport(name=program.name, walk=walk)
     report.extend(run_rules(scope, analysis))
-    if program.source is not None:
+    if lint_source and program.source is not None:
         report.extend(run_rules("march", program.source, target))
     return report
 

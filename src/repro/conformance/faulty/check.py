@@ -1212,7 +1212,7 @@ def run_fault_sweep(
         resume: read matching shard results back from ``store``.
         shard_timeout: per-shard wall-clock budget (seconds) enforced
             by the engine (ignored when a shared ``service`` engine
-            carries its own policy).
+            carries its own).
         chaos: a :class:`~repro.service.chaos.ChaosPlan` misbehaving on
             schedule — test-only.
 
@@ -1545,11 +1545,9 @@ def run_fault_sweeps(
     report = MultiGeometrySweepReport(jobs=jobs)
     shared = None
     if jobs > 1:
-        from repro.service.engine import JobEngine, RetryPolicy
+        from repro.service.engine import JobEngine
 
-        shared = JobEngine(
-            workers=jobs, policy=RetryPolicy(timeout=shard_timeout)
-        )
+        shared = JobEngine(workers=jobs, timeout=shard_timeout)
     try:
         for geometry in geometries:
             caps = _as_capabilities(geometry)

@@ -127,10 +127,13 @@ def compile_to_sm(
         # Post-compile gate, mirroring the microcode assembler: the rows
         # just emitted are proved terminating against the target
         # geometry (PF rules + abstract interpretation) before anyone
-        # can load them.
+        # can load them.  The march rules already ran on the source
+        # above, error-free.
         from repro.analysis.verifier import verify_program
 
-        verify_program(program, capabilities).raise_on_errors()
+        verify_program(
+            program, capabilities, lint_source=False
+        ).raise_on_errors()
     return program
 
 

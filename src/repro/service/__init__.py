@@ -3,13 +3,15 @@
 The paper's programmable controllers exist to keep memory testing
 dependable in the field; this package keeps the *harness* dependable at
 the same standard.  :mod:`~repro.service.engine` is the resilient
-worker pool (timeouts, bounded retry with deterministic backoff, crash
-quarantine, serial degradation), :mod:`~repro.service.store` the
-content-hashed result cache that makes sweeps resumable and reruns
-cheap, :mod:`~repro.service.chaos` the deterministic fault-injection
-harness for the service itself, and :mod:`~repro.service.session` the
-file-backed configure→start→poll→collect sessions behind
-``repro serve``.  See ``docs/SERVICE.md``.
+worker pool (timeouts, re-dispatch of a job whose worker was lost,
+crash quarantine) and :func:`~repro.service.engine.run_jobs`, whose
+one in-process rerun takes a job that raised or found no pool,
+:mod:`~repro.service.store` the content-hashed result cache that makes
+sweeps resumable and reruns cheap, :mod:`~repro.service.chaos` the
+deterministic fault-injection harness for the service itself, and
+:mod:`~repro.service.session` the file-backed
+configure→start→poll→collect sessions behind ``repro serve``.  See
+``docs/SERVICE.md``.
 """
 
 from repro._lazy import attach
@@ -20,7 +22,7 @@ __getattr__, __dir__ = attach(__name__, {
     ],
     "repro.service.engine": [
         "EngineReport", "Job", "JobEngine", "JobOutcome", "JobsInterrupted",
-        "RetryPolicy", "ServiceError",
+        "ServiceError",
     ],
     "repro.service.session": [
         "collect_session", "list_sessions", "run_session", "session_id",
@@ -42,7 +44,6 @@ __all__ = [
     "JobOutcome",
     "JobsInterrupted",
     "ResultStore",
-    "RetryPolicy",
     "ServiceError",
     "StoreKey",
     "canonical_json",

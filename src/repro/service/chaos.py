@@ -20,7 +20,8 @@ the real shard:
     a byte-identical final report.
 ``raise`` / ``raise-once``
     Raise :class:`ChaosError` (every attempt / first attempt only),
-    exercising bounded retry with backoff and terminal failure.
+    exercising the pooled job's one dispatch and the runner's
+    in-process rerun, which runs the shard unwrapped.
 ``hang`` / ``hang-once``
     Sleep far past any sane deadline, exercising the per-job timeout
     kill (a wedged worker is indistinguishable from a hung one — both

@@ -10,23 +10,22 @@ of being reported.  :class:`JobEngine` replaces it with a small worker
 pool built directly on :mod:`multiprocessing` pipes so the orchestrator
 always knows *which* job a dead worker was running:
 
+* **one dispatch per job** — a job that raises, or cannot be
+  pickled, finishes ``failed`` at once; the engine never reruns it;
 * **per-job timeouts** — a worker that exceeds its deadline is killed
   (``SIGKILL``; a wedged job cannot be asked nicely) and replaced, and
-  the job is retried or failed;
-* **bounded retry with exponential backoff + jitter** — a raising job
-  is requeued up to :attr:`RetryPolicy.max_attempts` times; the jitter
-  is *deterministic* (derived from the job key and attempt number) so
-  engine behaviour is reproducible under test;
+  the job is re-dispatched, until its :data:`TIMEOUT_BUDGET`-th timeout
+  fails it;
 * **crash recovery** — a worker that dies mid-job (OOM killer, SIGKILL,
   segfault) is detected through its process sentinel, the pool is
-  rebuilt, and the in-flight job is requeued; after
-  :attr:`RetryPolicy.max_crashes` crashes the job is **quarantined**
-  (reported, never rerun) instead of taking the run down;
-* **graceful degradation** — when replacement workers cannot be
-  spawned at all, the engine drops to a serial in-process fallback for
-  the remaining jobs (mirroring the vector→scalar fallback contract);
-  jobs with crash or timeout history are quarantined rather than run
-  in the orchestrator process;
+  rebuilt, and the in-flight job is re-dispatched at once; on its
+  :data:`CRASH_BUDGET`-th crash the job is **quarantined** (reported,
+  never rerun) instead of taking the run down.  A lost worker is the
+  only reason the engine dispatches a job twice;
+* **an unspawnable pool** — when workers cannot be spawned at all, the
+  engine gives every unfinished job back unrun: ``quarantined`` if it
+  has crash or timeout history, ``failed`` otherwise, and says so in
+  :attr:`EngineReport.degraded`;
 * **interruption with artifacts** — ``KeyboardInterrupt`` (SIGINT)
   surfaces as :class:`JobsInterrupted` carrying every completed
   outcome, so callers can write a partial, resumable report instead of
@@ -34,7 +33,7 @@ always knows *which* job a dead worker was running:
 
 The orchestrator is a plain loop in :meth:`JobEngine.run`: it waits on
 the worker pipes and sentinels for at most one tick, then collects
-results, reaps dead and timed-out workers and requeues.  One engine
+results, reaps dead and timed-out workers and re-dispatches.  One engine
 may be reused across several ``run()`` calls (the multi-geometry sweep
 shares one pool across geometries) and must be :meth:`closed
 <JobEngine.close>` — or used as a context manager — when done.
@@ -42,8 +41,11 @@ shares one pool across geometries) and must be :meth:`closed
 Callers do not drive the engine themselves: :func:`run_jobs` is the
 one runner of sharded work (fault-sweep shards, fuzz batches).  It
 runs items inline or on an engine, applies a chaos plan, hands each
-result over as it completes, retries serially what only raised, and
-reports lost jobs and interrupts as data instead of exceptions.
+result over as it completes, reruns in-process (once, unwrapped) every
+job that failed without crashing or hanging a worker — the one
+in-process rerun, which also carries a run whose pool could not be
+spawned — and reports lost jobs and interrupts as data instead of
+exceptions.
 
 Jobs must be picklable: ``fn`` a module-level function, ``payload``
 plain data.  Workers are forked where available and ignore SIGINT, so
@@ -52,7 +54,6 @@ interrupting a sweep leaves shutdown coordination to the orchestrator.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import pickle
 import time
@@ -61,10 +62,19 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-#: Upper bound on one blocking wait on the pool, so deadlines and
-#: backoffs are serviced regularly even while every worker is deep in a
-#: long shard.
+#: Upper bound on one blocking wait on the pool, so deadlines are
+#: serviced regularly even while every worker is deep in a long shard.
 _WAIT_TICK_S = 0.25
+
+#: A job whose worker crashed this many times is quarantined as poison.
+CRASH_BUDGET = 3
+
+#: A job that timed out this many times fails.
+TIMEOUT_BUDGET = 3
+
+#: Consecutive failed worker spawns after which the pool counts as
+#: unavailable.
+_SPAWN_ATTEMPTS = 3
 
 #: Job statuses.
 OK = "ok"
@@ -94,9 +104,9 @@ class JobsInterrupted(ServiceError):
 class Job:
     """One unit of work: a picklable ``fn(payload)`` call.
 
-    ``key`` is the job's stable identity — it names the job in
-    quarantine records and seeds the deterministic retry jitter, and
-    callers typically reuse their result-store key for it.
+    ``key`` is the job's stable identity — it names the job in its
+    outcome, and callers typically reuse their result-store key for
+    it.
     """
 
     key: str
@@ -104,58 +114,15 @@ class Job:
     payload: Any
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry/backoff/quarantine knobs of one engine.
-
-    Attributes:
-        max_attempts: dispatch attempts per job (errors and timeouts
-            both consume attempts).
-        max_crashes: worker crashes a job survives before it is
-            quarantined as poison (crashes do *not* consume regular
-            attempts — a crashed worker says nothing about the job's
-            own logic, until it repeats).
-        timeout: per-job wall-clock budget in seconds (``None`` = no
-            deadline).
-        backoff_base: first retry delay, seconds.
-        backoff_factor: delay multiplier per further attempt.
-        backoff_cap: delay ceiling, seconds.
-        max_spawn_failures: consecutive worker-spawn failures before
-            the engine degrades to the serial in-process fallback.
-    """
-
-    max_attempts: int = 3
-    max_crashes: int = 2
-    timeout: Optional[float] = None
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap: float = 2.0
-    max_spawn_failures: int = 3
-
-    def backoff(self, key: str, attempt: int) -> float:
-        """Deterministic exponential backoff with jitter.
-
-        The jitter (50–100% of the nominal delay) is derived from
-        ``(key, attempt)`` rather than a live RNG, so two runs of the
-        same workload back off identically — the determinism contract
-        extends to the engine's own timing decisions.
-        """
-        nominal = min(
-            self.backoff_cap,
-            self.backoff_base * self.backoff_factor ** max(attempt - 1, 0),
-        )
-        digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
-        fraction = 0.5 + int.from_bytes(digest[:4], "big") / 0xFFFFFFFF * 0.5
-        return nominal * fraction
-
-
 @dataclass
 class JobOutcome:
     """Terminal state of one job.
 
-    ``status`` is ``ok`` (``value`` holds the return), ``failed``
-    (attempts exhausted on errors/timeouts) or ``quarantined`` (crash
-    budget exhausted, or unsafe to rerun in degraded mode).
+    ``status`` is ``ok`` (``value`` holds the return), ``failed`` (the
+    job raised, could not be pickled, exhausted its timeout budget or
+    never ran for want of a pool) or ``quarantined`` (crash budget
+    exhausted, or left unrun by a lost pool after crashing or hanging
+    a worker).
     """
 
     key: str
@@ -165,7 +132,6 @@ class JobOutcome:
     attempts: int = 0
     crashes: int = 0
     timeouts: int = 0
-    ran_inline: bool = False
 
     @property
     def ok(self) -> bool:
@@ -180,17 +146,6 @@ class JobOutcome:
         whole run (and its completed results) down with it.
         """
         return self.crashes == 0 and self.timeouts == 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "status": self.status,
-            "error": self.error,
-            "attempts": self.attempts,
-            "crashes": self.crashes,
-            "timeouts": self.timeouts,
-            "ran_inline": self.ran_inline,
-        }
 
 
 @dataclass
@@ -232,7 +187,7 @@ class EngineReport:
 
 
 def _worker_main(task_r, result_w) -> None:
-    """Worker loop: recv ``(job_id, fn, payload)``, send the outcome.
+    """Worker loop: recv ``(fn, payload)``, send ``(status, value)``.
 
     SIGINT is ignored so a terminal Ctrl-C reaches only the
     orchestrator, which coordinates shutdown (and partial-report
@@ -252,11 +207,11 @@ def _worker_main(task_r, result_w) -> None:
             return
         if item is None:
             return
-        job_id, fn, payload = item
+        fn, payload = item
         try:
-            outcome = (job_id, OK, fn(payload))
+            outcome = (OK, fn(payload))
         except BaseException as error:  # noqa: BLE001 - forwarded, not hidden
-            outcome = (job_id, FAILED, f"{type(error).__name__}: {error}")
+            outcome = (FAILED, f"{type(error).__name__}: {error}")
         try:
             result_w.send(outcome)
         except Exception as error:
@@ -265,7 +220,7 @@ def _worker_main(task_r, result_w) -> None:
             # would read as a crash and waste the crash budget).
             try:
                 result_w.send((
-                    job_id, FAILED,
+                    FAILED,
                     f"unserialisable result: {type(error).__name__}: {error}",
                 ))
             except Exception:
@@ -275,19 +230,14 @@ def _worker_main(task_r, result_w) -> None:
 class _JobState:
     """Mutable per-job bookkeeping while a job is live."""
 
-    __slots__ = (
-        "index", "job", "job_id", "attempts", "crashes", "timeouts",
-        "ready_at",
-    )
+    __slots__ = ("index", "job", "attempts", "crashes", "timeouts")
 
-    def __init__(self, index: int, job: Job, job_id: int) -> None:
+    def __init__(self, index: int, job: Job) -> None:
         self.index = index
         self.job = job
-        self.job_id = job_id
         self.attempts = 0
         self.crashes = 0
         self.timeouts = 0
-        self.ready_at = 0.0
 
 
 class _Worker:
@@ -349,23 +299,21 @@ class JobEngine:
     Args:
         workers: pool size; each ``run()`` spawns at most this many
             worker processes (and no more than it has jobs).
-        policy: retry/backoff/quarantine knobs.
+        timeout: per-job wall-clock budget in seconds (``None`` = no
+            deadline).
     """
 
     def __init__(
-        self,
-        workers: int = 2,
-        policy: Optional[RetryPolicy] = None,
+        self, workers: int = 2, timeout: Optional[float] = None
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         self.workers = workers
-        self.policy = policy or RetryPolicy()
+        self.timeout = timeout
         self._context = _pool_context()
         self._pool: List[_Worker] = []
         self._spawn_failures = 0
         self._degraded = False
-        self._job_counter = 0
         self._closed = False
         self._pending_rebuilds = 0  # workers lost, replacements owed
         # Per-run state, shared by the helpers of run(); an interrupt
@@ -416,67 +364,52 @@ class JobEngine:
             raise ServiceError("engine is closed")
         started = time.perf_counter()
         self._states = [
-            _JobState(index, job, self._next_job_id())
-            for index, job in enumerate(jobs)
+            _JobState(index, job) for index, job in enumerate(jobs)
         ]
         self._outcomes = {}
         self._report = EngineReport(workers=self.workers)
         self._on_complete = on_complete
+        # Whatever ends a run early, no worker outlives it mid-job, so
+        # the next run() reads only its own results.
         try:
-            self._drain_stale()
             pending = deque(self._states)
             while len(self._outcomes) < len(self._states):
                 now = time.monotonic()
                 if not self._degraded:
                     self._ensure_pool(len(self._states) - len(self._outcomes))
                 if self._degraded:
-                    self._run_inline(pending)
+                    self._give_back(pending)
                     break
                 self._dispatch(pending, now)
                 handles: List[Any] = []
                 for worker in self._pool:
                     handles.append(worker.result_r)
                     handles.append(worker.process.sentinel)
-                timeout = self._wait_timeout(pending, now)
+                timeout = self._wait_timeout(now)
                 if handles:
                     _bounded_wait(handles, timeout)
                 else:  # no pool (all died, respawn pending) — just pace
                     time.sleep(min(timeout, _WAIT_TICK_S))
                 now = time.monotonic()
-                self._collect(pending, now)
-                self._reap_dead(pending, now)
+                self._collect()
+                self._reap_dead(pending)
                 self._reap_timeouts(pending, now)
         except KeyboardInterrupt:
-            completed = [
-                self._outcomes[state.job_id]
-                for state in self._states
-                if state.job_id in self._outcomes
-            ]
             self._nuke_pool()
-            raise JobsInterrupted(completed) from None
+            raise JobsInterrupted(
+                [self._outcomes[i] for i in sorted(self._outcomes)]
+            ) from None
+        except BaseException:
+            self._nuke_pool()
+            raise
 
         self._report.outcomes = [
-            self._outcomes[state.job_id] for state in self._states
+            self._outcomes[index] for index in range(len(self._states))
         ]
         self._report.wall_time_s = time.perf_counter() - started
         return self._report
 
     # -- internals ---------------------------------------------------------
-
-    def _next_job_id(self) -> int:
-        self._job_counter += 1
-        return self._job_counter
-
-    def _drain_stale(self) -> None:
-        """Discard results a previous (interrupted) run left in pipes."""
-        for worker in self._pool:
-            try:
-                while worker.result_r.poll(0):
-                    worker.result_r.recv()
-            except (EOFError, OSError):
-                pass
-            worker.state = None
-            worker.deadline = None
 
     def _ensure_pool(self, outstanding: int) -> None:
         target = min(self.workers, max(outstanding, 1))
@@ -485,10 +418,8 @@ class JobEngine:
                 worker = _Worker(self._context)
             except Exception:
                 self._spawn_failures += 1
-                if self._spawn_failures >= self.policy.max_spawn_failures:
+                if self._spawn_failures >= _SPAWN_ATTEMPTS:
                     self._degraded = True
-                    self._report.degraded = True
-                    self._nuke_pool()
                 return
             self._spawn_failures = 0
             self._pool.append(worker)
@@ -496,57 +427,43 @@ class JobEngine:
                 self._pending_rebuilds -= 1
                 self._report.pool_rebuilds += 1
 
-    def _pop_ready(self, pending: deque, now: float) -> Optional[_JobState]:
-        for _ in range(len(pending)):
-            state = pending.popleft()
-            if state.ready_at <= now:
-                return state
-            pending.append(state)
-        return None
-
     def _dispatch(self, pending: deque, now: float) -> None:
         for worker in self._pool:
             if not pending:
                 return
             if worker.state is not None or not worker.process.is_alive():
                 continue
-            state = self._pop_ready(pending, now)
-            if state is None:
-                return
+            state = pending.popleft()
             try:
                 worker.task_w.send(
-                    (state.job_id, state.job.fn, state.job.payload)
+                    (state.job.fn, state.job.payload)
                 )
             except (pickle.PicklingError, AttributeError, TypeError) as err:
                 # The *job* is unpicklable — a caller bug, not a pool
-                # fault.  Fail it immediately; no retry will help.
+                # fault: it fails like a job that raised.
                 state.attempts += 1
                 self._finish(state, FAILED, error=f"unpicklable job: {err}")
                 continue
             except Exception:
-                # Broken pipe: the worker died between polls.  Requeue
-                # the job; the sentinel reaper respawns the worker.
+                # Broken pipe: the worker died between polls.  Put the
+                # job back; the sentinel reaper respawns the worker.
                 pending.appendleft(state)
                 continue
             state.attempts += 1
             worker.state = state
             worker.deadline = (
-                now + self.policy.timeout
-                if self.policy.timeout is not None
-                else None
+                now + self.timeout if self.timeout is not None else None
             )
 
-    def _wait_timeout(self, pending: deque, now: float) -> float:
+    def _wait_timeout(self, now: float) -> float:
+        """How long to wait: until the nearest deadline, at most a tick.
+
+        A queued job waits for a busy worker to report back, which
+        wakes the wait by itself."""
         timeout = _WAIT_TICK_S
         for worker in self._pool:
             if worker.deadline is not None:
                 timeout = min(timeout, worker.deadline - now)
-        for state in pending:
-            # A job that is ready now waits for a busy worker to report
-            # back (which wakes the wait); only a future retry backoff
-            # is a reason to wake early.
-            if state.ready_at > now:
-                timeout = min(timeout, state.ready_at - now)
         return max(timeout, 0.0)
 
     def _finish(
@@ -555,11 +472,10 @@ class JobEngine:
         status: str,
         value: Any = None,
         error: Optional[str] = None,
-        ran_inline: bool = False,
     ) -> None:
         if status == OK and self._on_complete is not None:
             self._on_complete(state.index, value)
-        self._outcomes[state.job_id] = JobOutcome(
+        self._outcomes[state.index] = JobOutcome(
             key=state.job.key,
             status=status,
             value=value,
@@ -567,49 +483,34 @@ class JobEngine:
             attempts=state.attempts,
             crashes=state.crashes,
             timeouts=state.timeouts,
-            ran_inline=ran_inline,
         )
         if status == QUARANTINED:
             self._report.quarantined += 1
 
-    def _retry(self, state: _JobState, pending: deque, now: float) -> None:
+    def _redispatch(self, state: _JobState, pending: deque) -> None:
+        """Queue again a job whose worker was lost (crash or timeout)."""
         self._report.retries += 1
-        state.ready_at = now + self.policy.backoff(
-            state.job.key, state.attempts
-        )
         pending.append(state)
 
-    def _handle_result(
-        self,
-        worker: _Worker,
-        message: Any,
-        pending: deque,
-        now: float,
-    ) -> None:
-        job_id, status, value = message
+    def _handle_result(self, worker: _Worker, message: Any) -> None:
+        status, value = message
         state = worker.state
-        if state is None or state.job_id != job_id:
-            return  # stale leftover; already handled elsewhere
         worker.state = None
         worker.deadline = None
         if status == OK:
             self._finish(state, OK, value=value)
-        elif state.attempts >= self.policy.max_attempts:
-            self._finish(state, FAILED, error=str(value))
         else:
-            self._retry(state, pending, now)
+            self._finish(state, FAILED, error=str(value))
 
-    def _collect(self, pending: deque, now: float) -> None:
+    def _collect(self) -> None:
         for worker in self._pool:
             try:
                 while worker.result_r.poll(0):
-                    self._handle_result(
-                        worker, worker.result_r.recv(), pending, now
-                    )
+                    self._handle_result(worker, worker.result_r.recv())
             except (EOFError, OSError):
                 continue  # dead worker; the sentinel reaper handles it
 
-    def _reap_dead(self, pending: deque, now: float) -> None:
+    def _reap_dead(self, pending: deque) -> None:
         for worker in list(self._pool):
             if worker.process.is_alive():
                 continue
@@ -617,9 +518,7 @@ class JobEngine:
             # a completed result is never misread as a crash.
             try:
                 while worker.result_r.poll(0):
-                    self._handle_result(
-                        worker, worker.result_r.recv(), pending, now
-                    )
+                    self._handle_result(worker, worker.result_r.recv())
             except (EOFError, OSError):
                 pass
             state = worker.state
@@ -630,7 +529,7 @@ class JobEngine:
                 continue
             state.crashes += 1
             self._report.crashes += 1
-            if state.crashes > self.policy.max_crashes:
+            if state.crashes >= CRASH_BUDGET:
                 self._finish(
                     state, QUARANTINED,
                     error=(
@@ -639,7 +538,7 @@ class JobEngine:
                     ),
                 )
             else:
-                self._retry(state, pending, now)
+                self._redispatch(state, pending)
 
     def _reap_timeouts(self, pending: deque, now: float) -> None:
         for worker in list(self._pool):
@@ -655,28 +554,30 @@ class JobEngine:
             self._pool.remove(worker)
             worker.kill()  # a hung job only responds to SIGKILL
             self._pending_rebuilds += 1
-            if state.attempts >= self.policy.max_attempts:
+            if state.timeouts >= TIMEOUT_BUDGET:
                 self._finish(
                     state, FAILED,
                     error=(
-                        f"timed out after {self.policy.timeout}s "
+                        f"timed out after {self.timeout}s "
                         f"(attempt {state.attempts})"
                     ),
                 )
             else:
-                self._retry(state, pending, now)
+                self._redispatch(state, pending)
 
-    def _run_inline(self, pending: deque) -> None:
-        """Serial in-process fallback once the pool is unbuildable.
+    def _give_back(self, pending: deque) -> None:
+        """Finish every unfinished job unrun: the pool cannot be spawned.
 
-        One attempt per job, no timeout enforcement (there is no worker
-        to kill), and jobs with crash/timeout history are quarantined —
-        rerunning a suspected OOM/hang in the orchestrator process
-        would forfeit every completed result.
-        """
-        while pending:
-            state = pending.popleft()
-            if state.crashes > 0 or state.timeouts > 0:
+        The jobs still running on surviving workers are stopped with
+        them.  A job with crash or timeout history is quarantined; any
+        other fails, which leaves it to the caller's in-process rerun."""
+        self._report.degraded = True
+        states = [w.state for w in self._pool if w.state is not None]
+        self._nuke_pool()
+        states.extend(pending)
+        pending.clear()
+        for state in states:
+            if state.crashes or state.timeouts:
                 self._finish(
                     state, QUARANTINED,
                     error=(
@@ -685,21 +586,8 @@ class JobEngine:
                         "timeout(s); not safe to run in-process"
                     ),
                 )
-                continue
-            state.attempts += 1
-            try:
-                value = state.job.fn(state.job.payload)
-            except KeyboardInterrupt:
-                pending.appendleft(state)
-                raise
-            except Exception as error:
-                self._finish(
-                    state, FAILED,
-                    error=f"{type(error).__name__}: {error}",
-                    ran_inline=True,
-                )
             else:
-                self._finish(state, OK, value=value, ran_inline=True)
+                self._finish(state, FAILED, error="pool unavailable")
 
 
 @dataclass
@@ -738,11 +626,12 @@ def run_jobs(
     * Otherwise on a :class:`JobEngine` (``service``, or a private one
       of at most ``workers`` workers with a ``timeout`` per job), the
       payloads wrapped by the ``chaos`` plan under their index.  A job
-      that failed only by raising is retried once here, unwrapped;
+      that failed without crashing or hanging a worker — it raised, or
+      never ran for want of a pool — is rerun once here, unwrapped;
       one that crashed or hung is not, and its index is ``lost``.
 
     Callers key ``index`` to their own item (shard or batch number),
-    and ``key`` names the job in the engine (its retry jitter).
+    and ``key`` names the job in the engine.
     """
     run = JobsRun()
     if not items:
@@ -765,7 +654,7 @@ def run_jobs(
         return run
 
     engine = service if service is not None else JobEngine(
-        workers=min(workers, len(items)), policy=RetryPolicy(timeout=timeout)
+        workers=min(workers, len(items)), timeout=timeout
     )
     submissions = []
     for index, key, payload in items:
@@ -794,9 +683,10 @@ def run_jobs(
             continue
         incident = f"{outcome.status}: {outcome.error}"
         if outcome.safe_inline:
-            # Failed only by raising: the completed results are safe
-            # with the caller, so a serial retry in this process is
-            # cheap insurance against transient worker trouble.
+            # No worker was lost running it: the completed results are
+            # safe with the caller, so a serial retry in this process
+            # is cheap insurance against transient worker trouble and
+            # the fallback for a pool that could not be spawned.
             try:
                 on_result(index, fn(payload))
                 run.stats["serial_retries"] += 1

@@ -129,3 +129,23 @@ def _lines(kind):
 @pytest.mark.parametrize("kind", sorted(PINS))
 def test_analysis_output_is_pinned(kind):
     assert _digest(_lines(kind)) == PINS[kind]
+
+
+#: sha256 of what ``repro lint`` prints for the rule catalogue and for
+#: the coverage lint of the whole library (the ``CV`` rules), byte for
+#: byte.
+CLI_PINS = {
+    ("lint", "--rules"):
+        "a83d395ea7a98fd9835ff8f233f4c3674c7037832267ba0c16be30cd261a98d6",
+    ("lint", "--all", "--target", "coverage", "--json"):
+        "1f19e16cc3a8afc43766fee77890facceeff84f663943f1557a2882a65799a28",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_PINS), ids=" ".join)
+def test_lint_output_is_pinned(argv, capsys):
+    from repro.cli import main
+
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_PINS[argv]

@@ -139,6 +139,24 @@ class TestCompiler:
         with pytest.raises(CompileError):
             compile_to_sm(library.MARCH_B, CAPS)
 
+    def test_march_b_error_names_the_march_rule(self):
+        with pytest.raises(CompileError, match=r"^March B: error\[MA004\] "):
+            compile_to_sm(library.MARCH_B, CAPS)
+
+    def test_verified_compile_runs_the_march_rules_once(self, monkeypatch):
+        from repro.analysis import rules
+
+        scopes = []
+        run_rules = rules.run_rules
+
+        def counting(scope, *args):
+            scopes.append(scope)
+            return run_rules(scope, *args)
+
+        monkeypatch.setattr(rules, "run_rules", counting)
+        compile_to_sm(library.MARCH_C, CAPS)
+        assert sorted(scopes) == ["fsm", "march"]
+
     def test_march_c_plus_plus_rejected(self):
         with pytest.raises(CompileError):
             compile_to_sm(library.MARCH_C_PLUS_PLUS, CAPS)

@@ -117,7 +117,9 @@ class TestWorkerKill:
         assert sans_timing(report.to_json()) == sans_timing(
             baseline.to_json()
         )
-        assert report.service_stats["retries"] >= 1
+        # The pooled dispatch raised once; the one rerun is in-process.
+        assert report.service_stats["retries"] == 0
+        assert report.service_stats["serial_retries"] == 1
 
     def test_hung_shard_times_out_then_completes(self, baseline, tmp_path):
         chaos = ChaosPlan(
@@ -163,6 +165,51 @@ class TestPoisonJobs:
             baseline.to_json()
         )
         assert report.service_stats["serial_retries"] == 1
+
+
+class TestUnspawnablePool:
+    """No worker can be spawned: the runner's serial retry runs it all."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        import repro.service.engine as engine_mod
+
+        def _no_spawn(_context):
+            raise OSError("no processes")
+
+        monkeypatch.setattr(engine_mod, "_Worker", _no_spawn)
+
+    def test_sweep_equals_serial_and_is_marked_degraded(
+        self, baseline, no_pool
+    ):
+        report = run_fault_sweep(TESTS, CAPS, FAULTS, jobs=2)
+        assert report.ok
+        assert sans_timing(report.to_json()) == sans_timing(
+            baseline.to_json()
+        )
+        stats = report.service_stats
+        assert stats["degraded"] is True
+        assert stats["serial_retries"] == stats["jobs"] > 0
+
+    def test_chaos_wrapper_never_runs_in_the_orchestrator(
+        self, baseline, monkeypatch, no_pool
+    ):
+        from repro.service import chaos as chaos_mod
+
+        wrapped = []
+        real_apply = chaos_mod.chaos_apply
+
+        def counting_apply(args):
+            wrapped.append(os.getpid())
+            return real_apply(args)
+
+        monkeypatch.setattr(chaos_mod, "chaos_apply", counting_apply)
+        chaos = ChaosPlan(behaviors={0: "raise"})
+        report = run_fault_sweep(TESTS, CAPS, FAULTS, jobs=2, chaos=chaos)
+        assert wrapped == []
+        assert sans_timing(report.to_json()) == sans_timing(
+            baseline.to_json()
+        )
 
 
 class TestInterruptAndResume:
